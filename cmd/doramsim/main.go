@@ -38,11 +38,10 @@ func main() {
 
 		eviction  = flag.String("eviction", "", "S-App eviction strategy: "+strings.Join(doram.EvictionStrategies(), ", "))
 		encryptor = flag.String("encryptor", "", "functional bucket encryptor: "+strings.Join(doram.BucketEncryptors(), ", "))
-		channels = flag.String("channels", "", "NS channel subset, e.g. 1,2,3")
-		asJSON   = flag.Bool("json", false, "emit the result as JSON")
-		traceDir = flag.String("tracedir", "", "replay recorded traces from this directory (tracegen -o)")
-		noFF     = flag.Bool("no-fast-forward", false, "visit every CPU cycle instead of fast-forwarding idle gaps (results are bit-identical either way)")
-		noPar    = flag.Bool("no-parallel-mem", false, "tick memory channels serially instead of on the parallel worker pool (results are bit-identical either way)")
+		channels  = flag.String("channels", "", "NS channel subset, e.g. 1,2,3")
+		asJSON    = flag.Bool("json", false, "emit the result as JSON")
+		traceDir  = flag.String("tracedir", "", "replay recorded traces from this directory (tracegen -o)")
+		noFF      = flag.Bool("no-fast-forward", false, "visit every CPU cycle instead of fast-forwarding idle gaps (results are bit-identical either way)")
 
 		chaos       = flag.Bool("chaos", false, "run a seeded fault-injection campaign against the functional ORAM and print a detection/recovery report")
 		linkCorrupt = flag.Float64("link-corrupt", 0, "per-attempt BOB link frame corruption probability (d-oram)")
@@ -106,7 +105,6 @@ func main() {
 	cfg.Eviction = *eviction
 	cfg.Encryptor = *encryptor
 	cfg.NoFastForward = *noFF
-	cfg.NoParallelMem = *noPar
 	cfg.LinkCorruptProb = *linkCorrupt
 	cfg.LinkLossProb = *linkLoss
 	cfg.Metrics = *metricsOn || *metricsJSON != "" || *metricsCSV != ""
@@ -204,7 +202,7 @@ func checkFlagConflicts(explicit map[string]bool, traceJSON string, traceTop int
 	if explicit["chaos"] {
 		for _, name := range []string{
 			"scheme", "bench", "ns", "k", "c", "trace", "channels", "json",
-			"tracedir", "no-fast-forward", "no-parallel-mem", "link-corrupt", "link-loss",
+			"tracedir", "no-fast-forward", "link-corrupt", "link-loss",
 			"metrics", "metrics-epoch", "metrics-json", "metrics-csv",
 			"trace-json", "trace-limit", "trace-sample", "trace-top", "trace-validate",
 		} {

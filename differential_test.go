@@ -1,16 +1,14 @@
 package doram
 
 // Differential test harness for the fast-forward scheduler: every
-// configuration is run three times — with the event-horizon loop ticking
-// memory units on the parallel worker pool, with the same loop forced
-// serial, and with the cycle-by-cycle reference loop — and the runs must
-// be bit-identical in every observable: the full Results struct (cycle
-// counts, latency statistics, energy, link faults), the metrics registry
-// dump and sampled timeline, and the exported Chrome trace bytes. Any
-// divergence means a NextEvent method under-reported an event, a Skip
-// compensation miscounted, or a deferred completion replayed out of
-// order, so failures here name the first differing field rather than just
-// "mismatch".
+// configuration is run twice — once with the event-horizon loop (the
+// default) and once with the cycle-by-cycle reference loop — and the two
+// runs must be bit-identical in every observable: the full Results struct
+// (cycle counts, latency statistics, energy, link faults), the metrics
+// registry dump and sampled timeline, and the exported Chrome trace bytes.
+// Any divergence means a NextEvent method under-reported an event or a
+// Skip compensation miscounted, so failures here name the first differing
+// field rather than just "mismatch".
 
 import (
 	"bytes"
@@ -18,7 +16,6 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
-	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -28,19 +25,13 @@ import (
 
 // runMode is one execution strategy under differential comparison.
 type runMode struct {
-	name     string
-	noFF     bool
-	forcePar bool
+	name string
+	noFF bool
 }
 
-// diffModes are the three loops every differential case exercises. The
-// parallel mode uses ForceParallelMem so the worker-pool code path runs
-// even on a single-processor machine (where parallelMemEnabled would
-// otherwise fall back to the serial loop and the comparison would be
-// vacuous).
+// diffModes are the two loops every differential case exercises.
 var diffModes = []runMode{
-	{name: "ff-parallel", forcePar: true},
-	{name: "ff-serial"},
+	{name: "fast-forward"},
 	{name: "naive", noFF: true},
 }
 
@@ -57,8 +48,6 @@ func (m runMode) run(t *testing.T, cfg core.Config) *core.Results {
 func (m runMode) start(cfg core.Config) (*core.Results, error) {
 	c := cfg
 	c.NoFastForward = m.noFF
-	c.ForceParallelMem = m.forcePar
-	c.NoParallelMem = !m.forcePar
 	sys, err := core.NewSystem(c)
 	if err != nil {
 		return nil, fmt.Errorf("NewSystem: %v", err)
@@ -66,8 +55,8 @@ func (m runMode) start(cfg core.Config) (*core.Results, error) {
 	return sys.Run()
 }
 
-// runModes executes cfg under all three loops and returns the results in
-// diffModes order: parallel fast-forward, serial fast-forward, naive.
+// runModes executes cfg under both loops and returns the results in
+// diffModes order: fast-forward, naive.
 func runModes(t *testing.T, cfg core.Config) []*core.Results {
 	t.Helper()
 	out := make([]*core.Results, len(diffModes))
@@ -79,15 +68,12 @@ func runModes(t *testing.T, cfg core.Config) []*core.Results {
 
 // diffResults compares two Results field by field and returns the name of
 // the first differing field, or "" when identical. The Config field is
-// compared with the execution-strategy knobs (NoFastForward,
-// NoParallelMem, ForceParallelMem) normalized — they are the inputs
-// allowed to differ.
+// compared with the execution-strategy knob NoFastForward normalized — it
+// is the input allowed to differ.
 func diffResults(ff, naive *core.Results) string {
 	a, b := *ff, *naive
 	for _, c := range []*core.Config{&a.Config, &b.Config} {
 		c.NoFastForward = false
-		c.NoParallelMem = false
-		c.ForceParallelMem = false
 	}
 	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
 	for i := 0; i < va.NumField(); i++ {
@@ -99,7 +85,7 @@ func diffResults(ff, naive *core.Results) string {
 }
 
 // assertIdentical fails the test naming the first divergent observable
-// between any mode and the first (the parallel fast-forward run).
+// between any mode and the first (the fast-forward run).
 func assertIdentical(t *testing.T, cfg core.Config, results []*core.Results) {
 	t.Helper()
 	ref := results[0]
@@ -270,59 +256,6 @@ func TestFastForwardSpeedupGuard(t *testing.T) {
 	if speedup < minSpeedup {
 		t.Fatalf("fast-forward speedup %.2fx below the %.1fx floor (naive %v, fast-forward %v)",
 			speedup, minSpeedup, naiveTime, ffTime)
-	}
-}
-
-// TestParallelMemSpeedupGuard is the wall-clock guard for the parallel
-// tick engine: on a memory-saturated multi-channel workload the
-// worker-pool loop must beat the forced-serial fast-forward loop, and the
-// two must agree on the cycle count. The parallel win comes from ticking
-// the four independent BOB channels concurrently between bus-edge
-// barriers, so the guard demands cores to spread over — it skips below
-// four — and, like TestFastForwardSpeedupGuard, only runs when
-// DORAM_SPEEDUP_GUARD is set because timing assertions are inherently
-// machine-dependent. The floor is deliberately modest: per-edge barrier
-// dispatch costs a few microseconds, so the net win on a saturated run is
-// real but far below the 4x unit count.
-func TestParallelMemSpeedupGuard(t *testing.T) {
-	if os.Getenv("DORAM_SPEEDUP_GUARD") == "" {
-		t.Skip("wall-clock guard; set DORAM_SPEEDUP_GUARD=1 to run")
-	}
-	if runtime.NumCPU() < 4 {
-		t.Skipf("parallel wall-clock guard needs >=4 CPUs, have %d", runtime.NumCPU())
-	}
-	const minSpeedup = 1.05
-	cfg := core.DefaultConfig(core.DORAM, "libq")
-	cfg.NumNS = 3 // saturate all four channels
-	cfg.TraceLen = 4000
-	run := func(mode runMode) (time.Duration, uint64) {
-		best := time.Duration(0)
-		var cycles uint64
-		for i := 0; i < 3; i++ { // min of 3: rejects one-off scheduler hiccups
-			start := time.Now()
-			res, err := mode.start(cfg)
-			el := time.Since(start)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if best == 0 || el < best {
-				best = el
-			}
-			cycles = res.Cycles
-		}
-		return best, cycles
-	}
-	parTime, parCycles := run(diffModes[0])
-	serTime, serCycles := run(diffModes[1])
-	if parCycles != serCycles {
-		t.Fatalf("cycle count diverged: parallel=%d serial=%d", parCycles, serCycles)
-	}
-	speedup := float64(serTime) / float64(parTime)
-	t.Logf("memory-saturated speedup: %.2fx (serial %v, parallel %v, %d cycles)",
-		speedup, serTime, parTime, parCycles)
-	if speedup < minSpeedup {
-		t.Fatalf("parallel tick speedup %.2fx below the %.2fx floor (serial %v, parallel %v)",
-			speedup, minSpeedup, serTime, parTime)
 	}
 }
 

@@ -177,7 +177,7 @@ func NewORAM(cfg ORAMConfig) (*ORAM, error) {
 		return nil, err
 	}
 	o := &ORAM{}
-	var pos oram.PositionMap
+	var pos backend.PositionMap
 	if cfg.RecursivePositionMap {
 		rmCfg := oram.DefaultRecursiveMapConfig(p.MaxBlocks())
 		rmCfg.Seed = cfg.Seed ^ 0xacc0
@@ -188,7 +188,7 @@ func NewORAM(cfg ORAMConfig) (*ORAM, error) {
 		o.recmap = rm
 		pos = rm
 	}
-	var store oram.Storage = oram.NewMemStorage(p.NumNodes())
+	var store backend.Storage = backend.NewMemStorage(p.NumNodes())
 	if cfg.Faults != nil {
 		horizon := cfg.Faults.Horizon
 		if horizon == 0 {

@@ -160,21 +160,6 @@ type Config struct {
 	// escape hatch and as the reference side of that comparison.
 	NoFastForward bool
 
-	// NoParallelMem disables the parallel memory-domain tick engine and
-	// keeps the fast-forward loop's edge ticks serial. The zero value
-	// (parallel on) is the default; the engine self-disables when it could
-	// not help or would change trace bytes (single unit, GOMAXPROCS=1,
-	// TraceEvents), and its results are bit-identical to the serial loops
-	// either way — the differential suite enforces it.
-	NoParallelMem bool
-
-	// ForceParallelMem runs the parallel tick engine even on a
-	// single-processor runtime where it is pure overhead. It exists so the
-	// differential and race suites exercise the concurrent path on any CI
-	// box; TraceEvents still forces the serial loop. Excluded from JSON so
-	// forced and unforced runs compare equal (Results embeds Config).
-	ForceParallelMem bool `json:"-"`
-
 	// MetricsEpochCycles enables the observability subsystem: every N CPU
 	// cycles the run snapshots per-channel bus utilization, queue depths,
 	// write-drain state, delegator stash occupancy and link fault counters
@@ -272,8 +257,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: TraceLimit/TraceTopK must be non-negative")
 	case (c.TraceLimit > 0 || c.TraceSample > 1 || c.TraceOramOnly || c.TraceTopK > 0) && !c.TraceEvents:
 		return fmt.Errorf("core: trace options require TraceEvents")
-	case c.ForceParallelMem && c.NoParallelMem:
-		return fmt.Errorf("core: ForceParallelMem contradicts NoParallelMem")
 	case !backend.ValidEviction(c.Eviction):
 		return fmt.Errorf("core: unknown eviction strategy %q (valid: %v)",
 			c.Eviction, backend.Evictions())

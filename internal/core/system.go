@@ -64,15 +64,10 @@ type System struct {
 	// (SplitK > 0) the SD also enqueues relocated blocks remotely.
 	sdAllBobs bool
 
-	// par, when non-nil, is the parallel memory-domain tick engine the
-	// fast-forward loop hands eligible edge ticks to (see parallel.go).
-	// It lives only for the duration of Run.
-	par *memPar
-
 	// Free lists for the NS-App port requests (one per backend kind).
-	// Allocation and recycling both happen on the barrier thread — Access
-	// from tickCPU, completions inline or via an ordered sink drain — so
-	// the lists need no locking.
+	// Allocation (Access from tickCPU) and recycling (completion
+	// callbacks) both run on the simulation goroutine, so the lists need
+	// no locking.
 	freeNS     *nsReq
 	freeDirect *directReq
 }
@@ -774,14 +769,6 @@ func (s *System) runFastForward(st *runState) (uint64, *memLazy) {
 		mcSet:   make([]uint64, len(s.directMCs)),
 		memNext: clock.Never,
 	}
-	if s.parallelMemEnabled() {
-		pp := newMemPar(s)
-		s.par = pp
-		defer func() {
-			s.par = nil
-			pp.stop()
-		}()
-	}
 	var cyc, cpuHorizon, iter uint64
 	cpuActive := false
 	for cyc < s.cfg.MaxCycles {
@@ -890,10 +877,8 @@ func (s *System) tickCPU(cyc uint64, st *runState) {
 // activity since the previous visited edge, or delegator events due this
 // edge — means new work may have been enqueued anywhere. Elided accounting
 // for skipped edges is settled in bulk just before a component's next real
-// tick. Tick order among ticked components matches the reference loop.
-// With the parallel engine armed, eligible controllers tick concurrently
-// between this edge's barriers instead (see memPar); the delegators still
-// tick serially here because their schedulers enqueue across channels.
+// tick. Tick order among ticked components matches the reference loop,
+// and completion callbacks fire inline from the controller ticks.
 func (s *System) tickMemLazy(cyc uint64, lz *memLazy, cpuActive bool) {
 	memNow := clock.ToMem(cyc)
 	invalAll := cpuActive || cyc == 0
@@ -922,31 +907,27 @@ func (s *System) tickMemLazy(cyc uint64, lz *memLazy, cpuActive bool) {
 	for _, oc := range s.onchips {
 		oc.Tick(cyc)
 	}
-	if s.par != nil {
-		s.par.tickEdge(cyc, memNow, lz, invalAll, sdDue, ocDue)
-	} else {
-		for i, b := range s.bobs {
-			if invalAll || (sdDue && (i == 0 || s.sdAllBobs)) || lz.bobNext[i] <= cyc {
-				if memNow > lz.bobSet[i] {
-					b.Skip(memNow - lz.bobSet[i])
-				}
-				b.Tick(cyc)
-				lz.bobSet[i] = memNow + 1
-				lz.bobNext[i] = b.NextEvent(cyc)
+	for i, b := range s.bobs {
+		if invalAll || (sdDue && (i == 0 || s.sdAllBobs)) || lz.bobNext[i] <= cyc {
+			if memNow > lz.bobSet[i] {
+				b.Skip(memNow - lz.bobSet[i])
 			}
+			b.Tick(cyc)
+			lz.bobSet[i] = memNow + 1
+			lz.bobNext[i] = b.NextEvent(cyc)
 		}
-		for i, m := range s.directMCs {
-			if invalAll || ocDue || lz.mcNext[i] <= cyc {
-				if memNow > lz.mcSet[i] {
-					m.Skip(memNow - lz.mcSet[i])
-				}
-				m.Tick(memNow)
-				lz.mcSet[i] = memNow + 1
-				if t := m.NextEvent(memNow); t == clock.Never {
-					lz.mcNext[i] = clock.Never
-				} else {
-					lz.mcNext[i] = clock.ToCPU(t)
-				}
+	}
+	for i, m := range s.directMCs {
+		if invalAll || ocDue || lz.mcNext[i] <= cyc {
+			if memNow > lz.mcSet[i] {
+				m.Skip(memNow - lz.mcSet[i])
+			}
+			m.Tick(memNow)
+			lz.mcSet[i] = memNow + 1
+			if t := m.NextEvent(memNow); t == clock.Never {
+				lz.mcNext[i] = clock.Never
+			} else {
+				lz.mcNext[i] = clock.ToCPU(t)
 			}
 		}
 	}

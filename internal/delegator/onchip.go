@@ -7,6 +7,7 @@ import (
 	"doram/internal/mc"
 	"doram/internal/metrics"
 	"doram/internal/oram"
+	"doram/internal/oram/backend"
 	"doram/internal/oram/layout"
 )
 
@@ -221,7 +222,7 @@ func (o *OnChip) tryStart(now uint64) {
 
 // issue enqueues one pooled block transaction, striping slots across
 // channels. read routes the completion to readDone; otherwise writeDone.
-func (o *OnChip) issue(node oram.NodeID, slot int, op mc.OpType, read bool, now uint64) {
+func (o *OnChip) issue(node backend.NodeID, slot int, op mc.OpType, read bool, now uint64) {
 	pl := o.lay.Place(node, slot)
 	ch := pl.SubChannel % len(o.mcs)
 	coord := o.maps[ch].Map(o.cfg.OramBase + pl.Addr)

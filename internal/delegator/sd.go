@@ -147,8 +147,7 @@ func (sd *SD) getReq() *sdReq {
 }
 
 // putReq recycles r. Safe at completion time: the controller drops its
-// reference before firing OnComplete (and a deferred completion's sink
-// entry is consumed before the replay), and a successful Enqueue leaves no
+// reference before firing OnComplete, and a successful Enqueue leaves no
 // pending retry event, so nothing else can still reach r.
 func (sd *SD) putReq(r *sdReq) {
 	r.ctx, r.sub = nil, nil

@@ -19,10 +19,10 @@ type EvictionRow struct {
 
 	// Functional side (small real-data tree, identical request stream for
 	// every strategy of a benchmark).
-	StashMean     float64 // mean stash occupancy after each access
-	StashMax      int     // stash high-water mark
-	BlocksMoved   float64 // blocks placed into buckets per access
-	ExtraPaths    uint64  // additional eviction paths beyond the accessed one
+	StashMean   float64 // mean stash occupancy after each access
+	StashMax    int     // stash high-water mark
+	BlocksMoved float64 // blocks placed into buckets per access
+	ExtraPaths  uint64  // additional eviction paths beyond the accessed one
 
 	// Timing side (full-scale 1S7NS D-ORAM co-run).
 	NSExec       float64 // NS execution time normalized to level-by-level
@@ -131,7 +131,7 @@ func evictionFunctional(bench, strategy string, accesses, seed uint64) (Eviction
 	}
 	p := evictionParams()
 	c, err := oram.NewClientWithOptions(p, oram.ClientOptions{
-		Storage:  oram.NewMemStorage(p.NumNodes()),
+		Storage:  backend.NewMemStorage(p.NumNodes()),
 		Key:      []byte("eviction-study-k"),
 		Eviction: evict,
 		Seed:     seed,

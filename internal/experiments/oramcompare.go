@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"doram/internal/oram"
+	"doram/internal/oram/backend"
 	"doram/internal/oram/ring"
 	"doram/internal/xrand"
 )
@@ -26,7 +27,7 @@ func ORAMCompare(levels int, accesses int, seed uint64) ([]ORAMCompareRow, *Tabl
 	// Path ORAM with the paper's Z=4 and no tree-top cache (to match Ring
 	// ORAM's uncached organization).
 	pp := oram.Params{Levels: levels, Z: 4, BlockSize: 64, TopCacheLevels: 0, StashCapacity: 600}
-	pc, err := oram.NewClient(pp, oram.NewMemStorage(pp.NumNodes()), key, false, seed)
+	pc, err := oram.NewClient(pp, backend.NewMemStorage(pp.NumNodes()), key, false, seed)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"doram/internal/bob"
-	"doram/internal/oram"
+	"doram/internal/oram/backend"
 )
 
 func TestPlanValidation(t *testing.T) {
@@ -75,7 +75,7 @@ func planWith(t *testing.T, events ...Event) *Plan {
 }
 
 func TestTransientBitFlipHealsOnReread(t *testing.T) {
-	inner := oram.NewMemStorage(8)
+	inner := backend.NewMemStorage(8)
 	f := WrapStorage(inner, planWith(t, Event{Kind: BitFlip, Seq: 1}))
 	img := bytes.Repeat([]byte{0xaa}, 32)
 	f.WriteBucket(3, img)
@@ -94,7 +94,7 @@ func TestTransientBitFlipHealsOnReread(t *testing.T) {
 }
 
 func TestPersistentGarbageSticks(t *testing.T) {
-	inner := oram.NewMemStorage(8)
+	inner := backend.NewMemStorage(8)
 	f := WrapStorage(inner, planWith(t, Event{Kind: Garbage, Seq: 0, Persistent: true}))
 	img := bytes.Repeat([]byte{0x55}, 32)
 	f.WriteBucket(2, img)
@@ -111,7 +111,7 @@ func TestPersistentGarbageSticks(t *testing.T) {
 }
 
 func TestReplayServesStaleImage(t *testing.T) {
-	inner := oram.NewMemStorage(8)
+	inner := backend.NewMemStorage(8)
 	f := WrapStorage(inner, planWith(t, Event{Kind: Replay, Seq: 0}))
 	v1 := bytes.Repeat([]byte{1}, 16)
 	v2 := bytes.Repeat([]byte{2}, 16)
@@ -126,7 +126,7 @@ func TestReplayServesStaleImage(t *testing.T) {
 }
 
 func TestReplayWithoutHistoryDefers(t *testing.T) {
-	inner := oram.NewMemStorage(8)
+	inner := backend.NewMemStorage(8)
 	f := WrapStorage(inner, planWith(t, Event{Kind: Replay, Seq: 0}))
 	img := []byte{9, 9}
 	f.WriteBucket(1, img)
@@ -139,7 +139,7 @@ func TestReplayWithoutHistoryDefers(t *testing.T) {
 }
 
 func TestDroppedWriteLeavesOldImage(t *testing.T) {
-	inner := oram.NewMemStorage(8)
+	inner := backend.NewMemStorage(8)
 	f := WrapStorage(inner, planWith(t, Event{Kind: DroppedWrite, Seq: 1}))
 	v1 := []byte{1}
 	f.WriteBucket(4, v1)
@@ -153,7 +153,7 @@ func TestDroppedWriteLeavesOldImage(t *testing.T) {
 }
 
 func TestDroppedFirstWriteDefers(t *testing.T) {
-	inner := oram.NewMemStorage(8)
+	inner := backend.NewMemStorage(8)
 	f := WrapStorage(inner, planWith(t, Event{Kind: DroppedWrite, Seq: 0}))
 	f.WriteBucket(4, []byte{7})
 	if got := f.ReadBucket(4); got == nil {
@@ -165,7 +165,7 @@ func TestDroppedFirstWriteDefers(t *testing.T) {
 }
 
 func TestNilPlanPassesThrough(t *testing.T) {
-	inner := oram.NewMemStorage(4)
+	inner := backend.NewMemStorage(4)
 	f := WrapStorage(inner, nil)
 	f.WriteBucket(0, []byte{1, 2, 3})
 	if got := f.ReadBucket(0); !bytes.Equal(got, []byte{1, 2, 3}) {

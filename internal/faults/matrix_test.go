@@ -16,6 +16,7 @@ import (
 
 	"doram/internal/bob"
 	"doram/internal/oram"
+	"doram/internal/oram/backend"
 )
 
 const (
@@ -52,34 +53,34 @@ func runCampaign(c *oram.Client, accesses int) error {
 
 // readInfo describes one bucket read observed by the probe run.
 type readInfo struct {
-	node      oram.NodeID
+	node      backend.NodeID
 	populated bool // the bucket had an image to tamper with
 	rewritten bool // the bucket had an older image to replay
 }
 
 // writeInfo describes one bucket write observed by the probe run.
 type writeInfo struct {
-	node  oram.NodeID
+	node  backend.NodeID
 	first bool // first write to this bucket (not droppable)
 }
 
 // recorder is a transparent Storage wrapper logging, per operation index,
 // what a fault scheduled there would find.
 type recorder struct {
-	inner  oram.Storage
-	counts map[oram.NodeID]int
+	inner  backend.Storage
+	counts map[backend.NodeID]int
 	reads  []readInfo
 	writes []writeInfo
 }
 
-func (r *recorder) ReadBucket(node oram.NodeID) []byte {
+func (r *recorder) ReadBucket(node backend.NodeID) []byte {
 	buf := r.inner.ReadBucket(node)
 	r.reads = append(r.reads, readInfo{node: node, populated: buf != nil,
 		rewritten: r.counts[node] >= 2})
 	return buf
 }
 
-func (r *recorder) WriteBucket(node oram.NodeID, buf []byte) {
+func (r *recorder) WriteBucket(node backend.NodeID, buf []byte) {
 	r.writes = append(r.writes, writeInfo{node: node, first: r.counts[node] == 0})
 	r.counts[node]++
 	r.inner.WriteBucket(node, buf)
@@ -91,7 +92,7 @@ func (r *recorder) WriteBucket(node oram.NodeID, buf []byte) {
 func probeCampaign(t *testing.T, withMAC, withMerkle bool) ([]readInfo, []writeInfo) {
 	t.Helper()
 	p := matrixParams()
-	rec := &recorder{inner: oram.NewMemStorage(p.NumNodes()), counts: map[oram.NodeID]int{}}
+	rec := &recorder{inner: backend.NewMemStorage(p.NumNodes()), counts: map[backend.NodeID]int{}}
 	c, err := oram.NewClient(p, rec, matrixKey(), withMAC, matrixSeed)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +125,7 @@ func pickRead(t *testing.T, reads []readInfo, after int, ok func(readInfo) bool)
 func newMatrixClient(t *testing.T, plan *Plan, withMAC, withMerkle bool) (*oram.Client, *FaultyStorage) {
 	t.Helper()
 	p := matrixParams()
-	fs := WrapStorage(oram.NewMemStorage(p.NumNodes()), plan)
+	fs := WrapStorage(backend.NewMemStorage(p.NumNodes()), plan)
 	c, err := oram.NewClient(p, fs, matrixKey(), withMAC, matrixSeed)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +196,7 @@ func TestMatrixPersistentGarbageRaisesMACAlarm(t *testing.T) {
 	if !errors.As(err, &alarm) {
 		t.Fatalf("persistent garbage: err = %v, want ErrSecurityAlarm", err)
 	}
-	if alarm.Mechanism != oram.MechMAC {
+	if alarm.Mechanism != backend.MechMAC {
 		t.Fatalf("alarm mechanism = %q, want MAC", alarm.Mechanism)
 	}
 	rec := c.RecoveryStats()
@@ -263,7 +264,7 @@ func TestMatrixDroppedWriteRaisesMACAlarm(t *testing.T) {
 	if !errors.As(err, &alarm) {
 		t.Fatalf("dropped write: err = %v, want ErrSecurityAlarm", err)
 	}
-	if alarm.Mechanism != oram.MechMAC {
+	if alarm.Mechanism != backend.MechMAC {
 		t.Fatalf("alarm mechanism = %q, want MAC", alarm.Mechanism)
 	}
 	if got := fs.Stats().Injected[DroppedWrite]; got != 1 {
@@ -307,7 +308,7 @@ func TestMatrixMerkleRaisesAlarmOnPersistentGarbage(t *testing.T) {
 	if !errors.As(err, &alarm) {
 		t.Fatalf("merkle: persistent garbage: err = %v, want ErrSecurityAlarm", err)
 	}
-	if alarm.Mechanism != oram.MechMerkle {
+	if alarm.Mechanism != backend.MechMerkle {
 		t.Fatalf("alarm mechanism = %q, want merkle", alarm.Mechanism)
 	}
 	if rec := c.RecoveryStats(); rec.Alarms != 1 || rec.PathRetries == 0 {

@@ -140,36 +140,6 @@ type pendingDone struct {
 	done uint64
 }
 
-// CompletionSink buffers completion callbacks instead of letting them fire
-// inline. The parallel memory-domain tick engine arms one sink per worker
-// unit (a BOB channel's sub-controllers, or one direct controller) for the
-// duration of a concurrent tick: counters and IssuedAt stamping stay inline
-// in complete — they touch only controller-local state — while OnComplete
-// callbacks, which reach into shared simulation state (latency histograms,
-// delegator schedules, serial links), are replayed by Drain on the barrier
-// thread in deferral order. Because a unit executes single-threaded, the
-// buffer order is exactly the order the serial loop would have fired the
-// callbacks in.
-type CompletionSink struct {
-	buf []pendingDone
-}
-
-// Len returns the number of buffered completions.
-func (s *CompletionSink) Len() int { return len(s.buf) }
-
-// Drain invokes the buffered callbacks in deferral order and clears the
-// sink. Every feeding controller must be disarmed first (SetSink(nil)):
-// callbacks may cascade into instant completions on other controllers, and
-// those must fire inline exactly as the serial loop would run them.
-func (s *CompletionSink) Drain() {
-	for i := range s.buf {
-		p := s.buf[i]
-		p.req.OnComplete(p.req, p.done)
-		s.buf[i] = pendingDone{}
-	}
-	s.buf = s.buf[:0]
-}
-
 // Controller schedules requests onto one dram.Channel.
 type Controller struct {
 	cfg Config
@@ -214,11 +184,6 @@ type Controller struct {
 	// spans land on, e.g. "chan0.sub1.mc".
 	trace *evtrace.Tracer
 	track string
-
-	// sink, when armed, defers OnComplete callbacks to a barrier-thread
-	// Drain instead of firing them inline; nil (the default) costs one nil
-	// check per completion.
-	sink *CompletionSink
 }
 
 // New builds a controller over ch.
@@ -323,11 +288,6 @@ func (c *Controller) Enqueue(r *Request, now uint64) bool {
 	return true
 }
 
-// SetSink arms (or, with nil, disarms) deferred completion delivery. While
-// armed, complete buffers callback invocations into sink for a later Drain
-// instead of firing them; see CompletionSink.
-func (c *Controller) SetSink(sink *CompletionSink) { c.sink = sink }
-
 // complete fires the completion callback and counts the request.
 func (c *Controller) complete(r *Request, done uint64) {
 	if r.IssuedAt == 0 {
@@ -341,14 +301,9 @@ func (c *Controller) complete(r *Request, done uint64) {
 	} else {
 		c.stats.WritesDone.Inc()
 	}
-	if r.OnComplete == nil {
-		return
+	if r.OnComplete != nil {
+		r.OnComplete(r, done)
 	}
-	if c.sink != nil {
-		c.sink.buf = append(c.sink.buf, pendingDone{req: r, done: done})
-		return
-	}
-	r.OnComplete(r, done)
 }
 
 // Tick advances the controller by one memory cycle. It flushes finished

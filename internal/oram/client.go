@@ -23,8 +23,8 @@ const (
 // the top cache never appear.
 type Trace struct {
 	Leaf       uint64
-	ReadNodes  []NodeID // root-to-leaf order
-	WriteNodes []NodeID // leaf-to-root order (write-back direction)
+	ReadNodes  []backend.NodeID // root-to-leaf order
+	WriteNodes []backend.NodeID // leaf-to-root order (write-back direction)
 }
 
 // Client is a functional Path ORAM controller: it stores real data in
@@ -32,14 +32,14 @@ type Trace struct {
 // memory-access trace of every operation.
 type Client struct {
 	p     Params
-	pos   PositionMap
-	stash *Stash
-	store Storage
-	enc   Encryptor
-	evict EvictionStrategy
+	pos   backend.PositionMap
+	stash *backend.Stash
+	store backend.Storage
+	enc   backend.Encryptor
+	evict backend.EvictionStrategy
 
-	versions []uint64   // per-node write counters (encryption nonces)
-	top      [][]*Block // plaintext buckets for the cached top levels
+	versions []uint64           // per-node write counters (encryption nonces)
+	top      [][]*backend.Block // plaintext buckets for the cached top levels
 
 	merkle *Merkle // optional hash-tree integrity (nil = disabled)
 
@@ -91,21 +91,21 @@ type Client struct {
 // eviction, branchy (fast) serve path.
 type ClientOptions struct {
 	// Storage is the untrusted bucket store (required).
-	Storage Storage
+	Storage backend.Storage
 	// Position supplies the position map; nil falls back to a dense
 	// trusted FlatMap — the hook the recursive construction uses to store
 	// one ORAM's map inside another.
-	Position PositionMap
+	Position backend.PositionMap
 	// Encryptor overrides the bucket crypto; nil builds the default
 	// ctr-hmac scheme from Key and WithMAC.
-	Encryptor Encryptor
+	Encryptor backend.Encryptor
 	// Key is the 16-byte AES key for the default encryptor (ignored when
 	// Encryptor is set).
 	Key []byte
 	// WithMAC adds authentication tags to the default encryptor.
 	WithMAC bool
 	// Eviction overrides the write-back strategy; nil means LevelByLevel.
-	Eviction EvictionStrategy
+	Eviction backend.EvictionStrategy
 	// ConstantTime routes stash serves and bucket decodes through the
 	// branch-free primitives in backend/consttime.go.
 	ConstantTime bool
@@ -117,13 +117,13 @@ type ClientOptions struct {
 // position map. The key encrypts buckets (16 bytes); withMAC adds
 // integrity tags. The seed drives all remapping randomness, making runs
 // reproducible.
-func NewClient(p Params, store Storage, key []byte, withMAC bool, seed uint64) (*Client, error) {
+func NewClient(p Params, store backend.Storage, key []byte, withMAC bool, seed uint64) (*Client, error) {
 	return NewClientWithMap(p, store, key, withMAC, seed, nil)
 }
 
 // NewClientWithMap builds a client over an externally supplied position
 // map. A nil pos falls back to a dense trusted map.
-func NewClientWithMap(p Params, store Storage, key []byte, withMAC bool, seed uint64, pos PositionMap) (*Client, error) {
+func NewClientWithMap(p Params, store backend.Storage, key []byte, withMAC bool, seed uint64, pos backend.PositionMap) (*Client, error) {
 	return NewClientWithOptions(p, ClientOptions{
 		Storage: store, Position: pos, Key: key, WithMAC: withMAC, Seed: seed})
 }
@@ -146,7 +146,7 @@ func NewClientWithOptions(p Params, o ClientOptions) (*Client, error) {
 	}
 	pos := o.Position
 	if pos == nil {
-		pos = NewFlatMap(p.MaxBlocks())
+		pos = backend.NewFlatMap(p.MaxBlocks())
 	}
 	evict := o.Eviction
 	if evict == nil {
@@ -156,13 +156,13 @@ func NewClientWithOptions(p Params, o ClientOptions) (*Client, error) {
 	c := &Client{
 		p:        p,
 		pos:      pos,
-		stash:    NewStash(p.StashCapacity),
+		stash:    backend.NewStash(p.StashCapacity),
 		store:    o.Storage,
 		enc:      enc,
 		evict:    evict,
 		ct:       o.ConstantTime,
 		versions: make([]uint64, p.NumNodes()),
-		top:      make([][]*Block, topNodes),
+		top:      make([][]*backend.Block, topNodes),
 		rec:      DefaultRecoveryConfig(),
 		rng:      xrand.New(o.Seed),
 	}
@@ -276,7 +276,7 @@ func (c *Client) Access(op Op, addr uint64, data []byte) ([]byte, Trace, error) 
 		marks[1] = c.opTick()
 	}
 	leaf := c.pos.Get(addr)
-	if leaf == InvalidPath {
+	if leaf == backend.InvalidPath {
 		leaf = c.rng.Uint64n(c.p.NumLeaves())
 		c.pos.Set(addr, leaf)
 	}
@@ -298,7 +298,7 @@ func (c *Client) Access(op Op, addr uint64, data []byte) ([]byte, Trace, error) 
 	// runs branch-free over every stashed block.
 	b := c.stash.Get(addr)
 	if b == nil {
-		b = &Block{Addr: addr, Data: make([]byte, c.p.BlockSize)}
+		b = &backend.Block{Addr: addr, Data: make([]byte, c.p.BlockSize)}
 		if err := c.stash.Put(b); err != nil {
 			return nil, Trace{}, err
 		}
@@ -472,9 +472,9 @@ func (c *Client) EnableMerkle() error {
 // the stash — so a tampered path never leaks partially into client state.
 func (c *Client) readPath(leaf uint64) (Trace, error) {
 	tr := Trace{Leaf: leaf}
-	nodes := make([]NodeID, c.p.Levels+1)
+	nodes := make([]backend.NodeID, c.p.Levels+1)
 	for level := range nodes {
-		nodes[level] = NodeAt(level, leaf, c.p.Levels)
+		nodes[level] = backend.NodeAt(level, leaf, c.p.Levels)
 	}
 
 	// Phase 1: fetch ciphertexts and authenticate. A Merkle failure
@@ -498,11 +498,11 @@ func (c *Client) readPath(leaf uint64) (Trace, error) {
 		}
 		leafNode := nodes[len(nodes)-1]
 		if c.rec.MaxRetries == 0 {
-			return Trace{}, ErrIntegrity{Node: leafNode, Level: -1, Mechanism: MechMerkle}
+			return Trace{}, backend.ErrIntegrity{Node: leafNode, Level: -1, Mechanism: backend.MechMerkle}
 		}
 		if pathAttempt >= c.rec.MaxRetries {
 			c.recStats.Alarms++
-			return Trace{}, ErrSecurityAlarm{Node: leafNode, Mechanism: MechMerkle,
+			return Trace{}, ErrSecurityAlarm{Node: leafNode, Mechanism: backend.MechMerkle,
 				Attempts: pathAttempt + 1}
 		}
 		c.recStats.PathRetries++
@@ -512,7 +512,7 @@ func (c *Client) readPath(leaf uint64) (Trace, error) {
 	// Phase 2: commit. Drain the cached top levels and move every
 	// authenticated path block into the stash.
 	for level, node := range nodes {
-		var blocks []*Block
+		var blocks []*backend.Block
 		if level < c.p.TopCacheLevels {
 			blocks = c.top[node]
 			c.top[node] = nil
@@ -524,7 +524,7 @@ func (c *Client) readPath(leaf uint64) (Trace, error) {
 			if c.ct {
 				blocks = backend.DecodeBucketCT(plains[level], c.p.Z, c.p.BlockSize)
 			} else {
-				blocks = decodeBucket(plains[level], c.p.Z, c.p.BlockSize)
+				blocks = backend.DecodeBucket(plains[level], c.p.Z, c.p.BlockSize)
 			}
 		}
 		for _, b := range blocks {
@@ -539,7 +539,7 @@ func (c *Client) readPath(leaf uint64) (Trace, error) {
 // fetchPath reads and MAC-verifies every non-cached bucket on the path,
 // filling plains (decrypted images) and, when non-nil, cts (the verified
 // ciphertexts, for Merkle). Cached top levels get nil entries.
-func (c *Client) fetchPath(nodes []NodeID, cts, plains [][]byte) error {
+func (c *Client) fetchPath(nodes []backend.NodeID, cts, plains [][]byte) error {
 	for level, node := range nodes {
 		if level < c.p.TopCacheLevels {
 			plains[level] = nil
@@ -564,7 +564,7 @@ func (c *Client) fetchPath(nodes []NodeID, cts, plains [][]byte) error {
 // up to MaxRetries times on a MAC failure. Each retry charges
 // RetryCostCycles; exhausting the budget escalates to ErrSecurityAlarm.
 // A nil return (no error) means the bucket was never written.
-func (c *Client) openWithRetry(node NodeID) (plain, sealed []byte, err error) {
+func (c *Client) openWithRetry(node backend.NodeID) (plain, sealed []byte, err error) {
 	for attempt := 0; ; attempt++ {
 		sealed = c.store.ReadBucket(node)
 		if sealed == nil {
@@ -579,7 +579,7 @@ func (c *Client) openWithRetry(node NodeID) (plain, sealed []byte, err error) {
 		}
 		if attempt >= c.rec.MaxRetries {
 			c.recStats.Alarms++
-			return nil, nil, ErrSecurityAlarm{Node: node, Mechanism: MechMAC,
+			return nil, nil, ErrSecurityAlarm{Node: node, Mechanism: backend.MechMAC,
 				Attempts: attempt + 1}
 		}
 		c.recStats.Retries++
@@ -597,7 +597,7 @@ func (c *Client) writePath(leaf uint64, tr *Trace) error {
 		cts = make([][]byte, c.p.Levels+1)
 	}
 	for level := c.p.Levels; level >= 0; level-- {
-		node := NodeAt(level, leaf, c.p.Levels)
+		node := backend.NodeAt(level, leaf, c.p.Levels)
 		blocks := c.evict.PlanLevel(c.stash, leaf, level, c.p.Levels, c.p.Z)
 		c.evictedBlocks += uint64(len(blocks))
 		if level < c.p.TopCacheLevels {
@@ -606,7 +606,7 @@ func (c *Client) writePath(leaf uint64, tr *Trace) error {
 		}
 		tr.WriteNodes = append(tr.WriteNodes, node)
 		c.versions[node]++
-		sealed := c.enc.Seal(node, c.versions[node], encodeBucket(blocks, c.p.Z, c.p.BlockSize))
+		sealed := c.enc.Seal(node, c.versions[node], backend.EncodeBucket(blocks, c.p.Z, c.p.BlockSize))
 		c.store.WriteBucket(node, sealed)
 		if c.merkle != nil {
 			cts[level] = sealed

@@ -17,7 +17,7 @@ func ctClient(t *testing.T, encryptor string, seed uint64) *Client {
 		t.Fatal(err)
 	}
 	c, err := NewClientWithOptions(p, ClientOptions{
-		Storage:      NewMemStorage(p.NumNodes()),
+		Storage:      backend.NewMemStorage(p.NumNodes()),
 		Encryptor:    enc,
 		ConstantTime: true,
 		Seed:         seed,

@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"doram/internal/oram"
+	"doram/internal/oram/backend"
 )
 
 // DefaultSubtreeLevels is the subtree depth used by the paper (7 levels).
@@ -94,14 +95,14 @@ func (l *Layout) firstRemoteNode() uint64 {
 }
 
 // IsRemote reports whether node lives on a normal channel.
-func (l *Layout) IsRemote(node oram.NodeID) bool {
+func (l *Layout) IsRemote(node backend.NodeID) bool {
 	return l.splitK > 0 && uint64(node) >= l.firstRemoteNode()
 }
 
 // LocalIndex returns the subtree-linearized index of a node stored on the
 // secure channel: the node's position in the contiguous block array each
 // sub-channel holds. It panics for cached or remote nodes.
-func (l *Layout) LocalIndex(node oram.NodeID) uint64 {
+func (l *Layout) LocalIndex(node backend.NodeID) uint64 {
 	level := node.Level()
 	if level < l.p.TopCacheLevels {
 		panic(fmt.Sprintf("layout: node %d is inside the cached tree top", node))
@@ -136,7 +137,7 @@ func (l *Layout) subtreeNodes(rootLevel int) uint64 {
 // four sub-channels) and the address is the linearized node index scaled
 // by the block size. For remote nodes, slot 0 goes to the rotating channel
 // #i = (id mod 3) + 1 and slots 1..Z-1 to channels 1..3.
-func (l *Layout) Place(node oram.NodeID, slot int) Placement {
+func (l *Layout) Place(node backend.NodeID, slot int) Placement {
 	if slot < 0 || slot >= l.p.Z {
 		panic(fmt.Sprintf("layout: slot %d out of range [0,%d)", slot, l.p.Z))
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"doram/internal/oram"
+	"doram/internal/oram/backend"
 )
 
 func params(levels, top int) oram.Params {
@@ -14,14 +15,14 @@ func params(levels, top int) oram.Params {
 func TestLocalIndexIsBijective(t *testing.T) {
 	p := params(10, 3)
 	l := New(p, DefaultSubtreeLevels, 0)
-	seen := map[uint64]oram.NodeID{}
+	seen := map[uint64]backend.NodeID{}
 	first := uint64(1)<<uint(p.TopCacheLevels) - 1
 	for n := first; n < p.NumNodes(); n++ {
-		idx := l.LocalIndex(oram.NodeID(n))
+		idx := l.LocalIndex(backend.NodeID(n))
 		if prev, dup := seen[idx]; dup {
 			t.Fatalf("nodes %d and %d share local index %d", prev, n, idx)
 		}
-		seen[idx] = oram.NodeID(n)
+		seen[idx] = backend.NodeID(n)
 	}
 	// Indices must be dense: exactly as many as non-cached nodes.
 	want := p.NumNodes() - first
@@ -46,7 +47,7 @@ func TestSubtreeLocalityAlongPath(t *testing.T) {
 		base := p.TopCacheLevels + layer*DefaultSubtreeLevels
 		var lo, hi uint64 = math.MaxUint64, 0
 		for d := 0; d < DefaultSubtreeLevels; d++ {
-			node := oram.NodeAt(base+d, leaf, p.Levels)
+			node := backend.NodeAt(base+d, leaf, p.Levels)
 			idx := l.LocalIndex(node)
 			if idx < lo {
 				lo = idx
@@ -66,7 +67,7 @@ func TestSubtreeLocalityAlongPath(t *testing.T) {
 func TestPlaceLocalStripesSubChannels(t *testing.T) {
 	p := params(10, 3)
 	l := New(p, DefaultSubtreeLevels, 0)
-	node := oram.NodeAt(5, 3, p.Levels)
+	node := backend.NodeAt(5, 3, p.Levels)
 	for slot := 0; slot < p.Z; slot++ {
 		pl := l.Place(node, slot)
 		if pl.Remote {
@@ -85,9 +86,9 @@ func TestIsRemoteBoundary(t *testing.T) {
 	p := params(10, 3)
 	l := New(p, DefaultSubtreeLevels, 2)
 	// Levels 9 and 10 are remote; level 8 is local.
-	local := oram.NodeAt(8, 0, p.Levels)
-	remote9 := oram.NodeAt(9, 0, p.Levels)
-	remote10 := oram.NodeAt(10, 0, p.Levels)
+	local := backend.NodeAt(8, 0, p.Levels)
+	remote9 := backend.NodeAt(9, 0, p.Levels)
+	remote10 := backend.NodeAt(10, 0, p.Levels)
 	if l.IsRemote(local) {
 		t.Fatal("level-8 node classified remote with k=2 on an 11-level tree")
 	}
@@ -101,7 +102,7 @@ func TestPlaceRemoteChannels(t *testing.T) {
 	l := New(p, DefaultSubtreeLevels, 1)
 	// Slot 0 rotates with node offset; slots 1..3 are fixed channels 1..3.
 	for off := uint64(0); off < 9; off++ {
-		node := oram.NodeID(p.NumNodes() - p.NumLeaves() + off)
+		node := backend.NodeID(p.NumNodes() - p.NumLeaves() + off)
 		pl0 := l.Place(node, 0)
 		if !pl0.Remote {
 			t.Fatalf("leaf node %d slot 0 not remote under k=1", node)
@@ -128,7 +129,7 @@ func TestRemoteAddressesDistinctPerChannel(t *testing.T) {
 	seen := map[key][2]interface{}{}
 	start := p.NumNodes() - p.NumLeaves()
 	for off := uint64(0); off < p.NumLeaves(); off++ {
-		node := oram.NodeID(start + off)
+		node := backend.NodeID(start + off)
 		for slot := 0; slot < p.Z; slot++ {
 			pl := l.Place(node, slot)
 			k := key{pl.Channel, pl.Addr}
@@ -207,7 +208,7 @@ func TestNewPanicsOnBadArgs(t *testing.T) {
 func TestLocalIndexPanicsOutsideDomain(t *testing.T) {
 	p := params(10, 3)
 	l := New(p, DefaultSubtreeLevels, 1)
-	for i, node := range []oram.NodeID{0, oram.NodeAt(10, 0, 10)} {
+	for i, node := range []backend.NodeID{0, backend.NodeAt(10, 0, 10)} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -227,7 +228,7 @@ func TestPaperScaleLayout(t *testing.T) {
 	leaf := uint64(123456789) % p.NumLeaves()
 	remote := 0
 	for level := p.TopCacheLevels; level <= p.Levels; level++ {
-		node := oram.NodeAt(level, leaf, p.Levels)
+		node := backend.NodeAt(level, leaf, p.Levels)
 		if l.IsRemote(node) {
 			remote++
 		} else {

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"doram/internal/oram/backend"
 )
 
 // ErrMerkle is returned when a path fails Merkle verification.
@@ -32,7 +34,7 @@ func NewMerkle(p Params) *Merkle {
 		first := uint64(1)<<uint(level) - 1
 		count := uint64(1) << uint(level)
 		for off := uint64(0); off < count; off++ {
-			node := NodeID(first + off)
+			node := backend.NodeID(first + off)
 			m.hashes[node] = m.nodeHash(node, nil)
 		}
 	}
@@ -47,17 +49,17 @@ func (m *Merkle) Hashes() [][32]byte { return m.hashes }
 func (m *Merkle) Root() [32]byte { return m.root }
 
 // children returns the child node IDs of n, or ok=false for leaves.
-func (m *Merkle) children(n NodeID) (left, right NodeID, ok bool) {
+func (m *Merkle) children(n backend.NodeID) (left, right backend.NodeID, ok bool) {
 	l := 2*uint64(n) + 1
 	if l+1 >= m.p.NumNodes() {
 		return 0, 0, false
 	}
-	return NodeID(l), NodeID(l + 1), true
+	return backend.NodeID(l), backend.NodeID(l + 1), true
 }
 
 // nodeHash computes H(node, ct, leftHash, rightHash) using the current
 // (untrusted) child hashes.
-func (m *Merkle) nodeHash(n NodeID, ct []byte) [32]byte {
+func (m *Merkle) nodeHash(n backend.NodeID, ct []byte) [32]byte {
 	h := sha256.New()
 	var idb [8]byte
 	binary.LittleEndian.PutUint64(idb[:], uint64(n))
@@ -73,8 +75,8 @@ func (m *Merkle) nodeHash(n NodeID, ct []byte) [32]byte {
 }
 
 // pathFromLeafUp returns the path node IDs leaf-to-root.
-func (m *Merkle) pathFromLeafUp(leaf uint64) []NodeID {
-	nodes := PathNodes(leaf, m.p.Levels)
+func (m *Merkle) pathFromLeafUp(leaf uint64) []backend.NodeID {
+	nodes := backend.PathNodes(leaf, m.p.Levels)
 	for i, j := 0, len(nodes)-1; i < j; i, j = i+1, j-1 {
 		nodes[i], nodes[j] = nodes[j], nodes[i]
 	}
@@ -85,7 +87,7 @@ func (m *Merkle) pathFromLeafUp(leaf uint64) []NodeID {
 // the trusted root. cts must be in root-to-leaf order (as Trace.ReadNodes
 // yields them); nil entries stand for never-written buckets.
 func (m *Merkle) VerifyPath(leaf uint64, cts [][]byte) error {
-	nodes := PathNodes(leaf, m.p.Levels)
+	nodes := backend.PathNodes(leaf, m.p.Levels)
 	if len(cts) != len(nodes) {
 		return fmt.Errorf("oram: merkle path needs %d buckets, got %d", len(nodes), len(cts))
 	}
@@ -124,7 +126,7 @@ func (m *Merkle) VerifyPath(leaf uint64, cts [][]byte) error {
 // trusted root. Callers must have verified the path first, or sibling
 // hashes may be attacker-controlled.
 func (m *Merkle) UpdatePath(leaf uint64, cts [][]byte) error {
-	nodes := PathNodes(leaf, m.p.Levels)
+	nodes := backend.PathNodes(leaf, m.p.Levels)
 	if len(cts) != len(nodes) {
 		return fmt.Errorf("oram: merkle path needs %d buckets, got %d", len(nodes), len(cts))
 	}

@@ -3,6 +3,7 @@ package oram
 import (
 	"testing"
 
+	"doram/internal/oram/backend"
 	"doram/internal/xrand"
 )
 
@@ -67,7 +68,7 @@ func TestMerkleDetectsSiblingHashTamper(t *testing.T) {
 	m.UpdatePath(0, cts)
 	// Corrupt an untrusted stored hash off the verified path: the next
 	// verification that consumes it as a sibling must fail.
-	sibling := NodeAt(1, p.NumLeaves()-1, p.Levels) // right child of root
+	sibling := backend.NodeAt(1, p.NumLeaves()-1, p.Levels) // right child of root
 	m.Hashes()[sibling][0] ^= 0x80
 	if err := m.VerifyPath(0, cts); err != ErrMerkle {
 		t.Fatalf("tampered sibling hash: err = %v, want ErrMerkle", err)
@@ -108,7 +109,7 @@ func TestMerkleWrongLengthRejected(t *testing.T) {
 
 func TestClientWithMerkleEndToEnd(t *testing.T) {
 	p := smallParams()
-	store := NewMemStorage(p.NumNodes())
+	store := backend.NewMemStorage(p.NumNodes())
 	c, err := NewClient(p, store, testKey, false, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +135,7 @@ func TestClientWithMerkleEndToEnd(t *testing.T) {
 	first := uint64(1)<<uint(p.TopCacheLevels) - 1
 	count := uint64(1) << uint(p.TopCacheLevels)
 	for off := uint64(0); off < count; off++ {
-		node := NodeID(first + off)
+		node := backend.NodeID(first + off)
 		if buf := store.ReadBucket(node); buf != nil {
 			buf[0] ^= 0xff
 			store.WriteBucket(node, buf)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"doram/internal/oram/backend"
 	"doram/internal/xrand"
 )
 
@@ -17,7 +18,7 @@ func smallParams() Params {
 
 func newTestClient(t *testing.T, p Params, withMAC bool) *Client {
 	t.Helper()
-	c, err := NewClient(p, NewMemStorage(p.NumNodes()), testKey, withMAC, 1234)
+	c, err := NewClient(p, backend.NewMemStorage(p.NumNodes()), testKey, withMAC, 1234)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,17 +51,17 @@ func TestParamsGeometry(t *testing.T) {
 
 func TestNodeMath(t *testing.T) {
 	// Level-by-level heap layout for a 3-level (L=2) tree.
-	if n := NodeAt(0, 3, 2); n != 0 {
+	if n := backend.NodeAt(0, 3, 2); n != 0 {
 		t.Errorf("root = %d, want 0", n)
 	}
-	if n := NodeAt(1, 3, 2); n != 2 {
+	if n := backend.NodeAt(1, 3, 2); n != 2 {
 		t.Errorf("level-1 node for leaf 3 = %d, want 2", n)
 	}
-	if n := NodeAt(2, 3, 2); n != 6 {
+	if n := backend.NodeAt(2, 3, 2); n != 6 {
 		t.Errorf("leaf node for leaf 3 = %d, want 6", n)
 	}
 	for _, tc := range []struct {
-		node  NodeID
+		node  backend.NodeID
 		level int
 		off   uint64
 	}{{0, 0, 0}, {1, 1, 0}, {2, 1, 1}, {3, 2, 0}, {6, 2, 3}, {7, 3, 0}} {
@@ -71,14 +72,14 @@ func TestNodeMath(t *testing.T) {
 			t.Errorf("node %d: offset = %d, want %d", tc.node, o, tc.off)
 		}
 	}
-	path := PathNodes(3, 2)
-	want := []NodeID{0, 2, 6}
+	path := backend.PathNodes(3, 2)
+	want := []backend.NodeID{0, 2, 6}
 	for i := range want {
 		if path[i] != want[i] {
 			t.Fatalf("PathNodes(3,2) = %v, want %v", path, want)
 		}
 	}
-	if !OnPath(2, 3, 2) || OnPath(1, 3, 2) {
+	if !backend.OnPath(2, 3, 2) || backend.OnPath(1, 3, 2) {
 		t.Error("OnPath misclassifies nodes")
 	}
 }
@@ -162,7 +163,7 @@ func TestTraceShape(t *testing.T) {
 		if tr.WriteNodes[len(tr.WriteNodes)-1-i] != n {
 			t.Fatalf("write nodes are not the reversed read nodes")
 		}
-		if !OnPath(n, tr.Leaf, p.Levels) {
+		if !backend.OnPath(n, tr.Leaf, p.Levels) {
 			t.Fatalf("node %d not on path to leaf %d", n, tr.Leaf)
 		}
 		if n.Level() < p.TopCacheLevels {
@@ -230,7 +231,7 @@ func TestStashStaysBounded(t *testing.T) {
 
 func TestIntegrityDetectsTampering(t *testing.T) {
 	p := smallParams()
-	store := NewMemStorage(p.NumNodes())
+	store := backend.NewMemStorage(p.NumNodes())
 	c, err := NewClient(p, store, testKey, true, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -240,9 +241,9 @@ func TestIntegrityDetectsTampering(t *testing.T) {
 	}
 	// Corrupt every stored bucket; the next access must fail.
 	for n := uint64(0); n < p.NumNodes(); n++ {
-		if buf := store.ReadBucket(NodeID(n)); buf != nil {
+		if buf := store.ReadBucket(backend.NodeID(n)); buf != nil {
 			buf[0] ^= 0xff
-			store.WriteBucket(NodeID(n), buf)
+			store.WriteBucket(backend.NodeID(n), buf)
 		}
 	}
 	if _, _, err := c.Access(OpRead, 1, nil); err == nil {
@@ -252,7 +253,7 @@ func TestIntegrityDetectsTampering(t *testing.T) {
 
 func TestCiphertextIndistinguishableAcrossWrites(t *testing.T) {
 	p := smallParams()
-	store := NewMemStorage(p.NumNodes())
+	store := backend.NewMemStorage(p.NumNodes())
 	c, err := NewClient(p, store, testKey, false, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -262,12 +263,12 @@ func TestCiphertextIndistinguishableAcrossWrites(t *testing.T) {
 	if _, _, err := c.Access(OpWrite, 1, []byte("fixed")); err != nil {
 		t.Fatal(err)
 	}
-	leafNode := NodeID(p.NumNodes() - 1)
+	leafNode := backend.NodeID(p.NumNodes() - 1)
 	_ = leafNode
-	snapshots := map[NodeID][]byte{}
+	snapshots := map[backend.NodeID][]byte{}
 	for n := uint64(0); n < p.NumNodes(); n++ {
-		if buf := store.ReadBucket(NodeID(n)); buf != nil {
-			snapshots[NodeID(n)] = append([]byte(nil), buf...)
+		if buf := store.ReadBucket(backend.NodeID(n)); buf != nil {
+			snapshots[backend.NodeID(n)] = append([]byte(nil), buf...)
 		}
 	}
 	if _, _, err := c.Access(OpRead, 1, nil); err != nil {
@@ -291,7 +292,7 @@ func TestCiphertextIndistinguishableAcrossWrites(t *testing.T) {
 // stash, in the top cache, or in a bucket on the path to its assigned leaf.
 func TestInvariantBlockOnAssignedPathOrStash(t *testing.T) {
 	p := smallParams()
-	store := NewMemStorage(p.NumNodes())
+	store := backend.NewMemStorage(p.NumNodes())
 	c, err := NewClient(p, store, testKey, false, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -307,18 +308,18 @@ func TestInvariantBlockOnAssignedPathOrStash(t *testing.T) {
 		}
 	}
 	// Locate every touched block.
-	locations := map[uint64][]NodeID{}
+	locations := map[uint64][]backend.NodeID{}
 	for node := uint64(0); node < p.NumNodes(); node++ {
-		sealed := store.ReadBucket(NodeID(node))
+		sealed := store.ReadBucket(backend.NodeID(node))
 		if sealed == nil {
 			continue
 		}
-		plain, err := c.enc.Open(NodeID(node), c.versions[node], sealed)
+		plain, err := c.enc.Open(backend.NodeID(node), c.versions[node], sealed)
 		if err != nil {
 			t.Fatalf("node %d: %v", node, err)
 		}
-		for _, b := range decodeBucket(plain, p.Z, p.BlockSize) {
-			locations[b.Addr] = append(locations[b.Addr], NodeID(node))
+		for _, b := range backend.DecodeBucket(plain, p.Z, p.BlockSize) {
+			locations[b.Addr] = append(locations[b.Addr], backend.NodeID(node))
 		}
 	}
 	inStash := map[uint64]bool{}
@@ -333,7 +334,7 @@ func TestInvariantBlockOnAssignedPathOrStash(t *testing.T) {
 	}
 	for addr := uint64(0); addr < n; addr++ {
 		leaf := c.PositionOf(addr)
-		if leaf == InvalidPath {
+		if leaf == backend.InvalidPath {
 			continue
 		}
 		nodes := locations[addr]
@@ -343,7 +344,7 @@ func TestInvariantBlockOnAssignedPathOrStash(t *testing.T) {
 				t.Fatalf("block %d duplicated in stash/top and tree", addr)
 			}
 		case len(nodes) == 1:
-			if !OnPath(nodes[0], leaf, p.Levels) {
+			if !backend.OnPath(nodes[0], leaf, p.Levels) {
 				t.Fatalf("block %d stored at node %d off its assigned path to leaf %d",
 					addr, nodes[0], leaf)
 			}
@@ -364,7 +365,7 @@ func TestSamplerMatchesClientTraceShape(t *testing.T) {
 			len(tr.ReadNodes), len(tr.WriteNodes), p.NodesPerAccess())
 	}
 	for i, n := range tr.ReadNodes {
-		if !OnPath(n, tr.Leaf, p.Levels) {
+		if !backend.OnPath(n, tr.Leaf, p.Levels) {
 			t.Fatalf("sampler node %d not on path", n)
 		}
 		if tr.WriteNodes[len(tr.WriteNodes)-1-i] != n {
@@ -412,7 +413,7 @@ func TestStashOverflowSurfaces(t *testing.T) {
 	var failed bool
 	for i := uint64(0); i < p.MaxBlocks(); i++ {
 		if _, _, err := c.Access(OpWrite, i, []byte{1}); err != nil {
-			if _, ok := err.(ErrStashOverflow); !ok {
+			if _, ok := err.(backend.ErrStashOverflow); !ok {
 				t.Fatalf("unexpected error type %T: %v", err, err)
 			}
 			failed = true
@@ -429,8 +430,8 @@ func TestPropertyPathNodeRoundTrip(t *testing.T) {
 		levels := 10
 		leaf := uint64(rawLeaf) % (1 << uint(levels))
 		level := int(rawLevel) % (levels + 1)
-		n := NodeAt(level, leaf, levels)
-		return n.Level() == level && OnPath(n, leaf, levels)
+		n := backend.NodeAt(level, leaf, levels)
+		return n.Level() == level && backend.OnPath(n, leaf, levels)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -440,15 +441,15 @@ func TestPropertyPathNodeRoundTrip(t *testing.T) {
 func TestBucketEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(addrs []uint16) bool {
 		z, bs := 4, 32
-		var blocks []*Block
+		var blocks []*backend.Block
 		for i, a := range addrs {
 			if i >= z {
 				break
 			}
-			blocks = append(blocks, &Block{Addr: uint64(a), Leaf: uint64(a) * 3,
+			blocks = append(blocks, &backend.Block{Addr: uint64(a), Leaf: uint64(a) * 3,
 				Data: bytes.Repeat([]byte{byte(a)}, bs)})
 		}
-		got := decodeBucket(encodeBucket(blocks, z, bs), z, bs)
+		got := backend.DecodeBucket(backend.EncodeBucket(blocks, z, bs), z, bs)
 		if len(got) != len(blocks) {
 			return false
 		}
@@ -514,7 +515,7 @@ func TestBackgroundEvictionKeepsStashLow(t *testing.T) {
 	// background eviction something to drain.
 	p := Params{Levels: 6, Z: 2, BlockSize: 64, TopCacheLevels: 2, StashCapacity: 400}
 	mk := func(bg bool) int {
-		c, err := NewClient(p, NewMemStorage(p.NumNodes()), testKey, false, 21)
+		c, err := NewClient(p, backend.NewMemStorage(p.NumNodes()), testKey, false, 21)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,4 +81,4 @@ func (p Params) NodesPerAccess() int { return p.Levels + 1 - p.TopCacheLevels }
 func (p Params) BlocksPerAccess() int { return p.NodesPerAccess() * p.Z }
 
 // NodeID, NodeAt, PathNodes and OnPath — the heap-order tree addressing —
-// live in the backend subpackage; aliases.go re-exports them.
+// live in the backend subpackage.

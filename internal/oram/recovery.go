@@ -1,17 +1,21 @@
 package oram
 
-import "fmt"
+import (
+	"fmt"
+
+	"doram/internal/oram/backend"
+)
 
 // Mechanism and ErrIntegrity live in the backend subpackage (the
-// encryptors raise them); aliases.go re-exports them.
+// encryptors raise them).
 
 // ErrSecurityAlarm is raised when an integrity failure survives the
 // bounded re-read retries: the fault is not a transient glitch but
 // persistent tampering, and the client refuses to continue (the paper's
 // abort-on-tamper response, escalated only after recovery was attempted).
 type ErrSecurityAlarm struct {
-	Node      NodeID
-	Mechanism Mechanism
+	Node      backend.NodeID
+	Mechanism backend.Mechanism
 	// Attempts is the total number of verification attempts made,
 	// including the original read.
 	Attempts int

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"doram/internal/oram/backend"
 )
 
 // glitchStorage disturbs reads of populated buckets: each read of a
@@ -11,11 +13,11 @@ import (
 // Corruption happens on the returned copy only, so a budget of 1 models a
 // transient glitch that heals on re-read.
 type glitchStorage struct {
-	*MemStorage
+	*backend.MemStorage
 	budget int
 }
 
-func (g *glitchStorage) ReadBucket(node NodeID) []byte {
+func (g *glitchStorage) ReadBucket(node backend.NodeID) []byte {
 	buf := g.MemStorage.ReadBucket(node)
 	if buf != nil && g.budget != 0 {
 		if g.budget > 0 {
@@ -26,7 +28,7 @@ func (g *glitchStorage) ReadBucket(node NodeID) []byte {
 	return buf
 }
 
-func newRecoveryClient(t *testing.T, store Storage) *Client {
+func newRecoveryClient(t *testing.T, store backend.Storage) *Client {
 	t.Helper()
 	c, err := NewClient(smallParams(), store, bytes.Repeat([]byte{7}, 16), true, 11)
 	if err != nil {
@@ -46,7 +48,7 @@ func warmup(t *testing.T, c *Client, n int) {
 }
 
 func TestTransientGlitchHealsWithinRetryBudget(t *testing.T) {
-	g := &glitchStorage{MemStorage: NewMemStorage(smallParams().NumNodes())}
+	g := &glitchStorage{MemStorage: backend.NewMemStorage(smallParams().NumNodes())}
 	c := newRecoveryClient(t, g)
 	warmup(t, c, 20)
 
@@ -71,7 +73,7 @@ func TestTransientGlitchHealsWithinRetryBudget(t *testing.T) {
 }
 
 func TestPersistentTamperRaisesAlarmWithFullAttemptCount(t *testing.T) {
-	g := &glitchStorage{MemStorage: NewMemStorage(smallParams().NumNodes())}
+	g := &glitchStorage{MemStorage: backend.NewMemStorage(smallParams().NumNodes())}
 	c := newRecoveryClient(t, g)
 	warmup(t, c, 20)
 
@@ -81,7 +83,7 @@ func TestPersistentTamperRaisesAlarmWithFullAttemptCount(t *testing.T) {
 	if !errors.As(err, &alarm) {
 		t.Fatalf("persistent tamper: err = %v, want ErrSecurityAlarm", err)
 	}
-	if alarm.Mechanism != MechMAC {
+	if alarm.Mechanism != backend.MechMAC {
 		t.Fatalf("mechanism = %q, want MAC", alarm.Mechanism)
 	}
 	if want := c.Recovery().MaxRetries + 1; alarm.Attempts != want {
@@ -94,18 +96,18 @@ func TestPersistentTamperRaisesAlarmWithFullAttemptCount(t *testing.T) {
 }
 
 func TestRecoveryDisabledFailsFastWithTypedError(t *testing.T) {
-	g := &glitchStorage{MemStorage: NewMemStorage(smallParams().NumNodes())}
+	g := &glitchStorage{MemStorage: backend.NewMemStorage(smallParams().NumNodes())}
 	c := newRecoveryClient(t, g)
 	c.SetRecovery(RecoveryConfig{}) // MaxRetries 0: pre-recovery behaviour
 	warmup(t, c, 20)
 
 	g.budget = -1
 	_, _, err := c.Access(OpRead, 3, nil)
-	var integ ErrIntegrity
+	var integ backend.ErrIntegrity
 	if !errors.As(err, &integ) {
 		t.Fatalf("fail-fast: err = %v, want ErrIntegrity", err)
 	}
-	if integ.Mechanism != MechMAC || integ.Level < 0 {
+	if integ.Mechanism != backend.MechMAC || integ.Level < 0 {
 		t.Fatalf("fail-fast error = %+v", integ)
 	}
 	if rec := c.RecoveryStats(); rec.Retries != 0 || rec.Alarms != 0 {
@@ -153,7 +155,7 @@ func TestStashPressureReliefDisabledByZeroThreshold(t *testing.T) {
 func TestAccessSurfacesStashOverflowAsTypedError(t *testing.T) {
 	p := smallParams()
 	p.StashCapacity = p.Z // one bucket: a path read must overflow
-	store := NewMemStorage(p.NumNodes())
+	store := backend.NewMemStorage(p.NumNodes())
 	c, err := NewClient(p, store, bytes.Repeat([]byte{7}, 16), true, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +163,7 @@ func TestAccessSurfacesStashOverflowAsTypedError(t *testing.T) {
 	for i := uint64(0); i < 50; i++ {
 		_, _, accessErr := c.Access(OpWrite, i, []byte{byte(i)})
 		if accessErr != nil {
-			var overflow ErrStashOverflow
+			var overflow backend.ErrStashOverflow
 			if !errors.As(accessErr, &overflow) {
 				t.Fatalf("err = %v, want ErrStashOverflow", accessErr)
 			}
@@ -175,7 +177,7 @@ func TestAccessSurfacesStashOverflowAsTypedError(t *testing.T) {
 }
 
 func TestMemStorageCopySemantics(t *testing.T) {
-	m := NewMemStorage(4)
+	m := backend.NewMemStorage(4)
 
 	// WriteBucket must copy: mutating the input afterwards must not reach
 	// the stored image.
@@ -201,12 +203,12 @@ func TestMemStorageCopySemantics(t *testing.T) {
 }
 
 func TestIntegrityErrorMessagesNameMechanismAndNode(t *testing.T) {
-	e := ErrIntegrity{Node: 9, Level: 3, Mechanism: MechMAC}
-	path := ErrIntegrity{Node: 9, Level: -1, Mechanism: MechMerkle}
+	e := backend.ErrIntegrity{Node: 9, Level: 3, Mechanism: backend.MechMAC}
+	path := backend.ErrIntegrity{Node: 9, Level: -1, Mechanism: backend.MechMerkle}
 	if e.Error() == "" || path.Error() == "" {
 		t.Fatal("empty integrity error message")
 	}
-	a := ErrSecurityAlarm{Node: 9, Mechanism: MechMerkle, Attempts: 4}
+	a := ErrSecurityAlarm{Node: 9, Mechanism: backend.MechMerkle, Attempts: 4}
 	if a.Error() == "" {
 		t.Fatal("empty alarm message")
 	}

@@ -3,6 +3,8 @@ package oram
 import (
 	"encoding/binary"
 	"fmt"
+
+	"doram/internal/oram/backend"
 )
 
 // RecursiveMap is a position map stored in smaller Path ORAMs — the
@@ -22,7 +24,7 @@ type RecursiveMap struct {
 	entriesPerBlock uint64
 	outer           *packedMap // level-0 view, backed by the level-0 ORAM
 	clients         []*Client  // map ORAMs, outermost first
-	final           *FlatMap
+	final           *backend.FlatMap
 }
 
 // packedMap adapts a map ORAM into a PositionMap for the level above:
@@ -41,7 +43,7 @@ func (m *packedMap) Get(addr uint64) uint64 {
 	}
 	v := binary.LittleEndian.Uint64(data[(addr%m.e)*8:])
 	if v == 0 {
-		return InvalidPath
+		return backend.InvalidPath
 	}
 	return v - 1
 }
@@ -54,7 +56,7 @@ func (m *packedMap) Set(addr uint64, leaf uint64) {
 		panic(fmt.Sprintf("oram: recursive map read for update: %v", err))
 	}
 	stored := uint64(0)
-	if leaf != InvalidPath {
+	if leaf != backend.InvalidPath {
 		stored = leaf + 1
 	}
 	binary.LittleEndian.PutUint64(data[(addr%m.e)*8:], stored)
@@ -127,7 +129,7 @@ func NewRecursiveMap(cfg RecursiveMapConfig) (*RecursiveMap, error) {
 		entries = append(entries, need)
 		need = (need + cfg.EntriesPerBlock - 1) / cfg.EntriesPerBlock
 	}
-	r.final = NewFlatMap(need)
+	r.final = backend.NewFlatMap(need)
 	if len(entries) == 0 {
 		return r, nil // the whole map fits in trusted memory
 	}
@@ -135,7 +137,7 @@ func NewRecursiveMap(cfg RecursiveMapConfig) (*RecursiveMap, error) {
 	// Build the ORAM levels innermost first, threading each client in as
 	// the position map of the level above it.
 	r.clients = make([]*Client, len(entries))
-	var inner PositionMap = r.final
+	var inner backend.PositionMap = r.final
 	seed := cfg.Seed
 	for i := len(entries) - 1; i >= 0; i-- {
 		blocks := (entries[i] + cfg.EntriesPerBlock - 1) / cfg.EntriesPerBlock
@@ -149,7 +151,7 @@ func NewRecursiveMap(cfg RecursiveMapConfig) (*RecursiveMap, error) {
 		if p.TopCacheLevels > p.Levels {
 			p.TopCacheLevels = p.Levels
 		}
-		client, err := NewClientWithMap(p, NewMemStorage(p.NumNodes()), cfg.Key, false, seed, inner)
+		client, err := NewClientWithMap(p, backend.NewMemStorage(p.NumNodes()), cfg.Key, false, seed, inner)
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"doram/internal/oram/backend"
 	"doram/internal/xrand"
 )
 
@@ -43,7 +44,7 @@ func TestRecursiveMapGetSet(t *testing.T) {
 	if r.Depth() < 1 {
 		t.Fatalf("depth = %d; test needs real recursion", r.Depth())
 	}
-	if got := r.Get(1234); got != InvalidPath {
+	if got := r.Get(1234); got != backend.InvalidPath {
 		t.Fatalf("unmapped entry = %d, want InvalidPath", got)
 	}
 	r.Set(1234, 42)
@@ -97,7 +98,7 @@ func TestRecursiveMapBacksAClient(t *testing.T) {
 	if rm.Depth() == 0 {
 		t.Fatalf("map for %d blocks should recurse", p.MaxBlocks())
 	}
-	client, err := NewClientWithMap(p, NewMemStorage(p.NumNodes()), testKey, false, 5, rm)
+	client, err := NewClientWithMap(p, backend.NewMemStorage(p.NumNodes()), testKey, false, 5, rm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"doram/internal/oram/backend"
 	"doram/internal/xrand"
 )
 
@@ -14,7 +15,7 @@ import (
 func TestClientMatchesReferenceModel(t *testing.T) {
 	f := func(seed uint64, opsRaw uint16) bool {
 		p := smallParams()
-		c, err := NewClient(p, NewMemStorage(p.NumNodes()), testKey, false, seed)
+		c, err := NewClient(p, backend.NewMemStorage(p.NumNodes()), testKey, false, seed)
 		if err != nil {
 			t.Log(err)
 			return false
@@ -70,7 +71,7 @@ func TestClientWithAllFeaturesMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewClientWithMap(p, NewMemStorage(p.NumNodes()), testKey, true, 99, rm)
+	c, err := NewClientWithMap(p, backend.NewMemStorage(p.NumNodes()), testKey, true, 99, rm)
 	if err != nil {
 		t.Fatal(err)
 	}

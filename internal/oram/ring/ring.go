@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"doram/internal/oram"
+	"doram/internal/oram/backend"
 	"doram/internal/stats"
 	"doram/internal/xrand"
 )
@@ -102,10 +103,10 @@ const dummyAddr = ^uint64(0)
 // Client is a functional Ring ORAM.
 type Client struct {
 	p       Params
-	pos     *oram.FlatMap
-	stash   *oram.Stash
+	pos     *backend.FlatMap
+	stash   *backend.Stash
 	buckets []bucket
-	crypto  *oram.Crypto
+	crypto  *backend.CTRHMACEncryptor
 	rng     *xrand.Rand
 
 	round     uint64 // accesses since start, drives eviction schedule
@@ -125,20 +126,20 @@ func New(p Params, key []byte, seed uint64) (*Client, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	crypto, err := oram.NewCrypto(key, false)
+	crypto, err := backend.NewCTRHMACEncryptor(key, false)
 	if err != nil {
 		return nil, err
 	}
 	c := &Client{
 		p:       p,
-		pos:     oram.NewFlatMap(p.MaxBlocks()),
-		stash:   oram.NewStash(p.StashCapacity),
+		pos:     backend.NewFlatMap(p.MaxBlocks()),
+		stash:   backend.NewStash(p.StashCapacity),
 		buckets: make([]bucket, p.NumNodes()),
 		crypto:  crypto,
 		rng:     xrand.New(seed),
 	}
 	for n := range c.buckets {
-		c.initBucket(oram.NodeID(n), nil)
+		c.initBucket(backend.NodeID(n), nil)
 	}
 	c.stats = IOStats{} // initialization writes are not access I/O
 	return c, nil
@@ -161,7 +162,7 @@ func metaVersion(v uint64) uint64 { return v | 1<<63 }
 
 // initBucket (re)writes node with the given real blocks (nil for empty)
 // and fresh dummies behind a new random permutation.
-func (c *Client) initBucket(node oram.NodeID, blocks []*oram.Block) {
+func (c *Client) initBucket(node backend.NodeID, blocks []*backend.Block) {
 	total := c.p.Z + c.p.S
 	b := &c.buckets[node]
 	b.version++
@@ -230,7 +231,7 @@ func decodeMeta(buf []byte, total int) *slotMeta {
 }
 
 // readMeta fetches and decrypts a bucket's header.
-func (c *Client) readMeta(node oram.NodeID) (*slotMeta, error) {
+func (c *Client) readMeta(node backend.NodeID) (*slotMeta, error) {
 	b := &c.buckets[node]
 	c.stats.MetaReads.Inc()
 	plain, err := c.crypto.Open(node, metaVersion(b.version), b.meta)
@@ -242,13 +243,13 @@ func (c *Client) readMeta(node oram.NodeID) (*slotMeta, error) {
 
 // writeMeta re-seals a bucket's header in place (same version: header
 // updates within a round do not rewrite slots).
-func (c *Client) writeMeta(node oram.NodeID, m *slotMeta) {
+func (c *Client) writeMeta(node backend.NodeID, m *slotMeta) {
 	b := &c.buckets[node]
 	b.meta = c.crypto.Seal(node, metaVersion(b.version), encodeMeta(m, c.p.Z+c.p.S))
 }
 
 // readSlot fetches and decrypts one slot.
-func (c *Client) readSlot(node oram.NodeID, slot int) ([]byte, error) {
+func (c *Client) readSlot(node backend.NodeID, slot int) ([]byte, error) {
 	b := &c.buckets[node]
 	c.stats.BlocksRead.Inc()
 	return c.crypto.Open(node, b.version<<8|uint64(slot), b.slots[slot])
@@ -260,7 +261,7 @@ func (c *Client) Access(op oram.Op, addr uint64, data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("ring: address %d beyond capacity %d", addr, c.p.MaxBlocks())
 	}
 	leaf := c.pos.Get(addr)
-	if leaf == oram.InvalidPath {
+	if leaf == backend.InvalidPath {
 		leaf = c.rng.Uint64n(c.p.NumLeaves())
 		c.pos.Set(addr, leaf)
 	}
@@ -270,7 +271,7 @@ func (c *Client) Access(op oram.Op, addr uint64, data []byte) ([]byte, error) {
 	// Read one slot per bucket along the path, pinning the target so an
 	// early reshuffle cannot evict it before it is served.
 	c.pinned, c.hasPinned = addr, true
-	for _, node := range oram.PathNodes(leaf, c.p.Levels) {
+	for _, node := range backend.PathNodes(leaf, c.p.Levels) {
 		if err := c.readPathBucket(node, addr, newLeaf); err != nil {
 			c.hasPinned = false
 			return nil, err
@@ -281,7 +282,7 @@ func (c *Client) Access(op oram.Op, addr uint64, data []byte) ([]byte, error) {
 	// Serve from the stash (the path read moved the block there).
 	blk := c.stash.Get(addr)
 	if blk == nil {
-		blk = &oram.Block{Addr: addr, Leaf: newLeaf, Data: make([]byte, c.p.BlockSize)}
+		blk = &backend.Block{Addr: addr, Leaf: newLeaf, Data: make([]byte, c.p.BlockSize)}
 		if err := c.stash.Put(blk); err != nil {
 			return nil, err
 		}
@@ -308,7 +309,7 @@ func (c *Client) Access(op oram.Op, addr uint64, data []byte) ([]byte, error) {
 // readPathBucket performs the single-slot online read of one bucket: the
 // target block if the bucket holds it, otherwise a fresh dummy; buckets
 // that exhaust their dummies reshuffle early.
-func (c *Client) readPathBucket(node oram.NodeID, addr uint64, newLeaf uint64) error {
+func (c *Client) readPathBucket(node backend.NodeID, addr uint64, newLeaf uint64) error {
 	m, err := c.readMeta(node)
 	if err != nil {
 		return err
@@ -351,7 +352,7 @@ func (c *Client) readPathBucket(node oram.NodeID, addr uint64, newLeaf uint64) e
 		return err
 	}
 	if m.addrs[slot] == addr {
-		blk := &oram.Block{Addr: addr, Leaf: newLeaf, Data: payload}
+		blk := &backend.Block{Addr: addr, Leaf: newLeaf, Data: payload}
 		if err := c.stash.Put(blk); err != nil {
 			return err
 		}
@@ -367,7 +368,7 @@ func (c *Client) readPathBucket(node oram.NodeID, addr uint64, newLeaf uint64) e
 
 // reshuffle reads a bucket's surviving real blocks into the stash and
 // rewrites it fresh (early reshuffle when dummies run out).
-func (c *Client) reshuffle(node oram.NodeID, m *slotMeta) error {
+func (c *Client) reshuffle(node backend.NodeID, m *slotMeta) error {
 	c.stats.EarlyShuffle.Inc()
 	if err := c.drainBucket(node, m); err != nil {
 		return err
@@ -379,7 +380,7 @@ func (c *Client) reshuffle(node oram.NodeID, m *slotMeta) error {
 }
 
 // drainBucket moves every valid unconsumed real block into the stash.
-func (c *Client) drainBucket(node oram.NodeID, m *slotMeta) error {
+func (c *Client) drainBucket(node backend.NodeID, m *slotMeta) error {
 	for i, a := range m.addrs {
 		if a == dummyAddr || m.consumed[i] {
 			continue
@@ -393,7 +394,7 @@ func (c *Client) drainBucket(node oram.NodeID, m *slotMeta) error {
 		if c.stash.Get(a) != nil {
 			continue
 		}
-		if err := c.stash.Put(&oram.Block{Addr: a, Leaf: m.leaves[i], Data: payload}); err != nil {
+		if err := c.stash.Put(&backend.Block{Addr: a, Leaf: m.leaves[i], Data: payload}); err != nil {
 			return err
 		}
 	}
@@ -401,9 +402,9 @@ func (c *Client) drainBucket(node oram.NodeID, m *slotMeta) error {
 }
 
 // evictForNode selects up to Z stash blocks whose leaf passes through node.
-func (c *Client) evictForNode(node oram.NodeID) []*oram.Block {
+func (c *Client) evictForNode(node backend.NodeID) []*backend.Block {
 	level := node.Level()
-	var out []*oram.Block
+	var out []*backend.Block
 	for _, b := range c.stash.All() {
 		if len(out) >= c.p.Z {
 			break
@@ -411,7 +412,7 @@ func (c *Client) evictForNode(node oram.NodeID) []*oram.Block {
 		if c.hasPinned && b.Addr == c.pinned {
 			continue
 		}
-		if oram.NodeAt(level, b.Leaf, c.p.Levels) == node {
+		if backend.NodeAt(level, b.Leaf, c.p.Levels) == node {
 			out = append(out, b)
 			c.stash.Remove(b.Addr)
 		}
@@ -426,7 +427,7 @@ func (c *Client) evictPath() error {
 	leaf := reverseBits(c.evictLeaf, c.p.Levels)
 	c.evictLeaf = (c.evictLeaf + 1) % c.p.NumLeaves()
 
-	nodes := oram.PathNodes(leaf, c.p.Levels)
+	nodes := backend.PathNodes(leaf, c.p.Levels)
 	// Drain every bucket on the path, deepest first.
 	for i := len(nodes) - 1; i >= 0; i-- {
 		m, err := c.readMeta(nodes[i])

@@ -20,7 +20,7 @@ import (
 // addresses.
 type Sampler struct {
 	p   Params
-	pos *LazyMap
+	pos *backend.LazyMap
 	rng *xrand.Rand
 
 	// Fork Path optimization (Zhang et al., MICRO 2015, the paper's ref
@@ -49,7 +49,7 @@ func NewSampler(p Params, seed uint64) *Sampler {
 		panic(err)
 	}
 	r := xrand.New(seed)
-	return &Sampler{p: p, pos: NewLazyMap(p.NumLeaves(), r.Uint64()), rng: r}
+	return &Sampler{p: p, pos: backend.NewLazyMap(p.NumLeaves(), r.Uint64()), rng: r}
 }
 
 // Params returns the instance parameters.
@@ -124,7 +124,7 @@ func (s *Sampler) trace(leaf uint64) Trace {
 		// still buffered in the controller from the last write phase.
 		shared := s.p.TopCacheLevels
 		for shared <= s.p.Levels &&
-			NodeAt(shared, leaf, s.p.Levels) == NodeAt(shared, s.prevLeaf, s.p.Levels) {
+			backend.NodeAt(shared, leaf, s.p.Levels) == backend.NodeAt(shared, s.prevLeaf, s.p.Levels) {
 			shared++
 		}
 		s.skipped += 2 * uint64(shared-first)
@@ -133,13 +133,13 @@ func (s *Sampler) trace(leaf uint64) Trace {
 	s.prevLeaf, s.havePrev = leaf, true
 
 	n := s.p.Levels + 1 - first
-	tr.ReadNodes = make([]NodeID, 0, n)
-	tr.WriteNodes = make([]NodeID, 0, n)
+	tr.ReadNodes = make([]backend.NodeID, 0, n)
+	tr.WriteNodes = make([]backend.NodeID, 0, n)
 	for level := first; level <= s.p.Levels; level++ {
-		tr.ReadNodes = append(tr.ReadNodes, NodeAt(level, leaf, s.p.Levels))
+		tr.ReadNodes = append(tr.ReadNodes, backend.NodeAt(level, leaf, s.p.Levels))
 	}
 	for level := s.p.Levels; level >= first; level-- {
-		tr.WriteNodes = append(tr.WriteNodes, NodeAt(level, leaf, s.p.Levels))
+		tr.WriteNodes = append(tr.WriteNodes, backend.NodeAt(level, leaf, s.p.Levels))
 	}
 	return tr
 }

@@ -73,7 +73,7 @@ func runStashInvariants(t *testing.T, strategy string) {
 			t.Fatalf("%s: %v", ctx, err)
 		}
 		c, err := NewClientWithOptions(p, ClientOptions{
-			Storage:  NewMemStorage(p.NumNodes()),
+			Storage:  backend.NewMemStorage(p.NumNodes()),
 			Key:      testKey,
 			WithMAC:  r.Intn(2) == 0,
 			Eviction: evict,
@@ -135,7 +135,7 @@ func TestEvictionStrategiesDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		clients[i], err = NewClientWithOptions(p, ClientOptions{
-			Storage:  NewMemStorage(p.NumNodes()),
+			Storage:  backend.NewMemStorage(p.NumNodes()),
 			Key:      testKey,
 			WithMAC:  true,
 			Eviction: evict,

@@ -139,15 +139,6 @@ type SimConfig struct {
 	// the reference side of that comparison, not a fidelity trade-off.
 	NoFastForward bool
 
-	// NoParallelMem keeps the fast-forward loop's memory-edge ticks serial
-	// instead of spreading the channels over a worker pool between bus-edge
-	// barriers. Like NoFastForward this is an execution-strategy knob, not a
-	// simulation parameter: results are bit-identical either way (enforced
-	// by the differential suite), so it is an escape hatch and the oracle
-	// side of that comparison. The engine also self-disables under event
-	// tracing and on single-processor runtimes.
-	NoParallelMem bool
-
 	// Metrics enables the observability subsystem: a metric registry over
 	// every simulated component and a cycle-sampled timeline of bus
 	// utilization, queue depths, stash occupancy and link fault counters,
@@ -349,7 +340,6 @@ func (cfg SimConfig) coreConfig() (core.Config, error) {
 	ic.LinkCorruptProb = cfg.LinkCorruptProb
 	ic.LinkLossProb = cfg.LinkLossProb
 	ic.NoFastForward = cfg.NoFastForward
-	ic.NoParallelMem = cfg.NoParallelMem
 	ic.LatencyWarmup = cfg.LatencyWarmup
 	ic.SubtreeLevels = cfg.SubtreeLevels
 	ic.LinkLatencyNs = cfg.LinkLatencyNs
