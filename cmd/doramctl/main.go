@@ -39,7 +39,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -48,6 +50,7 @@ import (
 	"strings"
 	"time"
 
+	"doram/internal/retry"
 	"doram/internal/simsvc"
 	"doram/internal/xrand"
 )
@@ -161,21 +164,9 @@ const (
 )
 
 // backoff returns the jittered exponential delay for the given attempt
-// (0-based): base·2^attempt scaled by a random [0.5,1.5) factor, capped.
+// (0-based): base·2^attempt, capped, scaled by a random [0.5,1.5) factor.
 func (c *client) backoff(attempt int) time.Duration {
-	d := retryBase << attempt
-	if d > retryCap {
-		d = retryCap
-	}
-	return time.Duration(float64(d) * (0.5 + c.rng.Float64()))
-}
-
-// retryAfter reads a Retry-After header in seconds, with a default.
-func retryAfter(h http.Header, def time.Duration) time.Duration {
-	if ra, err := strconv.Atoi(h.Get("Retry-After")); err == nil && ra > 0 {
-		return time.Duration(ra) * time.Second
-	}
-	return def
+	return retry.Backoff{Base: retryBase, Cap: retryCap, Lo: 0.5, Hi: 1.5}.Delay(attempt, c.rng.Float64())
 }
 
 func transientStatus(code int) bool {
@@ -220,28 +211,21 @@ func (c *client) do(method, path string, body []byte) ([]byte, error) {
 		}
 		switch {
 		case resp.StatusCode == http.StatusTooManyRequests && queued < maxQueueRetries:
-			delay := retryAfter(resp.Header, 2*time.Second)
 			// Jitter so a fleet of clients doesn't re-dogpile the queue.
-			delay = time.Duration(float64(delay) * (0.75 + c.rng.Float64()/2))
+			delay := retry.Jitter(retry.After(resp.Header, 2*time.Second), 0.75, 1.25, c.rng.Float64())
 			queued++
 			fmt.Fprintf(os.Stderr, "doramctl: queue full, retrying in %s\n", delay.Round(time.Millisecond))
 			time.Sleep(delay)
 			continue
 		case transientStatus(resp.StatusCode) && transient < maxTransientRetries:
-			delay := retryAfter(resp.Header, c.backoff(transient))
+			delay := retry.After(resp.Header, c.backoff(transient))
 			transient++
 			fmt.Fprintf(os.Stderr, "doramctl: HTTP %d, retrying in %s\n", resp.StatusCode, delay.Round(time.Millisecond))
 			time.Sleep(delay)
 			continue
 		}
 		if resp.StatusCode >= 300 {
-			var apiErr struct {
-				Error string `json:"error"`
-			}
-			if json.Unmarshal(data, &apiErr) == nil && apiErr.Error != "" {
-				return nil, fmt.Errorf("%s (HTTP %d)", apiErr.Error, resp.StatusCode)
-			}
-			return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(data))
+			return nil, errors.New(retry.ErrorMessage(resp.StatusCode, data))
 		}
 		return data, nil
 	}
@@ -419,14 +403,7 @@ const (
 // pollDelay is the jittered exponential wait-poll schedule for the given
 // consecutive-quiet-poll count (0-based).
 func (c *client) pollDelay(quiet int) time.Duration {
-	d := pollBase
-	for i := 0; i < quiet && d < pollCap; i++ {
-		d *= 2
-	}
-	if d > pollCap {
-		d = pollCap
-	}
-	return time.Duration(float64(d) * (0.5 + c.rng.Float64()))
+	return retry.Backoff{Base: pollBase, Cap: pollCap, Lo: 0.5, Hi: 1.5}.Delay(quiet, c.rng.Float64())
 }
 
 // wait polls a job until it is terminal, printing each state change, and
@@ -530,7 +507,7 @@ func (c *client) tail(args []string) error {
 		}
 	}
 
-	var cursor string
+	var cursor uint64
 	attempts := 0
 	for {
 		progressed, err := c.tailOnce(&cursor, pending)
@@ -556,50 +533,22 @@ func (c *client) tail(args []string) error {
 // tail (pending == nil) streams until the connection breaks. progressed
 // reports whether any event arrived, so the caller can reset its
 // reconnect budget.
-func (c *client) tailOnce(cursor *string, pending map[string]bool) (progressed bool, err error) {
-	req, err := http.NewRequest("GET", c.base+"/events", nil)
-	if err != nil {
-		return false, err
-	}
-	if *cursor != "" {
-		req.Header.Set("Last-Event-ID", *cursor)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return false, fmt.Errorf("HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(data))
-	}
-	sc := simsvc.NewSSEScanner(resp.Body)
-	for {
-		raw, err := sc.Next()
-		if err != nil {
-			return progressed, err
-		}
-		progressed = true
-		if raw.ID != "" {
-			*cursor = raw.ID
-		}
-		ev, err := raw.Decode()
-		if err != nil {
-			continue
-		}
-		if pending != nil {
-			if ev.Kind != simsvc.EventJob || !pending[ev.JobID] {
-				continue
-			}
+func (c *client) tailOnce(cursor *uint64, pending map[string]bool) (progressed bool, err error) {
+	start := *cursor
+	err = simsvc.FollowEvents(context.Background(), http.DefaultClient, c.base, cursor, func(ev simsvc.Event) bool {
+		// A coordinator's stream also carries its workers' events (Node
+		// set), whose job ids are the workers' own.
+		if pending != nil && (ev.Kind != simsvc.EventJob || ev.Node != "" || !pending[ev.JobID]) {
+			return true
 		}
 		fmt.Println(renderEvent(ev))
 		if pending != nil && ev.State.Terminal() {
 			delete(pending, ev.JobID)
-			if len(pending) == 0 {
-				return true, nil
-			}
+			return len(pending) > 0
 		}
-	}
+		return true
+	})
+	return *cursor != start, err
 }
 
 // renderEvent formats one bus event as a tail output line.

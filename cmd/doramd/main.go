@@ -37,11 +37,11 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
 	"doram/internal/cluster"
+	"doram/internal/metrics"
 	"doram/internal/obslog"
 	"doram/internal/simsvc"
 )
@@ -49,7 +49,7 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8344", "listen address")
-		workers      = flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
+		workers      = flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS; a coordinator dispatches through a fixed pool)")
 		queueDepth   = flag.Int("queue", 64, "job queue depth; beyond it submissions get 429")
 		cacheSize    = flag.Int("cache", 128, "result-cache entries (negative disables caching)")
 		jobTimeout   = flag.Duration("job-timeout", 5*time.Minute, "per-job wall-time limit")
@@ -67,7 +67,7 @@ func main() {
 		heartbeat   = flag.Duration("heartbeat", time.Second, "coordinator: worker heartbeat interval")
 		nodeTimeout = flag.Duration("node-timeout", 0, "coordinator: heartbeat silence before a worker is dead (0 = 5×heartbeat)")
 		hedgeAfter  = flag.Duration("hedge-after", 30*time.Second, "coordinator: straggler delay before hedging a job to a second worker (negative disables)")
-		cacheFile   = flag.String("cache-file", "", "coordinator: result-cache snapshot, loaded on start and written on drain (off when empty)")
+		cacheFile   = flag.String("cache-file", "", "result-cache snapshot, loaded on start and written on drain (off when empty)")
 	)
 	flag.Parse()
 
@@ -92,16 +92,7 @@ func main() {
 	stopDebug := startDebugServer(logger, *debugAddr)
 	defer stopDebug()
 
-	if *coordinator {
-		runCoordinator(ctx, logger, *addr, *heartbeat, *nodeTimeout, *hedgeAfter, *drainTimeout, *retainJobs, *cacheFile)
-		return
-	}
-	if *cacheFile != "" {
-		fmt.Fprintln(os.Stderr, "doramd: -cache-file requires -coordinator")
-		os.Exit(2)
-	}
-
-	svc := simsvc.New(simsvc.Config{
+	svcCfg := simsvc.Config{
 		Workers:      *workers,
 		QueueDepth:   *queueDepth,
 		CacheEntries: *cacheSize,
@@ -109,23 +100,48 @@ func main() {
 		MaxTraceLen:  *maxTrace,
 		RetainJobs:   *retainJobs,
 		Logger:       logger,
-	})
+	}
+	// A coordinator is the same job service with its simulations run on
+	// the worker fleet: one serve, drain and summary path for both roles.
+	var (
+		svc     *simsvc.Service
+		handler http.Handler
+		coord   *cluster.Coordinator
+	)
+	if *coordinator {
+		coord = cluster.NewCoordinator(cluster.CoordinatorConfig{
+			HeartbeatInterval: *heartbeat,
+			NodeTimeout:       *nodeTimeout,
+			HedgeAfter:        *hedgeAfter,
+			Logger:            logger,
+			EventFanIn:        true, // merge every worker's /events into ours
+			Service:           svcCfg,
+		})
+		svc, handler = coord.Service(), coord.Handler()
+		go coord.Run(ctx)
+	} else {
+		svc = simsvc.New(svcCfg)
+		handler = svc.Handler()
+	}
+	if *cacheFile != "" {
+		n, err := svc.LoadCache(*cacheFile)
+		if err != nil {
+			fatal(logger, "cache load", err)
+		}
+		logger.Info("result cache loaded", slog.String("path", *cacheFile), slog.Int("entries", n))
+	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(logger, "listen", err)
 	}
-	srv := &http.Server{Handler: obslog.HTTPMiddleware(logger, svc.Handler())}
+	srv := &http.Server{Handler: obslog.HTTPMiddleware(logger, handler)}
 
-	effWorkers := *workers
-	if effWorkers <= 0 {
-		effWorkers = runtime.GOMAXPROCS(0)
-	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	logger.Info("serving",
 		slog.String("addr", "http://"+ln.Addr().String()),
-		slog.Int("workers", effWorkers),
+		slog.Bool("coordinator", *coordinator),
 		slog.Int("queue", *queueDepth),
 		slog.Int("cache", *cacheSize))
 
@@ -151,7 +167,17 @@ func main() {
 		logger.Warn("http shutdown", slog.String("error", err.Error()))
 	}
 	closeErr := svc.Close(drainCtx)
-	logDrainSummary(logger, svc)
+	if coord != nil {
+		coord.Shutdown() // stop the fan-in tailers
+	}
+	if *cacheFile != "" {
+		if err := svc.SaveCache(*cacheFile); err != nil {
+			logger.Warn("cache save", slog.String("error", err.Error()))
+		} else {
+			logger.Info("result cache saved", slog.String("path", *cacheFile))
+		}
+	}
+	logDrainSummary(logger, svc.Registry())
 	if closeErr != nil {
 		if errors.Is(closeErr, context.DeadlineExceeded) {
 			logger.Error("drain deadline passed; running jobs aborted")
@@ -205,82 +231,29 @@ func startDebugServer(logger *slog.Logger, addr string) func() {
 	return func() { srv.Close() }
 }
 
-// logDrainSummary emits the one-line service lifetime summary on exit.
-func logDrainSummary(logger *slog.Logger, svc *simsvc.Service) {
-	cv := svc.Registry().CounterValues()
+// logDrainSummary emits the one-line service lifetime summary on exit,
+// with the fleet counters when the service is a coordinator.
+func logDrainSummary(logger *slog.Logger, reg *metrics.Registry) {
+	cv := reg.CounterValues()
 	hits, misses := cv["simsvc.cache.hits"], cv["simsvc.cache.misses"]
 	ratio := 0.0
 	if hits+misses > 0 {
 		ratio = float64(hits) / float64(hits+misses)
 	}
-	logger.Info("drain summary",
+	attrs := []any{
 		slog.Uint64("completed", cv["simsvc.jobs.completed"]),
 		slog.Uint64("cancelled", cv["simsvc.jobs.cancelled"]),
 		slog.Uint64("failed", cv["simsvc.jobs.failed"]),
 		slog.Uint64("cache_hits", hits),
 		slog.Uint64("cache_misses", misses),
-		slog.String("hit_ratio", fmt.Sprintf("%.1f%%", 100*ratio)))
-}
-
-// runCoordinator serves the cluster front door until the context ends.
-func runCoordinator(ctx context.Context, logger *slog.Logger, addr string, heartbeat, nodeTimeout, hedgeAfter, drainTimeout time.Duration, retainJobs int, cacheFile string) {
-	c := cluster.NewCoordinator(cluster.CoordinatorConfig{
-		HeartbeatInterval: heartbeat,
-		NodeTimeout:       nodeTimeout,
-		HedgeAfter:        hedgeAfter,
-		RetainJobs:        retainJobs,
-		Logger:            logger,
-		EventFanIn:        true, // merge every worker's /events into ours
-	})
-	if cacheFile != "" {
-		n, err := c.LoadCache(cacheFile)
-		if err != nil {
-			fatal(logger, "cache load", err)
-		}
-		logger.Info("result cache loaded",
-			slog.String("path", cacheFile), slog.Int("entries", n))
+		slog.String("hit_ratio", fmt.Sprintf("%.1f%%", 100*ratio)),
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fatal(logger, "listen", err)
+	if _, ok := cv["cluster.nodes.alive"]; ok {
+		attrs = append(attrs,
+			slog.Uint64("redispatched", cv["cluster.jobs.redispatched"]),
+			slog.Uint64("hedged", cv["cluster.jobs.hedged"]),
+			slog.Uint64("nodes_alive", cv["cluster.nodes.alive"]),
+			slog.Uint64("nodes_dead", cv["cluster.nodes.dead"]))
 	}
-	srv := &http.Server{Handler: obslog.HTTPMiddleware(logger, c.Handler())}
-	go c.Run(ctx)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	logger.Info("coordinating",
-		slog.String("addr", "http://"+ln.Addr().String()),
-		slog.Duration("heartbeat", heartbeat),
-		slog.Duration("hedge_after", hedgeAfter))
-
-	select {
-	case err := <-serveErr:
-		fatal(logger, "serve", err)
-	case <-ctx.Done():
-	}
-	logger.Info("signal received, shutting down")
-	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		logger.Warn("http shutdown", slog.String("error", err.Error()))
-	}
-	c.Shutdown() // stop fan-in tailers, close the merged event bus
-	if cacheFile != "" {
-		if err := c.SaveCache(cacheFile); err != nil {
-			logger.Warn("cache save", slog.String("error", err.Error()))
-		} else {
-			logger.Info("result cache saved",
-				slog.String("path", cacheFile), slog.Int("entries", c.CacheLen()))
-		}
-	}
-	cv := c.Registry().CounterValues()
-	logger.Info("cluster summary",
-		slog.Uint64("completed", cv["cluster.jobs.completed"]),
-		slog.Uint64("failed", cv["cluster.jobs.failed"]),
-		slog.Uint64("cancelled", cv["cluster.jobs.cancelled"]),
-		slog.Uint64("redispatched", cv["cluster.jobs.redispatched"]),
-		slog.Uint64("hedged", cv["cluster.jobs.hedged"]),
-		slog.Uint64("cache_hits", cv["cluster.cache.hits"]),
-		slog.Uint64("nodes_alive", cv["cluster.nodes.alive"]),
-		slog.Uint64("nodes_dead", cv["cluster.nodes.dead"]))
+	logger.Info("drain summary", attrs...)
 }

@@ -36,7 +36,6 @@ import (
 
 	"doram"
 	"doram/internal/loadgen"
-	"doram/internal/metrics"
 	"doram/internal/simsvc"
 )
 
@@ -189,9 +188,10 @@ func selfHost(workers, queue, cache int) (url string, shutdown func(), err error
 
 // startSampler polls the endpoint's /varz on a fixed cadence, recording
 // the queue-depth / cache-hit / running series for the serving section.
-// The names are the simsvc registry's; against a coordinator (which
-// exposes cluster.* counters instead) the series records zeros, which is
-// honest — queue depth there lives on the workers.
+// The names are the simsvc registry's. A coordinator is a simsvc service
+// too, so against one they describe its own queue, result cache and
+// in-flight dispatches; its merged /varz keeps them under "cluster",
+// beside the per-worker counters.
 func startSampler(baseURL string, every time.Duration, out *[]loadgen.VarzSample) (stop func()) {
 	done := make(chan struct{})
 	finished := make(chan struct{})
@@ -210,11 +210,17 @@ func startSampler(baseURL string, every time.Duration, out *[]loadgen.VarzSample
 			if err != nil {
 				continue
 			}
-			var d metrics.Dump
+			var d struct {
+				Counters map[string]uint64 `json:"counters"` // a doramd's dump
+				Cluster  map[string]uint64 `json:"cluster"`  // a coordinator's
+			}
 			err = json.NewDecoder(resp.Body).Decode(&d)
 			resp.Body.Close()
 			if err != nil {
 				continue
+			}
+			if d.Counters == nil {
+				d.Counters = d.Cluster
 			}
 			*out = append(*out, loadgen.VarzSample{
 				AtNs:       time.Since(start).Nanoseconds(),

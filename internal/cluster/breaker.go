@@ -14,16 +14,7 @@ const (
 	breakerHalfOpen                     // probing: requests pass, counted as probes
 )
 
-func (s breakerState) String() string {
-	switch s {
-	case breakerClosed:
-		return "closed"
-	case breakerOpen:
-		return "open"
-	default:
-		return "half-open"
-	}
-}
+func (s breakerState) String() string { return [...]string{"closed", "open", "half-open"}[s] }
 
 // breaker is a per-worker circuit breaker over transport-level outcomes.
 // Consecutive request failures trip it open, ejecting the worker from
@@ -76,19 +67,11 @@ func newBreaker(threshold int, cooldown time.Duration, probes int, now func() ti
 func (b *breaker) allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return true
-	case breakerOpen:
-		if b.now().Sub(b.openedAt) >= b.cooldown {
-			b.state = breakerHalfOpen
-			b.probeOK = 0
-			return true
-		}
-		return false
-	default: // half-open: probes pass
-		return true
+	if b.state == breakerOpen && b.now().Sub(b.openedAt) >= b.cooldown {
+		b.state = breakerHalfOpen
+		b.probeOK = 0
 	}
+	return b.state != breakerOpen // half-open: probes pass
 }
 
 // onSuccess records a request that reached the worker.
@@ -109,19 +92,22 @@ func (b *breaker) onSuccess() {
 	// trip; it does not short-circuit the cooldown.
 }
 
-// onFailure records a transport-level failure.
-func (b *breaker) onFailure() {
+// onFailure records a transport-level failure and reports whether it
+// opened the breaker.
+func (b *breaker) onFailure() (tripped bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case breakerClosed:
 		b.fails++
-		if b.fails >= b.threshold {
-			b.trip()
-		}
+		tripped = b.fails >= b.threshold
 	case breakerHalfOpen:
+		tripped = true
+	}
+	if tripped {
 		b.trip()
 	}
+	return tripped
 }
 
 // trip opens the breaker; the caller holds the lock.

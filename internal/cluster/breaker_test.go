@@ -1,18 +1,33 @@
 package cluster
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
 
 // fakeClock is a hand-advanced clock for deterministic breaker tests.
-type fakeClock struct{ t time.Time }
+// Dispatch goroutines read it while the test advances it, so it locks.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
 
 func newFakeClock() *fakeClock {
 	return &fakeClock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
 }
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+
+func (c *fakeClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t = c.t.Add(d)
+}
 
 // TestBreakerTripAndRecover drives the full state machine on a fake
 // clock: closed → open after threshold failures, open → half-open after

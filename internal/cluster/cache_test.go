@@ -2,25 +2,17 @@ package cluster
 
 import (
 	"bytes"
-	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
 	"doram/internal/simsvc"
 )
 
-// runToDone submits a spec and drives the control loop until it finishes,
-// returning the job's result bytes.
-func runToDone(t *testing.T, c *Coordinator, clk *fakeClock, spec []byte) []byte {
+// runToDone submits a spec and waits for it to finish, returning the
+// job's result bytes.
+func runToDone(t *testing.T, c *Coordinator, spec []byte) []byte {
 	t.Helper()
-	st, err := c.Submit(spec)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	stepUntil(t, c, clk, "job "+st.ID+" done", func() bool {
-		return jobState(t, c, st.ID).State == simsvc.StateDone
-	})
+	st := waitState(t, c, submit(t, c, spec).ID, simsvc.StateDone)
 	data, err := c.Result(st.ID)
 	if err != nil {
 		t.Fatalf("result %s: %v", st.ID, err)
@@ -32,21 +24,14 @@ func runToDone(t *testing.T, c *Coordinator, clk *fakeClock, spec []byte) []byte
 // synchronously from the coordinator cache — no second dispatch, no
 // worker round trip, Node reported as "cache".
 func TestClusterResultCacheHit(t *testing.T) {
-	clk := newFakeClock()
 	gate := newGateTransport()
 	w := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: instantSim})
-	c := testCoordinator(t, clk, gate, CoordinatorConfig{}, w)
+	c := testCoordinator(t, nil, gate, CoordinatorConfig{}, w)
 
-	want := runToDone(t, c, clk, specJSON(42))
-	if c.CacheLen() != 1 {
-		t.Fatalf("CacheLen = %d after one completion, want 1", c.CacheLen())
-	}
+	want := runToDone(t, c, specJSON(42))
 	callsBefore := gate.count(w.url())
 
-	st, err := c.Submit(specJSON(42))
-	if err != nil {
-		t.Fatalf("resubmit: %v", err)
-	}
+	st := submit(t, c, specJSON(42))
 	if st.State != simsvc.StateDone {
 		t.Fatalf("resubmitted job is %s, want synchronous %s", st.State, simsvc.StateDone)
 	}
@@ -64,16 +49,14 @@ func TestClusterResultCacheHit(t *testing.T) {
 		t.Errorf("cache hit still reached the worker: %d calls, had %d", n, callsBefore)
 	}
 	cv := c.Registry().CounterValues()
-	if cv["cluster.cache.hits"] != 1 {
-		t.Errorf("cluster.cache.hits = %d, want 1", cv["cluster.cache.hits"])
+	if cv["simsvc.cache.hits"] != 1 {
+		t.Errorf("simsvc.cache.hits = %d, want 1", cv["simsvc.cache.hits"])
 	}
-	if cv["cluster.cache.entries"] != 1 {
-		t.Errorf("cluster.cache.entries = %d, want 1", cv["cluster.cache.entries"])
+	if cv["simsvc.cache.entries"] != 1 {
+		t.Errorf("simsvc.cache.entries = %d, want 1", cv["simsvc.cache.entries"])
 	}
 	// A different spec is a miss and must dispatch normally.
-	if st2, err := c.Submit(specJSON(43)); err != nil {
-		t.Fatalf("miss submit: %v", err)
-	} else if st2.State == simsvc.StateDone {
+	if st2 := submit(t, c, specJSON(43)); st2.State == simsvc.StateDone {
 		t.Errorf("unseen spec completed without running")
 	}
 }
@@ -85,21 +68,20 @@ func TestClusterResultCacheHit(t *testing.T) {
 // the cluster's accumulated work survives a coordinator restart.
 func TestClusterCacheSurvivesRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.json")
-	clk := newFakeClock()
 	gate := newGateTransport()
 	w := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: instantSim})
 
-	a := testCoordinator(t, clk, gate, CoordinatorConfig{}, w)
-	want := runToDone(t, a, clk, specJSON(7))
-	if err := a.SaveCache(path); err != nil { // doramd's drain path
+	a := testCoordinator(t, nil, gate, CoordinatorConfig{}, w)
+	want := runToDone(t, a, specJSON(7))
+	if err := a.Service().SaveCache(path); err != nil { // doramd's drain path
 		t.Fatalf("save: %v", err)
 	}
 
 	// "Restart": a fresh coordinator, the old worker unreachable — only
 	// the snapshot connects them.
 	gate.block(w.url())
-	b := testCoordinator(t, newFakeClock(), gate, CoordinatorConfig{})
-	n, err := b.LoadCache(path)
+	b := testCoordinator(t, nil, gate, CoordinatorConfig{})
+	n, err := b.Service().LoadCache(path)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -107,10 +89,7 @@ func TestClusterCacheSurvivesRestart(t *testing.T) {
 		t.Fatalf("loaded %d entries, want 1", n)
 	}
 
-	st, err := b.Submit(specJSON(7))
-	if err != nil {
-		t.Fatalf("submit after restart: %v", err)
-	}
+	st := submit(t, b, specJSON(7))
 	if st.State != simsvc.StateDone {
 		t.Fatalf("job is %s after restart, want %s from the cache", st.State, simsvc.StateDone)
 	}
@@ -121,82 +100,7 @@ func TestClusterCacheSurvivesRestart(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("result changed across restart:\n%s\nvs\n%s", got, want)
 	}
-	if cv := b.Registry().CounterValues(); cv["cluster.cache.hits"] != 1 {
-		t.Errorf("cluster.cache.hits = %d after restart hit, want 1", cv["cluster.cache.hits"])
-	}
-}
-
-// TestCacheSnapshotFormat pins the persistence contract: missing files
-// load cleanly as empty, corrupt documents and wrong versions are
-// rejected, and garbage keys are skipped rather than installed.
-func TestCacheSnapshotFormat(t *testing.T) {
-	dir := t.TempDir()
-	c := NewCoordinator(CoordinatorConfig{Logf: t.Logf})
-
-	if n, err := c.LoadCache(filepath.Join(dir, "absent.json")); n != 0 || err != nil {
-		t.Errorf("missing file: n=%d err=%v, want 0, nil", n, err)
-	}
-
-	bad := filepath.Join(dir, "bad.json")
-	os.WriteFile(bad, []byte("{not json"), 0o644)
-	if _, err := c.LoadCache(bad); err == nil {
-		t.Error("corrupt snapshot loaded without error")
-	}
-	os.WriteFile(bad, []byte(`{"version":99,"results":{}}`), 0o644)
-	if _, err := c.LoadCache(bad); err == nil {
-		t.Error("future snapshot version loaded without error")
-	}
-
-	// Keys that are not spec hashes (64 hex chars) are skipped.
-	short := filepath.Join(dir, "short.json")
-	os.WriteFile(short, []byte(`{"version":1,"results":{"deadbeef":"{\"x\":1}"}}`), 0o644)
-	if n, err := c.LoadCache(short); n != 0 || err != nil {
-		t.Errorf("garbage key: n=%d err=%v, want 0 loaded, nil", n, err)
-	}
-	if c.CacheLen() != 0 {
-		t.Errorf("garbage key installed: CacheLen = %d", c.CacheLen())
-	}
-}
-
-// TestCacheFIFOBound: the cache evicts its oldest entries at the
-// configured bound, and a save/load round trip preserves what is left.
-func TestCacheFIFOBound(t *testing.T) {
-	c := NewCoordinator(CoordinatorConfig{CacheEntries: 3, Logf: t.Logf})
-	c.mu.Lock()
-	for i := 0; i < 5; i++ {
-		hash := fmt.Sprintf("%064d", i)
-		c.cachePutLocked(hash, []byte(fmt.Sprintf(`{"i":%d}`, i)))
-	}
-	c.mu.Unlock()
-	if c.CacheLen() != 3 {
-		t.Fatalf("CacheLen = %d with bound 3", c.CacheLen())
-	}
-	c.mu.Lock()
-	_, oldest := c.cacheGetLocked(fmt.Sprintf("%064d", 0))
-	_, newest := c.cacheGetLocked(fmt.Sprintf("%064d", 4))
-	c.mu.Unlock()
-	if oldest {
-		t.Error("oldest entry survived past the bound")
-	}
-	if !newest {
-		t.Error("newest entry was evicted")
-	}
-
-	path := filepath.Join(t.TempDir(), "bound.json")
-	if err := c.SaveCache(path); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	fresh := NewCoordinator(CoordinatorConfig{CacheEntries: 3, Logf: t.Logf})
-	if n, err := fresh.LoadCache(path); n != 3 || err != nil {
-		t.Fatalf("round trip: n=%d err=%v, want 3, nil", n, err)
-	}
-
-	// Negative disables caching entirely.
-	off := NewCoordinator(CoordinatorConfig{CacheEntries: -1, Logf: t.Logf})
-	off.mu.Lock()
-	off.cachePutLocked(fmt.Sprintf("%064d", 9), []byte(`{}`))
-	off.mu.Unlock()
-	if off.CacheLen() != 0 {
-		t.Errorf("disabled cache stored an entry")
+	if cv := b.Registry().CounterValues(); cv["simsvc.cache.hits"] != 1 {
+		t.Errorf("simsvc.cache.hits = %d after restart hit, want 1", cv["simsvc.cache.hits"])
 	}
 }

@@ -1,22 +1,16 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"fmt"
-	"io"
-	"log"
 	"log/slog"
 	"net/http"
+	"sort"
 	"sync"
 	"time"
 
-	"doram"
 	"doram/internal/metrics"
 	"doram/internal/obslog"
 	"doram/internal/simsvc"
-	"doram/internal/stats"
-	"doram/internal/xrand"
 )
 
 // CoordinatorConfig tunes a Coordinator. Zero values select the
@@ -26,41 +20,21 @@ type CoordinatorConfig struct {
 	// 0 means 1s.
 	HeartbeatInterval time.Duration
 	// NodeTimeout is the heartbeat silence after which a worker is
-	// declared dead and its in-flight jobs re-dispatched; 0 means
+	// declared dead and the jobs it holds re-dispatched; 0 means
 	// 5×HeartbeatInterval.
 	NodeTimeout time.Duration
-	// StepInterval is the control-loop cadence (dispatch, polling,
-	// failover, hedging); 0 means 100ms.
+	// StepInterval is the cadence of heartbeat expiry and of each
+	// dispatched job's status poll; 0 means 100ms.
 	StepInterval time.Duration
-	// RequestTimeout bounds each proxied request to a worker; 0 means 10s.
+	// RequestTimeout bounds each request to a worker; 0 means 10s.
 	RequestTimeout time.Duration
 	// HedgeAfter is how long a dispatched job may sit non-terminal on one
 	// worker before a hedge is sent to the next ring node; 0 means 30s,
 	// negative disables hedging.
 	HedgeAfter time.Duration
-	// PendingTimeout fails a job no worker has accepted for this long;
-	// 0 means 5 minutes.
-	PendingTimeout time.Duration
 	// MaxAttempts bounds how many workers may accept (and then lose) one
 	// job before it is failed; 0 means 8.
 	MaxAttempts int
-	// MaxInflight bounds jobs the coordinator tracks in non-terminal
-	// states; submissions beyond it get backpressure (429). 0 means 4096.
-	MaxInflight int
-	// RetainJobs bounds how many terminal jobs stay queryable before the
-	// oldest are forgotten, FIFO — MaxInflight bounds live work, but a
-	// sustained load run would otherwise grow the terminal-job table
-	// without limit. 0 means simsvc.DefaultRetainJobs; negative retains
-	// everything. Non-terminal jobs are never evicted.
-	RetainJobs int
-	// RingReplicas is the virtual nodes per worker; 0 means 64.
-	RingReplicas int
-	// CacheEntries bounds the coordinator-level result cache (spec hash →
-	// result bytes), FIFO-evicted. Simulations are deterministic in the
-	// canonical spec, so a re-submitted spec is answered from the cache
-	// without a dispatch. 0 means DefaultCacheEntries; negative disables
-	// caching. The cache is snapshottable via SaveCache/LoadCache.
-	CacheEntries int
 
 	// Circuit breaker: BreakerThreshold consecutive transport failures
 	// eject a worker from dispatch; after BreakerCooldown it half-opens
@@ -70,83 +44,68 @@ type CoordinatorConfig struct {
 	BreakerCooldown  time.Duration
 	BreakerProbes    int
 
-	// Seed pins the backoff-jitter PRNG for reproducible retry schedules;
-	// 0 means the fixed default seed (the coordinator's jitter has never
-	// been wall-clock seeded — tests replay identical schedules).
-	Seed uint64
-
 	// Transport overrides the HTTP transport used to reach workers (the
 	// deterministic-test injection point); nil means the default.
 	Transport http.RoundTripper
-	// Registry receives the coordinator's counters; nil builds a private
-	// one.
-	Registry *metrics.Registry
 	// Logf receives one-line membership and failover events; nil means a
 	// shim over Logger when that is set, else log.Printf.
 	Logf func(format string, args ...any)
-	// Logger receives structured serving-plane logs; nil discards them
-	// (Logf still carries the one-liners).
+	// Logger receives structured serving-plane logs, the job service's
+	// included; nil discards them (Logf still carries the one-liners).
 	Logger *slog.Logger
 
 	// EventFanIn opens a standing /events stream to every live worker and
 	// republishes its events (stamped with the worker id) on the
-	// coordinator's merged bus. Off by default: the standing requests are
+	// coordinator's bus. Off by default: the standing requests are
 	// visible to injected transports, so deterministic tests must opt in.
 	EventFanIn bool
-	// EventHistory is the merged bus's replay-ring size; 0 means
-	// simsvc.DefaultEventHistory.
-	EventHistory int
-	// SSEHeartbeat is the comment-line cadence on served event streams;
-	// 0 means simsvc.DefaultSSEHeartbeat.
-	SSEHeartbeat time.Duration
-	// After overrides the SSE heartbeat timer source (test hook); nil
-	// means time.After.
-	After func(time.Duration) <-chan time.Time
+
+	// Service configures the job service the coordinator runs on: queue
+	// depth, result cache, job timeout, trace cap, retention, registry,
+	// and the event bus and SSE settings. Its Workers and RunSim are the
+	// coordinator's own (see dispatchPool); a nil Logger means Logger.
+	Service simsvc.Config
 }
 
 func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = time.Second
-	}
-	if c.NodeTimeout <= 0 {
-		c.NodeTimeout = 5 * c.HeartbeatInterval
-	}
-	if c.StepInterval <= 0 {
-		c.StepInterval = 100 * time.Millisecond
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 10 * time.Second
-	}
+	setDefault(&c.HeartbeatInterval, time.Second)
+	setDefault(&c.NodeTimeout, 5*c.HeartbeatInterval)
+	setDefault(&c.StepInterval, 100*time.Millisecond)
+	setDefault(&c.RequestTimeout, 10*time.Second)
+	setDefault(&c.MaxAttempts, 8)
 	if c.HedgeAfter == 0 {
 		c.HedgeAfter = 30 * time.Second
 	}
-	if c.PendingTimeout <= 0 {
-		c.PendingTimeout = 5 * time.Minute
+	c.Logf = logfOr(c.Logf, c.Logger)
+	if c.Logger == nil {
+		c.Logger = obslog.Discard()
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 8
+	if c.Service.Logger == nil {
+		c.Service.Logger = c.Logger
 	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 4096
-	}
-	if c.RetainJobs == 0 {
-		c.RetainJobs = simsvc.DefaultRetainJobs
-	}
-	if c.RingReplicas <= 0 {
-		c.RingReplicas = 64
-	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = DefaultCacheEntries
-	}
-	if c.Logf == nil {
-		if c.Logger != nil {
-			c.Logf = obslog.Logf(c.Logger)
-		} else {
-			c.Logf = log.Printf
-		}
+	if c.Service.Registry == nil {
+		c.Service.Registry = metrics.New()
 	}
 	return c
 }
+
+// setDefault replaces a non-positive setting with its default.
+func setDefault[T int | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
+}
+
+// dispatchPool is the coordinator service's worker-pool size: how many
+// jobs can be out on the fleet at once. A dispatch goroutine spends its
+// life waiting on worker round trips and poll ticks, so the pool is sized
+// for concurrency, not for CPUs: GOMAXPROCS would queue each job behind
+// other jobs' poll waits, while a pool as large as the fleet could ever
+// need (thousands) costs milliseconds of goroutine starts per coordinator.
+const dispatchPool = 64
+
+// ringReplicas is the number of virtual ring points per worker.
+const ringReplicas = 64
 
 // node is one registered worker.
 type node struct {
@@ -155,59 +114,12 @@ type node struct {
 	lastBeat time.Time
 	joinedAt time.Time
 	breaker  *breaker
+	stopTail context.CancelFunc // ends the node's event fan-in, if any
 }
 
-// attempt is one acceptance of a job by one worker.
-type attempt struct {
-	node      string
-	remoteID  string
-	at        time.Time    // when the worker accepted
-	lastState simsvc.State // last state the worker reported
-}
-
-// cjob is one cluster-level job. The coordinator owns a job end to end:
-// it survives worker deaths by re-dispatching (the spec is deterministic
-// and idempotent by hash), and caches the result bytes on completion so
-// the answer outlives the worker that computed it.
-type cjob struct {
-	id   string
-	spec doram.Params
-	body []byte // canonical spec JSON, the forwarded payload
-	hash string
-
-	state   simsvc.State
-	errMsg  string
-	history []simsvc.Transition
-
-	primary *attempt
-	hedge   *attempt
-	hedged  bool // a hedge was ever sent (sticky, for status)
-
-	attempts    int // worker acceptances consumed
-	createdAt   time.Time
-	nextAttempt time.Time // earliest next dispatch while unassigned
-
-	cancelRequested bool
-	result          []byte // worker's /result bytes, cached on done
-	resultNode      string // who produced the cached result
-	done            chan struct{}
-}
-
-// JobStatus is the coordinator's externally visible job snapshot. It is
-// wire-compatible with simsvc.JobStatus for the fields clients poll
-// (id/state/error), plus cluster placement detail.
-type JobStatus struct {
-	ID       string              `json:"id"`
-	State    simsvc.State        `json:"state"`
-	SpecHash string              `json:"spec_hash"`
-	Spec     doram.Params        `json:"spec"`
-	Node     string              `json:"node,omitempty"`
-	RemoteID string              `json:"remote_id,omitempty"`
-	Attempts int                 `json:"attempts"`
-	Hedged   bool                `json:"hedged,omitempty"`
-	Error    string              `json:"error,omitempty"`
-	History  []simsvc.Transition `json:"history"`
-}
+// JobStatus is the coordinator's job snapshot: the simsvc status, whose
+// Placement says where the job ran ("cache" for a coordinator cache hit).
+type JobStatus = simsvc.JobStatus
 
 // NodeStatus is one worker's membership snapshot.
 type NodeStatus struct {
@@ -219,77 +131,45 @@ type NodeStatus struct {
 	JoinedAt      time.Time `json:"joined_at"`
 }
 
-// Coordinator is the cluster front door: it owns membership, routes job
-// specs to workers over the consistent-hash ring, and runs the
-// failure-handling control loop.
+// Coordinator is the cluster front door: a simsvc job service whose
+// simulations run on a fleet of workers. It owns membership, routes each
+// job to its consistent-hash owner, and rides out worker failures by
+// re-dispatching and hedging.
 type Coordinator struct {
 	cfg CoordinatorConfig
+	svc *simsvc.Service
 	hc  *http.Client
 	now func() time.Time // test hook; time.Now in production
 
 	mu    sync.Mutex
 	nodes map[string]*node
 	ring  *ring
-	jobs  map[string]*cjob
-	// terminal is the FIFO of terminal job IDs backing RetainJobs
-	// eviction; its head is the next job to be forgotten.
-	terminal []string
-	// cache holds finished results keyed by spec hash; cacheOrder is its
-	// FIFO eviction order (see cache.go).
-	cache      map[string][]byte
-	cacheOrder []string
-	seq        uint64
-	rng      *xrand.Rand        // backoff jitter; guarded by mu
-	tailers  map[string]*tailer // fan-in streams, one per live worker
 
-	logger *slog.Logger
-	bus    *simsvc.EventBus
-	// stageHists and jobDur aggregate across finished jobs; guarded by mu
-	// and merged into the registry dump at scrape time.
-	stageHists map[string]*stats.Histogram
-	jobDur     *stats.Histogram
+	// Event fan-in: each tail runs under tailCtx until its node dies;
+	// stopTails ends them all at Shutdown.
+	tailCtx   context.Context
+	stopTails context.CancelFunc
+	tails     sync.WaitGroup
 
-	reg *metrics.Registry
-	// Counters; all concurrency-safe.
-	submitted, completed, failed, cancelled, rejected  *metrics.SyncCounter
-	dispatchedCtr, redispatched, hedgesSent, hedgeWins *metrics.SyncCounter
-	nodeJoins, nodeDeaths, breakerTrips, proxyErrors   *metrics.SyncCounter
-	cacheHits                                          *metrics.SyncCounter
+	// Counters, in the registry shared with the service.
+	dispatched, redispatched, hedgesSent, hedgeWins  *metrics.SyncCounter
+	nodeJoins, nodeDeaths, breakerTrips, proxyErrors *metrics.SyncCounter
 }
 
-// NewCoordinator builds a coordinator. Call Run to start its control
-// loop, and serve Handler for the HTTP surface.
+// NewCoordinator builds a coordinator and its job service. Call Run to
+// start heartbeat expiry, and serve Handler for the HTTP surface.
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	cfg = cfg.withDefaults()
-	reg := cfg.Registry
-	if reg == nil {
-		reg = metrics.New()
-	}
+	reg := cfg.Service.Registry
 	c := &Coordinator{
-		cfg:        cfg,
-		hc:         &http.Client{Transport: cfg.Transport},
-		now:        time.Now,
-		nodes:      make(map[string]*node),
-		ring:       newRing(cfg.RingReplicas),
-		jobs:       make(map[string]*cjob),
-		cache:      make(map[string][]byte),
-		rng:        xrand.New(max(cfg.Seed, 1)),
-		tailers:    make(map[string]*tailer),
-		logger:     obslog.Discard(),
-		bus:        simsvc.NewEventBus(cfg.EventHistory),
-		stageHists: make(map[string]*stats.Histogram),
-		jobDur:     stats.NewHistogram(jobDurationBoundsMs),
-		reg:        reg,
+		cfg:   cfg,
+		hc:    &http.Client{Transport: cfg.Transport},
+		now:   time.Now,
+		nodes: make(map[string]*node),
+		ring:  newRing(ringReplicas),
 	}
-	if cfg.Logger != nil {
-		c.logger = cfg.Logger
-	}
-	c.submitted = reg.SyncCounter("cluster.jobs.submitted")
-	c.completed = reg.SyncCounter("cluster.jobs.completed")
-	c.failed = reg.SyncCounter("cluster.jobs.failed")
-	c.cancelled = reg.SyncCounter("cluster.jobs.cancelled")
-	c.rejected = reg.SyncCounter("cluster.jobs.rejected")
-	c.dispatchedCtr = reg.SyncCounter("cluster.jobs.dispatched")
+	c.tailCtx, c.stopTails = context.WithCancel(context.Background())
+	c.dispatched = reg.SyncCounter("cluster.jobs.dispatched")
 	c.redispatched = reg.SyncCounter("cluster.jobs.redispatched")
 	c.hedgesSent = reg.SyncCounter("cluster.jobs.hedged")
 	c.hedgeWins = reg.SyncCounter("cluster.hedge.wins")
@@ -297,46 +177,43 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	c.nodeDeaths = reg.SyncCounter("cluster.nodes.dead")
 	c.breakerTrips = reg.SyncCounter("cluster.breaker.opened")
 	c.proxyErrors = reg.SyncCounter("cluster.proxy.errors")
-	c.cacheHits = reg.SyncCounter("cluster.cache.hits")
-	reg.CounterFunc("cluster.cache.entries", func() uint64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return uint64(len(c.cache))
-	})
 	reg.CounterFunc("cluster.nodes.alive", func() uint64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		return uint64(c.ring.size())
 	})
-	reg.CounterFunc("cluster.jobs.inflight", func() uint64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return uint64(c.inflightLocked())
-	})
+	svcCfg := cfg.Service
+	svcCfg.Workers = dispatchPool
+	svcCfg.RunSim = c.runSim
+	c.svc = simsvc.New(svcCfg)
 	return c
 }
 
-// Registry returns the coordinator's metric registry.
-func (c *Coordinator) Registry() *metrics.Registry { return c.reg }
+// Service returns the job service behind the coordinator: submissions,
+// status, results, cancellation, events, cache snapshots and drain.
+func (c *Coordinator) Service() *simsvc.Service { return c.svc }
 
-// dump snapshots the registry plus the cross-job histograms (job
-// durations, per-stage latency means) that live outside it.
-func (c *Coordinator) dump() *metrics.Dump {
-	d := c.reg.Dump() // before c.mu: CounterFunc callbacks take the lock
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d.Histograms == nil {
-		d.Histograms = make(map[string]metrics.HistogramDump, len(c.stageHists)+1)
+// Registry returns the metric registry shared with the service.
+func (c *Coordinator) Registry() *metrics.Registry { return c.svc.Registry() }
+
+// Submit admits one raw job-spec document, as POST /v1/jobs does.
+func (c *Coordinator) Submit(raw []byte) (JobStatus, error) {
+	job, err := c.svc.SubmitJSON(raw)
+	if err != nil {
+		return JobStatus{}, err
 	}
-	d.Histograms["cluster.job.duration_ms"] = metrics.NewHistogramDump(c.jobDur)
-	for name, h := range c.stageHists {
-		d.Histograms[name] = metrics.NewHistogramDump(h)
-	}
-	return d
+	return job.Status(), nil
 }
 
-// Run drives the control loop — dispatch, status polling, heartbeat
-// expiry, failover, hedging — until ctx ends.
+// Status returns a job snapshot.
+func (c *Coordinator) Status(id string) (JobStatus, error) { return c.svc.Status(id) }
+
+// Result returns a finished job's result document, byte for byte what
+// GET /v1/jobs/{id}/result serves.
+func (c *Coordinator) Result(id string) ([]byte, error) { return c.svc.ResultJSON(id) }
+
+// Run expires workers whose heartbeats have stopped, every StepInterval,
+// until ctx ends.
 func (c *Coordinator) Run(ctx context.Context) {
 	t := time.NewTicker(c.cfg.StepInterval)
 	defer t.Stop()
@@ -345,32 +222,23 @@ func (c *Coordinator) Run(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			c.step(c.now())
+			c.expireNodes(c.now())
 		}
 	}
 }
 
-// step executes one control-loop pass at the given time. Tests call it
-// directly with a fake clock; Run calls it on a real ticker.
-func (c *Coordinator) step(now time.Time) {
-	c.expireNodes(now)
-	c.dispatchPending(now)
-	c.pollInflight(now)
-	c.hedgeStragglers(now)
+// Shutdown stops every fan-in tailer and closes the job service, aborting
+// any dispatch still in flight (each forwards a cancel to its worker).
+// Drain the service first (Service().Close) to let running jobs finish.
+func (c *Coordinator) Shutdown() {
+	c.mu.Lock()
+	c.stopTails()
+	c.mu.Unlock()
+	c.tails.Wait()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c.svc.Close(ctx) // already closed after a drain; nothing to report
 }
-
-// inflightLocked counts non-terminal jobs.
-func (c *Coordinator) inflightLocked() int {
-	n := 0
-	for _, j := range c.jobs {
-		if !j.state.Terminal() {
-			n++
-		}
-	}
-	return n
-}
-
-// ---- membership ----
 
 // join registers (or re-registers) a worker and returns the heartbeat
 // interval it should use. A dead or unknown node gets a fresh breaker —
@@ -389,7 +257,7 @@ func (c *Coordinator) join(id string, now time.Time) time.Duration {
 		c.nodes[id] = n
 		c.ring.add(id)
 		c.nodeJoins.Inc()
-		c.startTailerLocked(id)
+		c.startTailLocked(n)
 		c.cfg.Logf("cluster: worker %s joined (%d alive)", id, c.ring.size())
 	}
 	n.lastBeat = now
@@ -409,257 +277,37 @@ func (c *Coordinator) heartbeat(id string, now time.Time) bool {
 	return true
 }
 
-// leave removes a worker gracefully; its in-flight jobs re-dispatch.
-func (c *Coordinator) leave(id string, now time.Time) {
+// leave removes a worker gracefully; the jobs it holds re-dispatch.
+func (c *Coordinator) leave(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if n := c.nodes[id]; n != nil && n.alive {
-		c.markDeadLocked(n, now, "leave")
+		c.markDeadLocked(n, "leave")
 	}
 }
 
 // expireNodes declares workers dead after NodeTimeout of heartbeat
-// silence and re-dispatches their in-flight jobs.
+// silence.
 func (c *Coordinator) expireNodes(now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, n := range c.nodes {
 		if n.alive && now.Sub(n.lastBeat) > c.cfg.NodeTimeout {
-			c.markDeadLocked(n, now, "heartbeat timeout")
+			c.markDeadLocked(n, "heartbeat timeout")
 		}
 	}
 }
 
-// markDeadLocked ejects a node and strips its attempts off every job;
-// jobs left with no live attempt go back to pending for re-dispatch.
-func (c *Coordinator) markDeadLocked(n *node, now time.Time, why string) {
+// markDeadLocked ejects a node from the ring. Each dispatch holding a job
+// on it notices at its next poll and re-dispatches (dispatch.poll).
+func (c *Coordinator) markDeadLocked(n *node, why string) {
 	n.alive = false
 	c.ring.remove(n.id)
 	c.nodeDeaths.Inc()
-	c.stopTailerLocked(n.id)
+	if n.stopTail != nil {
+		n.stopTail()
+	}
 	c.cfg.Logf("cluster: worker %s dead (%s), %d alive", n.id, why, c.ring.size())
-	for _, j := range c.jobs {
-		if j.state.Terminal() {
-			continue
-		}
-		if j.hedge != nil && j.hedge.node == n.id {
-			j.hedge = nil
-		}
-		if j.primary != nil && j.primary.node == n.id {
-			c.dropPrimaryLocked(j, now, fmt.Sprintf("worker %s died", n.id))
-		}
-	}
-}
-
-// dropPrimaryLocked abandons a job's primary attempt: the hedge (if any)
-// is promoted, otherwise the job goes back to pending with immediate
-// re-dispatch eligibility.
-func (c *Coordinator) dropPrimaryLocked(j *cjob, now time.Time, why string) {
-	j.primary = j.hedge
-	j.hedge = nil
-	if j.primary == nil {
-		j.nextAttempt = now
-		if j.state == simsvc.StateRunning {
-			// The cluster view returns to queued while a new worker is
-			// found; the history records the detour.
-			c.transitionLocked(j, simsvc.StateQueued)
-		}
-		c.redispatched.Inc()
-		c.cfg.Logf("cluster: job %s re-dispatching (%s)", j.id, why)
-	}
-}
-
-// ---- job lifecycle ----
-
-func (c *Coordinator) transitionLocked(j *cjob, to simsvc.State) {
-	j.state = to
-	j.history = append(j.history, simsvc.Transition{State: to, At: c.now()})
-	if to.Terminal() {
-		close(j.done)
-		c.retireLocked(j)
-	}
-	c.publishJobLocked(j, to)
-}
-
-// retireLocked enrolls a freshly terminal job in the retention FIFO and
-// evicts beyond the bound. finalizeLocked is the only terminal-transition
-// path and it refuses already-terminal jobs, so the FIFO never holds
-// duplicates.
-func (c *Coordinator) retireLocked(j *cjob) {
-	if c.cfg.RetainJobs < 0 {
-		return
-	}
-	c.terminal = append(c.terminal, j.id)
-	for len(c.terminal) > c.cfg.RetainJobs {
-		delete(c.jobs, c.terminal[0])
-		c.terminal = c.terminal[1:]
-	}
-}
-
-// finalizeLocked moves a job to a terminal state and (asynchronously,
-// best-effort) cancels any worker-side attempts that are now moot.
-func (c *Coordinator) finalizeLocked(j *cjob, to simsvc.State, result []byte, errMsg string, keep *attempt) {
-	if j.state.Terminal() {
-		return
-	}
-	j.result = result
-	j.errMsg = errMsg
-	// Counters first so the published transition event's Completed gauge
-	// already includes this job (tail clients see consistent sweep
-	// progress), and the duration histogram covers queue-to-terminal.
-	switch to {
-	case simsvc.StateDone:
-		c.completed.Inc()
-	case simsvc.StateFailed:
-		c.failed.Inc()
-	case simsvc.StateCancelled:
-		c.cancelled.Inc()
-	}
-	c.jobDur.Observe(uint64(c.now().Sub(j.createdAt).Milliseconds()))
-	c.transitionLocked(j, to)
-	for _, att := range []*attempt{j.primary, j.hedge} {
-		if att != nil && att != keep {
-			go c.cancelRemote(att.node, att.remoteID)
-		}
-	}
-}
-
-// cancelRemote asks a worker to cancel an attempt whose result is no
-// longer wanted. Failures are ignored: the worker may be dead, and a
-// superfluous simulation only warms its cache.
-func (c *Coordinator) cancelRemote(nodeID, remoteID string) {
-	c.doNode(nodeID, http.MethodPost, "/v1/jobs/"+remoteID+"/cancel", nil)
-}
-
-// Submit admits one raw job-spec document. The spec is validated and
-// canonicalized coordinator-side so malformed specs are rejected without
-// burning a dispatch, and an immediate synchronous dispatch is attempted
-// so an idle cluster starts the job within one round trip.
-func (c *Coordinator) Submit(raw []byte) (JobStatus, error) {
-	spec, err := doram.ParamsFromJSON(raw)
-	if err != nil {
-		return JobStatus{}, &simsvc.Error{Kind: simsvc.ErrInvalid, Msg: err.Error()}
-	}
-	body, err := spec.MarshalJSON()
-	if err != nil {
-		return JobStatus{}, &simsvc.Error{Kind: simsvc.ErrInvalid, Msg: err.Error()}
-	}
-	now := c.now()
-
-	c.mu.Lock()
-	if c.inflightLocked() >= c.cfg.MaxInflight {
-		c.rejected.Inc()
-		ra := time.Duration(c.inflightLocked()) * 100 * time.Millisecond
-		if ra < time.Second {
-			ra = time.Second
-		}
-		if ra > time.Minute {
-			ra = time.Minute
-		}
-		c.mu.Unlock()
-		return JobStatus{}, &simsvc.Error{Kind: simsvc.ErrQueueFull,
-			Msg:        fmt.Sprintf("cluster: %d jobs in flight (limit %d)", c.cfg.MaxInflight, c.cfg.MaxInflight),
-			RetryAfter: ra}
-	}
-	c.seq++
-	j := &cjob{
-		id:        fmt.Sprintf("c-%08d", c.seq),
-		spec:      spec,
-		body:      body,
-		hash:      spec.Hash(),
-		state:     simsvc.StateQueued,
-		createdAt: now,
-		done:      make(chan struct{}),
-	}
-	j.history = []simsvc.Transition{{State: simsvc.StateQueued, At: now}}
-	c.jobs[j.id] = j
-	c.submitted.Inc()
-	c.publishJobLocked(j, simsvc.StateQueued)
-	if cached, ok := c.cacheGetLocked(j.hash); ok {
-		// Determinism makes equal hashes equal results, so a cached spec
-		// completes without touching a worker (or needing one alive).
-		c.cacheHits.Inc()
-		j.resultNode = "cache"
-		c.finalizeLocked(j, simsvc.StateDone, cached, "", nil)
-		c.mu.Unlock()
-		return c.statusOf(j), nil
-	}
-	c.mu.Unlock()
-
-	c.dispatchJob(j, now, false)
-	return c.statusOf(j), nil
-}
-
-// Status returns a job snapshot.
-func (c *Coordinator) Status(id string) (JobStatus, error) {
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	c.mu.Unlock()
-	if !ok {
-		return JobStatus{}, &simsvc.Error{Kind: simsvc.ErrNotFound, Msg: fmt.Sprintf("cluster: unknown job %q", id)}
-	}
-	return c.statusOf(j), nil
-}
-
-func (c *Coordinator) statusOf(j *cjob) JobStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := JobStatus{
-		ID:       j.id,
-		State:    j.state,
-		SpecHash: j.hash,
-		Spec:     j.spec,
-		Attempts: j.attempts,
-		Hedged:   j.hedged,
-		Error:    j.errMsg,
-		History:  append([]simsvc.Transition(nil), j.history...),
-	}
-	if j.primary != nil {
-		st.Node = j.primary.node
-		st.RemoteID = j.primary.remoteID
-	} else if j.resultNode != "" {
-		st.Node = j.resultNode
-	}
-	return st
-}
-
-// Result returns a finished job's raw result document (the bytes the
-// winning worker served), mirroring simsvc.Service.Result's error
-// contract.
-func (c *Coordinator) Result(id string) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return nil, &simsvc.Error{Kind: simsvc.ErrNotFound, Msg: fmt.Sprintf("cluster: unknown job %q", id)}
-	}
-	switch j.state {
-	case simsvc.StateDone:
-		return j.result, nil
-	case simsvc.StateFailed:
-		return nil, &simsvc.Error{Kind: simsvc.ErrFailed, Msg: j.errMsg}
-	default:
-		return nil, &simsvc.Error{Kind: simsvc.ErrConflict,
-			Msg: fmt.Sprintf("cluster: job %s is %s, result not available", id, j.state)}
-	}
-}
-
-// Cancel requests cancellation. The coordinator finalizes immediately —
-// it owns the job — and forwards the cancel to any worker still running
-// the simulation.
-func (c *Coordinator) Cancel(id string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return &simsvc.Error{Kind: simsvc.ErrNotFound, Msg: fmt.Sprintf("cluster: unknown job %q", id)}
-	}
-	if j.state.Terminal() {
-		return nil
-	}
-	j.cancelRequested = true
-	c.finalizeLocked(j, simsvc.StateCancelled, nil, "cluster: cancelled by client", nil)
-	return nil
 }
 
 // Nodes returns the membership snapshot, alive nodes first, each sorted
@@ -678,362 +326,61 @@ func (c *Coordinator) Nodes() []NodeStatus {
 			JoinedAt:      n.joinedAt,
 		})
 	}
-	sortNodeStatuses(out)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Alive != out[j].Alive {
+			return out[i].Alive
+		}
+		return out[i].ID < out[j].ID
+	})
 	return out
 }
 
-// ---- dispatch, polling, hedging ----
+// Worker stream fan-in: with EventFanIn set, each live worker's /events
+// stream is tailed and every event republished, stamped with the worker's
+// id, on the coordinator service's own bus. One stream then shows both
+// the cluster-level job lifecycle (Node empty) and the per-worker detail
+// behind it.
 
-// candidatesLocked returns the dispatch preference list for a hash:
-// ring successors that are alive, breaker-admitted and not excluded.
-func (c *Coordinator) candidatesLocked(hash string, exclude string) []string {
-	var out []string
-	for _, id := range c.ring.successors(hash, len(c.nodes)) {
-		n := c.nodes[id]
-		if n == nil || !n.alive || id == exclude {
-			continue
-		}
-		if !n.breaker.allow() {
-			continue
-		}
-		out = append(out, id)
-	}
-	return out
-}
+// tailReconnect is the delay between fan-in reconnect attempts; the
+// Last-Event-ID cursor plus the worker's replay ring make the gap
+// lossless as long as the outage stays under the ring size.
+const tailReconnect = time.Second
 
-// dispatchPending re-dispatches every unassigned job whose backoff has
-// elapsed, and fails jobs nobody has accepted within PendingTimeout.
-func (c *Coordinator) dispatchPending(now time.Time) {
-	c.mu.Lock()
-	var ready []*cjob
-	for _, j := range c.jobs {
-		if j.state.Terminal() || j.primary != nil {
-			continue
-		}
-		if now.Sub(j.createdAt) > c.cfg.PendingTimeout {
-			c.finalizeLocked(j, simsvc.StateFailed, nil,
-				fmt.Sprintf("cluster: no worker accepted the job within %s", c.cfg.PendingTimeout), nil)
-			continue
-		}
-		if !j.nextAttempt.After(now) {
-			ready = append(ready, j)
-		}
-	}
-	c.mu.Unlock()
-	for _, j := range ready {
-		c.dispatchJob(j, now, false)
-	}
-}
-
-// dispatchJob offers a job to workers in ring-preference order until one
-// accepts. asHedge dispatches a secondary attempt to a node other than
-// the primary's.
-func (c *Coordinator) dispatchJob(j *cjob, now time.Time, asHedge bool) {
-	c.mu.Lock()
-	if j.state.Terminal() || j.cancelRequested ||
-		(!asHedge && j.primary != nil) || (asHedge && (j.primary == nil || j.hedge != nil)) {
-		c.mu.Unlock()
+// startTailLocked begins fanning in a node's event stream until the node
+// dies or the coordinator shuts down. No-op unless EventFanIn is set —
+// fan-in keeps a standing request per worker, which deterministic tests
+// (and their transport request counts) must not see unless they asked.
+func (c *Coordinator) startTailLocked(n *node) {
+	if !c.cfg.EventFanIn || c.tailCtx.Err() != nil {
 		return
 	}
-	if j.attempts >= c.cfg.MaxAttempts {
-		// A hedge just doesn't get sent; only a job with no live attempt
-		// left is actually out of road.
-		if !asHedge {
-			c.finalizeLocked(j, simsvc.StateFailed, nil,
-				fmt.Sprintf("cluster: giving up after %d workers accepted and lost the job", j.attempts), nil)
-		}
-		c.mu.Unlock()
-		return
-	}
-	exclude := ""
-	if asHedge {
-		exclude = j.primary.node
-	}
-	cands := c.candidatesLocked(j.hash, exclude)
-	c.mu.Unlock()
-
-	for _, nodeID := range cands {
-		code, data, hdr, err := c.doNode(nodeID, http.MethodPost, "/v1/jobs", j.body)
-		if err != nil {
-			continue // breaker counted the failure; try the next node
-		}
-		switch {
-		case code == http.StatusAccepted:
-			var st simsvc.JobStatus
-			if err := unmarshalStatus(data, &st); err != nil {
-				c.cfg.Logf("cluster: worker %s returned an undecodable acceptance: %v", nodeID, err)
-				continue
-			}
-			c.recordAcceptance(j, nodeID, st, now, asHedge)
-			return
-		case code == http.StatusTooManyRequests:
-			// The owner is saturated. Wait for it rather than spilling to
-			// another node: affinity keeps the dedup cache effective, and
-			// the worker's Retry-After already prices the queue.
-			c.mu.Lock()
-			j.nextAttempt = now.Add(c.jitterLocked(retryAfterFrom(hdr, 2*time.Second)))
-			c.mu.Unlock()
-			return
-		case code >= 500:
-			continue // sick worker; try the next node
-		default:
-			// 4xx: the spec itself is unacceptable (e.g. above the
-			// worker's trace cap). Deterministic, so no retry.
-			c.mu.Lock()
-			c.finalizeLocked(j, simsvc.StateFailed, nil,
-				fmt.Sprintf("cluster: worker %s rejected the job: %s", nodeID, serverErrMsg(code, data)), nil)
-			c.mu.Unlock()
-			return
-		}
-	}
-
-	// Nobody accepted; back off and let the control loop retry.
-	c.mu.Lock()
-	if !j.state.Terminal() && j.primary == nil {
-		j.nextAttempt = now.Add(c.jitterLocked(backoffFor(j.attempts)))
-	}
-	c.mu.Unlock()
+	ctx, cancel := context.WithCancel(c.tailCtx)
+	n.stopTail = cancel
+	c.tails.Add(1)
+	go func() {
+		defer c.tails.Done()
+		c.tailWorker(ctx, n.id)
+	}()
 }
 
-// recordAcceptance installs a worker's acceptance as the job's primary or
-// hedge attempt. A worker answering from its cache is terminal already —
-// the result is fetched straight away.
-func (c *Coordinator) recordAcceptance(j *cjob, nodeID string, st simsvc.JobStatus, now time.Time, asHedge bool) {
-	att := &attempt{node: nodeID, remoteID: st.ID, at: now, lastState: st.State}
-	c.mu.Lock()
-	if j.state.Terminal() || (!asHedge && j.primary != nil) || (asHedge && j.hedge != nil) {
-		c.mu.Unlock()
-		go c.cancelRemote(nodeID, st.ID) // lost a race; release the worker
-		return
-	}
-	j.attempts++
-	if asHedge {
-		j.hedge = att
-		j.hedged = true
-		c.hedgesSent.Inc()
-		c.cfg.Logf("cluster: job %s hedged to %s after %s on %s", j.id, nodeID, now.Sub(j.primary.at), j.primary.node)
-	} else {
-		j.primary = att
-		if j.attempts > 1 {
-			c.cfg.Logf("cluster: job %s re-dispatched to %s (attempt %d)", j.id, nodeID, j.attempts)
+// tailWorker keeps one worker's /events stream open until cancelled,
+// reconnecting with the last seen cursor so events survive brief outages.
+// It deliberately bypasses doNode: a standing stream must not feed the
+// dispatch circuit breaker or count as proxy traffic.
+func (c *Coordinator) tailWorker(ctx context.Context, nodeID string) {
+	var cursor uint64
+	for ctx.Err() == nil {
+		err := simsvc.FollowEvents(ctx, c.hc, nodeID, &cursor, func(ev simsvc.Event) bool {
+			// Republish under this bus's sequence space. The gauges stay
+			// worker-local — they describe the originating node's load.
+			ev.Node = nodeID
+			c.svc.Events().Publish(ev)
+			return true
+		})
+		if ctx.Err() == nil {
+			c.cfg.Logger.Debug("fan-in stream ended",
+				slog.String("node", nodeID), slog.String("error", err.Error()))
 		}
+		sleep(ctx, tailReconnect)
 	}
-	c.dispatchedCtr.Inc()
-	if st.State == simsvc.StateRunning && j.state == simsvc.StateQueued {
-		c.transitionLocked(j, simsvc.StateRunning)
-	}
-	c.mu.Unlock()
-	if st.State == simsvc.StateDone {
-		c.fetchResult(j, att)
-	}
-}
-
-// pollInflight refreshes every live attempt's worker-side state and
-// reacts: done → fetch result and finish; failed → finish; cancelled by
-// the worker (drain) → re-dispatch; unreachable → lean on the breaker and
-// drop the attempt once the worker is ejected.
-func (c *Coordinator) pollInflight(now time.Time) {
-	c.mu.Lock()
-	type pair struct {
-		j   *cjob
-		att *attempt
-	}
-	var polls []pair
-	for _, j := range c.jobs {
-		if j.state.Terminal() {
-			continue
-		}
-		if j.primary != nil {
-			polls = append(polls, pair{j, j.primary})
-		}
-		if j.hedge != nil {
-			polls = append(polls, pair{j, j.hedge})
-		}
-	}
-	c.mu.Unlock()
-	for _, p := range polls {
-		c.pollAttempt(p.j, p.att, now)
-	}
-}
-
-func (c *Coordinator) pollAttempt(j *cjob, att *attempt, now time.Time) {
-	code, data, _, err := c.doNode(att.node, http.MethodGet, "/v1/jobs/"+att.remoteID, nil)
-	if err != nil {
-		// Transient blips ride out; a worker the breaker has ejected (or
-		// that died) loses the attempt.
-		c.mu.Lock()
-		n := c.nodes[att.node]
-		gone := n == nil || !n.alive || n.breaker.currentState() == breakerOpen
-		if gone {
-			c.detachAttemptLocked(j, att, now, fmt.Sprintf("worker %s unreachable", att.node))
-		}
-		c.mu.Unlock()
-		return
-	}
-	if code == http.StatusNotFound {
-		// The worker restarted and forgot the job.
-		c.mu.Lock()
-		c.detachAttemptLocked(j, att, now, fmt.Sprintf("worker %s forgot the job", att.node))
-		c.mu.Unlock()
-		return
-	}
-	if code != http.StatusOK {
-		return // odd response; retry next step
-	}
-	var st simsvc.JobStatus
-	if err := unmarshalStatus(data, &st); err != nil {
-		return
-	}
-	att.lastState = st.State
-	switch st.State {
-	case simsvc.StateRunning:
-		c.mu.Lock()
-		if j.state == simsvc.StateQueued {
-			c.transitionLocked(j, simsvc.StateRunning)
-		}
-		c.mu.Unlock()
-	case simsvc.StateDone:
-		c.fetchResult(j, att)
-	case simsvc.StateFailed:
-		c.mu.Lock()
-		c.finalizeLocked(j, simsvc.StateFailed, nil, st.Error, att)
-		c.mu.Unlock()
-	case simsvc.StateCancelled:
-		// Not by us: the worker drained. The job is still wanted —
-		// re-dispatch it.
-		c.mu.Lock()
-		if !j.cancelRequested {
-			c.detachAttemptLocked(j, att, now, fmt.Sprintf("worker %s drained the job", att.node))
-		}
-		c.mu.Unlock()
-	}
-}
-
-// detachAttemptLocked removes one attempt from a job (promoting the
-// hedge when the primary goes) and re-queues the job if nothing is left.
-func (c *Coordinator) detachAttemptLocked(j *cjob, att *attempt, now time.Time, why string) {
-	if j.state.Terminal() {
-		return
-	}
-	switch {
-	case j.primary == att:
-		c.dropPrimaryLocked(j, now, why)
-	case j.hedge == att:
-		j.hedge = nil
-	}
-}
-
-// fetchResult pulls a finished attempt's result bytes and completes the
-// job. First completion wins; the loser is cancelled by finalizeLocked.
-func (c *Coordinator) fetchResult(j *cjob, att *attempt) {
-	code, data, _, err := c.doNode(att.node, http.MethodGet, "/v1/jobs/"+att.remoteID+"/result", nil)
-	if err != nil || code != http.StatusOK {
-		return // worker died between status and result; failover re-runs it
-	}
-	c.mu.Lock()
-	won := !j.state.Terminal()
-	if won {
-		if att == j.hedge {
-			c.hedgeWins.Inc()
-		}
-		j.resultNode = att.node
-		c.cachePutLocked(j.hash, data)
-		c.finalizeLocked(j, simsvc.StateDone, data, "", att)
-	}
-	c.mu.Unlock()
-	if won {
-		c.foldStageHists(data)
-	}
-}
-
-// hedgeStragglers sends a second, racing dispatch for jobs one worker has
-// sat on too long. Safe because simulations are deterministic: both
-// attempts produce identical bytes, so whichever finishes first is the
-// answer.
-func (c *Coordinator) hedgeStragglers(now time.Time) {
-	if c.cfg.HedgeAfter < 0 {
-		return
-	}
-	c.mu.Lock()
-	var ready []*cjob
-	for _, j := range c.jobs {
-		if !j.state.Terminal() && !j.cancelRequested &&
-			j.primary != nil && j.hedge == nil &&
-			now.Sub(j.primary.at) >= c.cfg.HedgeAfter {
-			ready = append(ready, j)
-		}
-	}
-	c.mu.Unlock()
-	for _, j := range ready {
-		c.dispatchJob(j, now, true)
-	}
-}
-
-// ---- worker I/O ----
-
-// maxProxyBytes bounds a proxied response body (results with metric
-// timelines run to megabytes, not tens of them).
-const maxProxyBytes = 64 << 20
-
-// doNode performs one request against a worker, feeding the node's
-// circuit breaker: transport failures count against it, any HTTP
-// response (whatever the status) proves liveness and counts for it.
-func (c *Coordinator) doNode(nodeID, method, path string, body []byte) (int, []byte, http.Header, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, method, nodeID+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	c.mu.Lock()
-	n := c.nodes[nodeID]
-	c.mu.Unlock()
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		c.proxyErrors.Inc()
-		if n != nil {
-			before := n.breaker.tripCount()
-			n.breaker.onFailure()
-			if after := n.breaker.tripCount(); after > before {
-				c.breakerTrips.Inc()
-				c.cfg.Logf("cluster: breaker opened for worker %s", nodeID)
-			}
-		}
-		return 0, nil, nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBytes))
-	if err != nil {
-		c.proxyErrors.Inc()
-		if n != nil {
-			n.breaker.onFailure()
-		}
-		return 0, nil, nil, err
-	}
-	if n != nil {
-		n.breaker.onSuccess()
-	}
-	return resp.StatusCode, data, resp.Header, nil
-}
-
-// jitterLocked scales a delay by a uniform factor in [0.75, 1.25) so
-// synchronized retries spread out. Caller holds c.mu (the rng is shared).
-func (c *Coordinator) jitterLocked(d time.Duration) time.Duration {
-	return time.Duration(float64(d) * (0.75 + 0.5*c.rng.Float64()))
-}
-
-// backoffFor is the pending-redispatch backoff schedule: 250ms doubling
-// per consumed attempt, capped at 5s.
-func backoffFor(attempts int) time.Duration {
-	d := 250 * time.Millisecond
-	for i := 0; i < attempts && d < 5*time.Second; i++ {
-		d *= 2
-	}
-	if d > 5*time.Second {
-		d = 5 * time.Second
-	}
-	return d
 }

@@ -28,6 +28,20 @@ func instantSim(ctx context.Context, cfg doram.SimConfig) (*doram.SimResult, err
 	return &doram.SimResult{AvgNSExecCycles: float64(cfg.Seed)}, nil
 }
 
+// blockingSim signals each start on started, then blocks until release
+// closes (completing with a seed-derived result) or its context ends.
+func blockingSim(started chan<- string, release <-chan struct{}) func(context.Context, doram.SimConfig) (*doram.SimResult, error) {
+	return func(ctx context.Context, cfg doram.SimConfig) (*doram.SimResult, error) {
+		started <- cfg.Benchmark
+		select {
+		case <-release:
+			return &doram.SimResult{AvgNSExecCycles: float64(cfg.Seed)}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+}
+
 // fakeWorker is one real simsvc service behind a real HTTP listener, with
 // a scriptable simulation.
 type fakeWorker struct {
@@ -98,42 +112,60 @@ func (g *gateTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return http.DefaultTransport.RoundTrip(req)
 }
 
-// testCoordinator builds a coordinator on a fake clock with the given
-// workers joined. NodeTimeout is effectively infinite (tests advance fake
-// time freely); heartbeat expiry tests override it.
+// testCoordinator builds a coordinator with the given workers joined. It
+// polls every 5ms so fleet tests run in real time; heartbeat expiry and
+// hedging are off unless a test asks (Run is not started). A non-nil clk
+// drives the breakers' cooldowns. Logging stops when the test ends, since
+// cancel forwarding may still be in flight.
 func testCoordinator(t *testing.T, clk *fakeClock, gate *gateTransport, cfg CoordinatorConfig, workers ...*fakeWorker) *Coordinator {
 	t.Helper()
 	if cfg.NodeTimeout == 0 {
 		cfg.NodeTimeout = 24 * time.Hour
 	}
 	if cfg.HedgeAfter == 0 {
-		cfg.HedgeAfter = -1 // hedging off unless a test asks for it
+		cfg.HedgeAfter = -1
+	}
+	if cfg.StepInterval == 0 {
+		cfg.StepInterval = 5 * time.Millisecond
 	}
 	if cfg.Transport == nil && gate != nil {
 		cfg.Transport = gate
 	}
-	cfg.Logf = t.Logf
+	var mu sync.Mutex
+	ended := false
+	cfg.Logf = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !ended {
+			t.Logf(format, args...)
+		}
+	}
 	c := NewCoordinator(cfg)
-	c.now = clk.now
+	t.Cleanup(func() {
+		c.Shutdown()
+		mu.Lock()
+		ended = true
+		mu.Unlock()
+	})
+	if clk != nil {
+		c.now = clk.now
+	}
 	for _, w := range workers {
-		c.join(w.url(), clk.now())
+		c.join(w.url(), c.now())
 	}
 	return c
 }
 
-// stepUntil drives the control loop on the fake clock until pred holds.
-func stepUntil(t *testing.T, c *Coordinator, clk *fakeClock, what string, pred func() bool) {
+// waitFor polls pred until it holds, failing the test after 10s.
+func waitFor(t *testing.T, what string, pred func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if pred() {
-			return
+	for !pred() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
-		c.step(clk.now())
-		clk.advance(50 * time.Millisecond)
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("timed out waiting for %s", what)
 }
 
 func jobState(t *testing.T, c *Coordinator, id string) JobStatus {
@@ -145,47 +177,83 @@ func jobState(t *testing.T, c *Coordinator, id string) JobStatus {
 	return st
 }
 
+// waitState waits for a job to reach the given state.
+func waitState(t *testing.T, c *Coordinator, id string, want simsvc.State) JobStatus {
+	t.Helper()
+	var st JobStatus
+	waitFor(t, "job "+id+" "+string(want), func() bool {
+		st = jobState(t, c, id)
+		if st.State.Terminal() && st.State != want {
+			t.Fatalf("job %s ended %s (%s), want %s", id, st.State, st.Error, want)
+		}
+		return st.State == want
+	})
+	return st
+}
+
+// placedOn waits for a dispatched job's placement and returns its node.
+func placedOn(t *testing.T, c *Coordinator, id string) string {
+	t.Helper()
+	var node string
+	waitFor(t, "job "+id+" placed", func() bool { node = jobState(t, c, id).Node; return node != "" })
+	return node
+}
+
+// submit admits a spec through the coordinator.
+func submit(t *testing.T, c *Coordinator, spec []byte) JobStatus {
+	t.Helper()
+	st, err := c.Submit(spec)
+	if err != nil {
+		t.Fatalf("submit %s: %v", spec, err)
+	}
+	return st
+}
+
+// ownedBy returns n specs whose ring owner is the given worker.
+func ownedBy(t *testing.T, c *Coordinator, w *fakeWorker, n int) [][]byte {
+	t.Helper()
+	var out [][]byte
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for seed := uint64(1); seed <= 256 && len(out) < n; seed++ {
+		p, _ := doram.ParamsFromJSON(specJSON(seed))
+		if c.ring.owner(p.Hash()) == w.url() {
+			out = append(out, specJSON(seed))
+		}
+	}
+	if len(out) < n {
+		t.Fatalf("only %d seeds in 1..256 owned by %s", len(out), w.url())
+	}
+	return out
+}
+
 // TestClusterAffinityAndResultRelay: jobs land on their ring owner, equal
-// specs land on the same worker, and the coordinator relays the worker's
-// result bytes verbatim.
+// specs land on the same worker, and the coordinator serves exactly the
+// worker's result bytes.
 func TestClusterAffinityAndResultRelay(t *testing.T) {
-	clk := newFakeClock()
 	gate := newGateTransport()
 	w1 := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: instantSim})
 	w2 := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: instantSim})
-	c := testCoordinator(t, clk, gate, CoordinatorConfig{}, w1, w2)
+	c := testCoordinator(t, nil, gate, CoordinatorConfig{}, w1, w2)
 
 	byNode := make(map[string][]string)
-	var ids []string
 	for seed := uint64(1); seed <= 8; seed++ {
-		st, err := c.Submit(specJSON(seed))
-		if err != nil {
-			t.Fatalf("submit seed %d: %v", seed, err)
-		}
-		if st.Node == "" {
-			t.Fatalf("seed %d not dispatched synchronously on an idle cluster", seed)
-		}
+		st := waitState(t, c, submit(t, c, specJSON(seed)).ID, simsvc.StateDone)
 		c.mu.Lock()
 		owner := c.ring.owner(st.SpecHash)
 		c.mu.Unlock()
 		if st.Node != owner {
-			t.Errorf("seed %d dispatched to %s, ring owner is %s", seed, st.Node, owner)
+			t.Errorf("seed %d ran on %s, ring owner is %s", seed, st.Node, owner)
 		}
 		byNode[st.Node] = append(byNode[st.Node], st.ID)
-		ids = append(ids, st.ID)
 	}
 	if len(byNode) != 2 {
 		t.Errorf("8 seeds all landed on one node — affinity map: %v", byNode)
 	}
 
-	for _, id := range ids {
-		id := id
-		stepUntil(t, c, clk, "job "+id+" done", func() bool { return jobState(t, c, id).State == simsvc.StateDone })
-	}
-
 	// Byte-equality: the coordinator's result is exactly the worker's.
-	st := jobState(t, c, ids[0])
-	got, err := c.Result(ids[0])
+	st := jobState(t, c, byNode[w1.url()][0])
+	got, err := c.Result(st.ID)
 	if err != nil {
 		t.Fatalf("coordinator result: %v", err)
 	}
@@ -200,70 +268,80 @@ func TestClusterAffinityAndResultRelay(t *testing.T) {
 	}
 }
 
-// TestFailoverOnHeartbeatDeath: a worker that stops heartbeating is
-// declared dead and its in-flight job re-dispatches to the ring successor,
-// completing with the surviving worker.
+// heartbeater keeps the listed workers alive against a running
+// coordinator until silenced one by one (or the test ends).
+type heartbeater struct {
+	mu     sync.Mutex
+	silent map[string]bool
+}
+
+func startHeartbeats(t *testing.T, c *Coordinator, every time.Duration, workers ...*fakeWorker) *heartbeater {
+	h := &heartbeater{silent: make(map[string]bool)}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	t.Cleanup(func() { cancel(); <-done })
+	go func() {
+		defer close(done)
+		for sleep(ctx, every) {
+			h.mu.Lock()
+			for _, w := range workers {
+				if !h.silent[w.url()] {
+					c.heartbeat(w.url(), c.now())
+				}
+			}
+			h.mu.Unlock()
+		}
+	}()
+	return h
+}
+
+func (h *heartbeater) silence(url string) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.silent[url] = true
+}
+
+// TestFailoverOnHeartbeatDeath: a worker that stops heartbeating and
+// answering is declared dead and its in-flight job re-dispatches to the
+// ring successor, completing there.
 func TestFailoverOnHeartbeatDeath(t *testing.T) {
-	clk := newFakeClock()
 	gate := newGateTransport()
 	release := make(chan struct{})
 	started := make(chan string, 8)
-	blocking := func(ctx context.Context, cfg doram.SimConfig) (*doram.SimResult, error) {
-		started <- cfg.Benchmark
-		select {
-		case <-release:
-			return &doram.SimResult{AvgNSExecCycles: float64(cfg.Seed)}, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	w1 := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: blocking})
-	w2 := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: blocking})
-	c := testCoordinator(t, clk, gate, CoordinatorConfig{
-		HeartbeatInterval: time.Second,
-		NodeTimeout:       5 * time.Second,
+	w1 := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: blockingSim(started, release)})
+	w2 := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: blockingSim(started, release)})
+	c := testCoordinator(t, nil, gate, CoordinatorConfig{
+		HeartbeatInterval: 20 * time.Millisecond,
+		NodeTimeout:       200 * time.Millisecond,
 	}, w1, w2)
+	hb := startHeartbeats(t, c, 20*time.Millisecond, w1, w2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go c.Run(ctx)
 
-	st, err := c.Submit(specJSON(7))
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
+	id := submit(t, c, specJSON(7)).ID
 	<-started // the owner's worker pool picked it up
-	victim := st.Node
+	victim := placedOn(t, c, id)
 	survivor := w1
 	if victim == w1.url() {
 		survivor = w2
 	}
 
 	// The victim vanishes: no more heartbeats, no more network.
+	hb.silence(victim)
 	gate.block(victim)
-	for i := 0; i < 12; i++ {
-		c.heartbeat(survivor.url(), clk.now())
-		c.step(clk.now())
-		clk.advance(time.Second)
-	}
-	if got := jobState(t, c, st.ID); got.Node == victim {
-		t.Fatalf("job still assigned to dead worker %s: %+v", victim, got)
-	}
-	stepUntil(t, c, clk, "re-dispatch to survivor", func() bool {
-		s := jobState(t, c, st.ID)
-		return s.Node == survivor.url()
-	})
-	<-started // re-dispatched copy started on the survivor
+	waitFor(t, "re-dispatch to the survivor", func() bool { return jobState(t, c, id).Node == survivor.url() })
+	<-started // the re-dispatched copy started on the survivor
 	close(release)
-	stepUntil(t, c, clk, "failover completion", func() bool { return jobState(t, c, st.ID).State == simsvc.StateDone })
-
-	final := jobState(t, c, st.ID)
+	final := waitState(t, c, id, simsvc.StateDone)
 	if final.Attempts != 2 {
 		t.Errorf("attempts = %d, want 2 (original + failover)", final.Attempts)
 	}
+	waitFor(t, "the victim declared dead", func() bool { return c.Registry().CounterValues()["cluster.nodes.dead"] == 1 })
 	cv := c.Registry().CounterValues()
-	if cv["cluster.nodes.dead"] != 1 || cv["cluster.jobs.redispatched"] != 1 {
-		t.Errorf("counters after failover: dead=%d redispatched=%d, want 1/1",
-			cv["cluster.nodes.dead"], cv["cluster.jobs.redispatched"])
-	}
-	if cv["cluster.nodes.alive"] != 1 {
-		t.Errorf("alive = %d, want 1", cv["cluster.nodes.alive"])
+	if cv["cluster.jobs.redispatched"] != 1 || cv["cluster.nodes.alive"] != 1 {
+		t.Errorf("counters after failover: redispatched=%d alive=%d, want 1/1",
+			cv["cluster.jobs.redispatched"], cv["cluster.nodes.alive"])
 	}
 }
 
@@ -271,30 +349,17 @@ func TestFailoverOnHeartbeatDeath(t *testing.T) {
 // (drain) loses it to the next node — worker-side cancellation is not
 // client cancellation.
 func TestWorkerDrainReDispatch(t *testing.T) {
-	clk := newFakeClock()
 	gate := newGateTransport()
 	release := make(chan struct{})
 	started := make(chan string, 8)
-	blocking := func(ctx context.Context, cfg doram.SimConfig) (*doram.SimResult, error) {
-		started <- cfg.Benchmark
-		select {
-		case <-release:
-			return &doram.SimResult{AvgNSExecCycles: float64(cfg.Seed)}, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	w1 := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: blocking})
-	w2 := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: blocking})
-	c := testCoordinator(t, clk, gate, CoordinatorConfig{}, w1, w2)
+	w1 := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: blockingSim(started, release)})
+	w2 := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: blockingSim(started, release)})
+	c := testCoordinator(t, nil, gate, CoordinatorConfig{}, w1, w2)
 
-	st, err := c.Submit(specJSON(3))
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
+	id := submit(t, c, specJSON(3)).ID
 	<-started
 	owner, other := w1, w2
-	if st.Node == w2.url() {
+	if placedOn(t, c, id) == w2.url() {
 		owner, other = w2, w1
 	}
 
@@ -303,13 +368,10 @@ func TestWorkerDrainReDispatch(t *testing.T) {
 	owner.svc.Close(ctx)
 	cancel()
 
-	stepUntil(t, c, clk, "re-dispatch after drain", func() bool {
-		return jobState(t, c, st.ID).Node == other.url()
-	})
+	waitFor(t, "re-dispatch after drain", func() bool { return jobState(t, c, id).Node == other.url() })
 	<-started
 	close(release)
-	stepUntil(t, c, clk, "completion after drain", func() bool { return jobState(t, c, st.ID).State == simsvc.StateDone })
-	if got := jobState(t, c, st.ID); got.Attempts != 2 {
+	if got := waitState(t, c, id, simsvc.StateDone); got.Attempts != 2 {
 		t.Errorf("attempts = %d, want 2", got.Attempts)
 	}
 }
@@ -318,73 +380,34 @@ func TestWorkerDrainReDispatch(t *testing.T) {
 // node; the hedge finishes first and its result completes the job, with
 // the loser cancelled.
 func TestHedgedRequestWins(t *testing.T) {
-	clk := newFakeClock()
 	gate := newGateTransport()
+	started := make(chan string, 8)
 	release := make(chan struct{}) // never released: the straggler never finishes on its own
-	slow := func(ctx context.Context, cfg doram.SimConfig) (*doram.SimResult, error) {
-		select {
-		case <-release:
-			return &doram.SimResult{AvgNSExecCycles: float64(cfg.Seed)}, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
 	defer close(release)
-	w1 := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: slow})       // the straggler
-	w2 := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: instantSim}) // the hedge target
-	c := testCoordinator(t, clk, gate, CoordinatorConfig{HedgeAfter: 2 * time.Second}, w1, w2)
+	w1 := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: blockingSim(started, release)}) // the straggler
+	w2 := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: instantSim})                    // the hedge target
+	c := testCoordinator(t, nil, gate, CoordinatorConfig{HedgeAfter: 50 * time.Millisecond}, w1, w2)
 
-	// Pick a spec the slow worker owns, so the primary dispatch straggles.
-	var owned []byte
-	c.mu.Lock()
-	for seed := uint64(1); seed <= 64; seed++ {
-		p, _ := doram.ParamsFromJSON(specJSON(seed))
-		if c.ring.owner(p.Hash()) == w1.url() {
-			owned = specJSON(seed)
-			break
-		}
-	}
-	c.mu.Unlock()
-	if owned == nil {
-		t.Fatalf("no seed in 1..64 owned by %s", w1.url())
-	}
-
-	st, err := c.Submit(owned)
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if st.Node != w1.url() {
-		t.Fatalf("primary dispatched to %s, want the slow owner %s", st.Node, w1.url())
-	}
-
-	stepUntil(t, c, clk, "hedge dispatch and win", func() bool { return jobState(t, c, st.ID).State == simsvc.StateDone })
+	id := submit(t, c, ownedBy(t, c, w1, 1)[0]).ID
+	<-started // the primary reached the slow owner
+	st := waitState(t, c, id, simsvc.StateDone)
 
 	cv := c.Registry().CounterValues()
-	if cv["cluster.jobs.hedged"] != 1 {
-		t.Errorf("hedged counter = %d, want 1", cv["cluster.jobs.hedged"])
+	if cv["cluster.jobs.hedged"] != 1 || cv["cluster.hedge.wins"] != 1 {
+		t.Errorf("hedged = %d, hedge.wins = %d, want 1/1", cv["cluster.jobs.hedged"], cv["cluster.hedge.wins"])
 	}
-	if cv["cluster.hedge.wins"] != 1 {
-		t.Errorf("hedge.wins = %d, want 1", cv["cluster.hedge.wins"])
+	if !st.Hedged || st.Node != w2.url() || st.Attempts != 2 {
+		t.Errorf("winning job status %+v, want hedged, won on %s after 2 attempts", st.Placement, w2.url())
 	}
-	if _, err := c.Result(st.ID); err != nil {
+	if _, err := c.Result(id); err != nil {
 		t.Errorf("result after hedge win: %v", err)
-	}
-	if got := jobState(t, c, st.ID); !got.Hedged {
-		t.Errorf("winning job not marked hedged: %+v", got)
 	}
 
 	// The losing straggler gets a best-effort cancel.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	waitFor(t, "the losing primary cancelled", func() bool {
 		ws, err := w1.svc.Status("j-00000001")
-		if err == nil && ws.State == simsvc.StateCancelled {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("losing primary never cancelled; worker state: %+v err %v", ws, err)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+		return err == nil && ws.State == simsvc.StateCancelled
+	})
 }
 
 // TestBreakerEjectsFlappingWorker: consecutive transport failures open the
@@ -400,33 +423,16 @@ func TestBreakerEjectsFlappingWorker(t *testing.T) {
 		BreakerCooldown:  5 * time.Second,
 		BreakerProbes:    2,
 	}, w1, w2)
-
-	// Find specs owned by w1 so dispatch wants to go there first.
-	var owned [][]byte
-	c.mu.Lock()
-	for seed := uint64(1); seed <= 256 && len(owned) < 6; seed++ {
-		p, _ := doram.ParamsFromJSON(specJSON(seed))
-		if c.ring.owner(p.Hash()) == w1.url() {
-			owned = append(owned, specJSON(seed))
-		}
-	}
-	c.mu.Unlock()
-	if len(owned) < 6 {
-		t.Fatalf("only %d seeds in 1..256 owned by %s", len(owned), w1.url())
-	}
+	owned := ownedBy(t, c, w1, 6) // dispatch wants w1 first for each
 
 	gate.block(w1.url())
 	// Three submissions: each tries w1 (transport failure), falls through
 	// to w2, and still completes. The third failure opens the breaker.
 	for i := 0; i < 3; i++ {
-		st, err := c.Submit(owned[i])
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
+		st := waitState(t, c, submit(t, c, owned[i]).ID, simsvc.StateDone)
 		if st.Node != w2.url() {
-			t.Fatalf("submit %d dispatched to %q, want fallback to %s", i, st.Node, w2.url())
+			t.Fatalf("job %d ran on %q, want fallback to %s", i, st.Node, w2.url())
 		}
-		stepUntil(t, c, clk, "fallback completion", func() bool { return jobState(t, c, st.ID).State == simsvc.StateDone })
 	}
 	var w1status NodeStatus
 	for _, n := range c.Nodes() {
@@ -440,27 +446,18 @@ func TestBreakerEjectsFlappingWorker(t *testing.T) {
 
 	// Ejected: a new submission must not even try w1.
 	before := gate.count(w1.url())
-	st, err := c.Submit(owned[3])
-	if err != nil {
-		t.Fatalf("submit while ejected: %v", err)
-	}
-	if st.Node != w2.url() {
-		t.Errorf("ejected worker still receiving dispatches: %+v", st)
+	if st := waitState(t, c, submit(t, c, owned[3]).ID, simsvc.StateDone); st.Node != w2.url() {
+		t.Errorf("ejected worker still receiving dispatches: %+v", st.Placement)
 	}
 	if gate.count(w1.url()) != before {
 		t.Errorf("request sent to a worker with an open breaker")
 	}
-	stepUntil(t, c, clk, "ejected-era completion", func() bool { return jobState(t, c, st.ID).State == simsvc.StateDone })
 
 	// Heal the network, pass the cooldown: probes flow and re-admit w1.
 	gate.unblock(w1.url())
 	clk.advance(6 * time.Second)
 	for i := 4; i < 6; i++ {
-		st, err := c.Submit(owned[i])
-		if err != nil {
-			t.Fatalf("probe submit %d: %v", i, err)
-		}
-		stepUntil(t, c, clk, "probe completion", func() bool { return jobState(t, c, st.ID).State == simsvc.StateDone })
+		waitState(t, c, submit(t, c, owned[i]).ID, simsvc.StateDone)
 	}
 	for _, n := range c.Nodes() {
 		if n.ID == w1.url() && n.Breaker != "closed" {
@@ -471,63 +468,41 @@ func TestBreakerEjectsFlappingWorker(t *testing.T) {
 
 // TestBackpressurePreservesAffinity: a saturated owner answers 429; the
 // coordinator waits out the Retry-After instead of spilling the job to
-// another node, then dispatches to the same owner.
+// the idle second node, then dispatches to the same owner.
 func TestBackpressurePreservesAffinity(t *testing.T) {
-	clk := newFakeClock()
 	gate := newGateTransport()
 	release := make(chan struct{})
 	started := make(chan string, 8)
-	blocking := func(ctx context.Context, cfg doram.SimConfig) (*doram.SimResult, error) {
-		started <- cfg.Benchmark
-		select {
-		case <-release:
-			return &doram.SimResult{AvgNSExecCycles: float64(cfg.Seed)}, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	// One worker, queue depth 1: a running job plus a queued one saturate it.
-	w := newFakeWorker(t, simsvc.Config{Workers: 1, QueueDepth: 1, RunSim: blocking})
-	c := testCoordinator(t, clk, gate, CoordinatorConfig{}, w)
+	// One worker slot, queue depth 1: a running job plus a queued one
+	// saturate the owner.
+	owner := newFakeWorker(t, simsvc.Config{Workers: 1, QueueDepth: 1, RunSim: blockingSim(started, release)})
+	idle := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: instantSim})
+	c := testCoordinator(t, nil, gate, CoordinatorConfig{}, owner, idle)
+	spec := ownedBy(t, c, owner, 1)[0]
 
-	// Saturate the worker directly (not via the coordinator): one job
-	// running, one filling the single queue slot.
-	p, _ := doram.ParamsFromJSON(specJSON(50))
-	if _, err := w.svc.Submit(p); err != nil {
+	// Saturate the owner directly (not via the coordinator).
+	p, _ := doram.ParamsFromJSON(specJSON(1000))
+	if _, err := owner.svc.Submit(p); err != nil {
 		t.Fatalf("saturating submit: %v", err)
 	}
 	<-started // dequeued and running; the queue is empty again
-	p, _ = doram.ParamsFromJSON(specJSON(51))
-	if _, err := w.svc.Submit(p); err != nil {
+	p, _ = doram.ParamsFromJSON(specJSON(1001))
+	if _, err := owner.svc.Submit(p); err != nil {
 		t.Fatalf("queue-filling submit: %v", err)
 	}
 
-	st, err := c.Submit(specJSON(1))
-	if err != nil {
-		t.Fatalf("cluster submit against saturated worker: %v", err)
-	}
-	if st.Node != "" {
-		t.Fatalf("saturated worker accepted the job: %+v", st)
-	}
-	c.mu.Lock()
-	wait := c.jobs[st.ID].nextAttempt.Sub(clk.now())
-	c.mu.Unlock()
-	if wait <= 0 {
-		t.Errorf("429 did not schedule a backoff; nextAttempt wait = %v", wait)
+	id := submit(t, c, spec).ID
+	waitFor(t, "the owner's 429", func() bool { return owner.svc.Registry().CounterValues()["simsvc.jobs.rejected"] >= 1 })
+	if st := jobState(t, c, id); st.Node != "" || st.State.Terminal() {
+		t.Errorf("job placed or finished while its owner was saturated: %s on %q", st.State, st.Node)
 	}
 
-	// Before the backoff elapses, steps must not re-dispatch.
-	c.step(clk.now())
-	if got := jobState(t, c, st.ID); got.Node != "" {
-		t.Errorf("job dispatched before its Retry-After backoff elapsed")
+	close(release) // the owner finishes its backlog
+	if st := waitState(t, c, id, simsvc.StateDone); st.Node != owner.url() {
+		t.Errorf("job completed on %q, want the saturated-then-freed owner %q", st.Node, owner.url())
 	}
-
-	close(release) // worker finishes its backlog
-	stepUntil(t, c, clk, "post-backoff dispatch and completion", func() bool {
-		return jobState(t, c, st.ID).State == simsvc.StateDone
-	})
-	if got := jobState(t, c, st.ID); got.Node != w.url() {
-		t.Errorf("job completed on %q, want the saturated-then-freed owner %q", got.Node, w.url())
+	if n := idle.svc.Registry().CounterValues()["simsvc.jobs.submitted"]; n != 0 {
+		t.Errorf("the idle node received %d submissions, want the job held for its owner", n)
 	}
 }
 
@@ -535,106 +510,80 @@ func TestBackpressurePreservesAffinity(t *testing.T) {
 // above the worker's trace cap) fails the job — no retry storm against a
 // rejection that will never succeed.
 func TestWorkerRejectionIsTerminal(t *testing.T) {
-	clk := newFakeClock()
 	gate := newGateTransport()
 	w := newFakeWorker(t, simsvc.Config{Workers: 1, MaxTraceLen: 1000, RunSim: instantSim})
-	c := testCoordinator(t, clk, gate, CoordinatorConfig{}, w)
+	c := testCoordinator(t, nil, gate, CoordinatorConfig{}, w)
 
-	st, err := c.Submit([]byte(`{"scheme":"d-oram","benchmark":"face","k":1,"trace_len":5000}`))
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if got := jobState(t, c, st.ID); got.State != simsvc.StateFailed {
-		t.Fatalf("over-cap job state %s, want failed", got.State)
-	}
-	if _, err := c.Result(st.ID); err == nil {
+	id := submit(t, c, []byte(`{"scheme":"d-oram","benchmark":"face","k":1,"trace_len":5000}`)).ID
+	waitState(t, c, id, simsvc.StateFailed)
+	if _, err := c.Result(id); err == nil {
 		t.Errorf("failed job handed out a result")
+	}
+	if n := gate.count(w.url()); n != 1 {
+		t.Errorf("the rejecting worker saw %d requests, want the one submission", n)
 	}
 }
 
 // TestSubmitValidation: malformed specs are rejected coordinator-side
 // without consuming cluster capacity.
 func TestSubmitValidation(t *testing.T) {
-	clk := newFakeClock()
-	c := testCoordinator(t, clk, nil, CoordinatorConfig{})
+	c := testCoordinator(t, nil, nil, CoordinatorConfig{})
 	if _, err := c.Submit([]byte(`{"scheme":"quantum"}`)); err == nil {
 		t.Fatalf("bad scheme admitted")
 	}
 	if _, err := c.Submit([]byte(`{nope`)); err == nil {
 		t.Fatalf("malformed JSON admitted")
 	}
-	if got := c.Registry().CounterValues()["cluster.jobs.submitted"]; got != 0 {
+	if got := c.Registry().CounterValues()["simsvc.jobs.submitted"]; got != 0 {
 		t.Errorf("invalid specs counted as submissions: %d", got)
 	}
 }
 
-// TestCancelForwarded: cancelling at the coordinator finalizes the
-// cluster job and releases the worker-side run.
+// TestCancelForwarded: cancelling at the coordinator cancels the cluster
+// job and releases the worker-side run.
 func TestCancelForwarded(t *testing.T) {
-	clk := newFakeClock()
 	gate := newGateTransport()
 	started := make(chan string, 8)
-	blocking := func(ctx context.Context, cfg doram.SimConfig) (*doram.SimResult, error) {
-		started <- cfg.Benchmark
-		<-ctx.Done()
-		return nil, ctx.Err()
-	}
-	w := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: blocking})
-	c := testCoordinator(t, clk, gate, CoordinatorConfig{}, w)
+	w := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: blockingSim(started, nil)})
+	c := testCoordinator(t, nil, gate, CoordinatorConfig{}, w)
 
-	st, err := c.Submit(specJSON(9))
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
+	id := submit(t, c, specJSON(9)).ID
 	<-started
-	if err := c.Cancel(st.ID); err != nil {
+	placedOn(t, c, id)
+	remote := jobState(t, c, id).RemoteID
+	if err := c.Service().Cancel(id); err != nil {
 		t.Fatalf("cancel: %v", err)
 	}
-	if got := jobState(t, c, st.ID); got.State != simsvc.StateCancelled {
-		t.Fatalf("cancelled job state %s", got.State)
-	}
+	waitState(t, c, id, simsvc.StateCancelled)
 	// The forwarded cancel reaches the worker and ends its run.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		ws, err := w.svc.Status(st.RemoteID)
+	waitFor(t, "the worker-side cancel", func() bool {
+		ws, err := w.svc.Status(remote)
 		if err != nil {
 			t.Fatalf("worker status: %v", err)
 		}
-		if ws.State.Terminal() {
-			if ws.State != simsvc.StateCancelled {
-				t.Fatalf("worker-side state %s, want cancelled", ws.State)
-			}
-			break
+		if ws.State.Terminal() && ws.State != simsvc.StateCancelled {
+			t.Fatalf("worker-side state %s, want cancelled", ws.State)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("worker never saw the forwarded cancel")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+		return ws.State == simsvc.StateCancelled
+	})
 }
 
 // TestMergedVarz: the coordinator's /varz aggregates per-worker counters
 // and element-wise sums them.
 func TestMergedVarz(t *testing.T) {
-	clk := newFakeClock()
 	gate := newGateTransport()
 	w1 := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: instantSim})
 	w2 := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: instantSim})
-	c := testCoordinator(t, clk, gate, CoordinatorConfig{}, w1, w2)
+	c := testCoordinator(t, nil, gate, CoordinatorConfig{}, w1, w2)
 	front := httptest.NewServer(c.Handler())
 	defer front.Close()
 
 	var ids []string
 	for seed := uint64(1); seed <= 6; seed++ {
-		st, err := c.Submit(specJSON(seed))
-		if err != nil {
-			t.Fatalf("submit: %v", err)
-		}
-		ids = append(ids, st.ID)
+		ids = append(ids, submit(t, c, specJSON(seed)).ID)
 	}
 	for _, id := range ids {
-		id := id
-		stepUntil(t, c, clk, "varz sweep completion", func() bool { return jobState(t, c, id).State == simsvc.StateDone })
+		waitState(t, c, id, simsvc.StateDone)
 	}
 
 	resp, err := http.Get(front.URL + "/varz")
@@ -656,8 +605,9 @@ func TestMergedVarz(t *testing.T) {
 	if sum != 6 || doc.Merged["simsvc.jobs.submitted"] != 6 {
 		t.Errorf("worker submissions sum %d, merged %d, want 6/6", sum, doc.Merged["simsvc.jobs.submitted"])
 	}
-	if doc.Cluster["cluster.jobs.completed"] != 6 {
-		t.Errorf("cluster completed = %d, want 6", doc.Cluster["cluster.jobs.completed"])
+	if doc.Cluster["simsvc.jobs.completed"] != 6 || doc.Cluster["cluster.jobs.dispatched"] != 6 {
+		t.Errorf("coordinator completed = %d, dispatched = %d, want 6/6",
+			doc.Cluster["simsvc.jobs.completed"], doc.Cluster["cluster.jobs.dispatched"])
 	}
 	if len(doc.Unreachable) != 0 {
 		t.Errorf("unexpected unreachable workers: %v", doc.Unreachable)
@@ -665,74 +615,61 @@ func TestMergedVarz(t *testing.T) {
 }
 
 // TestWorkerCacheHitFastPath: a spec the owner has already computed
-// completes in the submit round trip via the worker's result cache.
+// completes in the dispatch round trip via the worker's result cache,
+// without waiting for a status poll.
 func TestWorkerCacheHitFastPath(t *testing.T) {
-	clk := newFakeClock()
 	gate := newGateTransport()
 	w := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: instantSim})
-	c := testCoordinator(t, clk, gate, CoordinatorConfig{}, w)
+	// No coordinator cache, and a poll cadence no test outlives: only the
+	// fast path can finish the job.
+	c := testCoordinator(t, nil, gate, CoordinatorConfig{
+		StepInterval: time.Hour,
+		Service:      simsvc.Config{CacheEntries: -1},
+	}, w)
 
-	first, err := c.Submit(specJSON(11))
+	p, _ := doram.ParamsFromJSON(specJSON(11))
+	job, err := w.svc.Submit(p)
 	if err != nil {
-		t.Fatalf("first submit: %v", err)
+		t.Fatalf("warming submit: %v", err)
 	}
-	stepUntil(t, c, clk, "first completion", func() bool { return jobState(t, c, first.ID).State == simsvc.StateDone })
+	<-job.Done()
+	want, err := w.svc.ResultJSON(job.ID())
+	if err != nil {
+		t.Fatalf("worker result: %v", err)
+	}
 
-	second, err := c.Submit(specJSON(11))
-	if err != nil {
-		t.Fatalf("second submit: %v", err)
+	st := waitState(t, c, submit(t, c, specJSON(11)).ID, simsvc.StateDone)
+	if st.Node != w.url() {
+		t.Errorf("fast-path job node %q, want %s", st.Node, w.url())
 	}
-	if got := jobState(t, c, second.ID); got.State != simsvc.StateDone {
-		t.Fatalf("cache-hit resubmission is %s at submit return, want done", got.State)
-	}
-	r1, _ := c.Result(first.ID)
-	r2, _ := c.Result(second.ID)
-	if !bytes.Equal(r1, r2) {
-		t.Errorf("cache-hit result bytes differ from the original")
+	if got, _ := c.Result(st.ID); !bytes.Equal(got, want) {
+		t.Errorf("fast-path result bytes differ from the worker's cached result")
 	}
 }
 
-// TestCoordinatorTerminalJobRetention: the coordinator's job table mirrors
-// simsvc's retention — beyond RetainJobs terminal entries the oldest are
-// forgotten (404), the newest stay queryable, and in-flight jobs are never
-// swept regardless of how much churn completes after them.
+// TestCoordinatorTerminalJobRetention: the coordinator's job table keeps
+// the service's retention bound — beyond RetainJobs terminal entries the
+// oldest are forgotten (404), the newest stay queryable, and in-flight
+// jobs are never swept regardless of how much churn completes after them.
 func TestCoordinatorTerminalJobRetention(t *testing.T) {
-	clk := newFakeClock()
 	gate := newGateTransport()
 	release := make(chan struct{})
 	started := make(chan string, 8)
 	blocking := func(ctx context.Context, cfg doram.SimConfig) (*doram.SimResult, error) {
 		if cfg.Seed == 1 { // the in-flight job the sweep must not touch
-			started <- cfg.Benchmark
-			select {
-			case <-release:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
+			return blockingSim(started, release)(ctx, cfg)
 		}
-		return &doram.SimResult{AvgNSExecCycles: float64(cfg.Seed)}, nil
+		return instantSim(ctx, cfg)
 	}
 	w := newFakeWorker(t, simsvc.Config{Workers: 2, RunSim: blocking})
-	c := testCoordinator(t, clk, gate, CoordinatorConfig{RetainJobs: 2}, w)
+	c := testCoordinator(t, nil, gate, CoordinatorConfig{Service: simsvc.Config{RetainJobs: 2}}, w)
 
-	stalled, err := c.Submit(specJSON(1))
-	if err != nil {
-		t.Fatalf("submit stalled: %v", err)
-	}
+	stalled := submit(t, c, specJSON(1)).ID
 	<-started // its worker picked it up and is now blocked
 
 	var ids []string
 	for seed := uint64(2); seed <= 5; seed++ {
-		st, err := c.Submit(specJSON(seed))
-		if err != nil {
-			t.Fatalf("submit seed %d: %v", seed, err)
-		}
-		id := st.ID
-		stepUntil(t, c, clk, "job "+id+" done", func() bool {
-			st, err := c.Status(id)
-			return err == nil && st.State == simsvc.StateDone
-		})
-		ids = append(ids, id)
+		ids = append(ids, waitState(t, c, submit(t, c, specJSON(seed)).ID, simsvc.StateDone).ID)
 	}
 
 	var se *simsvc.Error
@@ -746,17 +683,66 @@ func TestCoordinatorTerminalJobRetention(t *testing.T) {
 			t.Errorf("retained job %s: err %v, state %v", id, err, st.State)
 		}
 	}
-	if st, err := c.Status(stalled.ID); err != nil || st.State.Terminal() {
+	if st, err := c.Status(stalled); err != nil || st.State.Terminal() {
 		t.Errorf("in-flight job swept: err %v, state %v", err, st.State)
 	}
 
 	// Completion enrolls it in the FIFO and displaces the then-oldest.
 	close(release)
-	stepUntil(t, c, clk, "stalled job done", func() bool {
-		st, err := c.Status(stalled.ID)
-		return err == nil && st.State == simsvc.StateDone
-	})
+	waitState(t, c, stalled, simsvc.StateDone)
 	if _, err := c.Status(ids[2]); !errors.As(err, &se) || se.Kind != simsvc.ErrNotFound {
 		t.Errorf("job %s should have been displaced by the completion: %v", ids[2], err)
+	}
+}
+
+// TestFleetConcurrentDropout submits many jobs at once while one of three
+// workers drops out mid-flight. The dispatch goroutines share node and
+// breaker state, so CI runs this under the race detector repeatedly;
+// every job must still finish with its own result.
+func TestFleetConcurrentDropout(t *testing.T) {
+	gate := newGateTransport()
+	sim := func(ctx context.Context, cfg doram.SimConfig) (*doram.SimResult, error) {
+		if !sleep(ctx, time.Duration(cfg.Seed%5)*time.Millisecond) {
+			return nil, ctx.Err()
+		}
+		return instantSim(ctx, cfg)
+	}
+	var workers []*fakeWorker
+	for i := 0; i < 3; i++ {
+		workers = append(workers, newFakeWorker(t, simsvc.Config{Workers: 2, QueueDepth: 64, RunSim: sim}))
+	}
+	c := testCoordinator(t, nil, gate, CoordinatorConfig{BreakerCooldown: time.Hour}, workers...)
+	victim := workers[1]
+
+	const nJobs = 48
+	ids := make([]string, nJobs)
+	var wg sync.WaitGroup
+	for i := range ids {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			st, err := c.Submit(specJSON(uint64(i + 1)))
+			if err != nil {
+				t.Errorf("submit %d: %v", i, err)
+				return
+			}
+			ids[i] = st.ID
+		}(i)
+		if i == nJobs/3 {
+			// The victim drops out: its network dies, and it leaves.
+			gate.block(victim.url())
+			go c.leave(victim.url())
+		}
+	}
+	wg.Wait()
+	for i, id := range ids {
+		if id == "" {
+			continue // submit failed; already reported
+		}
+		waitState(t, c, id, simsvc.StateDone)
+		res, err := c.Service().Result(id)
+		if err != nil || res.AvgNSExecCycles != float64(i+1) {
+			t.Errorf("job %d result %+v (err %v), want its own seed %d", i, res, err, i+1)
+		}
 	}
 }

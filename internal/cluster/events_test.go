@@ -20,11 +20,10 @@ import (
 // in both `unreachable` and `errors`, with the transport error preserved,
 // while the reachable node still merges normally.
 func TestVarzRecordsPerNodeErrors(t *testing.T) {
-	clk := newFakeClock()
 	gate := newGateTransport()
 	w1 := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: instantSim})
 	w2 := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: instantSim})
-	c := testCoordinator(t, clk, gate, CoordinatorConfig{}, w1, w2)
+	c := testCoordinator(t, nil, gate, CoordinatorConfig{}, w1, w2)
 
 	gate.block(w2.url())
 	srv := httptest.NewServer(c.Handler())
@@ -59,20 +58,22 @@ func TestVarzRecordsPerNodeErrors(t *testing.T) {
 
 // TestCoordinatorJobEventStream tails a cluster job's SSE stream after it
 // completed: the replayed lifecycle must start at queued, end at done,
-// and the stream must close cleanly at the terminal event.
+// and the stream must close cleanly at the terminal event. With fan-in
+// on, the worker's own job — with the same id, j-00000001, in its own
+// sequence — must not leak into the stream.
 func TestCoordinatorJobEventStream(t *testing.T) {
-	clk := newFakeClock()
 	gate := newGateTransport()
 	w := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: instantSim})
-	c := testCoordinator(t, clk, gate, CoordinatorConfig{}, w)
+	c := testCoordinator(t, nil, gate, CoordinatorConfig{EventFanIn: true}, w)
+	sub := c.Service().Events().Subscribe(0)
+	defer sub.Close()
 
-	st, err := c.Submit(specJSON(1))
-	if err != nil {
-		t.Fatalf("submit: %v", err)
+	st := waitState(t, c, submit(t, c, specJSON(1)).ID, simsvc.StateDone)
+	for ev := range sub.C { // wait for the worker's done event to fan in
+		if ev.Node != "" && ev.JobID == st.ID && ev.State == simsvc.StateDone {
+			break
+		}
 	}
-	stepUntil(t, c, clk, "job done", func() bool {
-		return jobState(t, c, st.ID).State == simsvc.StateDone
-	})
 
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -95,8 +96,8 @@ func TestCoordinatorJobEventStream(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if ev.JobID != st.ID {
-			t.Errorf("stream leaked event for %q", ev.JobID)
+		if ev.JobID != st.ID || ev.Node != "" {
+			t.Errorf("stream leaked event for %q from node %q", ev.JobID, ev.Node)
 		}
 		states = append(states, ev.State)
 	}
@@ -120,22 +121,14 @@ func TestCoordinatorJobEventStream(t *testing.T) {
 // transitions (no Node) and the originating worker's transitions stamped
 // with its id.
 func TestEventFanIn(t *testing.T) {
-	clk := newFakeClock()
 	gate := newGateTransport()
 	w := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: instantSim})
-	c := testCoordinator(t, clk, gate, CoordinatorConfig{EventFanIn: true}, w)
-	t.Cleanup(c.Shutdown)
+	c := testCoordinator(t, nil, gate, CoordinatorConfig{EventFanIn: true}, w)
 
-	sub := c.Events().Subscribe(0)
+	sub := c.Service().Events().Subscribe(0)
 	defer sub.Close()
 
-	st, err := c.Submit(specJSON(1))
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	stepUntil(t, c, clk, "job done", func() bool {
-		return jobState(t, c, st.ID).State == simsvc.StateDone
-	})
+	st := waitState(t, c, submit(t, c, specJSON(1)).ID, simsvc.StateDone)
 
 	var clusterDone, workerDone bool
 	deadline := time.After(10 * time.Second)
@@ -179,21 +172,15 @@ func breakdownSim(ctx context.Context, cfg doram.SimConfig) (*doram.SimResult, e
 
 // TestCoordinatorPrometheusStageHistograms: once a job with a latency
 // breakdown completes, the coordinator's /metrics must expose valid
-// Prometheus text including the cross-job per-stage histograms and the
-// job duration histogram.
+// Prometheus text including the fleet counters, the cross-job per-stage
+// mean histograms (a worker's result carries the breakdown but not the
+// per-access histograms) and the job duration histogram.
 func TestCoordinatorPrometheusStageHistograms(t *testing.T) {
-	clk := newFakeClock()
 	gate := newGateTransport()
 	w := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: breakdownSim})
-	c := testCoordinator(t, clk, gate, CoordinatorConfig{}, w)
+	c := testCoordinator(t, nil, gate, CoordinatorConfig{}, w)
 
-	st, err := c.Submit(specJSON(1))
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	stepUntil(t, c, clk, "job done", func() bool {
-		return jobState(t, c, st.ID).State == simsvc.StateDone
-	})
+	waitState(t, c, submit(t, c, specJSON(1)).ID, simsvc.StateDone)
 
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -211,11 +198,12 @@ func TestCoordinatorPrometheusStageHistograms(t *testing.T) {
 	}
 	text := string(body)
 	for _, want := range []string{
-		"cluster_jobs_completed 1",
-		"cluster_stage_oram_total_mean_cycles_bucket",
-		"cluster_stage_oram_read_phase_mean_cycles_count 1",
-		"cluster_stage_oram_write_phase_mean_cycles_sum",
-		"cluster_job_duration_ms_count 1",
+		"simsvc_jobs_completed 1",
+		"cluster_jobs_dispatched 1",
+		"simsvc_stage_oram_total_mean_cycles_bucket",
+		"simsvc_stage_oram_read_phase_mean_cycles_count 1",
+		"simsvc_stage_oram_write_phase_mean_cycles_sum",
+		"simsvc_job_duration_ms_count 1",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -7,280 +7,87 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
-	"time"
 
-	"doram"
-	"doram/internal/metrics"
+	"doram/internal/retry"
 	"doram/internal/simsvc"
 )
 
-// Handler returns the coordinator's HTTP surface. The client-facing half
-// is wire-compatible with the simsvc API (doramctl and experiments
-// -endpoint work unchanged against a coordinator); the /v1/cluster half
-// is the worker membership protocol.
+// Handler returns the coordinator's HTTP surface: the job service's API
+// (every /v1/jobs*, /v1/sweeps, /metrics and /events route, so doramctl
+// and experiments -endpoint work unchanged against a coordinator), with
+// cluster versions of /healthz and /varz and the worker membership
+// protocol under /v1/cluster:
 //
-//	POST /v1/jobs                submit one job spec        → JobStatus
-//	POST /v1/sweeps              submit a batch of specs    → SweepResponse
-//	GET  /v1/jobs/{id}           job status snapshot        → JobStatus
-//	GET  /v1/jobs/{id}/result    finished job's result      → doram.SimResult
-//	GET  /v1/jobs/{id}/metrics   finished job's metric dump → metrics.Dump
-//	POST /v1/jobs/{id}/cancel    request cancellation       → JobStatus
 //	GET  /healthz                liveness + alive-node count
 //	GET  /varz                   cluster-wide merged metrics
-//	GET  /metrics                Prometheus text exposition (coordinator)
-//	GET  /events                 merged SSE event stream
-//	GET  /v1/jobs/{id}/events    SSE stream filtered to one cluster job
 //	POST /v1/cluster/join        worker registration        → JoinResponse
 //	POST /v1/cluster/heartbeat   worker liveness refresh (404 → re-join)
 //	POST /v1/cluster/leave       graceful worker departure
 //	GET  /v1/cluster/nodes       membership snapshot        → []NodeStatus
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", c.handleSubmit)
-	mux.HandleFunc("POST /v1/sweeps", c.handleSweep)
-	mux.HandleFunc("GET /v1/jobs/{id}", c.handleStatus)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", c.handleResult)
-	mux.HandleFunc("GET /v1/jobs/{id}/metrics", c.handleMetrics)
-	mux.HandleFunc("POST /v1/jobs/{id}/cancel", c.handleCancel)
+	mux.Handle("/", c.svc.Handler())
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
 	mux.HandleFunc("GET /varz", c.handleVarz)
-	mux.HandleFunc("GET /metrics", c.handlePrometheus)
-	mux.HandleFunc("GET /events", c.handleEvents)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", c.handleJobEvents)
-	mux.HandleFunc("POST /v1/cluster/join", c.handleJoin)
-	mux.HandleFunc("POST /v1/cluster/heartbeat", c.handleHeartbeat)
-	mux.HandleFunc("POST /v1/cluster/leave", c.handleLeave)
-	mux.HandleFunc("GET /v1/cluster/nodes", c.handleNodes)
-	return mux
-}
-
-// apiError mirrors the simsvc JSON error envelope.
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) // a write error means the client hung up; nothing to do
-}
-
-// retryAfterSecs renders d as a Retry-After header value in whole seconds,
-// clamped to at least 1 — mirroring simsvc. A sub-second hint would round
-// to "0", which retryAfterFrom (secs > 0) and doramctl discard, so clients
-// would fall back to their defaults instead of the coordinator's hint.
-func retryAfterSecs(d time.Duration) string {
-	secs := int(d.Seconds() + 0.5)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
-
-// writeError maps a simsvc.Error to the same transport representation the
-// worker API uses, so clients see one error surface cluster-wide.
-func writeError(w http.ResponseWriter, err error) {
-	var se *simsvc.Error
-	if !errors.As(err, &se) {
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-		return
-	}
-	code := http.StatusInternalServerError
-	switch se.Kind {
-	case simsvc.ErrInvalid:
-		code = http.StatusBadRequest
-	case simsvc.ErrNotFound:
-		code = http.StatusNotFound
-	case simsvc.ErrQueueFull:
-		code = http.StatusTooManyRequests
-		w.Header().Set("Retry-After", retryAfterSecs(se.RetryAfter))
-	case simsvc.ErrDraining:
-		code = http.StatusServiceUnavailable
-	case simsvc.ErrConflict:
-		code = http.StatusConflict
-	case simsvc.ErrFailed:
-		code = http.StatusInternalServerError
-	}
-	writeJSON(w, code, apiError{Error: se.Msg})
-}
-
-// maxSpecBytes bounds request bodies, matching the worker API.
-const maxSpecBytes = 1 << 20
-
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes))
-	if err != nil {
-		writeError(w, &simsvc.Error{Kind: simsvc.ErrInvalid, Msg: fmt.Sprintf("cluster: reading spec: %v", err)})
-		return
-	}
-	st, err := c.Submit(body)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-// SweepResponse mirrors simsvc.SweepResponse over cluster job statuses.
-type SweepResponse struct {
-	Jobs     []*JobStatus `json:"jobs"`
-	Errors   []string     `json:"errors,omitempty"`
-	Rejected int          `json:"rejected"`
-}
-
-func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes))
-	if err != nil {
-		writeError(w, &simsvc.Error{Kind: simsvc.ErrInvalid, Msg: fmt.Sprintf("cluster: reading sweep: %v", err)})
-		return
-	}
-	var req simsvc.SweepRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, &simsvc.Error{Kind: simsvc.ErrInvalid, Msg: fmt.Sprintf("cluster: decoding sweep: %v", err)})
-		return
-	}
-	if len(req.Specs) == 0 {
-		writeError(w, &simsvc.Error{Kind: simsvc.ErrInvalid, Msg: "cluster: sweep has no specs"})
-		return
-	}
-	resp := SweepResponse{
-		Jobs:   make([]*JobStatus, len(req.Specs)),
-		Errors: make([]string, len(req.Specs)),
-	}
-	backpressured := false
-	var retryAfter string
-	for i, raw := range req.Specs {
-		st, err := c.Submit(raw)
-		if err != nil {
-			resp.Errors[i] = err.Error()
-			resp.Rejected++
-			var se *simsvc.Error
-			if errors.As(err, &se) && se.Kind == simsvc.ErrQueueFull {
-				backpressured = true
-				retryAfter = retryAfterSecs(se.RetryAfter)
-			}
-			continue
+	mux.HandleFunc("POST /v1/cluster/join", c.membership(func(id string) (any, error) {
+		return JoinResponse{HeartbeatMillis: c.join(id, c.now()).Milliseconds()}, nil
+	}))
+	mux.HandleFunc("POST /v1/cluster/heartbeat", c.membership(func(id string) (any, error) {
+		if !c.heartbeat(id, c.now()) {
+			return nil, &simsvc.Error{Kind: simsvc.ErrNotFound, Msg: fmt.Sprintf("cluster: unknown worker %q, re-join", id)}
 		}
-		stc := st
-		resp.Jobs[i] = &stc
-	}
-	code := http.StatusAccepted
-	switch {
-	case backpressured:
-		code = http.StatusTooManyRequests
-		w.Header().Set("Retry-After", retryAfter)
-	case resp.Rejected == len(req.Specs):
-		code = http.StatusBadRequest
-	}
-	if resp.Rejected == 0 {
-		resp.Errors = nil
-	}
-	writeJSON(w, code, resp)
-}
-
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, err := c.Status(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	data, err := c.Result(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	// The cached bytes are the winning worker's /result response, relayed
-	// verbatim — the cluster answer is byte-identical to a single-node one.
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(data)
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	data, err := c.Result(id)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	// Decode the cached result rather than proxying: the worker that ran
-	// the job may be gone, but the dump travels inside the result bytes.
-	var res doram.SimResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		writeError(w, fmt.Errorf("cluster: decoding cached result: %w", err))
-		return
-	}
-	if res.Metrics == nil {
-		writeError(w, &simsvc.Error{Kind: simsvc.ErrNotFound,
-			Msg: fmt.Sprintf("simsvc: job %s did not enable metrics (set \"metrics\": true in the spec)", id)})
-		return
-	}
-	writeJSON(w, http.StatusOK, res.Metrics)
-}
-
-func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if err := c.Cancel(id); err != nil {
-		writeError(w, err)
-		return
-	}
-	st, err := c.Status(id)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
+		return map[string]string{"status": "ok"}, nil
+	}))
+	mux.HandleFunc("POST /v1/cluster/leave", c.membership(func(id string) (any, error) {
+		c.leave(id)
+		return map[string]string{"status": "ok"}, nil
+	}))
+	mux.HandleFunc("GET /v1/cluster/nodes", func(w http.ResponseWriter, r *http.Request) {
+		simsvc.WriteJSON(w, http.StatusOK, c.Nodes())
+	})
+	return mux
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	alive := c.ring.size()
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status": "ok",
-		"role":   "coordinator",
-		"nodes":  alive,
-	})
+	status, code := "ok", http.StatusOK
+	if c.svc.Draining() {
+		status, code = "draining", http.StatusServiceUnavailable
+	}
+	simsvc.WriteJSON(w, code, map[string]any{"status": status, "role": "coordinator", "nodes": alive})
 }
 
 // varzDoc is the cluster-wide metrics document: the coordinator's own
-// counters, each reachable worker's counters keyed by node id, the
-// unreachable workers (with what went wrong per node), and an
-// element-wise sum of the worker counters.
+// counters (its job service's and the fleet's), each reachable worker's
+// counters keyed by node id, the unreachable workers (with what went
+// wrong per node), and an element-wise sum of the worker counters.
 type varzDoc struct {
 	Cluster     map[string]uint64            `json:"cluster"`
 	Workers     map[string]map[string]uint64 `json:"workers"`
 	Unreachable []string                     `json:"unreachable,omitempty"`
-	// Errors records why each unreachable node's fetch failed, keyed by
-	// node id — transport error, HTTP status, or decode failure. Without
-	// it an operator staring at a half-merged dump had to grep worker
-	// logs to learn which failure mode they were in.
+	// Errors says why each unreachable node's fetch failed, keyed by node
+	// id: transport error, HTTP status, or decode failure.
 	Errors map[string]string `json:"errors,omitempty"`
 	Merged map[string]uint64 `json:"merged"`
 }
 
 func (c *Coordinator) handleVarz(w http.ResponseWriter, r *http.Request) {
 	doc := varzDoc{
-		Cluster: c.reg.CounterValues(),
+		Cluster: c.Registry().CounterValues(),
 		Workers: make(map[string]map[string]uint64),
 		Merged:  make(map[string]uint64),
 	}
 	c.mu.Lock()
-	var alive []string
+	var alive []*node
 	for _, n := range c.nodes {
 		if n.alive {
-			alive = append(alive, n.id)
+			alive = append(alive, n)
 		}
 	}
 	c.mu.Unlock()
-	sort.Strings(alive)
+	sort.Slice(alive, func(i, j int) bool { return alive[i].id < alive[j].id })
 	fail := func(id, why string) {
 		doc.Unreachable = append(doc.Unreachable, id)
 		if doc.Errors == nil {
@@ -288,73 +95,28 @@ func (c *Coordinator) handleVarz(w http.ResponseWriter, r *http.Request) {
 		}
 		doc.Errors[id] = why
 	}
-	for _, id := range alive {
-		code, data, _, err := c.doNode(id, http.MethodGet, "/varz", nil)
-		switch {
-		case err != nil:
-			fail(id, err.Error())
-			continue
-		case code != http.StatusOK:
-			fail(id, fmt.Sprintf("HTTP %d: %s", code, serverErrMsg(code, data)))
-			continue
-		}
+	for _, n := range alive {
+		code, data, _, err := c.doNode(n, http.MethodGet, "/varz", nil)
 		var dump struct {
 			Counters map[string]uint64 `json:"counters"`
 		}
-		if err := json.Unmarshal(data, &dump); err != nil {
-			fail(id, fmt.Sprintf("decoding varz: %v", err))
-			continue
+		switch {
+		case err != nil:
+			fail(n.id, err.Error())
+		case code != http.StatusOK:
+			fail(n.id, retry.ErrorMessage(code, data))
+		default:
+			if err := json.Unmarshal(data, &dump); err != nil {
+				fail(n.id, fmt.Sprintf("decoding varz: %v", err))
+				continue
+			}
+			doc.Workers[n.id] = dump.Counters
+			for k, v := range dump.Counters {
+				doc.Merged[k] += v
+			}
 		}
-		doc.Workers[id] = dump.Counters
-		for k, v := range dump.Counters {
-			doc.Merged[k] += v
-		}
 	}
-	writeJSON(w, http.StatusOK, doc)
-}
-
-func (c *Coordinator) handlePrometheus(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", metrics.PrometheusContentType)
-	c.dump().WritePrometheus(w) // a write error means the scraper hung up
-}
-
-func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	simsvc.ServeEventStream(w, r, c.bus, simsvc.StreamOptions{
-		Heartbeat: c.cfg.SSEHeartbeat,
-		After:     c.cfg.After,
-	})
-}
-
-func (c *Coordinator) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, err := c.Status(id); err != nil {
-		writeError(w, err) // 404 before committing to a stream
-		return
-	}
-	simsvc.ServeEventStream(w, r, c.bus, simsvc.StreamOptions{
-		JobID:     id,
-		Heartbeat: c.cfg.SSEHeartbeat,
-		After:     c.cfg.After,
-		Terminal:  c.terminalEvent,
-	})
-}
-
-// terminalEvent synthesizes the closing stream event for a cluster job
-// that finished before the subscriber arrived (its real transition may
-// have been evicted from the replay ring).
-func (c *Coordinator) terminalEvent(jobID string) (simsvc.Event, bool) {
-	st, err := c.Status(jobID)
-	if err != nil || !st.State.Terminal() {
-		return simsvc.Event{}, false
-	}
-	return simsvc.Event{
-		Time:      c.now(),
-		Kind:      simsvc.EventJob,
-		JobID:     jobID,
-		State:     st.State,
-		Error:     st.Error,
-		Completed: c.completed.Value(),
-	}, true
+	simsvc.WriteJSON(w, http.StatusOK, doc)
 }
 
 // ---- membership protocol ----
@@ -370,99 +132,24 @@ type JoinResponse struct {
 	HeartbeatMillis int64 `json:"heartbeat_ms"`
 }
 
-func decodeJoinID(r *http.Request) (string, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes))
-	if err != nil {
-		return "", fmt.Errorf("cluster: reading membership request: %v", err)
-	}
-	var req JoinRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return "", fmt.Errorf("cluster: decoding membership request: %v", err)
-	}
-	if req.ID == "" {
-		return "", errors.New("cluster: membership request has no id")
-	}
-	return req.ID, nil
-}
-
-func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
-	id, err := decodeJoinID(r)
-	if err != nil {
-		writeError(w, &simsvc.Error{Kind: simsvc.ErrInvalid, Msg: err.Error()})
-		return
-	}
-	interval := c.join(id, c.now())
-	writeJSON(w, http.StatusOK, JoinResponse{HeartbeatMillis: interval.Milliseconds()})
-}
-
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	id, err := decodeJoinID(r)
-	if err != nil {
-		writeError(w, &simsvc.Error{Kind: simsvc.ErrInvalid, Msg: err.Error()})
-		return
-	}
-	if !c.heartbeat(id, c.now()) {
-		writeError(w, &simsvc.Error{Kind: simsvc.ErrNotFound,
-			Msg: fmt.Sprintf("cluster: unknown worker %q, re-join", id)})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
-	id, err := decodeJoinID(r)
-	if err != nil {
-		writeError(w, &simsvc.Error{Kind: simsvc.ErrInvalid, Msg: err.Error()})
-		return
-	}
-	c.leave(id, c.now())
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (c *Coordinator) handleNodes(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Nodes())
-}
-
-// ---- helpers shared with coordinator.go ----
-
-func sortNodeStatuses(ns []NodeStatus) {
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].Alive != ns[j].Alive {
-			return ns[i].Alive
+// membership serves one membership operation: the request names the
+// worker, op answers for it.
+func (c *Coordinator) membership(op func(id string) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req JoinRequest
+		err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req)
+		if err == nil && req.ID == "" {
+			err = errors.New("no worker id")
 		}
-		return ns[i].ID < ns[j].ID
-	})
-}
-
-// unmarshalStatus decodes a worker JobStatus response.
-func unmarshalStatus(data []byte, st *simsvc.JobStatus) error {
-	if err := json.Unmarshal(data, st); err != nil {
-		return err
+		if err != nil {
+			simsvc.WriteError(w, &simsvc.Error{Kind: simsvc.ErrInvalid, Msg: "cluster: membership request: " + err.Error()})
+			return
+		}
+		resp, err := op(req.ID)
+		if err != nil {
+			simsvc.WriteError(w, err)
+			return
+		}
+		simsvc.WriteJSON(w, http.StatusOK, resp)
 	}
-	if st.ID == "" {
-		return errors.New("cluster: job status has no id")
-	}
-	return nil
-}
-
-// retryAfterFrom parses a Retry-After header (seconds form), falling back
-// to def.
-func retryAfterFrom(hdr http.Header, def time.Duration) time.Duration {
-	if hdr == nil {
-		return def
-	}
-	if secs, err := strconv.Atoi(hdr.Get("Retry-After")); err == nil && secs > 0 {
-		return time.Duration(secs) * time.Second
-	}
-	return def
-}
-
-// serverErrMsg extracts the error message from a worker's JSON error
-// envelope, falling back to the status code.
-func serverErrMsg(code int, data []byte) string {
-	var ae apiError
-	if json.Unmarshal(data, &ae) == nil && ae.Error != "" {
-		return ae.Error
-	}
-	return fmt.Sprintf("HTTP %d", code)
 }

@@ -1,18 +1,20 @@
 // Package cluster turns a fleet of doramd workers into one logical
 // simulation service: workers join a coordinator and heartbeat; the
-// coordinator consistent-hashes job specs onto workers by the canonical
+// coordinator is a simsvc job service whose simulations run on the fleet.
+// It consistent-hashes job specs onto workers by the canonical
 // doram.Params hash (so identical specs land on the same worker and hit
-// its result cache), proxies the simsvc HTTP API, and re-dispatches work
-// away from workers that die, drain, or stop responding. Robustness is
-// structural: jobs are deterministic and idempotent in their spec hash,
-// so any job can be re-run anywhere with a bit-identical outcome — which
-// is what makes failover, hedging and worker restarts safe.
+// its result cache), and re-dispatches work away from workers that die,
+// drain, or stop responding. Robustness is structural: jobs are
+// deterministic and idempotent in their spec hash, so any job can be
+// re-run anywhere with a bit-identical outcome — which is what makes
+// failover, hedging and worker restarts safe.
 //
 // The pieces: ring.go (consistent hashing), breaker.go (per-worker
-// circuit breaker), coordinator.go (membership, dispatch, failover,
-// hedging), http.go (the coordinator's HTTP surface) and worker.go (the
-// join/heartbeat loop doramd runs in -join mode). DESIGN.md §13 has the
-// full state machines.
+// circuit breaker), coordinator.go (the service, membership and worker
+// event fan-in), dispatch.go (the fleet dispatcher: placement, failover,
+// hedging), http.go (membership endpoints and the merged /varz) and
+// worker.go (the join/heartbeat loop doramd runs in -join mode).
+// DESIGN.md §13 has the full state machines.
 package cluster
 
 import (
@@ -127,13 +129,4 @@ func (r *ring) successors(key string, n int) []string {
 		i++
 	}
 	return out
-}
-
-// owner returns the key's owning node ("" on an empty ring).
-func (r *ring) owner(key string) string {
-	s := r.successors(key, 1)
-	if len(s) == 0 {
-		return ""
-	}
-	return s[0]
 }

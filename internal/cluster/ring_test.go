@@ -103,3 +103,12 @@ func TestRingSuccessorsDistinct(t *testing.T) {
 		t.Errorf("duplicate node in successor list: %v", succ)
 	}
 }
+
+// owner returns the key's owning node ("" on an empty ring).
+func (r *ring) owner(key string) string {
+	s := r.successors(key, 1)
+	if len(s) == 0 {
+		return ""
+	}
+	return s[0]
+}

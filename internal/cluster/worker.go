@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"doram/internal/obslog"
+	"doram/internal/retry"
 	"doram/internal/xrand"
 )
 
@@ -22,25 +23,24 @@ type JoinConfig struct {
 	// Advertise is the base URL the coordinator should dial this worker
 	// at — the worker's cluster identity.
 	Advertise string
-	// Interval overrides the heartbeat cadence; 0 defers to the interval
-	// the coordinator returns at join.
-	Interval time.Duration
-	// RequestTimeout bounds each membership request; 0 means 5s.
-	RequestTimeout time.Duration
 	// Transport overrides the HTTP transport (test injection); nil means
 	// the default.
 	Transport http.RoundTripper
 	// Logf receives one-line membership events; nil means a shim over
 	// Logger when that is set, else log.Printf.
-	Logf func(format string, args ...any)
-	// Logger is the structured equivalent: when set and Logf is nil, the
-	// membership one-liners route through it.
+	Logf   func(format string, args ...any)
 	Logger *slog.Logger
-	// Seed pins the backoff-jitter PRNG for reproducible retry schedules
-	// in tests; 0 derives one from the advertise URL and the wall clock
-	// so a restarting fleet of workers spreads out.
+	// Seed pins the backoff-jitter PRNG for reproducible retry schedules;
+	// 0 seeds from the advertise URL and the clock, spreading out a fleet.
 	Seed uint64
 }
+
+// joinRequestTimeout bounds each membership request.
+const joinRequestTimeout = 5 * time.Second
+
+// joinBackoff spaces join retries while the coordinator is unreachable:
+// 250ms doubling to a 10s cap, jittered by ±25%.
+var joinBackoff = retry.Backoff{Base: 250 * time.Millisecond, Cap: 10 * time.Second, Lo: 0.75, Hi: 1.25}
 
 // Join runs a worker's membership loop until ctx ends: register with the
 // coordinator (retrying with jittered backoff while it is unreachable),
@@ -53,16 +53,7 @@ func Join(ctx context.Context, cfg JoinConfig) error {
 	if cfg.Coordinator == "" || cfg.Advertise == "" {
 		return fmt.Errorf("cluster: join needs both a coordinator and an advertise URL")
 	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 5 * time.Second
-	}
-	if cfg.Logf == nil {
-		if cfg.Logger != nil {
-			cfg.Logf = obslog.Logf(cfg.Logger)
-		} else {
-			cfg.Logf = log.Printf
-		}
-	}
+	cfg.Logf = logfOr(cfg.Logf, cfg.Logger)
 	hc := &http.Client{Transport: cfg.Transport}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -71,8 +62,8 @@ func Join(ctx context.Context, cfg JoinConfig) error {
 	rng := xrand.New(seed)
 	body, _ := json.Marshal(JoinRequest{ID: cfg.Advertise})
 
-	post := func(path string) (int, []byte, error) {
-		rctx, cancel := context.WithTimeout(ctx, cfg.RequestTimeout)
+	post := func(ctx context.Context, path string) (int, []byte, error) {
+		rctx, cancel := context.WithTimeout(ctx, joinRequestTimeout)
 		defer cancel()
 		req, err := http.NewRequestWithContext(rctx, http.MethodPost, cfg.Coordinator+path, bytes.NewReader(body))
 		if err != nil {
@@ -91,9 +82,8 @@ func Join(ctx context.Context, cfg JoinConfig) error {
 	// join registers, retrying with jittered exponential backoff until the
 	// coordinator answers or ctx ends. Returns the heartbeat interval.
 	join := func() (time.Duration, error) {
-		backoff := 250 * time.Millisecond
-		for {
-			code, data, err := post("/v1/cluster/join")
+		for attempt := 0; ; attempt++ {
+			code, data, err := post(ctx, "/v1/cluster/join")
 			if err == nil && code == http.StatusOK {
 				var jr JoinResponse
 				if json.Unmarshal(data, &jr) == nil && jr.HeartbeatMillis > 0 {
@@ -102,17 +92,12 @@ func Join(ctx context.Context, cfg JoinConfig) error {
 				}
 				err = fmt.Errorf("cluster: undecodable join response")
 			} else if err == nil {
-				err = fmt.Errorf("cluster: join rejected: %s", serverErrMsg(code, data))
+				err = fmt.Errorf("cluster: join rejected: %s", retry.ErrorMessage(code, data))
 			}
-			cfg.Logf("cluster: join %s failed (%v), retrying in %s", cfg.Coordinator, err, backoff)
-			jittered := time.Duration(float64(backoff) * (0.75 + 0.5*rng.Float64()))
-			select {
-			case <-ctx.Done():
+			delay := joinBackoff.Delay(attempt, rng.Float64())
+			cfg.Logf("cluster: join %s failed (%v), retrying in %s", cfg.Coordinator, err, delay)
+			if !sleep(ctx, delay) {
 				return 0, ctx.Err()
-			case <-time.After(jittered):
-			}
-			if backoff *= 2; backoff > 10*time.Second {
-				backoff = 10 * time.Second
 			}
 		}
 	}
@@ -121,9 +106,6 @@ func Join(ctx context.Context, cfg JoinConfig) error {
 	if err != nil {
 		return err
 	}
-	if cfg.Interval > 0 {
-		interval = cfg.Interval
-	}
 
 	t := time.NewTicker(interval)
 	defer t.Stop()
@@ -131,18 +113,10 @@ func Join(ctx context.Context, cfg JoinConfig) error {
 		select {
 		case <-ctx.Done():
 			// Best-effort leave on a fresh context: ctx is already dead.
-			lctx, cancel := context.WithTimeout(context.Background(), cfg.RequestTimeout)
-			req, err := http.NewRequestWithContext(lctx, http.MethodPost, cfg.Coordinator+"/v1/cluster/leave", bytes.NewReader(body))
-			if err == nil {
-				req.Header.Set("Content-Type", "application/json")
-				if resp, err := hc.Do(req); err == nil {
-					resp.Body.Close()
-				}
-			}
-			cancel()
+			post(context.Background(), "/v1/cluster/leave")
 			return ctx.Err()
 		case <-t.C:
-			code, _, err := post("/v1/cluster/heartbeat")
+			code, _, err := post(ctx, "/v1/cluster/heartbeat")
 			switch {
 			case err != nil:
 				// Coordinator unreachable; keep heartbeating — it may come
@@ -157,4 +131,16 @@ func Join(ctx context.Context, cfg JoinConfig) error {
 			}
 		}
 	}
+}
+
+// logfOr returns logf, or a one-line logger over l when logf is nil, or
+// log.Printf when both are.
+func logfOr(logf func(string, ...any), l *slog.Logger) func(string, ...any) {
+	switch {
+	case logf != nil:
+		return logf
+	case l != nil:
+		return obslog.Logf(l)
+	}
+	return log.Printf
 }

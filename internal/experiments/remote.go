@@ -3,16 +3,17 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
-	"strconv"
 	"time"
 
 	"doram/internal/core"
 	"doram/internal/delegator"
 	"doram/internal/metrics"
+	"doram/internal/retry"
 	"doram/internal/stats"
 )
 
@@ -231,6 +232,9 @@ const submitRetries = 20
 // since re-submitting a spec is idempotent on the service side.
 const transientRetries = 6
 
+// transientBackoff spaces the transient retries inside do.
+var transientBackoff = retry.Backoff{Base: 250 * time.Millisecond, Cap: 10 * time.Second, Lo: 0.5, Hi: 1.5}
+
 type wireJob struct {
 	ID    string `json:"id"`
 	State string `json:"state"`
@@ -255,18 +259,11 @@ func (rc *remoteClient) run(spec wireSpec, cfg core.Config) (*core.Results, erro
 			if attempt == submitRetries {
 				return nil, fmt.Errorf("submit: queue still full after %d retries", submitRetries)
 			}
-			delay := 2 * time.Second
-			if ra, err := strconv.Atoi(hdr.Get("Retry-After")); err == nil && ra > 0 {
-				delay = time.Duration(ra) * time.Second
-			}
-			if delay > 30*time.Second {
-				delay = 30 * time.Second
-			}
-			time.Sleep(delay)
+			time.Sleep(min(retry.After(hdr, 2*time.Second), 30*time.Second))
 			continue
 		}
 		if code >= 300 {
-			return nil, fmt.Errorf("submit: %s", serverError(code, data))
+			return nil, fmt.Errorf("submit: %s", retry.ErrorMessage(code, data))
 		}
 		if err := json.Unmarshal(data, &job); err != nil {
 			return nil, fmt.Errorf("submit: decoding response: %w", err)
@@ -281,7 +278,7 @@ func (rc *remoteClient) run(spec wireSpec, cfg core.Config) (*core.Results, erro
 			return nil, fmt.Errorf("poll %s: %w", job.ID, err)
 		}
 		if code >= 300 {
-			return nil, fmt.Errorf("poll %s: %s", job.ID, serverError(code, data))
+			return nil, fmt.Errorf("poll %s: %s", job.ID, retry.ErrorMessage(code, data))
 		}
 		if err := json.Unmarshal(data, &job); err != nil {
 			return nil, fmt.Errorf("poll %s: decoding status: %w", job.ID, err)
@@ -296,7 +293,7 @@ func (rc *remoteClient) run(spec wireSpec, cfg core.Config) (*core.Results, erro
 		return nil, fmt.Errorf("result %s: %w", job.ID, err)
 	}
 	if code >= 300 {
-		return nil, fmt.Errorf("result %s: %s", job.ID, serverError(code, data))
+		return nil, fmt.Errorf("result %s: %s", job.ID, retry.ErrorMessage(code, data))
 	}
 	var wr wireResult
 	if err := json.Unmarshal(data, &wr); err != nil {
@@ -327,18 +324,14 @@ func (rc *remoteClient) do(method, path string, body []byte) (int, []byte, http.
 		if err != nil {
 			lastErr = err
 		} else {
-			lastErr = fmt.Errorf("%s", serverError(code, data))
+			lastErr = errors.New(retry.ErrorMessage(code, data))
 		}
 		if attempt == transientRetries {
 			return 0, nil, nil, fmt.Errorf("after %d attempts: %w", attempt+1, lastErr)
 		}
 		// 250ms·2^attempt capped at 10s, scaled by a random [0.5,1.5)
 		// factor so a fleet of clients doesn't retry in lockstep.
-		delay := 250 * time.Millisecond << attempt
-		if delay > 10*time.Second {
-			delay = 10 * time.Second
-		}
-		time.Sleep(time.Duration(float64(delay) * (0.5 + rand.Float64())))
+		time.Sleep(transientBackoff.Delay(attempt, rand.Float64()))
 	}
 }
 
@@ -360,15 +353,4 @@ func (rc *remoteClient) doOnce(method, path string, body []byte) (int, []byte, h
 		return 0, nil, nil, err
 	}
 	return resp.StatusCode, data, resp.Header, nil
-}
-
-// serverError extracts the service's JSON error message.
-func serverError(code int, data []byte) string {
-	var e struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(data, &e) == nil && e.Error != "" {
-		return fmt.Sprintf("%s (HTTP %d)", e.Error, code)
-	}
-	return fmt.Sprintf("HTTP %d: %s", code, bytes.TrimSpace(data))
 }

@@ -7,11 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
 	"doram/internal/evtrace"
+	"doram/internal/retry"
 )
 
 // RunConfig shapes one load run against a doramd endpoint (single node or
@@ -231,11 +231,7 @@ func (rc RunConfig) postJob(ctx context.Context, spec []byte, st *jobStatus) (co
 		resp.Body.Close()
 	}()
 	if resp.StatusCode == http.StatusTooManyRequests {
-		retryAfter = 100 * time.Millisecond
-		if secs, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && secs > 0 {
-			retryAfter = time.Duration(secs) * time.Second
-		}
-		return resp.StatusCode, retryAfter, nil
+		return resp.StatusCode, retry.After(resp.Header, 100*time.Millisecond), nil
 	}
 	if resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(st); err != nil {

@@ -2,6 +2,10 @@ package simsvc
 
 import (
 	"container/list"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 
 	"doram"
 )
@@ -58,3 +62,93 @@ func (c *resultCache) put(hash string, res *doram.SimResult) {
 }
 
 func (c *resultCache) len() int { return c.ll.Len() }
+
+// cacheSnapshotVersion is the snapshot format version; loads reject other
+// versions rather than guessing.
+const cacheSnapshotVersion = 1
+
+// cacheSnapshot is the on-disk form of the result cache: each result
+// document, encoded as GET /v1/jobs/{id}/result serves it, keyed by spec
+// hash. The documents are JSON strings rather than embedded objects, so
+// they keep their exact bytes; it is the format cluster coordinators have
+// always written, and their snapshots load here unchanged.
+type cacheSnapshot struct {
+	Version int               `json:"version"`
+	Results map[string]string `json:"results"`
+}
+
+// SaveCache writes the result cache to path as a JSON snapshot,
+// atomically (temp file + rename), so a crash mid-save never truncates a
+// previous good snapshot. doramd saves on drain with -cache-file.
+func (s *Service) SaveCache(path string) error {
+	s.mu.Lock()
+	entries := make([]*cacheEntry, 0, s.cache.len())
+	for el := s.cache.ll.Front(); el != nil; el = el.Next() {
+		entries = append(entries, el.Value.(*cacheEntry))
+	}
+	s.mu.Unlock()
+
+	snap := cacheSnapshot{Version: cacheSnapshotVersion, Results: make(map[string]string, len(entries))}
+	for _, e := range entries { // results are immutable: encode outside the lock
+		data, err := encodeJSON(e.res)
+		if err != nil {
+			return fmt.Errorf("simsvc: cache snapshot: %w", err)
+		}
+		snap.Results[e.hash] = string(data)
+	}
+	data, err := json.Marshal(snap)
+	if err != nil {
+		return fmt.Errorf("simsvc: cache snapshot: %w", err)
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return fmt.Errorf("simsvc: cache snapshot: %w", err)
+	}
+	_, werr := tmp.Write(data)
+	if cerr := tmp.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr == nil {
+		werr = os.Rename(tmp.Name(), path)
+	}
+	if werr != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("simsvc: cache snapshot %s: %w", path, werr)
+	}
+	return nil
+}
+
+// LoadCache installs the results of a snapshot written by SaveCache and
+// returns how many it loaded. A missing file is not an error — a fresh
+// deployment simply starts cold. Entries whose key is not the length of a
+// spec hash (64 hex characters) or whose document does not decode are
+// skipped.
+func (s *Service) LoadCache(path string) (int, error) {
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, fmt.Errorf("simsvc: cache load: %w", err)
+	}
+	var snap cacheSnapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return 0, fmt.Errorf("simsvc: cache load %s: %w", path, err)
+	}
+	if snap.Version != cacheSnapshotVersion {
+		return 0, fmt.Errorf("simsvc: cache load %s: snapshot version %d, want %d",
+			path, snap.Version, cacheSnapshotVersion)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for hash, doc := range snap.Results {
+		res := new(doram.SimResult)
+		if len(hash) != 64 || json.Unmarshal([]byte(doc), res) != nil {
+			continue
+		}
+		s.cache.put(hash, res)
+		n++
+	}
+	return n, nil
+}

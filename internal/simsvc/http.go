@@ -1,16 +1,15 @@
 package simsvc
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"time"
 
-	"doram"
 	"doram/internal/metrics"
+	"doram/internal/retry"
 )
 
 // Handler returns the service's HTTP/JSON API:
@@ -51,31 +50,33 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// encodeJSON renders v the way every API response is written: indented
+// two spaces, with a trailing newline.
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	err := enc.Encode(v)
+	return buf.Bytes(), err
+}
+
+// WriteJSON writes v as an API response with the given status code. The
+// cluster coordinator's own endpoints use it too, so the whole API speaks
+// one encoding.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	data, _ := encodeJSON(v) // API types always encode
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) // a write error means the client hung up; nothing to do
+	w.Write(data) // a write error means the client hung up; nothing to do
 }
 
-// writeError maps a service error to its transport representation.
-// retryAfterSecs renders d as a Retry-After header value in whole seconds,
-// clamped to at least 1: a sub-second backpressure hint would round to "0",
-// which seconds-form parsers (including this repo's retryAfterFrom and
-// doramctl) treat as absent and replace with their own default.
-func retryAfterSecs(d time.Duration) string {
-	secs := int(d.Seconds() + 0.5)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
-
-func writeError(w http.ResponseWriter, err error) {
+// WriteError maps a service error to its transport representation: the
+// JSON error envelope under the status code of its kind, with a
+// Retry-After header on backpressure. Errors of other types are 500s.
+func WriteError(w http.ResponseWriter, err error) {
 	var se *Error
 	if !errors.As(err, &se) {
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 		return
 	}
 	code := http.StatusInternalServerError
@@ -86,7 +87,7 @@ func writeError(w http.ResponseWriter, err error) {
 		code = http.StatusNotFound
 	case ErrQueueFull:
 		code = http.StatusTooManyRequests
-		w.Header().Set("Retry-After", retryAfterSecs(se.RetryAfter))
+		w.Header().Set("Retry-After", retry.Header(se.RetryAfter))
 	case ErrDraining:
 		code = http.StatusServiceUnavailable
 	case ErrConflict:
@@ -94,7 +95,7 @@ func writeError(w http.ResponseWriter, err error) {
 	case ErrFailed:
 		code = http.StatusInternalServerError
 	}
-	writeJSON(w, code, apiError{Error: se.Msg})
+	WriteJSON(w, code, apiError{Error: se.Msg})
 }
 
 // maxSpecBytes bounds request bodies; job specs are small JSON documents.
@@ -103,20 +104,15 @@ const maxSpecBytes = 1 << 20
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes))
 	if err != nil {
-		writeError(w, &Error{Kind: ErrInvalid, Msg: fmt.Sprintf("simsvc: reading spec: %v", err)})
+		WriteError(w, &Error{Kind: ErrInvalid, Msg: fmt.Sprintf("simsvc: reading spec: %v", err)})
 		return
 	}
-	spec, err := doram.ParamsFromJSON(body)
+	job, err := s.SubmitJSON(body)
 	if err != nil {
-		writeError(w, &Error{Kind: ErrInvalid, Msg: err.Error()})
+		WriteError(w, err)
 		return
 	}
-	job, err := s.Submit(spec)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, job.Status())
+	WriteJSON(w, http.StatusAccepted, job.Status())
 }
 
 // SweepRequest is a batch submission: one spec per element.
@@ -138,16 +134,16 @@ type SweepResponse struct {
 func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes))
 	if err != nil {
-		writeError(w, &Error{Kind: ErrInvalid, Msg: fmt.Sprintf("simsvc: reading sweep: %v", err)})
+		WriteError(w, &Error{Kind: ErrInvalid, Msg: fmt.Sprintf("simsvc: reading sweep: %v", err)})
 		return
 	}
 	var req SweepRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, &Error{Kind: ErrInvalid, Msg: fmt.Sprintf("simsvc: decoding sweep: %v", err)})
+		WriteError(w, &Error{Kind: ErrInvalid, Msg: fmt.Sprintf("simsvc: decoding sweep: %v", err)})
 		return
 	}
 	if len(req.Specs) == 0 {
-		writeError(w, &Error{Kind: ErrInvalid, Msg: "simsvc: sweep has no specs"})
+		WriteError(w, &Error{Kind: ErrInvalid, Msg: "simsvc: sweep has no specs"})
 		return
 	}
 	resp := SweepResponse{
@@ -157,20 +153,14 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	backpressured := false
 	var retryAfter string
 	for i, raw := range req.Specs {
-		spec, err := doram.ParamsFromJSON(raw)
-		if err != nil {
-			resp.Errors[i] = err.Error()
-			resp.Rejected++
-			continue
-		}
-		job, err := s.Submit(spec)
+		job, err := s.SubmitJSON(raw)
 		if err != nil {
 			resp.Errors[i] = err.Error()
 			resp.Rejected++
 			var se *Error
 			if errors.As(err, &se) && se.Kind == ErrQueueFull {
 				backpressured = true
-				retryAfter = retryAfterSecs(se.RetryAfter)
+				retryAfter = retry.Header(se.RetryAfter)
 			}
 			continue
 		}
@@ -190,56 +180,57 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if resp.Rejected == 0 {
 		resp.Errors = nil
 	}
-	writeJSON(w, code, resp)
+	WriteJSON(w, code, resp)
 }
 
 func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
 	st, err := s.Status(r.PathValue("id"))
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
-	res, err := s.Result(r.PathValue("id"))
+	data, err := s.ResultJSON(r.PathValue("id"))
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(data)
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	dump, err := s.Metrics(r.PathValue("id"))
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, dump)
+	WriteJSON(w, http.StatusOK, dump)
 }
 
 func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if err := s.Cancel(id); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	st, err := s.Status(id)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Service) handleVarz(w http.ResponseWriter, r *http.Request) {
@@ -265,7 +256,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, err := s.Status(id); err != nil {
-		writeError(w, err) // 404 before committing to a stream
+		WriteError(w, err) // 404 before committing to a stream
 		return
 	}
 	ServeEventStream(w, r, s.bus, StreamOptions{

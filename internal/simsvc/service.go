@@ -177,6 +177,7 @@ type Job struct {
 
 	leader    *Job   // non-nil on followers
 	followers []*Job // on leaders
+	placement Placement
 
 	cancelRequested bool
 	cancelRun       context.CancelFunc // set while running
@@ -210,6 +211,38 @@ type JobStatus struct {
 	Coalesced bool         `json:"coalesced,omitempty"`
 	Error     string       `json:"error,omitempty"`
 	History   []Transition `json:"history"`
+	Placement
+}
+
+// Placement says where a job's result came from. A service whose RunSim
+// delegates to other machines (the cluster coordinator's fleet dispatcher)
+// reports each run's placement through Place; a result-cache hit reports
+// Node "cache"; a local run leaves it empty. Coalesced followers show
+// their leader's placement.
+type Placement struct {
+	// Node is the worker running (or that ran) the job, or "cache".
+	Node string `json:"node,omitempty"`
+	// RemoteID is the job's id on that worker.
+	RemoteID string `json:"remote_id,omitempty"`
+	// Attempts counts the workers that accepted the job; Hedged marks one
+	// that was also sent to a second worker to race a straggler.
+	Attempts int  `json:"attempts,omitempty"`
+	Hedged   bool `json:"hedged,omitempty"`
+}
+
+// jobKey is the context key under which RunSim's context carries its job.
+type jobKey struct{}
+
+// Place records the placement of the job whose RunSim received ctx. It is
+// a no-op for a context that did not come from a service run.
+func Place(ctx context.Context, p Placement) {
+	job, ok := ctx.Value(jobKey{}).(*Job)
+	if !ok {
+		return
+	}
+	job.svc.mu.Lock()
+	defer job.svc.mu.Unlock()
+	job.placement = p
 }
 
 func (j *Job) statusLocked() JobStatus {
@@ -222,6 +255,10 @@ func (j *Job) statusLocked() JobStatus {
 		Coalesced: j.coalesced,
 		Error:     j.errMsg,
 		History:   append([]Transition(nil), j.history...),
+		Placement: j.placement,
+	}
+	if j.leader != nil {
+		st.Placement = j.leader.placement
 	}
 	return st
 }
@@ -380,6 +417,7 @@ func (s *Service) Submit(spec doram.Params) (*Job, error) {
 		job := s.newJobLocked(p, hash)
 		job.cacheHit = true
 		job.result = res
+		job.placement.Node = "cache"
 		s.cacheHits.Inc()
 		s.completed.Inc()
 		s.publishQueuedLocked(job)
@@ -414,6 +452,16 @@ func (s *Service) Submit(spec doram.Params) (*Job, error) {
 			Msg:        fmt.Sprintf("simsvc: queue full (%d jobs)", s.cfg.QueueDepth),
 			RetryAfter: s.retryAfterLocked()}
 	}
+}
+
+// SubmitJSON admits one job-spec document (doram.ParamsFromJSON); a
+// malformed spec is an ErrInvalid error.
+func (s *Service) SubmitJSON(spec []byte) (*Job, error) {
+	p, err := doram.ParamsFromJSON(spec)
+	if err != nil {
+		return nil, &Error{Kind: ErrInvalid, Msg: err.Error()}
+	}
+	return s.Submit(p)
 }
 
 // newJobLocked registers a fresh job in the queued state.
@@ -582,6 +630,10 @@ func (s *Service) runJob(job *Job) {
 		return
 	}
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.JobTimeout)
+	// The job goes on top of the timer's context: a stopped timer can
+	// linger in the runtime's timer heap, and must not keep the job (and
+	// through it the whole service) reachable.
+	ctx = context.WithValue(ctx, jobKey{}, job)
 	job.cancelRun = cancel
 	s.transitionLocked(job, StateRunning)
 	for _, f := range job.followers {
@@ -623,15 +675,42 @@ func (s *Service) runJob(job *Job) {
 	}
 }
 
+// stageMeanBounds are power-of-two cycle buckets for the per-stage mean
+// histograms, mirroring evtrace's breakdown range (1 cycle to ~134M).
+var stageMeanBounds = func() []uint64 {
+	b := make([]uint64, 28)
+	for i := range b {
+		b[i] = 1 << uint(i)
+	}
+	return b
+}()
+
 // foldStageHistsLocked accumulates one finished run into the serving-level
 // latency histograms: wall time always, and — when the job's spec enabled
 // tracing — the full per-stage evtrace attribution histograms, merged
 // bucket-wise. This is what makes execution interference scrapeable at
 // GET /metrics instead of only dumpable per job: every traced job's stage
 // latencies aggregate into one continuously exported distribution.
+//
+// A delegated run's result arrives decoded from JSON, which carries the
+// attribution report but not the per-access histograms (Trace); such a
+// run contributes one sample per stage, its mean, to the
+// simsvc.stage.<kind>.<stage>.mean_cycles histograms instead.
 func (s *Service) foldStageHistsLocked(res *doram.SimResult, dur time.Duration) {
 	s.jobDur.Observe(uint64(dur.Milliseconds()))
-	if res == nil || res.Trace == nil {
+	if res == nil {
+		return
+	}
+	if res.Trace == nil {
+		if res.LatencyBreakdown == nil {
+			return
+		}
+		for _, kb := range res.LatencyBreakdown.Kinds {
+			s.observeStageMeanLocked(kb.Kind, "total", kb.Total.Mean)
+			for _, st := range kb.Stages {
+				s.observeStageMeanLocked(kb.Kind, st.Stage, st.Mean)
+			}
+		}
 		return
 	}
 	for key, h := range res.Trace.StageHists {
@@ -646,6 +725,16 @@ func (s *Service) foldStageHistsLocked(res *doram.SimResult, dur time.Duration) 
 				slog.String("stage", key), slog.String("error", err.Error()))
 		}
 	}
+}
+
+func (s *Service) observeStageMeanLocked(kind, stage string, mean float64) {
+	name := "simsvc.stage." + kind + "." + stage + ".mean_cycles"
+	h := s.stageHists[name]
+	if h == nil {
+		h = stats.NewHistogram(stageMeanBounds)
+		s.stageHists[name] = h
+	}
+	h.Observe(uint64(mean + 0.5))
 }
 
 // dump snapshots the registry plus the serving-level histograms (job wall
@@ -738,6 +827,16 @@ func (s *Service) Result(id string) (*doram.SimResult, error) {
 		return nil, &Error{Kind: ErrConflict,
 			Msg: fmt.Sprintf("simsvc: job %s is %s, result not available", id, job.state)}
 	}
+}
+
+// ResultJSON returns a finished job's result encoded exactly as
+// GET /v1/jobs/{id}/result serves it, with Result's errors.
+func (s *Service) ResultJSON(id string) ([]byte, error) {
+	res, err := s.Result(id)
+	if err != nil {
+		return nil, err
+	}
+	return encodeJSON(res)
 }
 
 // Metrics returns a finished job's metric dump, if its spec enabled the

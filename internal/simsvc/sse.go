@@ -2,13 +2,17 @@ package simsvc
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
+
+	"doram/internal/retry"
 )
 
 // SSEContentType is the MIME type of a Server-Sent-Event stream.
@@ -70,7 +74,7 @@ func writeSSE(w io.Writer, ev Event) error {
 func ServeEventStream(w http.ResponseWriter, r *http.Request, bus *EventBus, opt StreamOptions) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, fmt.Errorf("simsvc: response writer cannot stream"))
+		WriteError(w, fmt.Errorf("simsvc: response writer cannot stream"))
 		return
 	}
 	if opt.Heartbeat <= 0 {
@@ -104,7 +108,10 @@ func ServeEventStream(w http.ResponseWriter, r *http.Request, bus *EventBus, opt
 	}
 
 	emit := func(ev Event) (done bool, err error) {
-		if opt.JobID != "" && ev.JobID != opt.JobID {
+		// A job-filtered stream follows this service's job: events fanned
+		// in from other nodes (Node set) reuse job ids from their own
+		// sequences.
+		if opt.JobID != "" && (ev.JobID != opt.JobID || ev.Node != "") {
 			return false, nil
 		}
 		if err := writeSSE(w, ev); err != nil {
@@ -175,6 +182,45 @@ func (e SSEEvent) Decode() (Event, error) {
 	var ev Event
 	err := json.Unmarshal([]byte(e.Data), &ev)
 	return ev, err
+}
+
+// FollowEvents opens one GET {base}/events stream, resuming after
+// *cursor (sent as Last-Event-ID when non-zero), and calls fn with each
+// decoded event, advancing *cursor past every event received. It returns
+// nil once fn returns false, and otherwise the error that ended the
+// stream — callers reconnect from *cursor, and the server's replay ring
+// fills the gap. It is the client side of doramctl tail and of a cluster
+// coordinator's worker event fan-in.
+func FollowEvents(ctx context.Context, hc *http.Client, base string, cursor *uint64, fn func(Event) bool) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/events", nil)
+	if err != nil {
+		return err
+	}
+	if *cursor > 0 {
+		req.Header.Set("Last-Event-ID", strconv.FormatUint(*cursor, 10))
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return errors.New(retry.ErrorMessage(resp.StatusCode, data))
+	}
+	sc := NewSSEScanner(resp.Body)
+	for {
+		raw, err := sc.Next()
+		if err != nil {
+			return err
+		}
+		if seq, err := strconv.ParseUint(raw.ID, 10, 64); err == nil {
+			*cursor = seq
+		}
+		if ev, err := raw.Decode(); err == nil && !fn(ev) {
+			return nil
+		}
+	}
 }
 
 // SSEScanner incrementally parses a Server-Sent-Event stream — the shared
