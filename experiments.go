@@ -44,7 +44,7 @@ type ExperimentOptions struct {
 	Endpoint string
 }
 
-func (o ExperimentOptions) internal() experiments.Options {
+func (o ExperimentOptions) internal() (experiments.Options, error) {
 	io := experiments.DefaultOptions()
 	if o.Quick {
 		io = experiments.QuickOptions()
@@ -61,10 +61,15 @@ func (o ExperimentOptions) internal() experiments.Options {
 	io.MetricsDir = o.MetricsDir
 	io.MetricsEpochCycles = o.MetricsEpochCycles
 	io.TraceDir = o.TraceDir
-	io.Endpoint = o.Endpoint
 	io.Eviction = o.Eviction
 	io.Encryptor = o.Encryptor
-	return io
+	if o.Endpoint != "" {
+		if o.TraceDir != "" {
+			return io, fmt.Errorf("doram: TraceDir cannot be combined with Endpoint (span traces stay on the server)")
+		}
+		io.Exec = newRemoteClient(o.Endpoint).exec
+	}
+	return io, nil
 }
 
 // Experiments lists the reproducible experiment identifiers: the paper's
@@ -144,7 +149,11 @@ func runExperimentTable(id string, o experiments.Options) (*experiments.Table, e
 // RunExperiment regenerates one table or figure of the paper's evaluation
 // and returns its formatted text. Identifiers are those of Experiments().
 func RunExperiment(id string, opts ExperimentOptions) (string, error) {
-	t, err := runExperimentTable(id, opts.internal())
+	io, err := opts.internal()
+	if err != nil {
+		return "", err
+	}
+	t, err := runExperimentTable(id, io)
 	if err != nil {
 		return "", err
 	}
@@ -156,7 +165,11 @@ func RunExperiment(id string, opts ExperimentOptions) (string, error) {
 // RunExperimentCSV regenerates one experiment and returns its data table
 // as CSV (header plus rows, notes omitted) for plotting pipelines.
 func RunExperimentCSV(id string, opts ExperimentOptions) (string, error) {
-	t, err := runExperimentTable(id, opts.internal())
+	io, err := opts.internal()
+	if err != nil {
+		return "", err
+	}
+	t, err := runExperimentTable(id, io)
 	if err != nil {
 		return "", err
 	}

@@ -9,12 +9,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"testing"
 	"time"
 
 	"doram"
-	"doram/internal/experiments"
 	"doram/internal/simsvc"
 )
 
@@ -306,34 +304,5 @@ func TestChaosPartitionHeals(t *testing.T) {
 			t.Fatalf("healed worker never re-joined")
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestClusterSweepMatchesLocalFigure closes the loop at figure level: the
-// experiments runner pointed at a coordinator (fleet fan-out, possibly
-// cache-assisted) rebuilds exactly the figure a purely local run
-// produces.
-func TestClusterSweepMatchesLocalFigure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("figure sweeps run real simulations")
-	}
-	_, front, _ := startCluster(t, 3)
-
-	quick := experiments.Options{TraceLen: 1200, Seed: 42, Benchmarks: []string{"face"}}
-	localSum, localTab, err := experiments.Figure10(quick)
-	if err != nil {
-		t.Fatalf("local Figure10: %v", err)
-	}
-	remote := quick
-	remote.Endpoint = front
-	remoteSum, remoteTab, err := experiments.Figure10(remote)
-	if err != nil {
-		t.Fatalf("cluster Figure10: %v", err)
-	}
-	if !reflect.DeepEqual(localSum, remoteSum) {
-		t.Errorf("cluster Figure10 summary differs from local:\n  local:  %+v\n  cluster: %+v", localSum, remoteSum)
-	}
-	if !reflect.DeepEqual(localTab, remoteTab) {
-		t.Errorf("cluster Figure10 table differs from local")
 	}
 }

@@ -47,16 +47,10 @@ type Options struct {
 	// validated and recorded but does not alter timing.
 	Encryptor string
 
-	// Endpoint, when set, offloads runs to the doramd simulation service at
-	// this base URL (e.g. "http://127.0.0.1:8344") instead of simulating
-	// in-process — identical specs dedup against the service's result
-	// cache across sweeps. Results are rebuilt from the service's exact
-	// integer aggregates, so remote tables are bit-identical to local ones.
-	// Configurations the job-spec wire format cannot express (TraceDir
-	// replay, a non-default MCPolicy) quietly run locally; combining
-	// Endpoint with the sweep-level TraceDir is an error, since span traces
-	// stay on the server.
-	Endpoint string
+	// Exec, when set, runs each config in place of the in-process
+	// simulation — the hook a remote executor (a doramd endpoint) plugs
+	// into. It must return the result an in-process run would.
+	Exec func(core.Config) (*core.Results, error)
 }
 
 // sweepTraceSample is the event-ring sampling stride sweeps use: one traced
@@ -119,13 +113,6 @@ func (o Options) apply(cfg core.Config) core.Config {
 // Every failed run of the sweep is reported, not just the first, so a
 // broken 15-benchmark sweep surfaces all broken configs at once.
 func runAll(o Options, cfgs []core.Config) ([]*core.Results, error) {
-	if o.Endpoint != "" && o.TraceDir != "" {
-		return nil, fmt.Errorf("experiments: TraceDir cannot be combined with Endpoint (span traces stay on the server)")
-	}
-	var rc *remoteClient
-	if o.Endpoint != "" {
-		rc = newRemoteClient(o.Endpoint)
-	}
 	results := make([]*core.Results, len(cfgs))
 	errs := make([]error, len(cfgs))
 	sem := make(chan struct{}, o.parallelism())
@@ -136,7 +123,7 @@ func runAll(o Options, cfgs []core.Config) ([]*core.Results, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[i], errs[i] = runOne(rc, cfg)
+			results[i], errs[i] = o.run(cfg)
 		}(i, cfg)
 	}
 	wg.Wait()
@@ -164,14 +151,10 @@ func runAll(o Options, cfgs []core.Config) ([]*core.Results, error) {
 	return results, nil
 }
 
-// runOne executes one config — against the doramd endpoint when one is
-// configured and the config is expressible as a job spec, in-process
-// otherwise.
-func runOne(rc *remoteClient, cfg core.Config) (*core.Results, error) {
-	if rc != nil {
-		if spec, ok := specFromConfig(cfg); ok {
-			return rc.run(spec, cfg)
-		}
+// run executes one config through Exec, in-process when none is set.
+func (o Options) run(cfg core.Config) (*core.Results, error) {
+	if o.Exec != nil {
+		return o.Exec(cfg)
 	}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"doram/internal/evtrace"
+	"doram/internal/stats"
 )
 
 // Report is doramload's SLO-style output. Everything outside Serving is a
@@ -308,18 +309,13 @@ func aggregateSimSLO(outcomes []Outcome) *SimSLO {
 // weighted accumulates (value, weight) pairs for exact weighted
 // percentiles — O(unique specs) memory regardless of request count.
 type weighted struct {
-	vals  []weightedVal
+	vals  []stats.Sample
 	sum   float64 // Σ value·weight
 	total uint64  // Σ weight
 }
 
-type weightedVal struct {
-	v float64
-	w uint64
-}
-
 func (w *weighted) add(v float64, weight uint64) {
-	w.vals = append(w.vals, weightedVal{v, weight})
+	w.vals = append(w.vals, stats.Sample{Value: v, Weight: weight})
 	w.sum += v * float64(weight)
 	w.total += weight
 }
@@ -331,43 +327,14 @@ func (w *weighted) mean() float64 {
 	return w.sum / float64(w.total)
 }
 
-// quantile is the exact weighted nearest-rank percentile: the smallest
-// value whose cumulative weight reaches ceil(p/100 · Σw).
-func (w *weighted) quantile(p float64) float64 {
-	if w.total == 0 {
-		return 0
-	}
-	sorted := make([]weightedVal, len(w.vals))
-	copy(sorted, w.vals)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].v < sorted[j].v })
-	target := uint64(p / 100 * float64(w.total))
-	if float64(target) < p/100*float64(w.total) {
-		target++ // ceil
-	}
-	if target == 0 {
-		target = 1
-	}
-	if target > w.total {
-		target = w.total
-	}
-	var cum uint64
-	for _, wv := range sorted {
-		cum += wv.w
-		if cum >= target {
-			return wv.v
-		}
-	}
-	return sorted[len(sorted)-1].v
-}
-
 func (w *weighted) line(stage string, share float64) SLOLine {
 	return SLOLine{
 		Stage:     stage,
 		Requests:  w.total,
 		Mean:      w.mean(),
-		P50:       w.quantile(50),
-		P99:       w.quantile(99),
-		P999:      w.quantile(99.9),
+		P50:       stats.Quantile(w.vals, 50),
+		P99:       stats.Quantile(w.vals, 99),
+		P999:      stats.Quantile(w.vals, 99.9),
 		MeanShare: share,
 	}
 }
@@ -386,19 +353,16 @@ func (r *Report) MarshalCanonical() ([]byte, error) {
 }
 
 // BuildServing folds outcomes and varz samples into the wall-clock
-// section. Quantiles are exact over the completed outcomes (which are
-// already materialized, so no reservoir is needed at this layer; the
-// stats.Reservoir path serves streaming consumers that never hold the
-// full outcome slice).
+// section. Quantiles are exact over the completed outcomes.
 func BuildServing(outcomes []Outcome, samples []VarzSample, duration time.Duration) *ServingStats {
 	s := &ServingStats{DurationNs: int64(duration), Samples: samples}
-	var lat []float64
+	var lat []stats.Sample
 	var maxNs, sumNs float64
 	for _, o := range outcomes {
 		switch o.State {
 		case OutcomeDone:
 			ns := float64(o.WallLatency())
-			lat = append(lat, ns)
+			lat = append(lat, stats.Sample{Value: ns, Weight: 1})
 			sumNs += ns
 			if ns > maxNs {
 				maxNs = ns
@@ -415,32 +379,13 @@ func BuildServing(outcomes []Outcome, samples []VarzSample, duration time.Durati
 	s.Wall.Count = uint64(len(lat))
 	if len(lat) > 0 {
 		s.Wall.MeanNs = sumNs / float64(len(lat))
-		sort.Float64s(lat)
-		s.Wall.P50Ns = sortedQuantileFloat(lat, 50)
-		s.Wall.P99Ns = sortedQuantileFloat(lat, 99)
-		s.Wall.P999Ns = sortedQuantileFloat(lat, 99.9)
+		s.Wall.P50Ns = stats.Quantile(lat, 50)
+		s.Wall.P99Ns = stats.Quantile(lat, 99)
+		s.Wall.P999Ns = stats.Quantile(lat, 99.9)
 		s.Wall.MaxNs = maxNs
 	}
 	if duration > 0 {
 		s.ThroughputRPS = float64(len(lat)) / duration.Seconds()
 	}
 	return s
-}
-
-// sortedQuantileFloat is the nearest-rank rule over sorted samples.
-func sortedQuantileFloat(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(p / 100 * float64(len(sorted)))
-	if float64(rank) < p/100*float64(len(sorted)) {
-		rank++
-	}
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
 }

@@ -11,6 +11,7 @@ import (
 
 	"doram"
 	"doram/internal/evtrace"
+	"doram/internal/stats"
 	"doram/internal/xrand"
 )
 
@@ -166,7 +167,7 @@ func TestWeightedQuantile(t *testing.T) {
 		{50, 100}, {98, 100}, {99, 500}, {99.9, 900}, {100, 900}, {0, 100},
 	}
 	for _, c := range cases {
-		if got := w.quantile(c.p); got != c.want {
+		if got := stats.Quantile(w.vals, c.p); got != c.want {
 			t.Errorf("quantile(%v) = %v, want %v", c.p, got, c.want)
 		}
 	}

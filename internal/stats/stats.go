@@ -230,10 +230,11 @@ func (h *Histogram) MergeFrom(o *Histogram) error {
 }
 
 // Percentile returns an upper bound for the p-th percentile using bucket
-// boundaries. The overflow bucket reports the observed max. Out-of-contract
-// inputs are clamped rather than rejected: p <= 0 returns the observed min
-// (the tightest lower bound any percentile can have) and p > 100 behaves as
-// p = 100. With no samples observed it returns 0. p must not be NaN.
+// boundaries and the nearest-rank rule Quantile uses. The overflow bucket
+// reports the observed max. Out-of-contract inputs are clamped rather than
+// rejected: p <= 0 returns the observed min (the tightest lower bound any
+// percentile can have) and p > 100 behaves as p = 100. With no samples
+// observed it returns 0. p must not be NaN.
 func (h *Histogram) Percentile(p float64) uint64 {
 	if h.lat.count == 0 {
 		return 0
@@ -241,19 +242,7 @@ func (h *Histogram) Percentile(p float64) uint64 {
 	if p <= 0 {
 		return h.lat.min
 	}
-	if p > 100 {
-		p = 100
-	}
-	target := uint64(math.Ceil(p / 100 * float64(h.lat.count)))
-	if target == 0 {
-		target = 1
-	}
-	// float64(count) rounds above 2^53 samples, so the computed rank can
-	// exceed the population; clamp so p=100 still lands in the last
-	// occupied bucket instead of falling through the loop.
-	if target > h.lat.count {
-		target = h.lat.count
-	}
+	target := nearestRank(p, h.lat.count)
 	var cum uint64
 	for i, c := range h.counts {
 		cum += c
@@ -268,8 +257,8 @@ func (h *Histogram) Percentile(p float64) uint64 {
 }
 
 // Summary is a one-call digest of a histogram: scalar mean plus the
-// bucket-bound percentiles most reports want. Percentile semantics match
-// Histogram.Percentile exactly (upper bounds; overflow reports the max).
+// bucket-bound percentiles most reports want, as Histogram.Percentile
+// computes them.
 type Summary struct {
 	Count uint64
 	Mean  float64
@@ -278,51 +267,10 @@ type Summary struct {
 	P99   uint64
 }
 
-// Summary computes {count, mean, p50, p95, p99} in a single pass over the
-// buckets, equivalent to (but cheaper than) three Percentile calls.
+// Summary computes {count, mean, p50, p95, p99}.
 func (h *Histogram) Summary() Summary {
-	s := Summary{Count: h.lat.count, Mean: h.lat.Mean()}
-	if h.lat.count == 0 {
-		return s
-	}
-	target := func(p float64) uint64 {
-		t := uint64(math.Ceil(p / 100 * float64(h.lat.count)))
-		if t == 0 {
-			t = 1
-		}
-		if t > h.lat.count { // float rounding above 2^53 samples
-			t = h.lat.count
-		}
-		return t
-	}
-	t50, t95, t99 := target(50), target(95), target(99)
-	value := func(i int) uint64 {
-		if i == len(h.bounds) {
-			return h.lat.max
-		}
-		return h.bounds[i]
-	}
-	var cum uint64
-	done := 0
-	for i, c := range h.counts {
-		cum += c
-		if done < 1 && cum >= t50 {
-			s.P50 = value(i)
-			done = 1
-		}
-		if done < 2 && cum >= t95 {
-			s.P95 = value(i)
-			done = 2
-		}
-		if done < 3 && cum >= t99 {
-			s.P99 = value(i)
-			done = 3
-		}
-		if done == 3 {
-			break
-		}
-	}
-	return s
+	return Summary{Count: h.lat.count, Mean: h.lat.Mean(),
+		P50: h.Percentile(50), P95: h.Percentile(95), P99: h.Percentile(99)}
 }
 
 // Utilization tracks how many cycles a resource was busy out of a window.
@@ -368,37 +316,53 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(logSum / float64(n))
 }
 
-// Quantile returns the exact nearest-rank p-th percentile of xs (p in
-// [0,100], clamped). It sorts a copy, leaving xs untouched, and returns 0
-// for an empty slice. Unlike Histogram.Percentile this is exact rather
-// than a bucket upper bound — use it when the samples fit in memory, and
-// Reservoir when they do not.
-func Quantile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return sortedQuantile(sorted, p)
+// Sample is a value observed Weight times: one input to Quantile.
+// Unweighted samples use Weight 1.
+type Sample struct {
+	Value  float64
+	Weight uint64
 }
 
-// sortedQuantile is the nearest-rank rule over already-sorted samples.
-func sortedQuantile(sorted []float64, p float64) float64 {
-	if p <= 0 {
-		return sorted[0]
+// Quantile returns the exact weighted nearest-rank p-th percentile of xs:
+// the smallest value whose cumulative weight reaches the nearest rank of p
+// in the total weight. Out-of-contract p is clamped as in
+// Histogram.Percentile: p <= 0 gives the smallest value, p > 100 behaves
+// as 100. It sorts a copy, leaving xs untouched, and returns 0 when the
+// total weight is 0. Unlike Histogram.Percentile this is exact rather than
+// a bucket upper bound; use it when the samples fit in memory.
+func Quantile(xs []Sample, p float64) float64 {
+	var total uint64
+	for _, x := range xs {
+		total += x.Weight
 	}
-	if p > 100 {
-		p = 100
+	if total == 0 {
+		return 0
 	}
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
+	sorted := make([]Sample, len(xs))
+	copy(sorted, xs)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Value < sorted[j].Value })
+	target := nearestRank(p, total)
+	var cum uint64
+	for _, x := range sorted {
+		cum += x.Weight
+		if cum >= target {
+			return x.Value
+		}
 	}
-	if rank > len(sorted) {
-		rank = len(sorted)
+	return sorted[len(sorted)-1].Value // unreachable: cum ends at total >= target
+}
+
+// nearestRank is the nearest-rank rule shared by Quantile and Histogram:
+// the 1-based position ceil(p/100 · n) of the p-th percentile among n > 0
+// ordered observations, clamped to [1, n].
+func nearestRank(p float64, n uint64) uint64 {
+	if !(p > 0) {
+		return 1
 	}
-	return sorted[rank-1]
+	r := uint64(math.Ceil(min(p, 100) / 100 * float64(n)))
+	// float64(n) rounds above 2^53 samples, so the rank can exceed the
+	// population; clamp so p=100 still lands on the last observation.
+	return max(1, min(r, n))
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.

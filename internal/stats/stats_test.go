@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -263,4 +264,119 @@ func TestPropertyHistogramConservation(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestLatencySumSaturation: sums past MaxUint64 clamp (sticky) instead of
+// wrapping to a plausible-looking garbage mean — the sustained-load case
+// of 1e7+ large samples.
+func TestLatencySumSaturation(t *testing.T) {
+	var l Latency
+	l.Observe(math.MaxUint64)
+	if l.Saturated() {
+		t.Fatal("one sample should not saturate")
+	}
+	l.Observe(10)
+	if !l.Saturated() {
+		t.Fatal("sum past MaxUint64 must saturate")
+	}
+	if l.Sum() != math.MaxUint64 {
+		t.Fatalf("saturated sum = %d, want MaxUint64", l.Sum())
+	}
+	if l.Count() != 2 || l.Max() != math.MaxUint64 || l.Min() != 10 {
+		t.Fatalf("count/min/max wrong: %s", l.String())
+	}
+	l.Observe(1) // sticky
+	if l.Sum() != math.MaxUint64 || l.Count() != 3 {
+		t.Fatalf("saturation must be sticky: sum=%d count=%d", l.Sum(), l.Count())
+	}
+
+	// Saturation propagates through both merge paths.
+	var m Latency
+	m.Observe(7)
+	m.Merge(l)
+	if !m.Saturated() || m.Sum() != math.MaxUint64 || m.Count() != 4 {
+		t.Fatalf("Merge lost saturation: %s", m.String())
+	}
+	var f Latency
+	f.Observe(math.MaxUint64 - 3)
+	var g Latency
+	g.Observe(1000)
+	f.MergeFrom(g)
+	if !f.Saturated() || f.Sum() != math.MaxUint64 {
+		t.Fatalf("MergeFrom overflow not saturated: %s", f.String())
+	}
+}
+
+// TestPercentileHugeCounts grows a histogram past 2^53 samples by repeated
+// doubling and checks the percentile rank math neither overflows nor falls
+// off the end of the buckets (the float64 rank can exceed the population
+// up there; it must clamp).
+func TestPercentileHugeCounts(t *testing.T) {
+	h := NewHistogram([]uint64{10, 100, 1000})
+	for _, v := range []uint64{5, 50, 500, 5000} {
+		h.Observe(v)
+	}
+	// Double via merge with a snapshot each round: 4 * 2^54 > 2^53 samples
+	// (still well under 2^64, so the counters themselves cannot wrap).
+	for i := 0; i < 54; i++ {
+		snap := NewHistogram([]uint64{10, 100, 1000})
+		if err := snap.MergeFrom(h); err != nil {
+			t.Fatalf("snapshot %d: %v", i, err)
+		}
+		if err := h.MergeFrom(snap); err != nil {
+			t.Fatalf("merge %d: %v", i, err)
+		}
+	}
+	lat := h.Latency()
+	if lat.Count() <= 1<<53 {
+		t.Fatalf("count = %d, want > 2^53", lat.Count())
+	}
+	if got := h.Percentile(100); got != 5000 {
+		t.Fatalf("p100 = %d, want observed max 5000", got)
+	}
+	if got := h.Percentile(50); got != 100 {
+		t.Fatalf("p50 = %d, want bucket bound 100", got)
+	}
+	s := h.Summary()
+	if s.P50 != 100 || s.P99 != 5000 {
+		t.Fatalf("summary = %+v, want P50 100, P99 5000", s)
+	}
+	satLat := h.Latency()
+	if !satLat.Saturated() {
+		t.Fatal("doubling sums past MaxUint64 should have saturated")
+	}
+}
+
+// TestQuantile: the exact nearest-rank rule over unit-weight samples.
+func TestQuantile(t *testing.T) {
+	if got := Quantile(nil, 50); got != 0 {
+		t.Fatalf("empty quantile = %v, want 0", got)
+	}
+	if got := Quantile([]Sample{{Value: 3, Weight: 0}}, 50); got != 0 {
+		t.Fatalf("zero-weight quantile = %v, want 0", got)
+	}
+	xs := unweighted(9, 1, 7, 3, 5) // sorted: 1 3 5 7 9
+	cases := []struct {
+		p    float64
+		want float64
+	}{
+		{-5, 1}, {0, 1}, {10, 1}, {20, 1}, {40, 3}, {50, 5}, {60, 5},
+		{80, 7}, {90, 9}, {100, 9}, {250, 9},
+	}
+	for _, c := range cases {
+		if got := Quantile(xs, c.p); got != c.want {
+			t.Errorf("Quantile(%v) = %v, want %v", c.p, got, c.want)
+		}
+	}
+	if !reflect.DeepEqual(xs, unweighted(9, 1, 7, 3, 5)) {
+		t.Fatal("Quantile must not mutate its input")
+	}
+}
+
+func unweighted(vs ...float64) []Sample {
+	out := make([]Sample, len(vs))
+	for i, v := range vs {
+		out[i] = Sample{Value: v, Weight: 1}
+	}
+	return out
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"doram/internal/core"
 	"doram/internal/oram/backend"
 )
 
@@ -53,7 +54,7 @@ type Params struct {
 	// Pace is the timing-protection interval t; omitted means 50.
 	Pace uint64 `json:"pace,omitempty"`
 	// CoopThreshold is the ORAM bandwidth-preallocation share; omitted
-	// means 0.5.
+	// (or non-positive) means 0.5.
 	CoopThreshold float64 `json:"coop_threshold,omitempty"`
 	// SubtreeLevels overrides the subtree layout depth; omitted means 7.
 	SubtreeLevels int `json:"subtree_levels,omitempty"`
@@ -100,11 +101,14 @@ const (
 	defaultSeed          = 1
 	defaultPace          = 50
 	defaultCoopThreshold = 0.5
+	defaultMaxCycles     = 2_000_000_000
 )
 
 // Canonical returns the spec with every omitted field replaced by its
 // default and every implied flag made explicit, so that equivalent specs
-// compare (and hash) equal. It does not validate; see Validate.
+// compare (and hash) equal. MaxCycles runs the other way: its default
+// folds to omitted, which keeps the hashes of specs that never named it.
+// It does not validate; see Validate.
 func (p Params) Canonical() Params {
 	c := p
 	if c.NumNS == nil {
@@ -131,8 +135,11 @@ func (p Params) Canonical() Params {
 	if c.Pace == 0 {
 		c.Pace = defaultPace
 	}
-	if c.CoopThreshold == 0 {
+	if !(c.CoopThreshold > 0) { // as in SimConfig lowering
 		c.CoopThreshold = defaultCoopThreshold
+	}
+	if c.MaxCycles == defaultMaxCycles {
+		c.MaxCycles = 0
 	}
 	if c.MetricsEpochCycles > 0 {
 		c.Metrics = true
@@ -266,9 +273,26 @@ func ParamsFromSimConfig(c SimConfig) (Params, error) {
 	if c.TraceEventLimit != 0 {
 		return Params{}, fmt.Errorf("doram: params: TraceEventLimit is not expressible in a job spec")
 	}
+	ic, err := c.coreConfig()
+	if err != nil {
+		return Params{}, err
+	}
+	p, _ := paramsFromCore(ic) // SimConfig cannot set the other inexpressible knob, MCPolicy
+	return p, nil
+}
+
+// paramsFromCore lifts an internal configuration into the canonical spec —
+// the one lifting behind both ParamsFromSimConfig and the remote sweep
+// executor. ok is false for configurations a spec cannot express:
+// recorded-trace replay (TraceDir), a non-default memory-scheduler policy
+// (MCPolicy) and the event-ring size override (TraceLimit).
+func paramsFromCore(c core.Config) (Params, bool) {
+	if c.TraceDir != "" || c.MCPolicy != 0 || c.TraceLimit != 0 {
+		return Params{}, false
+	}
 	numNS, hasS, sharers := c.NumNS, c.HasSApp, c.SecureSharers
 	p := Params{
-		Scheme:             c.Scheme,
+		Scheme:             Scheme(c.Scheme.String()),
 		Benchmark:          c.Benchmark,
 		NumNS:              &numNS,
 		HasSApp:            &hasS,
@@ -292,12 +316,11 @@ func ParamsFromSimConfig(c SimConfig) (Params, error) {
 		Encryptor:          c.Encryptor,
 		LinkCorruptProb:    c.LinkCorruptProb,
 		LinkLossProb:       c.LinkLossProb,
-		Metrics:            c.Metrics,
 		MetricsEpochCycles: c.MetricsEpochCycles,
-		Trace:              c.Trace,
+		Trace:              c.TraceEvents,
 		TraceSample:        c.TraceSample,
 		TraceOramOnly:      c.TraceOramOnly,
-		TraceTopN:          c.TraceTopN,
+		TraceTopN:          c.TraceTopK,
 	}
-	return p.Canonical(), nil
+	return p.Canonical(), true
 }

@@ -2,9 +2,15 @@ package doram
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"doram/internal/core"
+	"doram/internal/mc"
+	"doram/internal/oram/backend"
 )
 
 // TestParamsHashInvariance: the cache key must not care how the client
@@ -66,6 +72,14 @@ func TestParamsHashInvariance(t *testing.T) {
 	if d1.Hash() != d2.Hash() {
 		t.Errorf("explicit default backend names changed the hash")
 	}
+	// Spelling out the default run bound must not change the hash either.
+	d4, err := ParamsFromJSON([]byte(`{"scheme":"d-oram","benchmark":"face","max_cycles":2000000000}`))
+	if err != nil {
+		t.Fatalf("spelled-out max_cycles spec: %v", err)
+	}
+	if d1.Hash() != d4.Hash() {
+		t.Errorf("spelled-out default max_cycles changed the hash")
+	}
 	d3, err := ParamsFromJSON([]byte(`{"scheme":"d-oram","benchmark":"face","eviction":"deterministic-two-path"}`))
 	if err != nil {
 		t.Fatalf("two-path spec: %v", err)
@@ -103,6 +117,162 @@ func TestParamsHashSensitivity(t *testing.T) {
 }
 
 func intp(v int) *int { return &v }
+
+// TestParamsFromSimConfigHashPinned pins ParamsFromSimConfig's hashes —
+// the cache keys doramctl, doramload and the coordinator compute — for the
+// four default co-runs and every TestParamsHashSensitivity variant, so a
+// change to the lifting cannot silently invalidate persisted caches.
+func TestParamsFromSimConfigHashPinned(t *testing.T) {
+	pinned := map[string]string{
+		"non-secure":    "9893913c16a6352298d05a850b80369a49ff3865c1c338cdae2b3399237ecc85",
+		"path-oram":     "810551575da4af43725bae712d86c0fa3049a22850422aeb1390d1ed75674354",
+		"secure-memory": "e886b5873658bc249d5efc9b382bae409a1a09c011bef24e5caff12c5df080a0",
+		"d-oram":        "943ccfefdee927ee428d2aee34babdfa3d29fa1fc92347cbce8f1ff61f67b60c",
+	}
+	for _, s := range []Scheme{SchemeNonSecure, SchemePathORAM, SchemeSecureMemory, SchemeDORAM} {
+		p, err := ParamsFromSimConfig(DefaultSimConfig(s, "face"))
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		if got := p.Hash(); got != pinned[string(s)] {
+			t.Errorf("%s: hash %s, pinned %s", s, got, pinned[string(s)])
+		}
+	}
+
+	for name, c := range map[string]struct {
+		p    Params
+		hash string
+	}{
+		"base":    {Params{Scheme: SchemeDORAM, Benchmark: "face"}, "943ccfefdee927ee428d2aee34babdfa3d29fa1fc92347cbce8f1ff61f67b60c"},
+		"k":       {Params{Scheme: SchemeDORAM, Benchmark: "face", SplitK: 1}, "a44240a4ddbc92815abba3c7e00630a291317f7b3d4b7c08682bcbfee1c167dd"},
+		"c":       {Params{Scheme: SchemeDORAM, Benchmark: "face", C: intp(4)}, "7e0b8ffa229bdceb99e2c5a997446aece7c4156bf9f113aad77c03e549dc6e76"},
+		"bench":   {Params{Scheme: SchemeDORAM, Benchmark: "libq"}, "8c0f6d43cd793da4ef5cead593359ebb9c886f9fc752735a4f2d5f546d4cb966"},
+		"seed":    {Params{Scheme: SchemeDORAM, Benchmark: "face", Seed: 2}, "d7ef910ee9b8eda2eab228434b044012adaaf8077070210bf67a918399d0bfdd"},
+		"trace":   {Params{Scheme: SchemeDORAM, Benchmark: "face", TraceLen: 4000}, "25dbe88ca6396aa6698cbab70c2a5cbd6b89afcafb1d2bf87f2d69e0aa4d0eed"},
+		"num_ns":  {Params{Scheme: SchemeDORAM, Benchmark: "face", NumNS: intp(3)}, "bc3272230ec7ff41109e8c9746e5f42cb1a243743f3dc2751ba48b3e7fd60d2b"},
+		"pace":    {Params{Scheme: SchemeDORAM, Benchmark: "face", Pace: 100}, "bc80ff5279f11dbc019162942dde7f4a72ff3f6a51cfdff921317c2bd22b448f"},
+		"ddr4":    {Params{Scheme: SchemeDORAM, Benchmark: "face", DDR4: true}, "89885bd8a7af370fab258660f25c13f79bfa92d9626d8864151066b0093741d1"},
+		"metrics": {Params{Scheme: SchemeDORAM, Benchmark: "face", Metrics: true}, "a5d6584d15dfb6f1552b773d39dadb4b895b178a0e0c0268055c99ad3077a7e0"},
+	} {
+		p, err := ParamsFromSimConfig(c.p.SimConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := p.Hash(); got != c.hash {
+			t.Errorf("%s: hash %s, pinned %s", name, got, c.hash)
+		}
+	}
+}
+
+// sweepConfigs returns every config the experiment sweeps build under o,
+// captured by an executor that records each one and fails it, so nothing
+// is simulated. Sweeps that run in stages stop after their first.
+func sweepConfigs(t *testing.T, o ExperimentOptions) []core.Config {
+	t.Helper()
+	io, err := o.internal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var cfgs []core.Config
+	errRecorded := errors.New("recorded")
+	io.Exec = func(cfg core.Config) (*core.Results, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		cfgs = append(cfgs, cfg)
+		return nil, errRecorded
+	}
+	for _, id := range Experiments() {
+		if id == "table1" || id == "oram-compare" { // no simulation sweep
+			continue
+		}
+		if _, err := runExperimentTable(id, io); !errors.Is(err, errRecorded) {
+			t.Fatalf("%s: got %v, want the recording executor's error", id, err)
+		}
+	}
+	return cfgs
+}
+
+// TestParamsFromCoreSweepConfigs: every config shape the sweeps build —
+// solo, 3-channel co-run, D-ORAM with split and sharers, baseline,
+// metrics, DDR4, phase overlap, eviction strategies — lifts to a spec that
+// validates and lowers back to the identical simulation, so remote sweeps
+// run exactly what a local sweep would. Only the scheduler ablation's
+// MCPolicy is inexpressible, and it must say so.
+func TestParamsFromCoreSweepConfigs(t *testing.T) {
+	base := ExperimentOptions{TraceLen: 1200, Seed: 42, Benchmarks: []string{"face"}}
+	withMetrics := base
+	withMetrics.MetricsDir = t.TempDir()
+	withMetrics.Encryptor = "aes-gcm"
+	cfgs := append(sweepConfigs(t, base), sweepConfigs(t, withMetrics)...)
+
+	inexpressible := 0
+	for i, cfg := range cfgs {
+		p, ok := paramsFromCore(cfg)
+		if !ok {
+			if cfg.MCPolicy == 0 {
+				t.Errorf("config %d (%s): not expressible: %+v", i, cfg.Scheme, cfg)
+			}
+			inexpressible++
+			continue
+		}
+		if err := p.Validate(); err != nil {
+			t.Errorf("config %d (%s): lifted spec invalid: %v", i, cfg.Scheme, err)
+			continue
+		}
+		back, err := p.SimConfig().coreConfig()
+		if err != nil {
+			t.Fatalf("config %d: lowering: %v", i, err)
+		}
+		want := cfg // default backend names fold to "": the same simulation
+		if want.Eviction == backend.DefaultEviction {
+			want.Eviction = ""
+		}
+		if !reflect.DeepEqual(back, want) {
+			t.Errorf("config %d (%s): spec lowers to a different simulation:\n  cfg:  %+v\n  back: %+v", i, cfg.Scheme, cfg, back)
+		}
+	}
+	if inexpressible == 0 || inexpressible == len(cfgs) {
+		t.Errorf("%d of %d sweep configs inexpressible; want only the scheduler ablation's", inexpressible, len(cfgs))
+	}
+
+	for name, cfg := range map[string]core.Config{
+		"trace replay":   {TraceDir: "traces"},
+		"mc policy":      {MCPolicy: mc.FCFS},
+		"event ring cap": {TraceEvents: true, TraceLimit: 1000},
+	} {
+		if _, ok := paramsFromCore(cfg); ok {
+			t.Errorf("%s: lifted to a spec that cannot express it", name)
+		}
+	}
+}
+
+// TestParamsFromCoreMatchesHandWrittenSpec: a sweep's Path ORAM baseline
+// run must hash like the same spec written by hand (as doramctl users do),
+// so remote sweeps share cache entries with every other client.
+func TestParamsFromCoreMatchesHandWrittenSpec(t *testing.T) {
+	var baseline *core.Config
+	for _, cfg := range sweepConfigs(t, ExperimentOptions{TraceLen: 1200, Seed: 42, Benchmarks: []string{"face"}}) {
+		if cfg.Scheme == core.PathORAMBaseline {
+			baseline = &cfg
+			break
+		}
+	}
+	if baseline == nil {
+		t.Fatal("no sweep builds a Path ORAM baseline config")
+	}
+	p, ok := paramsFromCore(*baseline)
+	if !ok {
+		t.Fatal("baseline config not expressible")
+	}
+	want, err := ParamsFromJSON([]byte(`{"scheme":"path-oram","benchmark":"face","trace_len":1200,"seed":42,"latency_warmup":60}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Hash() != want.Hash() {
+		t.Errorf("lifted baseline hashes %s, hand-written spec %s", p.Hash(), want.Hash())
+	}
+}
 
 // TestParamsJSONRoundTrip: MarshalJSON emits the canonical form and
 // ParamsFromJSON reads it back to an identical spec.
@@ -168,4 +338,39 @@ func TestParamsHashIsHex(t *testing.T) {
 	if len(h) != 64 || strings.Trim(h, "0123456789abcdef") != "" {
 		t.Errorf("hash %q is not 64 lowercase hex chars", h)
 	}
+}
+
+// FuzzParamsFromJSON: the job-spec decoder reads untrusted bytes from the
+// doramd HTTP API. It must never panic; an accepted spec must keep its
+// hash (the result-cache key) through a marshal/parse round trip; and
+// lowering to SimConfig and lifting back must keep it too — the identity
+// that lets the remote sweep executor and ParamsFromSimConfig share one
+// lifting. Seeds live in testdata/fuzz/FuzzParamsFromJSON.
+func FuzzParamsFromJSON(f *testing.F) {
+	f.Add([]byte(`{"scheme":"d-oram","benchmark":"face"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ParamsFromJSON(data)
+		if err != nil {
+			return
+		}
+		out, err := json.Marshal(p)
+		if err != nil {
+			t.Fatalf("marshal accepted spec: %v", err)
+		}
+		q, err := ParamsFromJSON(out)
+		if err != nil {
+			t.Fatalf("re-parse %s: %v", out, err)
+		}
+		if q.Hash() != p.Hash() {
+			t.Errorf("hash changed across a round trip:\n  in:  %s\n  out: %s", data, out)
+		}
+		r, err := ParamsFromSimConfig(p.SimConfig())
+		if err != nil {
+			t.Fatalf("lift %s: %v", out, err)
+		}
+		if r.Hash() != p.Hash() {
+			rout, _ := json.Marshal(r)
+			t.Errorf("ParamsFromSimConfig(p.SimConfig()) changed the hash:\n  p:    %s\n  back: %s", out, rout)
+		}
+	})
 }

@@ -3,7 +3,11 @@ package doram
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
+
+	"doram/internal/core"
+	"doram/internal/delegator"
 )
 
 // encodeResult renders a result the way doramd's HTTP API serves it.
@@ -66,4 +70,75 @@ func TestResultJSONRelayIsExact(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestResultsFromRawRoundTrip: a run that crosses the wire as a SimResult
+// rebuilds into the core.Results the run produced, in every field the
+// figure pipelines read — what lets remote sweeps reproduce local figures
+// bit for bit.
+func TestResultsFromRawRoundTrip(t *testing.T) {
+	for name, sc := range map[string]SimConfig{
+		"solo": {Scheme: SchemeNonSecure, Benchmark: "face", NumNS: 1, TraceLen: 1500, Seed: 3},
+		"d-oram-split-metrics": {Scheme: SchemeDORAM, Benchmark: "libq", NumNS: 7, HasSApp: true,
+			SplitK: 1, SecureSharers: 4, TraceLen: 1500, Seed: 3, LatencyWarmup: 75, Metrics: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ic, err := sc.coreConfig()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, err := core.NewSystem(ic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sys.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wire SimResult
+			if err := json.Unmarshal(encodeResult(t, simResult(res)), &wire); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			back, err := resultsFromRaw(ic, &wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The metric dump crosses as JSON; compare it in that form.
+			if (res.Metrics == nil) != (back.Metrics == nil) {
+				t.Fatalf("metrics dump presence: local %v, rebuilt %v", res.Metrics != nil, back.Metrics != nil)
+			}
+			if res.Metrics != nil {
+				if !bytes.Equal(mustJSON(t, back.Metrics), mustJSON(t, res.Metrics)) {
+					t.Errorf("rebuilt metrics dump differs")
+				}
+				if back.Timeline != back.Metrics.Timeline {
+					t.Errorf("rebuilt Timeline is not Metrics.Timeline")
+				}
+			}
+			// Only the first S-App's stats cross the wire; the read-latency
+			// histogram, engine stats, link-fault counters and span trace
+			// stay server-side.
+			want := *res
+			want.NSReadHist, want.Engine, want.Trace = nil, nil, nil
+			want.LinkFaults = [core.NumChannels]core.LinkFaultStats{}
+			if res.SApp != nil {
+				want.SAppAll = []*delegator.ExecStats{res.SApp}
+			}
+			want.Metrics, want.Timeline = nil, nil
+			back.Metrics, back.Timeline = nil, nil
+			if !reflect.DeepEqual(back, &want) {
+				t.Errorf("rebuilt results differ:\n  local:   %+v\n  rebuilt: %+v", want, *back)
+			}
+		})
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }

@@ -7,6 +7,7 @@ import (
 
 	"doram/internal/clock"
 	"doram/internal/core"
+	"doram/internal/delegator"
 	"doram/internal/evtrace"
 	"doram/internal/metrics"
 	"doram/internal/stats"
@@ -396,6 +397,11 @@ func SimulateContext(ctx context.Context, cfg SimConfig) (*SimResult, error) {
 		}
 		return nil, err
 	}
+	return simResult(res), nil
+}
+
+// simResult summarizes a finished run, attaching its exact aggregates.
+func simResult(res *core.Results) *SimResult {
 	out := &SimResult{
 		NSFinish:           res.NSFinish,
 		AvgNSExecCycles:    res.AvgNSFinish(),
@@ -428,7 +434,7 @@ func SimulateContext(ctx context.Context, cfg SimConfig) (*SimResult, error) {
 		RetryDelayNs: clock.CPUToNanos(lf.RetryCycles),
 	}
 	out.Raw = rawFromResults(res)
-	return out, nil
+	return out
 }
 
 // latencyParts extracts a latency stream's exact integer aggregate.
@@ -462,6 +468,67 @@ func rawFromResults(res *core.Results) *SimRaw {
 		}
 	}
 	return raw
+}
+
+// resultsFromRaw rebuilds the internal result of running cfg from a
+// SimResult's exact aggregates — the inverse of rawFromResults, used when a
+// sweep's run came back from a doramd endpoint. Everything the figure
+// pipelines read is recovered losslessly; the latency histogram, span trace
+// and per-channel link-fault counters stay server-side (sweeps neither
+// trace remotely nor inject faults).
+func resultsFromRaw(cfg core.Config, r *SimResult) (*core.Results, error) {
+	raw := r.Raw
+	if raw == nil {
+		return nil, fmt.Errorf("doram: result carries no raw aggregates (doramd too old?)")
+	}
+	if len(raw.ChannelRead) != core.NumChannels || len(raw.ChannelWrite) != core.NumChannels {
+		return nil, fmt.Errorf("doram: result has %d/%d channel aggregates, want %d",
+			len(raw.ChannelRead), len(raw.ChannelWrite), core.NumChannels)
+	}
+	res := &core.Results{
+		Config:     cfg,
+		Cycles:     raw.Cycles,
+		NSFinish:   r.NSFinish,
+		NSInstrs:   raw.NSInstrs,
+		NSReadLat:  raw.NSRead.latency(),
+		NSWriteLat: raw.NSWrite.latency(),
+		Metrics:    r.Metrics,
+	}
+	if r.Metrics != nil {
+		res.Timeline = r.Metrics.Timeline
+	}
+	for ch := 0; ch < core.NumChannels; ch++ {
+		res.ReadLatPerChannel[ch] = raw.ChannelRead[ch].latency()
+		res.WriteLatPerChannel[ch] = raw.ChannelWrite[ch].latency()
+		if ch < len(r.ChannelDataBusBusy) {
+			res.ChannelDataBusBusy[ch] = r.ChannelDataBusBusy[ch]
+		}
+		if ch < len(raw.ChannelEnergyUJ) {
+			res.ChannelEnergyUJ[ch] = raw.ChannelEnergyUJ[ch]
+		}
+		if ch < len(raw.ChannelRowHitRate) {
+			res.ChannelRowHitRate[ch] = raw.ChannelRowHitRate[ch]
+		}
+	}
+	if o := raw.ORAM; o != nil {
+		es := &delegator.ExecStats{
+			ReadPhase:  o.ReadPhase.latency(),
+			WritePhase: o.WritePhase.latency(),
+		}
+		es.Accesses.Add(o.Accesses)
+		es.RealAccesses.Add(o.Real)
+		es.DummyAccesses.Add(o.Dummy)
+		es.RemoteBlocks.Add(o.RemoteBlocks)
+		res.SApp = es
+		res.SAppAll = []*delegator.ExecStats{es}
+		res.SAppFinish = o.SAppFinish
+	}
+	return res, nil
+}
+
+// latency rebuilds the latency stream the aggregate was taken from.
+func (p LatencyParts) latency() stats.Latency {
+	return stats.LatencyFromParts(p.Count, p.Sum, p.Min, p.Max)
 }
 
 // Benchmarks returns the 15 Table III benchmark names.
