@@ -11,6 +11,7 @@ import (
 	"doram/internal/addrmap"
 	"doram/internal/core"
 	"doram/internal/dram"
+	"doram/internal/evtrace"
 	"doram/internal/experiments"
 	"doram/internal/mc"
 	"doram/internal/oram"
@@ -167,14 +168,28 @@ func BenchmarkSimulateDORAMMetrics(b *testing.B) {
 }
 
 // BenchmarkSimulateDORAMTrace is BenchmarkSimulateDORAM with per-access
-// event tracing enabled; comparing against the base benchmark measures the
+// tracing enabled but no event ring — the attribution-only run every traced
+// job spec gets; comparing against the base benchmark measures the
 // recording overhead (the disabled-path cost stays at a nil check per
 // instrumentation point, same contract as the metrics subsystem).
 func BenchmarkSimulateDORAMTrace(b *testing.B) {
+	benchmarkTrace(b, 0)
+}
+
+// BenchmarkSimulateDORAMTraceRing adds the event ring an exporter
+// (doramsim -trace-json) requests; the gap to BenchmarkSimulateDORAMTrace
+// is what keeping span events costs.
+func BenchmarkSimulateDORAMTraceRing(b *testing.B) {
+	benchmarkTrace(b, evtrace.DefaultLimit)
+}
+
+func benchmarkTrace(b *testing.B, limit int) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultSimConfig(SchemeDORAM, "libq")
 		cfg.TraceLen = 1000
 		cfg.Trace = true
+		cfg.TraceEventLimit = limit
 		if _, err := Simulate(cfg); err != nil {
 			b.Fatal(err)
 		}

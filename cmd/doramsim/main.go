@@ -53,8 +53,8 @@ func main() {
 		metricsCSV   = flag.String("metrics-csv", "", "write the sampled timeline as CSV to this file (\"-\" = stdout; implies -metrics)")
 
 		traceJSON   = flag.String("trace-json", "", "write the per-access event trace as Chrome trace-event JSON to this file (\"-\" = stdout; implies tracing)")
-		traceLimit  = flag.Int("trace-limit", 0, "max span events retained in the trace ring buffer (0 = 200000)")
-		traceSample = flag.Uint64("trace-sample", 1, "keep every Nth ORAM access / NS request in the event ring")
+		traceLimit  = flag.Int("trace-limit", 200000, "max span events -trace-json retains in its ring buffer (oldest dropped first)")
+		traceSample = flag.Uint64("trace-sample", 1, "keep every Nth ORAM access / NS request in the -trace-json event ring")
 		traceTop    = flag.Int("trace-top", 0, "report the N slowest ORAM accesses with per-stage breakdowns (implies tracing)")
 		traceCheck  = flag.String("trace-validate", "", "validate a Chrome trace JSON file (nesting + timestamp invariants) and exit")
 
@@ -64,7 +64,7 @@ func main() {
 
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if err := checkFlagConflicts(explicit, *traceJSON, *traceTop); err != nil {
+	if err := checkFlagConflicts(explicit, *traceJSON, *traceLimit); err != nil {
 		fmt.Fprintf(os.Stderr, "doramsim: %v\n", err)
 		os.Exit(2)
 	}
@@ -110,8 +110,10 @@ func main() {
 	cfg.Metrics = *metricsOn || *metricsJSON != "" || *metricsCSV != ""
 	cfg.MetricsEpochCycles = *metricsEpoch
 	cfg.Trace = *traceJSON != "" || *traceTop > 0
-	cfg.TraceEventLimit = *traceLimit
-	if cfg.Trace || *traceSample > 1 {
+	if *traceJSON != "" {
+		// Only the exporter reads the event ring; -trace-top alone runs
+		// attribution-only.
+		cfg.TraceEventLimit = *traceLimit
 		cfg.TraceSample = *traceSample
 	}
 	cfg.TraceTopN = *traceTop
@@ -198,7 +200,7 @@ func main() {
 // instead of letting a meaningless knob silently do nothing. explicit
 // holds the flags the user actually set (flag.Visit), so defaults never
 // trip a conflict.
-func checkFlagConflicts(explicit map[string]bool, traceJSON string, traceTop int) error {
+func checkFlagConflicts(explicit map[string]bool, traceJSON string, traceLimit int) error {
 	if explicit["chaos"] {
 		for _, name := range []string{
 			"scheme", "bench", "ns", "k", "c", "trace", "channels", "json",
@@ -211,8 +213,11 @@ func checkFlagConflicts(explicit map[string]bool, traceJSON string, traceTop int
 			}
 		}
 	}
-	if (explicit["trace-sample"] || explicit["trace-limit"]) && traceJSON == "" && traceTop == 0 {
-		return fmt.Errorf("-trace-sample/-trace-limit shape the event ring, but no trace output is enabled; add -trace-json or -trace-top")
+	if (explicit["trace-sample"] || explicit["trace-limit"]) && traceJSON == "" {
+		return fmt.Errorf("-trace-sample/-trace-limit shape the event ring only -trace-json exports; add -trace-json")
+	}
+	if traceJSON != "" && traceLimit < 1 {
+		return fmt.Errorf("-trace-json needs -trace-limit >= 1 to keep any span events")
 	}
 	if explicit["trace-validate"] {
 		for name := range explicit {

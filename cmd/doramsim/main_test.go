@@ -15,11 +15,11 @@ func set(names ...string) map[string]bool {
 
 func TestCheckFlagConflicts(t *testing.T) {
 	cases := []struct {
-		name      string
-		explicit  map[string]bool
-		traceJSON string
-		traceTop  int
-		wantErr   string // "" = accepted
+		name       string
+		explicit   map[string]bool
+		traceJSON  string
+		traceLimit int
+		wantErr    string // "" = accepted
 	}{
 		{name: "plain run", explicit: set("scheme", "bench", "k")},
 		{name: "chaos alone", explicit: set("chaos")},
@@ -27,15 +27,17 @@ func TestCheckFlagConflicts(t *testing.T) {
 		{name: "chaos with scheme", explicit: set("chaos", "scheme"), wantErr: "-scheme does not apply"},
 		{name: "chaos with metrics", explicit: set("chaos", "metrics-json"), wantErr: "-metrics-json does not apply"},
 		{name: "chaos with bench", explicit: set("chaos", "bench"), wantErr: "-bench does not apply"},
-		{name: "sample without sink", explicit: set("trace-sample"), wantErr: "no trace output"},
-		{name: "limit without sink", explicit: set("trace-limit"), wantErr: "no trace output"},
-		{name: "sample with trace-json", explicit: set("trace-sample", "trace-json"), traceJSON: "out.json"},
-		{name: "limit with trace-top", explicit: set("trace-limit", "trace-top"), traceTop: 5},
+		{name: "sample without sink", explicit: set("trace-sample"), wantErr: "add -trace-json"},
+		{name: "limit without sink", explicit: set("trace-limit"), wantErr: "add -trace-json"},
+		{name: "sample with trace-json", explicit: set("trace-sample", "trace-json"), traceJSON: "out.json", traceLimit: 200000},
+		{name: "limit with trace-top", explicit: set("trace-limit", "trace-top"), wantErr: "add -trace-json"},
+		{name: "limit with trace-json", explicit: set("trace-limit", "trace-json"), traceJSON: "out.json", traceLimit: 1200},
+		{name: "trace-json without ring", explicit: set("trace-limit", "trace-json"), traceJSON: "out.json", wantErr: "-trace-limit >= 1"},
 		{name: "validate alone", explicit: set("trace-validate")},
 		{name: "validate with scheme", explicit: set("trace-validate", "scheme"), wantErr: "-scheme does not apply"},
 	}
 	for _, tc := range cases {
-		err := checkFlagConflicts(tc.explicit, tc.traceJSON, tc.traceTop)
+		err := checkFlagConflicts(tc.explicit, tc.traceJSON, tc.traceLimit)
 		if tc.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)

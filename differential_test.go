@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"doram/internal/core"
+	"doram/internal/evtrace"
 )
 
 // runMode is one execution strategy under differential comparison.
@@ -177,15 +178,20 @@ func TestDifferentialObservability(t *testing.T) {
 	}{
 		{"metrics", func(c *core.Config) { c.MetricsEpochCycles = core.DefaultMetricsEpochCycles }},
 		{"metrics-fine-epoch", func(c *core.Config) { c.MetricsEpochCycles = 512 }},
-		{"trace", func(c *core.Config) { c.TraceEvents = true }},
+		{"trace", func(c *core.Config) {
+			c.TraceEvents = true
+			c.TraceLimit = evtrace.DefaultLimit
+		}},
 		{"trace-sampled", func(c *core.Config) {
 			c.TraceEvents = true
+			c.TraceLimit = evtrace.DefaultLimit
 			c.TraceSample = 3
 			c.TraceTopK = 4
 		}},
 		{"metrics-and-trace", func(c *core.Config) {
 			c.MetricsEpochCycles = 1024
 			c.TraceEvents = true
+			c.TraceLimit = evtrace.DefaultLimit
 		}},
 		{"link-faults", func(c *core.Config) {
 			c.LinkCorruptProb = 0.02
@@ -407,6 +413,7 @@ func randomConfig(r *rand.Rand) core.Config {
 		cfg.MetricsEpochCycles = []uint64{512, 4096}[r.Intn(2)]
 	case 1:
 		cfg.TraceEvents = true
+		cfg.TraceLimit = evtrace.DefaultLimit
 		cfg.TraceSample = uint64(r.Intn(3)) // 0, 1 or 2
 	}
 	return cfg

@@ -175,8 +175,11 @@ type Config struct {
 	// Off (the default) the instrumented hot paths pay at most a nil
 	// check, exactly like the metrics subsystem.
 	TraceEvents bool
-	// TraceLimit bounds retained span events (ring buffer; oldest events
-	// drop first and are counted). 0 means evtrace.DefaultLimit.
+	// TraceLimit sizes the span-event ring Results.Trace.Events is read
+	// from (oldest events drop first and are counted). 0 keeps no ring:
+	// the attribution report, stage histograms and slowest-access list
+	// still record, but no events do. Only exporters (WriteChrome) need
+	// one; they pass evtrace.DefaultLimit.
 	TraceLimit int
 	// TraceSample keeps every Nth ORAM access / NS request in the event
 	// ring (0 or 1 = all). The attribution report always covers every

@@ -1,9 +1,10 @@
 // Package evtrace is a per-access event tracer: the request-granularity
 // complement to internal/metrics' aggregates. Components open nested spans
 // carrying a request ID as work flows cpu → oram client → bob link →
-// delegator → mc → dram; the tracer retains them in a bounded ring and
-// exports Chrome trace-event JSON (chrome.go) plus a per-stage latency
-// attribution report (breakdown.go).
+// delegator → mc → dram; the tracer checks their nesting, optionally
+// retains them in a bounded ring for Chrome trace-event JSON export
+// (chrome.go), and always builds a per-stage latency attribution report
+// (breakdown.go).
 //
 // Like internal/metrics, the package is nil-safe end to end: a nil *Tracer
 // and a nil *Span are valid receivers for every method and do nothing, so a
@@ -13,13 +14,14 @@
 package evtrace
 
 import (
+	"slices"
 	"sort"
 
 	"doram/internal/stats"
 )
 
-// DefaultLimit bounds retained events when Config.Limit is unset. At ~64
-// bytes per event this caps tracer memory near 12 MB.
+// DefaultLimit is the ring size exporters request. At 88 bytes per Event
+// a full ring holds about 17.6 MB, plus append growth on the way there.
 const DefaultLimit = 200000
 
 // DefaultTopK bounds the slowest-access report when Config.TopK is unset.
@@ -28,7 +30,10 @@ const DefaultTopK = 16
 // Config controls retention and sampling.
 type Config struct {
 	// Limit is the maximum number of retained events; older events are
-	// dropped (and counted) once the ring wraps. <= 0 means DefaultLimit.
+	// dropped (and counted) once the ring wraps. <= 0 keeps no ring:
+	// spans are still nesting-checked and the attribution report still
+	// records, but no Event survives to Finish. Only a caller that
+	// exports the trace (WriteChrome) needs a ring.
 	Limit int
 	// Sample keeps every Nth ORAM access (and NS request) in the event
 	// ring; 0 or 1 keeps all. Breakdown histograms always record every
@@ -74,12 +79,13 @@ type Span struct {
 	openIdx     int // index in t.open for swap-remove
 }
 
-// Tracer accumulates events in a bounded ring plus per-stage breakdown
-// histograms. Not safe for concurrent use; the simulator is single-threaded.
+// Tracer accumulates per-stage breakdown histograms plus, when
+// Config.Limit is positive, events in a bounded ring. Not safe for
+// concurrent use; the simulator is single-threaded.
 type Tracer struct {
 	cfg Config
 
-	events  []Event // ring storage, len == cfg.Limit once full
+	events  []Event // ring storage, len == cfg.Limit once full; nil with no ring
 	head    int     // next write position once full
 	full    bool
 	dropped uint64 // events discarded after the ring wrapped
@@ -98,11 +104,9 @@ type Tracer struct {
 	top []TopAccess // slowest "oram"-kind accesses, ascending by Total
 }
 
-// New builds a Tracer. Zero-value Config fields take defaults.
+// New builds a Tracer. Zero-value Sample and TopK take defaults; a
+// zero-value Limit keeps no event ring.
 func New(cfg Config) *Tracer {
-	if cfg.Limit <= 0 {
-		cfg.Limit = DefaultLimit
-	}
 	if cfg.Sample == 0 {
 		cfg.Sample = 1
 	}
@@ -252,8 +256,12 @@ func (t *Tracer) EmitUnkeyed(track, cat, name string, start, end, arg uint64) {
 	t.push(Event{Track: track, Cat: cat, Name: name, Start: start, End: end, Arg: arg})
 }
 
-// push appends to the ring, evicting the oldest event once full.
+// push appends to the ring, evicting the oldest event once full. With no
+// ring it drops the event uncounted: nothing was asked to keep it.
 func (t *Tracer) push(ev Event) {
+	if t.cfg.Limit <= 0 {
+		return
+	}
 	if !t.full {
 		t.events = append(t.events, ev)
 		if len(t.events) == t.cfg.Limit {
@@ -285,8 +293,8 @@ func (t *Tracer) CloseOpen(now uint64) {
 
 // Trace is the finished, immutable result attached to run results.
 type Trace struct {
-	Events     []Event // completed spans in ring order (oldest first)
-	Dropped    uint64  // events evicted by the ring bound
+	Events     []Event // completed spans in ring order (oldest first); nil with no ring
+	Dropped    uint64  // events evicted by the ring bound; 0 with no ring
 	Violations uint64  // invariant breaches observed while recording
 	Report     Report  // per-stage latency attribution
 	Top        []TopAccess
@@ -300,21 +308,23 @@ type Trace struct {
 
 // Finish snapshots the tracer into an immutable Trace. Safe on nil (returns
 // nil). Open spans must be closed first (see CloseOpen); any still open are
-// counted as violations and discarded.
+// counted as violations and discarded. The tracer is done afterwards: the
+// ring transfers to the Trace without a copy, rotated in place into
+// oldest-first order if it wrapped.
 func (t *Tracer) Finish() *Trace {
 	if t == nil {
 		return nil
 	}
 	t.violations += uint64(len(t.open))
 	t.open = nil
-	var events []Event
-	if t.full {
-		events = make([]Event, 0, len(t.events))
-		events = append(events, t.events[t.head:]...)
-		events = append(events, t.events[:t.head]...)
-	} else {
-		events = append(events, t.events...)
+	events := t.events
+	if t.head != 0 {
+		// Left-rotate by head: oldest survivor (events[head]) to the front.
+		slices.Reverse(events[:t.head])
+		slices.Reverse(events[t.head:])
+		slices.Reverse(events)
 	}
+	t.events, t.head, t.full = nil, 0, false
 	top := make([]TopAccess, len(t.top))
 	copy(top, t.top)
 	// t.top is kept ascending for cheap replacement; report slowest first.

@@ -2,6 +2,7 @@ package evtrace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -32,7 +33,7 @@ func TestNilTracerIsInert(t *testing.T) {
 }
 
 func TestZeroIDEmitsNothing(t *testing.T) {
-	tr := New(Config{})
+	tr := New(Config{Limit: DefaultLimit})
 	if s := tr.Begin("a", "oram", "x", 0, 0); s != nil {
 		t.Fatal("id 0 produced a span")
 	}
@@ -44,7 +45,7 @@ func TestZeroIDEmitsNothing(t *testing.T) {
 }
 
 func TestSpanNesting(t *testing.T) {
-	tr := New(Config{})
+	tr := New(Config{Limit: DefaultLimit})
 	root := tr.Begin("sapp0", "oram", "access", 1, 100)
 	c1 := root.Child("sapp0", "read_phase", 100)
 	c1.End(180)
@@ -93,7 +94,7 @@ func TestContainmentViolationsCounted(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		tr := New(Config{})
+		tr := New(Config{Limit: DefaultLimit})
 		tc.run(tr)
 		trace := tr.Finish()
 		if trace.Violations == 0 {
@@ -112,7 +113,7 @@ func TestContainmentViolationsCounted(t *testing.T) {
 }
 
 func TestCloseOpenBalances(t *testing.T) {
-	tr := New(Config{})
+	tr := New(Config{Limit: DefaultLimit})
 	r := tr.Begin("a", "oram", "p", 1, 10)
 	r.Child("a", "c", 20) // left open deliberately
 	tr.Begin("b", "ns", "q", 2, 15)
@@ -148,6 +149,69 @@ func TestRingBounds(t *testing.T) {
 		if want := uint64(7 + i); ev.ID != want {
 			t.Fatalf("event %d id = %d, want %d", i, ev.ID, want)
 		}
+	}
+}
+
+// TestRingExactWrapAndHandover covers the two Finish paths TestRingBounds
+// does not: a ring that never wrapped transfers to the Trace without a
+// copy, and one that wrapped back to head 0 needs no rotation.
+func TestRingExactWrapAndHandover(t *testing.T) {
+	tr := New(Config{Limit: 8})
+	for i := uint64(1); i <= 3; i++ {
+		tr.Emit("a", "oram", "x", i, i*10, i*10+5, 0)
+	}
+	ring := tr.events
+	trace := tr.Finish()
+	if len(trace.Events) != 3 || &trace.Events[0] != &ring[0] {
+		t.Fatalf("unwrapped ring was copied or truncated: %d events", len(trace.Events))
+	}
+
+	tr = New(Config{Limit: 4})
+	for i := uint64(1); i <= 8; i++ {
+		tr.Emit("a", "oram", "x", i, i*10, i*10+5, 0)
+	}
+	trace = tr.Finish()
+	if trace.Dropped != 4 || len(trace.Events) != 4 {
+		t.Fatalf("dropped = %d, events = %d, want 4 and 4", trace.Dropped, len(trace.Events))
+	}
+	for i, ev := range trace.Events {
+		if want := uint64(5 + i); ev.ID != want {
+			t.Fatalf("event %d id = %d, want %d", i, ev.ID, want)
+		}
+	}
+}
+
+// TestNoRingKeepsAttribution: a tracer without a ring keeps no events and
+// drops none, yet still counts nesting violations, records the breakdown
+// and ranks the slowest accesses exactly as a ringed tracer does.
+func TestNoRingKeepsAttribution(t *testing.T) {
+	drive := func(tr *Tracer) *Trace {
+		for i := uint64(1); i <= 50; i++ {
+			id := tr.AccessID()
+			root := tr.Begin("sapp0", "oram", "access", id, i*100)
+			root.Child("sapp0", "read_phase", i*100).End(i*100 + 40 + i)
+			root.End(i*100 + 60 + i)
+			tr.Emit("chan0.link.down", "link", "packet", id, i*100, i*100+18, 72)
+			tr.RecordStages(KindOram, id, i*100, 60+i, Stage{"read_phase", 40 + i}, Stage{"respond", 20})
+		}
+		tr.Begin("sapp0", "oram", "access", 1000, 10).End(5) // ends before it starts
+		tr.Begin("sapp0", "oram", "access", 1001, 20)        // left open
+		return tr.Finish()
+	}
+	ringless := drive(New(Config{Sample: 4, TopK: 3}))
+	ringed := drive(New(Config{Sample: 4, TopK: 3, Limit: 16}))
+	if ringless.Events != nil || ringless.Dropped != 0 {
+		t.Fatalf("ringless trace kept %d events, dropped %d", len(ringless.Events), ringless.Dropped)
+	}
+	if ringed.Dropped == 0 {
+		t.Fatal("ringed tracer expected to wrap")
+	}
+	if ringless.Violations != 2 || ringless.Violations != ringed.Violations {
+		t.Fatalf("violations: ringless %d, ringed %d, want 2", ringless.Violations, ringed.Violations)
+	}
+	if !reflect.DeepEqual(ringless.Report, ringed.Report) || !reflect.DeepEqual(ringless.Top, ringed.Top) ||
+		!reflect.DeepEqual(ringless.StageHists, ringed.StageHists) {
+		t.Fatal("attribution differs between ringless and ringed tracers")
 	}
 }
 
@@ -238,7 +302,7 @@ func TestTopKSlowest(t *testing.T) {
 }
 
 func TestChromeRoundTrip(t *testing.T) {
-	tr := New(Config{})
+	tr := New(Config{Limit: DefaultLimit})
 	root := tr.Begin("sapp0", "oram", "access", 1, 100)
 	root.Child("sapp0", "read_phase", 100).End(180)
 	root.End(200)

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"doram/internal/core"
+	"doram/internal/evtrace"
 )
 
 // opts returns a reduced sweep that still exhibits the paper's trends.
@@ -202,6 +205,21 @@ func TestOptionsDefaults(t *testing.T) {
 	q := QuickOptions()
 	if len(q.benchmarks()) >= 15 {
 		t.Fatal("quick options should reduce the benchmark set")
+	}
+}
+
+// TestTraceDirKeepsRing: a sweep that dumps Chrome traces asks for the
+// event ring the dump reads; a sweep without one traces nothing.
+func TestTraceDirKeepsRing(t *testing.T) {
+	base := core.DefaultConfig(core.DORAM, "face")
+	if cfg := opts().apply(base); cfg.TraceEvents || cfg.TraceLimit != 0 {
+		t.Fatalf("untraced sweep: TraceEvents %v, TraceLimit %d", cfg.TraceEvents, cfg.TraceLimit)
+	}
+	o := opts()
+	o.TraceDir = t.TempDir()
+	if cfg := o.apply(base); !cfg.TraceEvents || cfg.TraceLimit != evtrace.DefaultLimit {
+		t.Fatalf("trace-dir sweep: TraceEvents %v, TraceLimit %d, want ring of %d",
+			cfg.TraceEvents, cfg.TraceLimit, evtrace.DefaultLimit)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"doram/internal/core"
+	"doram/internal/evtrace"
 	"doram/internal/trace"
 )
 
@@ -97,6 +98,7 @@ func (o Options) apply(cfg core.Config) core.Config {
 	}
 	if o.TraceDir != "" {
 		cfg.TraceEvents = true
+		cfg.TraceLimit = evtrace.DefaultLimit // the dump exports the ring
 		cfg.TraceSample = sweepTraceSample
 		cfg.TraceOramOnly = true
 	}

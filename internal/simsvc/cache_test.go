@@ -3,8 +3,11 @@ package simsvc
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"doram"
@@ -172,6 +175,71 @@ func TestDelegatedStageMeans(t *testing.T) {
 	} {
 		if h, ok := d.Histograms[name]; !ok || h.Count != 1 {
 			t.Errorf("histogram %s = %+v, want one sample", name, h)
+		}
+	}
+}
+
+// TestTracedJobKeepsNoEvents: a served traced job records attribution but
+// no span events — nobody can fetch them — and still serves the bytes an
+// in-process run with an event ring produces, with its stage histograms
+// folded into the Prometheus exposition.
+func TestTracedJobKeepsNoEvents(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer closeService(t, s)
+	spec := doram.Params{Scheme: doram.SchemeDORAM, Benchmark: "face", TraceLen: 600, Seed: 5,
+		Trace: true, TraceOramOnly: true}
+	job, err := s.Submit(spec)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	waitState(t, s, job.ID(), StateDone)
+	res, err := s.Result(job.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trace == nil || res.LatencyBreakdown == nil {
+		t.Fatal("traced job returned no trace or attribution")
+	}
+	if res.Trace.Events != nil || res.Trace.Dropped != 0 {
+		t.Fatalf("served job kept %d span events (%d dropped)", len(res.Trace.Events), res.Trace.Dropped)
+	}
+
+	cfg := spec.Canonical().SimConfig()
+	cfg.TraceEventLimit = evtrace.DefaultLimit
+	local, err := doram.Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(local.Trace.Events) == 0 {
+		t.Fatal("in-process run with a ring kept no events")
+	}
+	want, err := encodeJSON(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.ResultJSON(job.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("served result JSON differs from an in-process run with an event ring")
+	}
+
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	var oramCount uint64
+	for _, k := range res.LatencyBreakdown.Kinds {
+		if k.Kind == evtrace.KindOram {
+			oramCount = k.Total.Count
+		}
+	}
+	for _, line := range []string{
+		fmt.Sprintf("simsvc_stage_oram_total_cycles_count %d", oramCount),
+		"simsvc_stage_oram_sd_wait_cycles_bucket",
+		"simsvc_stage_ns_read_total_cycles_count",
+	} {
+		if !strings.Contains(rec.Body.String(), line) {
+			t.Errorf("/metrics lacks %q", line)
 		}
 	}
 }

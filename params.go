@@ -85,9 +85,10 @@ type Params struct {
 	MetricsEpochCycles uint64 `json:"metrics_epoch_cycles,omitempty"`
 
 	// Trace enables per-access event tracing; the result then carries the
-	// latency-attribution report (span events themselves stay server-side
-	// — they are excluded from result JSON). TraceSample > 1, TraceOramOnly
-	// and TraceTopN > 0 imply it.
+	// latency-attribution report. A spec's run keeps no span events: only
+	// a local exporter asks for them (SimConfig.TraceEventLimit), and
+	// result JSON never carries them. TraceSample > 1, TraceOramOnly and
+	// TraceTopN > 0 imply it.
 	Trace         bool   `json:"trace,omitempty"`
 	TraceSample   uint64 `json:"trace_sample,omitempty"`
 	TraceOramOnly bool   `json:"trace_oram_only,omitempty"`
@@ -264,8 +265,9 @@ func (p Params) SimConfig() SimConfig {
 
 // ParamsFromSimConfig lifts a simulation configuration into the canonical
 // spec. It fails for configurations a spec cannot express: recorded-trace
-// replay (TraceDir points into the local filesystem) and the event-ring
-// size override (TraceEventLimit only shapes the untransported span ring).
+// replay (TraceDir points into the local filesystem) and an event ring
+// (TraceEventLimit keeps span events for export, which a result does not
+// transport; a spec's traced run keeps attribution only).
 func ParamsFromSimConfig(c SimConfig) (Params, error) {
 	if c.TraceDir != "" {
 		return Params{}, fmt.Errorf("doram: params: TraceDir is not expressible in a job spec")
@@ -285,7 +287,8 @@ func ParamsFromSimConfig(c SimConfig) (Params, error) {
 // the one lifting behind both ParamsFromSimConfig and the remote sweep
 // executor. ok is false for configurations a spec cannot express:
 // recorded-trace replay (TraceDir), a non-default memory-scheduler policy
-// (MCPolicy) and the event-ring size override (TraceLimit).
+// (MCPolicy) and an event ring (TraceLimit), which only a local exporter
+// can read.
 func paramsFromCore(c core.Config) (Params, bool) {
 	if c.TraceDir != "" || c.MCPolicy != 0 || c.TraceLimit != 0 {
 		return Params{}, false

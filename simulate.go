@@ -151,13 +151,17 @@ type SimConfig struct {
 	MetricsEpochCycles uint64
 
 	// Trace enables per-access event tracing: nested spans across the
-	// engine, delegator, links, memory controllers and NS request paths,
-	// returned in SimResult.Trace together with the per-stage latency
+	// engine, delegator, links, memory controllers and NS request paths
+	// (kept for export only with TraceEventLimit), returned in
+	// SimResult.Trace together with the per-stage latency
 	// attribution (SimResult.LatencyBreakdown). Off by default; disabled
 	// runs pay at most a nil check per instrumentation point.
 	Trace bool
-	// TraceEventLimit bounds retained span events (ring buffer, oldest
-	// evicted first); 0 uses the evtrace default (200k). Implies Trace.
+	// TraceEventLimit sizes the span-event ring that Trace.WriteChrome
+	// exports (oldest events evicted first). 0 keeps no ring: the run
+	// still returns LatencyBreakdown, Trace.Top and the stage histograms,
+	// but Trace.Events stays empty. Set it only to export the trace;
+	// doramsim -trace-json uses 200000. Implies Trace.
 	TraceEventLimit int
 	// TraceSample keeps every Nth ORAM access / NS request in the event
 	// ring (0 or 1 = all); the attribution report always covers every
@@ -239,7 +243,8 @@ type SimResult struct {
 	Metrics  *MetricsDump     `json:",omitempty"`
 	Timeline *MetricsTimeline `json:"-"`
 	// Trace is the per-access event trace (nil unless SimConfig.Trace was
-	// set). Excluded from the result JSON — export it with WriteChrome.
+	// set; its Events are empty unless TraceEventLimit was). Excluded from
+	// the result JSON — export it with WriteChrome.
 	// LatencyBreakdown is its attribution report, inlined for convenience.
 	Trace            *EventTrace  `json:"-"`
 	LatencyBreakdown *TraceReport `json:",omitempty"`

@@ -2,21 +2,28 @@ package doram
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"doram/internal/evtrace"
 )
 
 // traceRun is the fixed configuration the trace tests share: d-oram so the
-// full pipeline (engine, SD, link, BOB, sub-channel MCs) contributes spans.
+// full pipeline (engine, SD, link, BOB, sub-channel MCs) contributes spans,
+// with the exporters' ring so the spans are kept.
 func traceRun(t *testing.T) *SimResult {
 	t.Helper()
 	cfg := DefaultSimConfig(SchemeDORAM, "face")
 	cfg.TraceLen = 2000
 	cfg.Trace = true
+	cfg.TraceEventLimit = evtrace.DefaultLimit
 	res, err := Simulate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -79,6 +86,7 @@ func TestTraceChromeValid(t *testing.T) {
 		cfg := DefaultSimConfig(scheme, "face")
 		cfg.TraceLen = 1000
 		cfg.Trace = true
+		cfg.TraceEventLimit = evtrace.DefaultLimit
 		res, err := Simulate(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
@@ -233,6 +241,7 @@ func TestTraceSamplingBoundsEvents(t *testing.T) {
 		cfg := DefaultSimConfig(SchemeDORAM, "face")
 		cfg.TraceLen = 1000
 		cfg.Trace = true
+		cfg.TraceEventLimit = evtrace.DefaultLimit
 		cfg.TraceSample = sample
 		res, err := Simulate(cfg)
 		if err != nil {
@@ -268,4 +277,118 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	if res.Trace != nil || res.LatencyBreakdown != nil {
 		t.Fatal("trace returned without being enabled")
 	}
+}
+
+// TestTraceRingShapesNothingElse: the event ring is an export buffer and
+// nothing more. Across schemes and the knobs that change what a trace
+// records, a ringless traced run and a ringed one return the same
+// attribution (report, slowest accesses, every stage-histogram bucket) and
+// the same results, and the ringless run keeps and drops no events.
+func TestTraceRingShapesNothingElse(t *testing.T) {
+	settings := map[string]func(*SimConfig){
+		"default":   func(*SimConfig) {},
+		"sample16":  func(c *SimConfig) { c.TraceSample = 16 },
+		"oram-only": func(c *SimConfig) { c.TraceOramOnly = true },
+		"split2":    func(c *SimConfig) { c.SplitK = 2 },
+		"ddr4":      func(c *SimConfig) { c.DDR4 = true },
+	}
+	for _, scheme := range []Scheme{SchemeDORAM, SchemePathORAM} {
+		for name, set := range settings {
+			if name == "split2" && scheme != SchemeDORAM {
+				continue // tree split is D-ORAM only
+			}
+			scheme, set := scheme, set
+			t.Run(string(scheme)+"/"+name, func(t *testing.T) {
+				t.Parallel()
+				run := func(limit int) *SimResult {
+					cfg := DefaultSimConfig(scheme, "face")
+					cfg.TraceLen = 800
+					cfg.Trace = true
+					cfg.TraceEventLimit = limit
+					set(&cfg)
+					res, err := Simulate(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				ringless, ringed := run(0), run(evtrace.DefaultLimit)
+				assertSameAttribution(t, ringless, ringed)
+				if ringless.Trace.Events != nil || ringless.Trace.Dropped != 0 {
+					t.Fatalf("ringless run kept %d events and dropped %d",
+						len(ringless.Trace.Events), ringless.Trace.Dropped)
+				}
+				if len(ringed.Trace.Events) == 0 {
+					t.Fatal("ringed run kept no events")
+				}
+			})
+		}
+	}
+}
+
+// assertSameAttribution fails unless two traced runs agree on everything
+// but their event rings: the attribution report and slowest accesses, each
+// stage histogram bucket for bucket, and the full result, both as served
+// JSON and field by field.
+func assertSameAttribution(t *testing.T, a, b *SimResult) {
+	t.Helper()
+	if !bytes.Equal(mustJSON(t, a.LatencyBreakdown), mustJSON(t, b.LatencyBreakdown)) {
+		t.Fatal("LatencyBreakdown differs")
+	}
+	if !reflect.DeepEqual(a.Trace.Top, b.Trace.Top) {
+		t.Fatal("slowest-access list differs")
+	}
+	if a.Trace.Violations != b.Trace.Violations {
+		t.Fatalf("violations %d vs %d", a.Trace.Violations, b.Trace.Violations)
+	}
+	if len(a.Trace.StageHists) == 0 || len(a.Trace.StageHists) != len(b.Trace.StageHists) {
+		t.Fatalf("stage histogram sets: %d vs %d", len(a.Trace.StageHists), len(b.Trace.StageHists))
+	}
+	for key, ha := range a.Trace.StageHists {
+		hb := b.Trace.StageHists[key]
+		if hb == nil || ha.NumBuckets() != hb.NumBuckets() || ha.Latency() != hb.Latency() {
+			t.Fatalf("stage histogram %s differs", key)
+		}
+		for i := 0; i < ha.NumBuckets(); i++ {
+			if ha.Bucket(i) != hb.Bucket(i) {
+				t.Fatalf("stage histogram %s bucket %d: %d vs %d", key, i, ha.Bucket(i), hb.Bucket(i))
+			}
+		}
+	}
+	if da, db := sha256.Sum256(encodeResult(t, a)), sha256.Sum256(encodeResult(t, b)); da != db {
+		t.Fatalf("result digest %x vs %x", da[:6], db[:6])
+	}
+	ca, cb := *a, *b
+	ca.Trace, cb.Trace = nil, nil
+	if !reflect.DeepEqual(ca, cb) {
+		t.Fatal("results differ outside the trace")
+	}
+}
+
+// TestTraceRinglessAllocs guards the serving path's cost: a traced run
+// without an event ring — every traced job spec — allocates like an
+// untraced run, not like one holding ~6 MB of span events. The minimum of
+// three runs screens out allocations by concurrently finishing tests.
+func TestTraceRinglessAllocs(t *testing.T) {
+	cfg := DefaultSimConfig(SchemeDORAM, "face")
+	cfg.TraceLen = 600
+	cfg.Trace = true
+	const limit = 1 << 20
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := Simulate(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d < best {
+			best = d
+		}
+	}
+	if best >= limit {
+		t.Fatalf("ringless traced run allocated %d KB, want < %d KB", best>>10, limit>>10)
+	}
+	t.Logf("ringless traced run allocated %d KB", best>>10)
 }
