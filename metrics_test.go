@@ -31,22 +31,28 @@ func metricsRun(t *testing.T) *SimResult {
 	return res
 }
 
-// TestMetricsGolden pins the exact metrics-json output of a fixed run —
-// the same bytes `doramsim -metrics-json` would write. Regenerate with
-// `go test -run TestMetricsGolden -update .` after intentional changes.
-func TestMetricsGolden(t *testing.T) {
-	res := metricsRun(t)
-	var buf bytes.Buffer
-	if err := res.Metrics.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
+// goldenSchemes are the schemes whose exact exports are pinned: D-ORAM and
+// the Path ORAM baseline it is measured against.
+var goldenSchemes = []Scheme{SchemeDORAM, SchemePathORAM}
 
-	golden := filepath.Join("testdata", "metrics_golden.json")
+// goldenPath names a scheme's golden file: D-ORAM keeps the bare base name,
+// every other scheme gets its name as a suffix.
+func goldenPath(base string, scheme Scheme) string {
+	if scheme != SchemeDORAM {
+		base += "_" + string(scheme)
+	}
+	return filepath.Join("testdata", base+".json")
+}
+
+// checkGolden compares got with the golden file, rewriting it first under
+// -update.
+func checkGolden(t *testing.T, golden string, got []byte) {
+	t.Helper()
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,9 +60,32 @@ func TestMetricsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("metrics dump diverged from %s (run with -update if intentional); got %d bytes, want %d",
-			golden, buf.Len(), len(want))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("output diverged from %s (run with -update if intentional); got %d bytes, want %d",
+			golden, len(got), len(want))
+	}
+}
+
+// TestMetricsGolden pins the exact metrics-json output of a fixed run per
+// golden scheme — the same bytes `doramsim -metrics-json` would write.
+// Regenerate with `go test -run TestMetricsGolden -update .` after
+// intentional changes.
+func TestMetricsGolden(t *testing.T) {
+	for _, scheme := range goldenSchemes {
+		t.Run(string(scheme), func(t *testing.T) {
+			cfg := DefaultSimConfig(scheme, "face")
+			cfg.TraceLen = 2000
+			cfg.Metrics = true
+			res, err := Simulate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := res.Metrics.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, goldenPath("metrics_golden", scheme), buf.Bytes())
+		})
 	}
 }
 

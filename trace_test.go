@@ -5,8 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -35,46 +33,35 @@ func traceRun(t *testing.T) *SimResult {
 }
 
 // TestTraceGolden pins the exact Chrome trace-event JSON of a fixed bounded
-// run — the same bytes `doramsim -trace-json` would write. The small ring
-// limit also exercises oldest-first eviction. Regenerate with
-// `go test -run TestTraceGolden -update .` after intentional changes.
+// run per golden scheme — the same bytes `doramsim -trace-json` would
+// write. The small ring limit also exercises oldest-first eviction.
+// Regenerate with `go test -run TestTraceGolden -update .` after
+// intentional changes.
 func TestTraceGolden(t *testing.T) {
-	cfg := DefaultSimConfig(SchemeDORAM, "face")
-	cfg.TraceLen = 200
-	cfg.Trace = true
-	cfg.TraceSample = 4
-	cfg.TraceEventLimit = 1200
-	res, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trace.Dropped == 0 {
-		t.Fatal("golden config expected to overflow its ring")
-	}
-	var buf bytes.Buffer
-	if err := res.Trace.WriteChrome(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	golden := filepath.Join("testdata", "trace_golden.json")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to regenerate)", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("trace diverged from %s (run with -update if intentional); got %d bytes, want %d",
-			golden, buf.Len(), len(want))
-	}
-	if err := ValidateChromeTrace(want); err != nil {
-		t.Fatalf("golden trace invalid: %v", err)
+	for _, scheme := range goldenSchemes {
+		t.Run(string(scheme), func(t *testing.T) {
+			cfg := DefaultSimConfig(scheme, "face")
+			cfg.TraceLen = 200
+			cfg.Trace = true
+			cfg.TraceSample = 4
+			cfg.TraceEventLimit = 1200
+			res, err := Simulate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Trace.Dropped == 0 {
+				t.Fatal("golden config expected to overflow its ring")
+			}
+			var buf bytes.Buffer
+			if err := res.Trace.WriteChrome(&buf); err != nil {
+				t.Fatal(err)
+			}
+			golden := goldenPath("trace_golden", scheme)
+			checkGolden(t, golden, buf.Bytes())
+			if err := ValidateChromeTrace(buf.Bytes()); err != nil {
+				t.Fatalf("%s invalid: %v", golden, err)
+			}
+		})
 	}
 }
 
