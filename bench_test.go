@@ -199,8 +199,8 @@ func benchmarkTrace(b *testing.B, limit int) {
 // idleHeavyConfig is the fast-forward showcase workload: one S-App, no
 // NS-Apps, widely spaced ORAM requests (Pace=4000 CPU cycles between
 // response and next issue), so the vast majority of cycles are idle waits
-// the event-horizon scheduler can jump over. Results are recorded in
-// BENCH_fastforward.json and guarded by TestFastForwardSpeedupGuard.
+// the event-horizon scheduler can jump over. The measured speedup is
+// recorded in DESIGN §11 and guarded by TestFastForwardSpeedupGuard.
 func idleHeavyConfig() core.Config {
 	cfg := core.DefaultConfig(core.DORAM, "libq")
 	cfg.NumNS = 0

@@ -214,7 +214,7 @@ func TestDifferentialObservability(t *testing.T) {
 // idle-heavy workload (one S-App, no NS-Apps, Pace=4000) the event-horizon
 // scheduler must beat the cycle-by-cycle reference loop by at least
 // minSpeedup wall-clock, and the two runs must agree on the cycle count.
-// Locally measured at ~2.4x (recorded in BENCH_fastforward.json); the floor
+// Measured at 2.21x (recorded in DESIGN §11); the floor
 // sits below that to absorb runner noise while still catching a real
 // regression of the fast-forward path. Timing assertions are inherently
 // machine-dependent, so the guard only runs when DORAM_SPEEDUP_GUARD is

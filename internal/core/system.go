@@ -41,9 +41,11 @@ type System struct {
 	chanMappers [NumChannels]*addrmap.Mapper
 
 	engines []*delegator.Engine
-	sds     []*delegator.SD
-	onchips []*delegator.OnChip
-	smems   []*secmem.SecMem
+	// sds are the S-App copies' ORAM executors: secure delegators behind
+	// the secure BOB (DORAM) or on-chip over the direct controllers
+	// (PathORAMBaseline).
+	sds   []*delegator.SD
+	smems []*secmem.SecMem
 
 	// Warmup counters for latency-stat cold-start cuts.
 	readWarm  uint64
@@ -333,9 +335,6 @@ func (s *System) attachTrace() {
 	for i, sd := range s.sds {
 		sd.AttachTracer(t, fmt.Sprintf("sapp%d", i))
 	}
-	for i, oc := range s.onchips {
-		oc.AttachTracer(t, fmt.Sprintf("sapp%d", i))
-	}
 	for i, e := range s.engines {
 		e.AttachTracer(t, fmt.Sprintf("sapp%d.engine", i))
 	}
@@ -369,9 +368,6 @@ func (s *System) attachMetrics(epoch uint64) {
 	}
 	for i, sd := range s.sds {
 		sd.AttachMetrics(r, fmt.Sprintf("sapp%d.", i))
-	}
-	for i, oc := range s.onchips {
-		oc.AttachMetrics(r, fmt.Sprintf("sapp%d.", i))
 	}
 	for i, e := range s.engines {
 		e.AttachMetrics(r, fmt.Sprintf("sapp%d.engine.", i))
@@ -442,31 +438,27 @@ func (s *System) buildSApp(geo addrmap.Geometry, idx int) error {
 	sdCfg.OramBase += uint64(idx) << 37
 	seed := s.cfg.Seed ^ 0x5eed ^ uint64(idx)<<32
 	switch s.cfg.Scheme {
-	case PathORAMBaseline:
+	case PathORAMBaseline, DORAM:
 		p := oram.PaperParams()
-		lay := layout.New(p, subtree, 0)
-		sampler := oram.NewSampler(p, seed)
-		sampler.SetForkPath(s.cfg.ForkPath)
-		if err := sampler.SetEviction(s.cfg.Eviction); err != nil {
-			return err // unreachable after Config.Validate; defense in depth
-		}
-		oc := delegator.NewOnChip(sdCfg, sampler, lay, s.directMCs, geo)
-		s.onchips = append(s.onchips, oc)
-		s.engines = append(s.engines, delegator.NewEngine(oc, s.cfg.Pace, 16))
-	case DORAM:
-		p := oram.PaperParams()
-		p.Levels += s.cfg.SplitK // tree expansion (§III-C)
+		p.Levels += s.cfg.SplitK // tree expansion (§III-C); 0 off DORAM
 		lay := layout.New(p, subtree, s.cfg.SplitK)
 		sampler := oram.NewSampler(p, seed)
 		sampler.SetForkPath(s.cfg.ForkPath)
 		if err := sampler.SetEviction(s.cfg.Eviction); err != nil {
 			return err // unreachable after Config.Validate; defense in depth
 		}
-		sd, err := delegator.NewSD(sdCfg, sampler, lay, s.bobs[0], s.bobs[1:], geo)
+		var sd *delegator.SD
+		var err error
+		if s.cfg.Scheme == DORAM {
+			sd, err = delegator.NewSD(sdCfg, sampler, lay, s.bobs[0], s.bobs[1:], geo)
+		} else {
+			sd, err = delegator.NewOnChip(sdCfg, sampler, lay, s.directMCs, geo)
+		}
 		if err != nil {
 			return err
 		}
-		sd.SetOverlapPhases(s.cfg.OverlapPhases)
+		// Phase overlap pipelines the delegator; the baseline stays serial.
+		sd.SetOverlapPhases(s.cfg.OverlapPhases && s.cfg.Scheme == DORAM)
 		s.sds = append(s.sds, sd)
 		s.engines = append(s.engines, delegator.NewEngine(sd, s.cfg.Pace, 16))
 	case SecureMemory:
@@ -832,9 +824,6 @@ func (s *System) tickCycle(cyc uint64, onEdge bool, st *runState) {
 		for _, sd := range s.sds {
 			sd.Tick(cyc)
 		}
-		for _, oc := range s.onchips {
-			oc.Tick(cyc)
-		}
 		for _, b := range s.bobs {
 			b.Tick(cyc)
 		}
@@ -882,11 +871,12 @@ func (s *System) tickCPU(cyc uint64, st *runState) {
 func (s *System) tickMemLazy(cyc uint64, lz *memLazy, cpuActive bool) {
 	memNow := clock.ToMem(cyc)
 	invalAll := cpuActive || cyc == 0
-	// An SD with events due this edge can enqueue into the secure channel's
-	// sub-channels — and, when tree-top splitting relocates blocks, into the
-	// normal channels too. An on-chip executor enqueues into the direct
-	// controllers. Scope the invalidation accordingly.
-	sdDue, ocDue := false, false
+	// An SD with events due this edge can enqueue into the controllers it
+	// stripes over: the secure channel's sub-channels — and, when tree-top
+	// splitting relocates blocks, the normal channels too — or, on-chip,
+	// the direct controllers. A system has BOBs or direct controllers,
+	// never both, so one flag scopes the invalidation.
+	sdDue := false
 	if !invalAll {
 		for _, sd := range s.sds {
 			if sd.NextEvent(cyc-1) <= cyc {
@@ -894,18 +884,9 @@ func (s *System) tickMemLazy(cyc uint64, lz *memLazy, cpuActive bool) {
 				break
 			}
 		}
-		for _, oc := range s.onchips {
-			if oc.NextEvent(cyc-1) <= cyc {
-				ocDue = true
-				break
-			}
-		}
 	}
 	for _, sd := range s.sds {
 		sd.Tick(cyc)
-	}
-	for _, oc := range s.onchips {
-		oc.Tick(cyc)
 	}
 	for i, b := range s.bobs {
 		if invalAll || (sdDue && (i == 0 || s.sdAllBobs)) || lz.bobNext[i] <= cyc {
@@ -918,7 +899,7 @@ func (s *System) tickMemLazy(cyc uint64, lz *memLazy, cpuActive bool) {
 		}
 	}
 	for i, m := range s.directMCs {
-		if invalAll || ocDue || lz.mcNext[i] <= cyc {
+		if invalAll || sdDue || lz.mcNext[i] <= cyc {
 			if memNow > lz.mcSet[i] {
 				m.Skip(memNow - lz.mcSet[i])
 			}
@@ -947,11 +928,6 @@ func (s *System) tickMemLazy(cyc uint64, lz *memLazy, cpuActive bool) {
 	}
 	for _, sd := range s.sds {
 		if t := sd.NextEvent(cyc); t < next {
-			next = t
-		}
-	}
-	for _, oc := range s.onchips {
-		if t := oc.NextEvent(cyc); t < next {
 			next = t
 		}
 	}
@@ -1069,9 +1045,6 @@ func (s *System) collect(cyc uint64) {
 	}
 	for _, sd := range s.sds {
 		s.res.SAppAll = append(s.res.SAppAll, sd.Stats())
-	}
-	for _, oc := range s.onchips {
-		s.res.SAppAll = append(s.res.SAppAll, oc.Stats())
 	}
 	if len(s.res.SAppAll) > 0 {
 		s.res.SApp = s.res.SAppAll[0]

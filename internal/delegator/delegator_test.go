@@ -237,14 +237,17 @@ func TestOnChipBaselineExecutes(t *testing.T) {
 	p := testParams(0)
 	mcs := []*mc.Controller{newMC(), newMC(), newMC(), newMC()}
 	lay := layout.New(p, layout.DefaultSubtreeLevels, 0)
-	oc := NewOnChip(DefaultSDConfig(), oram.NewSampler(p, 7), lay, mcs, testGeo())
-	eng := NewEngine(oc, DefaultPace, 16)
+	sd, err := NewOnChip(DefaultSDConfig(), oram.NewSampler(p, 7), lay, mcs, testGeo())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(sd, DefaultPace, 16)
 	var done uint64
 	eng.Access(false, 0x1000, 0, func(c uint64) { done = c })
 	for cpu := uint64(0); cpu < 300000; cpu++ {
 		eng.Tick(cpu)
 		if clock.IsMemEdge(cpu) {
-			oc.Tick(cpu)
+			sd.Tick(cpu)
 			for _, c := range mcs {
 				c.Tick(clock.ToMem(cpu))
 			}
@@ -253,7 +256,7 @@ func TestOnChipBaselineExecutes(t *testing.T) {
 	if done == 0 {
 		t.Fatal("baseline read never completed")
 	}
-	st := oc.Stats()
+	st := sd.Stats()
 	if st.Accesses.Value() < 2 {
 		t.Fatal("baseline did not keep streaming dummies")
 	}
@@ -267,14 +270,11 @@ func TestOnChipBaselineExecutes(t *testing.T) {
 
 func TestOnChipRejectsSplitLayout(t *testing.T) {
 	p := testParams(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("OnChip accepted a split layout")
-		}
-	}()
-	NewOnChip(DefaultSDConfig(), oram.NewSampler(p, 7),
+	if _, err := NewOnChip(DefaultSDConfig(), oram.NewSampler(p, 7),
 		layout.New(p, layout.DefaultSubtreeLevels, 1),
-		[]*mc.Controller{newMC()}, testGeo())
+		[]*mc.Controller{newMC()}, testGeo()); err == nil {
+		t.Fatal("on-chip baseline accepted a split layout")
+	}
 }
 
 func TestNewSDValidation(t *testing.T) {

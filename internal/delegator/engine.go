@@ -30,7 +30,7 @@ type EngineStats struct {
 // check cost.
 type Engine struct {
 	pace     uint64
-	exec     Executor
+	exec     *SD
 	queueCap int
 
 	pending []*engineOp
@@ -68,7 +68,7 @@ type engineOp struct {
 
 // NewEngine builds an engine pacing requests every pace cycles over exec.
 // queueCap bounds the core-visible miss queue.
-func NewEngine(exec Executor, pace uint64, queueCap int) *Engine {
+func NewEngine(exec *SD, pace uint64, queueCap int) *Engine {
 	if pace == 0 || queueCap < 1 {
 		panic("delegator: engine needs positive pace and queue capacity")
 	}

@@ -1,9 +1,9 @@
 // Package delegator implements D-ORAM's trusted components: the on-chip
-// secure engine that paces and encrypts ORAM requests (§III-B), the secure
-// delegator (SD) embedded in the BOB unit that executes Path ORAM against
-// the untrusted sub-channels, and the on-chip executor used by the Path
-// ORAM baseline where the processor's own memory controllers run the
-// protocol over the direct-attached channels.
+// secure engine that paces and encrypts ORAM requests (§III-B), and the
+// secure delegator (SD) embedded in the BOB unit that executes Path ORAM
+// against the untrusted sub-channels. The Path ORAM baseline runs the same
+// SD state machine on-chip, over the direct-attached channels, with no
+// link to cross.
 package delegator
 
 import "doram/internal/stats"
@@ -27,18 +27,7 @@ type Access struct {
 	OnResponse func(cpuCycle uint64)
 }
 
-// Executor runs ORAM accesses. Implementations: the SD on the secure
-// channel (D-ORAM), and the on-chip engine of the Path ORAM baseline.
-type Executor interface {
-	// Submit hands over one access at CPU cycle now. Implementations
-	// buffer at most one access while the previous write phase drains
-	// (§III-B timing control); Submit returns false when that buffer is
-	// occupied and the engine must retry.
-	Submit(a *Access, now uint64) bool
-}
-
-// ExecStats aggregates ORAM execution behaviour, reported by both
-// executors.
+// ExecStats aggregates ORAM execution behaviour.
 type ExecStats struct {
 	Accesses      stats.Counter
 	RealAccesses  stats.Counter

@@ -1,6 +1,6 @@
 package delegator
 
-// sched is a tiny future-event list used by the executors to model
+// sched is a tiny future-event list used by the SD to model
 // multi-hop message chains and queue-retry without a global event engine.
 // Event counts are small (bounded by blocks per ORAM phase), so a linear
 // scan is cheaper than a heap.

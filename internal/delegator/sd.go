@@ -1,6 +1,7 @@
 package delegator
 
 import (
+	"errors"
 	"fmt"
 
 	"doram/internal/addrmap"
@@ -58,17 +59,28 @@ type sdAccess struct {
 	writeStart uint64
 }
 
-// SD is the secure delegator embedded in the secure channel's BOB unit.
-// It receives encrypted request packets from the processor, executes full
+// SD is the Path ORAM executor. In D-ORAM it is the secure delegator
+// embedded in the secure channel's BOB unit: it receives encrypted request
+// packets from the processor over the channel's serial link, executes full
 // Path ORAM accesses against the channel's untrusted sub-channels (and,
 // under tree split, the normal channels via forwarded short packets), and
-// returns a single response packet per access.
+// returns a single response packet per access. In the Path ORAM baseline
+// the same state machine runs on-chip, in the processor (built by
+// NewOnChip): there is no link to cross, and every block transfer crosses
+// the direct-attached channels — the configuration whose extreme memory
+// contention motivates D-ORAM (§II-C, Figure 4).
 type SD struct {
 	cfg     SDConfig
 	sampler *oram.Sampler
 	lay     *layout.Layout
 
-	secure  *bob.SimpleController
+	// link carries the request and response packets; nil for the on-chip
+	// baseline, whose requests arrive at once and whose responses cost
+	// only the crypto check.
+	link *bob.Link
+	// mcs are the controllers the tree is striped over: the secure BOB's
+	// sub-channels in D-ORAM, the direct channels in the baseline.
+	mcs     []*mc.Controller
 	normals []*bob.SimpleController // indexed 0..2 for channels 1..3
 
 	subMap    []*addrmap.Mapper
@@ -91,9 +103,9 @@ type SD struct {
 	sched sched
 	stats ExecStats
 
-	// held tracks the blocks currently resident in the delegator: read off
-	// their path and not yet written back — the SD's stash-plus-path-buffer
-	// occupancy, D-ORAM's analogue of the on-chip stash depth.
+	// held tracks the blocks currently resident in the executor: read off
+	// their path and not yet written back — its stash-plus-path-buffer
+	// occupancy.
 	held    int
 	heldMax int
 
@@ -177,13 +189,32 @@ func (r *sdReq) onComplete(_ *mc.Request, memDone uint64) {
 // accesses ([39]'s acceleration; off reproduces the paper's buffering).
 func (sd *SD) SetOverlapPhases(on bool) { sd.overlap = on }
 
-// NewSD builds a delegator. sampler provides the ORAM traces (at the
-// paper's scale); lay must cover the same tree. normals supplies the
-// normal channels' controllers and is required when lay.SplitK() > 0.
-// geo describes the DRAM geometry behind every bus.
+// NewSD builds a delegator behind the secure channel. sampler provides the
+// ORAM traces (at the paper's scale); lay must cover the same tree.
+// normals supplies the normal channels' controllers and is required when
+// lay.SplitK() > 0. geo describes the DRAM geometry behind every bus.
 func NewSD(cfg SDConfig, sampler *oram.Sampler, lay *layout.Layout,
 	secure *bob.SimpleController, normals []*bob.SimpleController,
 	geo addrmap.Geometry) (*SD, error) {
+
+	return newSD(cfg, sampler, lay, secure.Link(), secure.SubChannels(), normals, geo)
+}
+
+// NewOnChip builds the Path ORAM baseline's executor over the
+// direct-attached channel controllers: the SD state machine with no link.
+// lay must have no split (the baseline stripes every node's blocks across
+// all channels).
+func NewOnChip(cfg SDConfig, sampler *oram.Sampler, lay *layout.Layout,
+	mcs []*mc.Controller, geo addrmap.Geometry) (*SD, error) {
+
+	if lay.SplitK() != 0 {
+		return nil, errors.New("delegator: on-chip baseline does not support tree split")
+	}
+	return newSD(cfg, sampler, lay, nil, mcs, nil, geo)
+}
+
+func newSD(cfg SDConfig, sampler *oram.Sampler, lay *layout.Layout, link *bob.Link,
+	mcs []*mc.Controller, normals []*bob.SimpleController, geo addrmap.Geometry) (*SD, error) {
 
 	if lay.Params().Levels != sampler.Params().Levels {
 		return nil, fmt.Errorf("delegator: layout covers %d levels, sampler %d",
@@ -193,8 +224,8 @@ func NewSD(cfg SDConfig, sampler *oram.Sampler, lay *layout.Layout,
 		return nil, fmt.Errorf("delegator: tree split needs %d normal channels, have %d",
 			layout.NumNormalChannels, len(normals))
 	}
-	sd := &SD{cfg: cfg, sampler: sampler, lay: lay, secure: secure, normals: normals}
-	for i := range secure.SubChannels() {
+	sd := &SD{cfg: cfg, sampler: sampler, lay: lay, link: link, mcs: mcs, normals: normals}
+	for i := range mcs {
 		sd.subMap = append(sd.subMap, addrmap.New(geo, addrmap.OpenPage, []int{i}))
 	}
 	for range normals {
@@ -206,21 +237,26 @@ func NewSD(cfg SDConfig, sampler *oram.Sampler, lay *layout.Layout,
 // Stats returns execution statistics.
 func (sd *SD) Stats() *ExecStats { return &sd.stats }
 
-// BlocksHeld returns the delegator's current buffer occupancy in blocks:
-// path blocks read into the SD and not yet drained back to DRAM.
+// BlocksHeld returns the executor's current buffer occupancy in blocks:
+// path blocks read in and not yet drained back to DRAM.
 func (sd *SD) BlocksHeld() int { return sd.held }
 
 // MaxBlocksHeld returns the high-water buffer occupancy observed.
 func (sd *SD) MaxBlocksHeld() int { return sd.heldMax }
 
-// HeldCapacity bounds BlocksHeld: the pipeline holds at most three
-// accesses' paths (one reading, one draining, one parked between them).
+// HeldCapacity bounds BlocksHeld: the delegator's pipeline holds at most
+// three accesses' paths (one reading, one draining, one parked between
+// them); the on-chip baseline runs one access at a time, so one path.
 func (sd *SD) HeldCapacity() int {
 	p := sd.lay.Params()
-	return 3 * (p.Levels + 1) * p.Z
+	path := (p.Levels + 1) * p.Z
+	if sd.link == nil {
+		return path
+	}
+	return 3 * path
 }
 
-// AttachMetrics registers the delegator's execution state under prefix
+// AttachMetrics registers the executor's state under prefix
 // (e.g. "sapp0."): access counters at dump time and the buffer-occupancy
 // (stash) series for the timeline. No-op on a nil registry.
 func (sd *SD) AttachMetrics(r *metrics.Registry, prefix string) {
@@ -250,13 +286,20 @@ func (sd *SD) Busy() bool {
 	return sd.reading != nil || sd.writing != nil || sd.pendingWrite != nil || !sd.sched.Empty()
 }
 
-// Submit implements Executor: the processor's main controller sends the
-// encrypted request packet over the secure channel's serial link.
+// Submit hands over one access at CPU cycle now: the processor's main
+// controller sends the encrypted request packet over the secure channel's
+// serial link (on-chip it is there at once). At most one access is
+// buffered while the previous write phase drains (§III-B timing control);
+// Submit returns false when that buffer is occupied and the engine must
+// retry.
 func (sd *SD) Submit(a *Access, now uint64) bool {
 	if sd.buffered != nil {
 		return false
 	}
-	arrival := sd.secure.Link().SendDownFor(a.TraceID, bob.FullPacketBytes, now)
+	arrival := now
+	if sd.link != nil {
+		arrival = sd.link.SendDownFor(a.TraceID, bob.FullPacketBytes, now)
+	}
 	sd.buffered = a
 	sd.bufferedSubmit, sd.bufferedArrival = now, arrival
 	sd.sched.Add(arrival+sd.cfg.CryptoCycles, sd.tryStart)
@@ -309,14 +352,14 @@ func (sd *SD) startRead(a *Access, submitAt, linkArrive, now uint64) {
 	}
 }
 
-// localIssue enqueues one block transaction on a secure sub-channel via a
+// localIssue enqueues one block transaction on a striped channel via a
 // pooled request, retrying while the DRAM queue is full. read routes the
 // completion to readDone; otherwise writeDone.
 func (sd *SD) localIssue(pl layout.Placement, op mc.OpType, ctx *sdAccess, read bool, now uint64) {
 	coord := sd.subMap[pl.SubChannel].Map(sd.cfg.OramBase + pl.Addr)
 	r := sd.getReq()
 	r.ctx, r.read = ctx, read
-	r.sub = sd.secure.SubChannels()[pl.SubChannel]
+	r.sub = sd.mcs[pl.SubChannel]
 	r.req = mc.Request{Op: op, Coord: coord, Secure: true, AppID: -1,
 		TraceID: ctx.a.TraceID, OnComplete: r.onCompleteFn}
 	sd.sched.Add(now, r.attemptFn)
@@ -330,7 +373,7 @@ func (sd *SD) remoteRead(ctx *sdAccess, pl layout.Placement, now uint64) {
 	sd.stats.RemoteBlocks.Inc()
 	id := ctx.a.TraceID
 	nc := sd.normals[pl.Channel-1]
-	a1 := sd.secure.Link().SendUpFor(id, bob.ShortReadBytes, now)
+	a1 := sd.link.SendUpFor(id, bob.ShortReadBytes, now)
 	a2 := nc.Link().SendDownFor(id, bob.ShortReadBytes, a1+sd.cfg.FwdDelay)
 	coord := sd.normalMap[pl.Channel-1].Map(sd.cfg.OramBase + pl.Addr)
 	// Normal channels are not upgraded (§III-C): they cannot tell split
@@ -338,7 +381,7 @@ func (sd *SD) remoteRead(ctx *sdAccess, pl layout.Placement, now uint64) {
 	req := &mc.Request{Op: mc.OpRead, Coord: coord, AppID: -1, TraceID: id,
 		OnComplete: func(_ *mc.Request, memDone uint64) {
 			a3 := nc.Link().SendUpFor(id, bob.FullPacketBytes, clock.ToCPU(memDone))
-			a4 := sd.secure.Link().SendDownFor(id, bob.FullPacketBytes, a3+sd.cfg.FwdDelay)
+			a4 := sd.link.SendDownFor(id, bob.FullPacketBytes, a3+sd.cfg.FwdDelay)
 			sd.sched.Add(a4, func(t uint64) { sd.readDone(ctx, t) })
 		}}
 	sub := nc.SubChannels()[0]
@@ -364,10 +407,12 @@ func (sd *SD) readDone(ctx *sdAccess, now uint64) {
 	}
 	sd.stats.ReadPhase.Observe(now - ctx.phaseStart)
 	ctx.readEnd = now
-	respArrive := sd.secure.Link().SendUpFor(ctx.a.TraceID, bob.FullPacketBytes, now+sd.cfg.CryptoCycles)
-	ctx.respAt = respArrive
+	ctx.respAt = now + sd.cfg.CryptoCycles
+	if sd.link != nil {
+		ctx.respAt = sd.link.SendUpFor(ctx.a.TraceID, bob.FullPacketBytes, ctx.respAt)
+	}
 	if ctx.a.OnResponse != nil {
-		ctx.a.OnResponse(respArrive)
+		ctx.a.OnResponse(ctx.respAt)
 	}
 	sd.reading = nil
 	if sd.writing == nil {
@@ -403,7 +448,7 @@ func (sd *SD) remoteWrite(ctx *sdAccess, pl layout.Placement, now uint64) {
 	sd.stats.RemoteBlocks.Inc()
 	id := ctx.a.TraceID
 	nc := sd.normals[pl.Channel-1]
-	a1 := sd.secure.Link().SendUpFor(id, bob.FullPacketBytes, now)
+	a1 := sd.link.SendUpFor(id, bob.FullPacketBytes, now)
 	a2 := nc.Link().SendDownFor(id, bob.FullPacketBytes, a1+sd.cfg.FwdDelay)
 	coord := sd.normalMap[pl.Channel-1].Map(sd.cfg.OramBase + pl.Addr)
 	// Plain write from the unupgraded normal channel's point of view.
@@ -442,7 +487,8 @@ func (sd *SD) writeDone(ctx *sdAccess, now uint64) {
 // finishAccess records the completed access's latency breakdown and spans.
 // The stages telescope — link_down + sd_wait + read_phase + respond +
 // writeback == end-to-end — so attribution sums exactly. Write-back drain
-// overlaps the respond stage, so its span lives on a side track.
+// overlaps the respond stage, so its span lives on a side track. On-chip
+// link_down is recorded as 0 with no span.
 func (sd *SD) finishAccess(ctx *sdAccess, now uint64) {
 	if sd.trace == nil {
 		return
@@ -459,7 +505,9 @@ func (sd *SD) finishAccess(ctx *sdAccess, now uint64) {
 		evtrace.Stage{Name: "writeback", Dur: end - ctx.respAt})
 	id := ctx.a.TraceID
 	sd.trace.Emit(sd.track, "oram", "access", id, ctx.submitAt, end, 0)
-	sd.trace.Emit(sd.track, "oram", "link_down", id, ctx.submitAt, ctx.linkArrive, 0)
+	if sd.link != nil {
+		sd.trace.Emit(sd.track, "oram", "link_down", id, ctx.submitAt, ctx.linkArrive, 0)
+	}
 	sd.trace.Emit(sd.track, "oram", "sd_wait", id, ctx.linkArrive, ctx.readStart, 0)
 	sd.trace.Emit(sd.track, "oram", "read_phase", id, ctx.readStart, ctx.readEnd, 0)
 	sd.trace.Emit(sd.track, "oram", "respond", id, ctx.readEnd, ctx.respAt, 0)
