@@ -18,6 +18,7 @@ import (
 	"doram/internal/oram/ring"
 	"doram/internal/otp"
 	"doram/internal/trace"
+	"doram/internal/xrand"
 )
 
 func benchOpts() experiments.Options {
@@ -117,10 +118,48 @@ func BenchmarkFunctionalORAMAccess(b *testing.B) {
 		b.Fatal(err)
 	}
 	buf := []byte("payload")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		addr := uint64(i) % (o.Capacity() / 2)
 		if err := o.Write(addr, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchRead keeps BenchmarkFunctionalORAMStore's reads observable.
+var benchRead []byte
+
+// BenchmarkFunctionalORAMStore measures one functional Path ORAM access at
+// the shape of perfbench's oram-store workload: DefaultORAMConfig (L=16,
+// ctr-hmac with MACs), 4096 prefilled 64-byte blocks, then uniformly
+// random addresses with reads and writes half and half.
+func BenchmarkFunctionalORAMStore(b *testing.B) {
+	const workingSet = 4096
+	o, err := NewORAM(DefaultORAMConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := make([]byte, 64)
+	for a := uint64(0); a < workingSet; a++ {
+		payload[0] = byte(a)
+		if err := o.Write(a, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := xrand.New(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		addr := rng.Uint64n(workingSet)
+		if rng.Intn(2) == 0 {
+			payload[0] = byte(i)
+			err = o.Write(addr, payload)
+		} else {
+			benchRead, err = o.Read(addr)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

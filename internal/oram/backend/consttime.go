@@ -48,7 +48,7 @@ func CTCopy(choice uint64, dst, src []byte) {
 // data) and the number of slots scanned — which depends only on the stash
 // occupancy, never on which slot (if any) matched.
 func CTScanStash(s *Stash, addr uint64, out []byte) (found uint64, scanned int) {
-	for _, b := range s.Sorted() {
+	for _, b := range s.blocks {
 		hit := CTEq64(b.Addr, addr)
 		CTCopy(hit, out, b.Data)
 		found |= hit
@@ -61,7 +61,7 @@ func CTScanStash(s *Stash, addr uint64, out []byte) (found uint64, scanned int) 
 // data-dependent branches, scanning every block like CTScanStash. It
 // returns 1 if a block matched. data must be exactly block-sized.
 func CTStoreStash(s *Stash, addr uint64, data []byte) (found uint64, scanned int) {
-	for _, b := range s.Sorted() {
+	for _, b := range s.blocks {
 		hit := CTEq64(b.Addr, addr)
 		CTCopy(hit, b.Data, data)
 		found |= hit

@@ -7,6 +7,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"sort"
 )
 
@@ -22,7 +23,8 @@ type Encryptor interface {
 	Name() string
 	// SealedBytes returns the ciphertext size for an n-byte plaintext.
 	SealedBytes(n int) int
-	// Seal encrypts a bucket image for (node, version).
+	// Seal encrypts a bucket image for (node, version) into a new slice.
+	// It must not retain plain, which the caller reuses.
 	Seal(node NodeID, version uint64, plain []byte) []byte
 	// Open decrypts (and, when the scheme authenticates, verifies) a
 	// sealed bucket. A failed authentication returns ErrIntegrity naming
@@ -80,9 +82,15 @@ const MACSize = 16
 // are indistinguishable. With MAC enabled it also appends a truncated
 // HMAC-SHA256 tag binding node and version, defeating spoofing and replay
 // of stale buckets.
+//
+// The keyed HMAC and its scratch buffers are built once and reused for
+// every tag, so a CTRHMACEncryptor is not safe for concurrent use: like
+// the client it serves, it belongs to one goroutine at a time.
 type CTRHMACEncryptor struct {
 	block  cipher.Block
-	macKey [32]byte
+	mac    hash.Hash // keyed once; Reset before each tag
+	id     [16]byte  // little-endian (node, version): CTR IV and tag prefix
+	sum    [sha256.Size]byte
 	useMAC bool
 }
 
@@ -95,13 +103,13 @@ func NewCTRHMACEncryptor(key []byte, withMAC bool) (*CTRHMACEncryptor, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &CTRHMACEncryptor{block: block, useMAC: withMAC}
 	var in [16]byte
+	var macKey [32]byte
 	copy(in[:], "oram-mac-derive0")
-	c.block.Encrypt(c.macKey[0:16], in[:])
+	block.Encrypt(macKey[0:16], in[:])
 	in[15] = '1'
-	c.block.Encrypt(c.macKey[16:32], in[:])
-	return c, nil
+	block.Encrypt(macKey[16:32], in[:])
+	return &CTRHMACEncryptor{block: block, mac: hmac.New(sha256.New, macKey[:]), useMAC: withMAC}, nil
 }
 
 // Name implements Encryptor.
@@ -115,22 +123,26 @@ func (c *CTRHMACEncryptor) SealedBytes(n int) int {
 	return n
 }
 
+// identity encodes (node, version) into the encryptor's scratch block,
+// which serves as both the CTR IV and the tag's prefix.
+func (c *CTRHMACEncryptor) identity(node NodeID, version uint64) []byte {
+	binary.LittleEndian.PutUint64(c.id[0:8], uint64(node))
+	binary.LittleEndian.PutUint64(c.id[8:16], version)
+	return c.id[:]
+}
+
 func (c *CTRHMACEncryptor) stream(node NodeID, version uint64) cipher.Stream {
-	var iv [16]byte
-	binary.LittleEndian.PutUint64(iv[0:8], uint64(node))
-	binary.LittleEndian.PutUint64(iv[8:16], version)
-	return cipher.NewCTR(c.block, iv[:])
+	return cipher.NewCTR(c.block, c.identity(node, version))
 }
 
 // Seal implements Encryptor.
 func (c *CTRHMACEncryptor) Seal(node NodeID, version uint64, plain []byte) []byte {
-	out := make([]byte, len(plain))
+	out := make([]byte, len(plain), c.SealedBytes(len(plain)))
 	c.stream(node, version).XORKeyStream(out, plain)
 	if !c.useMAC {
 		return out
 	}
-	tag := c.tag(node, version, out)
-	return append(out, tag[:MACSize]...)
+	return append(out, c.tag(node, version, out)[:MACSize]...)
 }
 
 // Open implements Encryptor.
@@ -141,8 +153,7 @@ func (c *CTRHMACEncryptor) Open(node NodeID, version uint64, sealed []byte) ([]b
 			return nil, ErrIntegrity{Node: node, Level: node.Level(), Mechanism: MechMAC}
 		}
 		body = sealed[:len(sealed)-MACSize]
-		want := c.tag(node, version, body)
-		if !hmac.Equal(want[:MACSize], sealed[len(body):]) {
+		if !hmac.Equal(c.tag(node, version, body)[:MACSize], sealed[len(body):]) {
 			return nil, ErrIntegrity{Node: node, Level: node.Level(), Mechanism: MechMAC}
 		}
 	}
@@ -151,14 +162,13 @@ func (c *CTRHMACEncryptor) Open(node NodeID, version uint64, sealed []byte) ([]b
 	return out, nil
 }
 
+// tag returns the full HMAC-SHA256 over (node, version, ct). The result
+// aliases the encryptor's scratch buffer and is valid until the next tag.
 func (c *CTRHMACEncryptor) tag(node NodeID, version uint64, ct []byte) []byte {
-	mac := hmac.New(sha256.New, c.macKey[:])
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], uint64(node))
-	binary.LittleEndian.PutUint64(hdr[8:16], version)
-	mac.Write(hdr[:])
-	mac.Write(ct)
-	return mac.Sum(nil)
+	c.mac.Reset()
+	c.mac.Write(c.identity(node, version))
+	c.mac.Write(ct)
+	return c.mac.Sum(c.sum[:0])
 }
 
 // NoOpEncryptor stores bucket images in the clear: no confidentiality, no

@@ -104,30 +104,29 @@ func (*GreedyByDepth) Name() string { return EvictionGreedyByDepth }
 func (*GreedyByDepth) PlanLevel(s *Stash, leaf uint64, level, levels, z int) []*Block {
 	node := NodeAt(level, leaf, levels)
 	type cand struct {
-		addr  uint64
+		b     *Block
 		depth int
 	}
 	var cands []cand
-	for _, addr := range s.Addrs() {
-		b := s.Get(addr)
+	for _, b := range s.blocks {
 		if NodeAt(level, b.Leaf, levels) != node {
 			continue
 		}
-		cands = append(cands, cand{addr: addr, depth: sharedDepth(b.Leaf, leaf, levels)})
+		cands = append(cands, cand{b: b, depth: sharedDepth(b.Leaf, leaf, levels)})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].depth != cands[j].depth {
 			return cands[i].depth > cands[j].depth
 		}
-		return cands[i].addr < cands[j].addr
+		return cands[i].b.Addr < cands[j].b.Addr
 	})
 	if len(cands) > z {
 		cands = cands[:z]
 	}
 	out := make([]*Block, 0, len(cands))
 	for _, c := range cands {
-		out = append(out, s.Get(c.addr))
-		s.Remove(c.addr)
+		out = append(out, c.b)
+		s.Remove(c.b.Addr)
 	}
 	return out
 }

@@ -31,7 +31,8 @@ func (m *MemStorage) ReadBucket(node NodeID) []byte {
 	return append([]byte(nil), m.bufs[node]...)
 }
 
-// WriteBucket implements Storage.
+// WriteBucket implements Storage. It copies buf into the node's existing
+// image, which ReadBucket never hands out.
 func (m *MemStorage) WriteBucket(node NodeID, buf []byte) {
-	m.bufs[node] = append([]byte(nil), buf...)
+	m.bufs[node] = append(m.bufs[node][:0], buf...)
 }
