@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"doram/internal/core"
@@ -250,6 +251,15 @@ func TestORAMCompare(t *testing.T) {
 	}
 	if ring.TotalBlocks >= path.TotalBlocks {
 		t.Errorf("ring total %.1f not below path's %.1f", ring.TotalBlocks, path.TotalBlocks)
+	}
+	// Both protocols pick eviction candidates in stash address order, so
+	// the comparison is a pure function of its seed.
+	again, _, err := ORAMCompare(8, 400, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, rows) {
+		t.Errorf("second run gave %+v, first %+v", again, rows)
 	}
 }
 

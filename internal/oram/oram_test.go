@@ -323,7 +323,7 @@ func TestInvariantBlockOnAssignedPathOrStash(t *testing.T) {
 		}
 	}
 	inStash := map[uint64]bool{}
-	for _, b := range c.stash.All() {
+	for _, b := range c.stash.Sorted() {
 		inStash[b.Addr] = true
 	}
 	inTop := map[uint64]bool{}

@@ -401,11 +401,12 @@ func (c *Client) drainBucket(node backend.NodeID, m *slotMeta) error {
 	return nil
 }
 
-// evictForNode selects up to Z stash blocks whose leaf passes through node.
+// evictForNode selects up to Z stash blocks whose leaf passes through node,
+// in address order, so equal seeds make equal picks.
 func (c *Client) evictForNode(node backend.NodeID) []*backend.Block {
 	level := node.Level()
 	var out []*backend.Block
-	for _, b := range c.stash.All() {
+	for _, b := range c.stash.Sorted() {
 		if len(out) >= c.p.Z {
 			break
 		}
