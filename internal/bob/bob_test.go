@@ -2,6 +2,7 @@ package bob
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -115,6 +116,77 @@ func newTestCtrl(t *testing.T, subs int) *SimpleController {
 		t.Fatal(err)
 	}
 	return ctrl
+}
+
+// randFaults corrupts or loses each transfer attempt at random.
+type randFaults struct{ rng *rand.Rand }
+
+func (f randFaults) NextOutcome() Outcome {
+	switch x := f.rng.Float64(); {
+	case x < 0.2:
+		return Corrupted
+	case x < 0.3:
+		return Lost
+	}
+	return Delivered
+}
+
+// TestInputQueueArrivalsInLinkOrder checks the order NextEvent relies on
+// to read only the input queue's head: along the queue, arrival cycles
+// never decrease. Packets are submitted over a link that corrupts and
+// loses attempts, while other traffic (as the secure delegator sends)
+// shares the down direction with launch cycles in the future, and
+// one-entry sub-channel queues leave arrived packets stuck. The head's
+// horizon must also equal the minimum over the whole queue.
+func TestInputQueueArrivalsInLinkOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cfg := mc.DefaultConfig()
+	cfg.RefreshEnabled = false
+	cfg.ReadQueueCap, cfg.WriteQueueCap = 1, 1
+	mcs := []*mc.Controller{
+		mc.New(dram.NewChannel(dram.DDR31600(), 1, 8), cfg),
+		mc.New(dram.NewChannel(dram.DDR31600(), 1, 8), cfg),
+	}
+	link := MustLink(DefaultLinkConfig())
+	link.SetFaultModel(randFaults{rng})
+	s, err := NewSimpleController(link, mcs, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stuck := 0
+	for cpu := uint64(0); cpu < 40_000; cpu++ {
+		switch x := rng.Intn(8); {
+		case x < 2:
+			s.Submit(&NSRequest{Write: x == 0, Coord: addrmap.Coord{Bus: rng.Intn(2),
+				Bank: rng.Intn(8), Row: int64(rng.Intn(4))}}, cpu)
+		case x == 2:
+			link.SendDown(ShortReadBytes, cpu+uint64(rng.Intn(200)))
+		}
+		if clock.IsMemEdge(cpu) {
+			s.Tick(cpu)
+		}
+		want := clock.Never
+		for i, a := range s.inQ {
+			if i > 0 && a.readyAt < s.inQ[i-1].readyAt {
+				t.Fatalf("cycle %d: queue entry %d arrives at %d, before entry %d at %d",
+					cpu, i, a.readyAt, i-1, s.inQ[i-1].readyAt)
+			}
+			if a.readyAt <= cpu {
+				stuck++
+			}
+			want = min(want, clock.AlignMemEdge(max(a.readyAt, cpu+1)))
+		}
+		if len(s.inQ) > 0 {
+			if got := s.NextEvent(cpu); got > want {
+				t.Fatalf("cycle %d: NextEvent %d is later than the earliest queued arrival %d", cpu, got, want)
+			}
+		}
+	}
+	st := link.DownStats()
+	if st.Corrupted.Value() == 0 || st.Lost.Value() == 0 || stuck == 0 {
+		t.Fatalf("stream too tame: %d corrupted, %d lost, %d stuck packet-cycles",
+			st.Corrupted.Value(), st.Lost.Value(), stuck)
+	}
 }
 
 func TestSimpleControllerReadRoundTrip(t *testing.T) {

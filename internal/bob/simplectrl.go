@@ -242,24 +242,19 @@ func (s *SimpleController) Tick(cpuNow uint64) {
 }
 
 // NextEvent reports the earliest CPU cycle strictly after cpuNow at which
-// a Tick can change observable state: the earliest packet arrival in the
-// input queue (already-arrived packets stuck on a full sub-channel queue
-// retry every edge) or the earliest sub-channel controller event, both
-// aligned to memory edges since Tick only runs there. clock.Never when the
-// queue is empty and every sub-channel is drained.
+// a Tick can change observable state: the input queue head's arrival (an
+// already-arrived head stuck on a full sub-channel queue retries every
+// edge) or the earliest sub-channel controller event, both aligned to
+// memory edges since Tick only runs there. The head is the earliest
+// packet: packets enter the queue in link order, the link hands out
+// nondecreasing arrivals on each direction, and Tick keeps the order.
+// clock.Never when the queue is empty and every sub-channel is drained.
 func (s *SimpleController) NextEvent(cpuNow uint64) uint64 {
 	next := clock.Never
 	floor := clock.AlignMemEdge(cpuNow + 1)
-	for _, a := range s.inQ {
-		t := a.readyAt
-		if t <= cpuNow {
-			t = cpuNow + 1
-		}
-		if t = clock.AlignMemEdge(t); t < next {
-			if t <= floor {
-				return floor
-			}
-			next = t
+	if len(s.inQ) > 0 {
+		if next = clock.AlignMemEdge(max(s.inQ[0].readyAt, cpuNow+1)); next <= floor {
+			return floor
 		}
 	}
 	memNow := clock.ToMem(cpuNow)

@@ -482,3 +482,28 @@ func TestMaxCyclesExceededSurfaces(t *testing.T) {
 		t.Fatal("run exceeding MaxCycles returned no error")
 	}
 }
+
+// TestFastForwardVisitGuard bounds the cycles the fast-forward loop visits
+// on the doramsim default (D-ORAM, face, 8000 accesses per core, seed 1):
+// 662,707 simulated cycles, of which the loop visits 180,733. The count is
+// deterministic, so a change that wakes cores or engines needlessly fails
+// here rather than only in a benchmark.
+func TestFastForwardVisitGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full doramsim default")
+	}
+	cfg := DefaultConfig(DORAM, "face")
+	cfg.TraceLen = 8000
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d cycles, %d visited", res.Cycles, sys.visits)
+	if sys.visits > 200_000 {
+		t.Fatalf("fast-forward loop visited %d of %d cycles, want at most 200,000", sys.visits, res.Cycles)
+	}
+}

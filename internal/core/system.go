@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"doram/internal/addrmap"
 	"doram/internal/bob"
@@ -72,6 +73,9 @@ type System struct {
 	// no locking.
 	freeNS     *nsReq
 	freeDirect *directReq
+
+	// visits counts the cycles the fast-forward loop visited.
+	visits uint64
 }
 
 // nsReq is one pooled BOB-port request: the NSRequest crossing the link
@@ -676,13 +680,15 @@ func (st *runState) markSDone(i int) {
 // Run executes the simulation until every measured core finishes and
 // returns the results.
 //
-// By default the run fast-forwards: every component exposes NextEvent, the
-// loop jumps the clock straight to the earliest one, and memory-side
-// components are additionally ticked lazily — a controller whose horizon
-// has not arrived is not ticked even on visited edges, with the few
-// per-cycle counters its no-op ticks would have advanced (core retire
-// stalls, MC queue-occupancy integrals, DRAM bus-utilization denominators)
-// compensated in bulk afterwards. Config.NoFastForward reverts to the
+// By default the run fast-forwards: every component exposes an event
+// horizon, the loop jumps the clock straight to the earliest one, and
+// cores and memory-side components are additionally ticked lazily — a
+// core only at the cycles it touches its port or finishes, a controller
+// only once its horizon has arrived, even on visited edges — with the few
+// per-cycle counters their elided ticks would have advanced (fetch stalls
+// and engine rejections of a core retrying a full queue, DRAM
+// bus-utilization denominators) brought up to date before anything reads
+// them. Config.NoFastForward reverts to the
 // original cycle-by-cycle loop; both paths are bit-identical in Results,
 // metrics and traces — the differential suite enforces it.
 func (s *System) Run() (*Results, error) {
@@ -742,17 +748,104 @@ type memLazy struct {
 	memNext uint64 // global memory-side horizon, min over components
 }
 
+// coreLazy is the fast-forward loop's per-core state. cores lists every
+// core in tick order (NS-Apps, then S-App copies); hz caches each core's
+// Horizon, the next cycle it touches its port or finishes. A core is
+// ticked only at its horizon and brought current with CatchUp in
+// between. stale marks the cores whose horizon a tick, a read completion
+// or an engine freeing queue space has invalidated during the visited
+// cycle cyc.
+type coreLazy struct {
+	cores []*cpu.Core
+	nNS   int
+	hz    []uint64
+	stale []bool
+	cyc   uint64
+}
+
+func newCoreLazy(s *System) *coreLazy {
+	cl := &coreLazy{
+		cores: append(append([]*cpu.Core(nil), s.nsCores...), s.sCores...),
+		nNS:   len(s.nsCores),
+	}
+	cl.hz = make([]uint64, len(cl.cores)) // every core ticks at cycle 0,
+	cl.stale = make([]bool, len(cl.cores))
+	for i, c := range cl.cores {
+		if c.Done() {
+			cl.hz[i] = clock.Never // unless its trace was empty
+		}
+		c.SetWake(func() { cl.wake(i) })
+	}
+	return cl
+}
+
+// wake brings core i current through the visited cycle and marks its
+// horizon stale. Read completions call it before the read becomes
+// visible; the loop calls it when the core's engine frees queue space.
+func (cl *coreLazy) wake(i int) {
+	cl.cores[i].CatchUp(cl.cyc)
+	cl.stale[i] = true
+}
+
+// tick ticks every core whose horizon is due at cyc and reports whether
+// any did.
+func (cl *coreLazy) tick(cyc uint64, st *runState) bool {
+	ticked := false
+	for i, c := range cl.cores {
+		if cl.hz[i] > cyc {
+			continue
+		}
+		if cyc > 0 {
+			c.CatchUp(cyc - 1)
+		}
+		c.Tick(cyc)
+		ticked = true
+		cl.stale[i] = true
+		if c.Done() {
+			if i < cl.nNS {
+				st.markNSDone(i)
+			} else {
+				st.markSDone(i - cl.nNS)
+			}
+		}
+	}
+	return ticked
+}
+
+// refresh recomputes the horizons invalidated during cycle cyc; a
+// finished core's is clock.Never.
+func (cl *coreLazy) refresh(cyc uint64) {
+	for i, c := range cl.cores {
+		if cl.stale[i] {
+			cl.stale[i] = false
+			cl.hz[i] = c.Horizon(cyc)
+		}
+	}
+}
+
+// catchUp brings every core current through cyc, before an observation
+// point reads their counters (a metrics sample reads the engines'
+// rejection counts) and at the end of the run.
+func (cl *coreLazy) catchUp(cyc uint64) {
+	for _, c := range cl.cores {
+		c.CatchUp(cyc)
+	}
+}
+
 // runFastForward is the event-horizon loop. Invariants:
-//   - a visited cycle ticks CPU components (cores, engines) exactly like
-//     the reference loop;
+//   - a core ticks only at its horizon, the next cycle it touches its
+//     port or finishes, after CatchUp to the cycle before; the silent
+//     cycles in between are applied lazily by CatchUp;
+//   - a visited cycle ticks every engine, exactly like the reference loop;
 //   - a visited memory edge ticks only memory components whose cached
-//     horizon has arrived, unless CPU-side or delegator activity since the
-//     previous visited edge could have enqueued new work anywhere, in
-//     which case all of them tick (and re-cache fresh horizons);
-//   - jumps go to the minimum of the CPU horizon, the memory horizon, the
-//     next metrics sample boundary and MaxCycles; jumps launched off-edge
-//     are clamped to the next edge because off-edge CPU activity can
-//     create memory work the cached horizon does not know about.
+//     horizon has arrived, unless a core touched its port or an engine
+//     acted since the previous visited edge, in which case all of them
+//     tick (and re-cache fresh horizons);
+//   - jumps go to the minimum of the core horizons, the engine horizons,
+//     the memory horizon, the next metrics sample boundary and MaxCycles;
+//     a jump after such CPU activity off an edge is clamped to the next
+//     edge, because that activity can create memory work the cached
+//     horizon does not know about.
 func (s *System) runFastForward(st *runState) (uint64, *memLazy) {
 	lz := &memLazy{
 		bobNext: make([]uint64, len(s.bobs)),
@@ -761,7 +854,8 @@ func (s *System) runFastForward(st *runState) (uint64, *memLazy) {
 		mcSet:   make([]uint64, len(s.directMCs)),
 		memNext: clock.Never,
 	}
-	var cyc, cpuHorizon, iter uint64
+	cl := newCoreLazy(s)
+	var cyc, engNext, iter uint64
 	cpuActive := false
 	for cyc < s.cfg.MaxCycles {
 		if iter&stopCheckMask == 0 && s.cfg.Stop != nil && s.cfg.Stop() {
@@ -769,29 +863,43 @@ func (s *System) runFastForward(st *runState) (uint64, *memLazy) {
 			break
 		}
 		iter++
-		if cpuHorizon <= cyc {
-			// A core or engine may act this cycle (or already has, at an
-			// earlier cycle since the last edge): memory enqueues possible.
+		s.visits++
+		cl.cyc = cyc
+		if cl.tick(cyc, st) || engNext <= cyc {
+			// A core touched its port or an engine acted: memory enqueues
+			// possible.
 			cpuActive = true
 		}
+		for i, e := range s.engines {
+			n := e.QueueLen()
+			e.Tick(cyc)
+			if e.QueueLen() < n {
+				cl.wake(cl.nNS + i) // a core asleep on the full queue may retry
+			}
+		}
 		onEdge := clock.IsMemEdge(cyc)
-		s.tickCPU(cyc, st)
 		if onEdge {
 			s.tickMemLazy(cyc, lz, cpuActive)
 			cpuActive = false
 		}
+		cl.refresh(cyc)
 		if s.metricsEpoch != 0 && cyc%s.metricsEpoch == 0 && cyc > 0 {
+			cl.catchUp(cyc)
 			s.settleMem(cyc, lz)
 			s.metrics.Sample(cyc)
 		}
 		if st.measuredLeft == 0 {
+			cl.catchUp(cyc)
 			break
 		}
-		cpuHorizon = s.cpuNextEvent(cyc, st)
+		engNext = clock.Never
+		for _, e := range s.engines {
+			engNext = min(engNext, e.NextEvent(cyc))
+		}
 		next := cyc + 1
-		if t := cpuHorizon; t > next {
+		if t := min(slices.Min(cl.hz), engNext); t > next {
 			m := lz.memNext
-			if !onEdge {
+			if cpuActive {
 				m = clock.AlignMemEdge(next)
 			}
 			if m < t {
@@ -805,10 +913,7 @@ func (s *System) runFastForward(st *runState) (uint64, *memLazy) {
 			if t > s.cfg.MaxCycles {
 				t = s.cfg.MaxCycles
 			}
-			if t > next {
-				s.skipIdleCores(cyc, t, st)
-				next = t
-			}
+			next = max(next, t)
 		}
 		cyc = next
 	}
@@ -950,67 +1055,6 @@ func (s *System) settleMem(cyc uint64, lz *memLazy) {
 		if target > lz.mcSet[i] {
 			m.Skip(target - lz.mcSet[i])
 			lz.mcSet[i] = target
-		}
-	}
-}
-
-// cpuNextEvent returns the earliest cycle strictly after cyc at which a
-// CPU-domain component (core or engine) can change state. Bails out at
-// cyc+1, the floor, as soon as any component is immediately active.
-func (s *System) cpuNextEvent(cyc uint64, st *runState) uint64 {
-	next := clock.Never
-	floor := cyc + 1
-	for i, c := range s.nsCores {
-		if st.nsDone[i] {
-			continue
-		}
-		if t := c.NextEvent(cyc); t < next {
-			if t <= floor {
-				return floor
-			}
-			next = t
-		}
-	}
-	for i, c := range s.sCores {
-		if st.sDone[i] {
-			continue
-		}
-		if t := c.NextEvent(cyc); t < next {
-			if t <= floor {
-				return floor
-			}
-			next = t
-		}
-	}
-	for _, e := range s.engines {
-		if t := e.NextEvent(cyc); t < next {
-			if t <= floor {
-				return floor
-			}
-			next = t
-		}
-	}
-	return next
-}
-
-// skipIdleCores compensates core-side per-cycle accounting for the elided
-// cycles (cyc, to): one retire stall per blocked core per CPU cycle.
-// Memory-controller accounting for elided edges is settled lazily by
-// tickMemLazy/settleMem. Everything else in the skipped range is a proven
-// no-op — that is what the event horizons established.
-func (s *System) skipIdleCores(cyc, to uint64, st *runState) {
-	skipped := to - cyc - 1
-	if skipped == 0 {
-		return
-	}
-	for i, c := range s.nsCores {
-		if !st.nsDone[i] {
-			c.SkipIdle(skipped)
-		}
-	}
-	for i, c := range s.sCores {
-		if !st.sDone[i] {
-			c.SkipIdle(skipped)
 		}
 	}
 }

@@ -40,10 +40,11 @@ type Port interface {
 }
 
 // RejectingPort is optionally implemented by ports whose Access rejects
-// under back-pressure and whose per-rejection accounting must stay exact
-// when the fast-forward loop elides retry cycles. CanAccept reports
-// whether an Access right now would be admitted; SkipRejects accounts n
-// elided rejected retries (one per elided cycle).
+// under back-pressure and frees capacity only at their own events, so a
+// core retrying against a full port can sleep until then. CanAccept
+// reports whether an Access right now would be admitted; SkipRejects
+// accounts n rejected retries the sleeping core did not make (one per
+// elided cycle).
 type RejectingPort interface {
 	CanAccept() bool
 	SkipRejects(n uint64)
@@ -51,11 +52,10 @@ type RejectingPort interface {
 
 // Stats aggregates one core's execution behaviour.
 type Stats struct {
-	Reads        stats.Counter
-	Writes       stats.Counter
-	ReadLatency  stats.Latency // fetch-issue to data-return, CPU cycles
-	RetireStalls stats.Counter // cycles with zero retire progress while busy
-	FetchStalls  stats.Counter // cycles fetch blocked on a full memory queue
+	Reads       stats.Counter
+	Writes      stats.Counter
+	ReadLatency stats.Latency // fetch-issue to data-return, CPU cycles
+	FetchStalls stats.Counter // cycles fetch blocked on a full memory queue
 }
 
 // memOp tracks one in-flight memory instruction. Ops are pooled on the
@@ -74,11 +74,19 @@ type memOp struct {
 	next     *memOp // free list
 }
 
-// onDone is the read-completion callback handed to the memory port.
+// onDone is the read-completion callback handed to the memory port. The
+// core's wake hook runs before the read becomes visible to retirement, so
+// a lazily driven core is brought current under the state its horizon
+// was computed from.
 func (op *memOp) onDone(doneCycle uint64) {
+	c := op.core
+	if c.wake != nil {
+		c.wake()
+	}
 	op.done = true
+	c.plan.valid = false
 	if doneCycle >= op.issuedAt {
-		op.core.stats.ReadLatency.Observe(doneCycle - op.issuedAt)
+		c.stats.ReadLatency.Observe(doneCycle - op.issuedAt)
 	}
 }
 
@@ -110,14 +118,52 @@ type Core struct {
 	traceDone  bool
 	finishedAt uint64
 	stats      Stats
+
+	// rport is port as a RejectingPort, nil when it is not one.
+	rport RejectingPort
+
+	// Lazy driving (Horizon, CatchUp): next is the first cycle whose
+	// retire and fetch have not been applied, plan the last dry run, and
+	// wake the hook a read completion runs first (see SetWake).
+	next uint64
+	plan plan
+	wake func()
+}
+
+// dry is the part of the core state that retire and fetch change between
+// port accesses: the fetch and retire frontiers and the index in ops of
+// the oldest unretired memory instruction.
+type dry struct {
+	fetch, retire uint64
+	op            int
+}
+
+// plan is what the last Horizon dry run found, valid until the next Tick
+// or read completion. The core holds state d after cycle at and every
+// later cycle up to horizon−1; for a core asleep on a rejecting port,
+// every cycle from stallFrom on is one rejected retry. horizon and
+// stallFrom are clock.Never when they do not apply.
+type plan struct {
+	d         dry
+	at        uint64
+	horizon   uint64
+	stallFrom uint64
+	valid     bool
 }
 
 // New builds a core over the given trace and memory port.
 func New(id int, cfg Config, tr trace.Reader, port Port) *Core {
 	c := &Core{id: id, cfg: cfg, tr: tr, port: port}
+	c.rport, _ = port.(RejectingPort)
 	c.pull()
 	return c
 }
+
+// SetWake installs fn to run at every read completion, before the read
+// becomes visible to retirement. A loop that drives the core lazily uses
+// it to CatchUp the core to the current cycle and to recompute its
+// Horizon. Per-cycle driving needs no hook.
+func (c *Core) SetWake(fn func()) { c.wake = fn }
 
 // ID returns the core's identifier.
 func (c *Core) ID() int { return c.id }
@@ -179,6 +225,8 @@ func (c *Core) pull() {
 // Tick advances the core by one CPU cycle: retire then fetch, so a
 // same-cycle completion cannot retire in the cycle it was fetched.
 func (c *Core) Tick(now uint64) {
+	c.next = now + 1
+	c.plan.valid = false
 	if c.Done() {
 		return
 	}
@@ -186,80 +234,189 @@ func (c *Core) Tick(now uint64) {
 	c.fetch(now)
 }
 
-// blockedIdle reports whether a Tick right now would change nothing but
-// the RetireStalls counter: retirement is blocked on an unfinished read at
-// the ROB head, and fetch can neither insert instructions (ROB full) nor
-// touch the memory port (trace drained). In that state the core only wakes
-// when the head read's completion callback fires.
-func (c *Core) blockedIdle() bool {
-	if c.opCount() == 0 {
-		return false
-	}
-	op := c.frontOp()
-	if op.instrIdx != c.retireIdx || op.write || op.done {
-		return false
-	}
-	return !c.haveRec || c.fetchIdx-c.retireIdx >= uint64(c.cfg.ROBSize)
-}
-
-// stalledOnPort reports whether a Tick right now would be a pure stall
-// retry: retirement cannot progress (blocked on an unfinished read at the
-// ROB head, or nothing left to retire), fetch's next action is the memory
-// access itself (ROB space available, no non-memory instructions to insert
-// first) and the port would reject it. Such a Tick changes only three
-// counters — the core's retire and fetch stalls and the port's rejection
-// count — and the port frees capacity only at its own events, so the core
-// need not be visited every cycle.
-func (c *Core) stalledOnPort() bool {
-	if !c.haveRec || c.fetchIdx < c.nextOpIdx ||
-		c.fetchIdx-c.retireIdx >= uint64(c.cfg.ROBSize) {
-		return false
-	}
-	if c.opCount() > 0 {
-		op := c.frontOp()
-		if op.instrIdx != c.retireIdx || op.write || op.done {
-			return false
-		}
-	} else if c.retireIdx != c.fetchIdx {
-		return false
-	}
-	rp, ok := c.port.(RejectingPort)
-	return ok && !rp.CanAccept()
-}
-
-// NextEvent reports the earliest CPU cycle strictly after now at which a
-// Tick can change observable state, or clock.Never when only a memory
-// completion (or the port freeing capacity at one of its own events) can
-// unblock the core.
-func (c *Core) NextEvent(now uint64) uint64 {
-	if c.Done() || c.blockedIdle() || c.stalledOnPort() {
+// Horizon returns the first cycle after now whose Tick would call
+// Port.Access (accepted or rejected) or retire the core's last
+// instruction, assuming no read completes first. It returns clock.Never
+// when the core can only wait: blocked behind an unfinished read with
+// nothing left to fetch, or retrying a RejectingPort that cannot accept
+// while retirement is blocked. The core must be current through now.
+//
+// Between port accesses retire and fetch depend only on the frontiers
+// and the completion state of the ROB's memory instructions, so Horizon
+// is a dry run over those scalars, in closed form across runs of
+// full-width cycles (see leap). It keeps the state it reaches for
+// CatchUp.
+func (c *Core) Horizon(now uint64) uint64 {
+	c.plan.valid = false
+	if c.Done() {
 		return clock.Never
 	}
-	return now + 1
+	d := c.state()
+	for t := now; ; {
+		t += c.leap(&d, clock.Never-t)
+		prev := d
+		t++
+		moved, access := c.step(&d)
+		switch {
+		case !c.haveRec && d.retire == d.fetch,
+			access && (moved || c.rport == nil || c.rport.CanAccept()):
+			c.plan = plan{d: prev, at: t - 1, horizon: t, stallFrom: clock.Never, valid: true}
+			return t
+		case access:
+			// Every cycle from t on retries the full port in vain.
+			c.plan = plan{d: d, at: t - 1, horizon: clock.Never, stallFrom: t, valid: true}
+			return clock.Never
+		case !moved:
+			c.plan = plan{d: d, at: t - 1, horizon: clock.Never, stallFrom: clock.Never, valid: true}
+			return clock.Never
+		}
+	}
 }
 
-// SkipIdle accounts n elided cycles of a stalled core: one retire stall
-// per cycle when blocked idle, plus one fetch stall and one port rejection
-// per cycle when spinning against a full port. It is a no-op unless the
-// core is currently in one of those states, so callers may apply it to
-// every unfinished core after a clock jump.
-func (c *Core) SkipIdle(n uint64) {
-	if n == 0 {
+// CatchUp applies every cycle up to and including through, which must
+// lie before the core's horizon. From the cycle the last Horizon dry run
+// ended at, this commits the recorded state in O(1), including the
+// rejected retries of a core asleep on its port; before it (a read
+// completed first) the cycles are replayed.
+func (c *Core) CatchUp(through uint64) {
+	if through < c.next || c.Done() {
 		return
 	}
-	switch {
-	case c.blockedIdle():
-		c.stats.RetireStalls.Add(n)
-	case c.stalledOnPort():
-		c.stats.RetireStalls.Add(n)
-		c.stats.FetchStalls.Add(n)
-		c.port.(RejectingPort).SkipRejects(n)
+	if p := &c.plan; p.valid && through >= p.at {
+		if through >= p.horizon {
+			panic("cpu: CatchUp past the core's horizon")
+		}
+		c.commit(p.d)
+		if through >= p.stallFrom {
+			n := through + 1 - max(c.next, p.stallFrom)
+			c.stats.FetchStalls.Add(n)
+			c.rport.SkipRejects(n)
+		}
+	} else {
+		d := c.state()
+		for t := c.next; t <= through; t++ {
+			if t += c.leap(&d, through+1-t); t > through {
+				break
+			}
+			if _, access := c.step(&d); access || !c.haveRec && d.retire == d.fetch {
+				panic("cpu: CatchUp past the core's horizon")
+			}
+		}
+		c.commit(d)
 	}
+	c.next = through + 1
+}
+
+// state returns the core's current dry-run state.
+func (c *Core) state() dry {
+	return dry{fetch: c.fetchIdx, retire: c.retireIdx, op: c.opHead}
+}
+
+// commit makes d the core's state, recycling the memory instructions it
+// retired.
+func (c *Core) commit(d dry) {
+	for c.opHead < len(c.ops) && c.ops[c.opHead].instrIdx < d.retire {
+		op := c.ops[c.opHead]
+		c.ops[c.opHead] = nil
+		c.opHead++
+		c.putOp(op)
+	}
+	if c.opHead == len(c.ops) {
+		c.ops = c.ops[:0]
+		c.opHead = 0
+	}
+	c.fetchIdx, c.retireIdx = d.fetch, d.retire
+}
+
+// retireStep applies one cycle's retirement to d and reports whether it
+// retired anything: up to RetireWidth instructions in order, stopping at
+// a read whose data has not returned. It is retire's rule over the dry
+// state; Tick keeps its own copy, which updates the core in place and is
+// measurably cheaper per cycle, and TestPropertyCoreHorizon holds the two
+// together.
+func (c *Core) retireStep(d *dry) bool {
+	budget := uint64(c.cfg.RetireWidth)
+	moved := false
+	for budget > 0 && d.retire < d.fetch {
+		limit := d.fetch
+		if d.op < len(c.ops) {
+			op := c.ops[d.op]
+			if op.instrIdx == d.retire {
+				if !op.write && !op.done {
+					break // blocking read at ROB head
+				}
+				d.op++
+				d.retire++
+				budget--
+				moved = true
+				continue
+			}
+			limit = min(limit, op.instrIdx)
+		}
+		// Retire non-memory instructions up to the next memory op or the
+		// fetch frontier.
+		n := min(limit-d.retire, budget)
+		d.retire += n
+		budget -= n
+		moved = true
+	}
+	return moved
+}
+
+// step applies one cycle of retire-then-fetch to d without touching the
+// port. It reports whether the cycle changed d and whether its fetch
+// would go on to call Port.Access: the next access is at the fetch
+// frontier with fetch budget and ROB space left.
+func (c *Core) step(d *dry) (moved, access bool) {
+	moved = c.retireStep(d)
+	if !c.haveRec {
+		return moved, false
+	}
+	budget := uint64(c.cfg.FetchWidth)
+	space := uint64(c.cfg.ROBSize) - (d.fetch - d.retire)
+	if n := min(c.nextOpIdx-d.fetch, budget, space); n > 0 {
+		d.fetch += n
+		budget -= n
+		space -= n
+		moved = true
+	}
+	return moved, budget > 0 && space > 0 && d.fetch == c.nextOpIdx
+}
+
+// leap applies up to limit whole cycles to d in closed form and returns
+// how many it applied. It covers runs in which every cycle fetches a full
+// width of non-memory instructions and retires the same amount: nothing,
+// behind an unfinished read at the ROB head, or, with equal widths and at
+// least a retire width in flight, a full width of non-memory
+// instructions. Such cycles never reach the port.
+func (c *Core) leap(d *dry, limit uint64) uint64 {
+	fw := uint64(c.cfg.FetchWidth)
+	if !c.haveRec || d.fetch+fw > c.nextOpIdx {
+		return 0
+	}
+	k := (c.nextOpIdx - d.fetch) / fw
+	inFlight := d.fetch - d.retire
+	var rw uint64
+	if d.op < len(c.ops) && c.ops[d.op].instrIdx == d.retire &&
+		!c.ops[d.op].write && !c.ops[d.op].done {
+		k = min(k, (uint64(c.cfg.ROBSize)-inFlight)/fw)
+	} else {
+		rw = uint64(c.cfg.RetireWidth)
+		if rw != fw || inFlight < rw {
+			return 0
+		}
+		if d.op < len(c.ops) {
+			k = min(k, (c.ops[d.op].instrIdx-d.retire)/rw)
+		}
+	}
+	k = min(k, limit)
+	d.fetch += k * fw
+	d.retire += k * rw
+	return k
 }
 
 func (c *Core) retire(now uint64) {
 	budget := uint64(c.cfg.RetireWidth)
-	progressed := false
 	for budget > 0 && c.retireIdx < c.fetchIdx {
 		if c.opCount() > 0 && c.frontOp().instrIdx == c.retireIdx {
 			op := c.frontOp()
@@ -275,7 +432,6 @@ func (c *Core) retire(now uint64) {
 			c.putOp(op)
 			c.retireIdx++
 			budget--
-			progressed = true
 			continue
 		}
 		// Retire non-memory instructions up to the next memory op or the
@@ -293,10 +449,6 @@ func (c *Core) retire(now uint64) {
 		}
 		c.retireIdx += n
 		budget -= n
-		progressed = true
-	}
-	if !progressed && (c.haveRec || c.retireIdx < c.fetchIdx) {
-		c.stats.RetireStalls.Inc()
 	}
 	if c.Done() && c.finishedAt == 0 {
 		c.finishedAt = now

@@ -126,14 +126,13 @@ func DefaultConfig() Config {
 
 // QueueStats aggregates controller-level queue behaviour.
 type QueueStats struct {
-	Enqueued      stats.Counter
-	ReadsDone     stats.Counter
-	WritesDone    stats.Counter
-	ReadRejects   stats.Counter
-	WriteRejects  stats.Counter
-	RowHits       stats.Counter
-	RowMisses     stats.Counter
-	QueueOccupied stats.Utilization // read queue occupancy integral
+	Enqueued     stats.Counter
+	ReadsDone    stats.Counter
+	WritesDone   stats.Counter
+	ReadRejects  stats.Counter
+	WriteRejects stats.Counter
+	RowHits      stats.Counter
+	RowMisses    stats.Counter
 }
 
 type pendingDone struct {
@@ -408,8 +407,6 @@ func (c *Controller) complete(r *Request, done uint64) {
 // Enqueue, including one made from a completion callback, closes it.
 func (c *Controller) Tick(now uint64) {
 	c.flush(now)
-	c.stats.QueueOccupied.AddBusy(uint64(len(c.readQ)))
-	c.stats.QueueOccupied.AddTotal(uint64(c.cfg.ReadQueueCap))
 
 	// A deferred preallocation update lands on the first tick after
 	// coopDue, or on a tick at coopDue that skips the scan: the scans it
@@ -496,15 +493,10 @@ func (c *Controller) NextEvent(now uint64) uint64 {
 	return next
 }
 
-// Skip accounts n elided idle memory cycles: the queue-occupancy integral
-// and the channel's utilization denominator that Tick would have advanced
-// on each. Callers must only skip cycles where NextEvent proved Tick a
-// no-op beyond this accounting.
-func (c *Controller) Skip(n uint64) {
-	c.stats.QueueOccupied.AddBusy(uint64(len(c.readQ)) * n)
-	c.stats.QueueOccupied.AddTotal(uint64(c.cfg.ReadQueueCap) * n)
-	c.ch.Skip(n)
-}
+// Skip accounts n elided idle memory cycles: the channel's utilization
+// denominator that Tick would have advanced on each. Callers must only
+// skip cycles where NextEvent proved Tick a no-op beyond this accounting.
+func (c *Controller) Skip(n uint64) { c.ch.Skip(n) }
 
 // quietBound returns a sound lower bound on the next memory cycle at which
 // a scheduling scan could do anything. It is computed after a full tick at
@@ -557,17 +549,20 @@ func (c *Controller) quietBound(now uint64, issued bool) uint64 {
 // queueBound lowers next to the earliest cycle after now at which the
 // scan could act on q: the next legal command of each entry not in a
 // blocked class, and the cycle the starvation guard takes over. The head
-// always counts, since the guard serves it regardless of class.
+// counts regardless of class only once the guard serves it (under FCFS,
+// or already starved); before that, the guard's takeover cycle bounds it.
 func (c *Controller) queueBound(q []queued, col dram.Command, blockSecure, blockNormal bool, now, next uint64) uint64 {
 	if len(q) == 0 || next == now+1 {
 		return next
 	}
-	if t := q[0].req.Arrival + c.cfg.StarvationAge + 1; t > now && t < next {
+	deadline := q[0].req.Arrival + c.cfg.StarvationAge // the head starves after it
+	if t := deadline + 1; t > now && t < next {
 		next = t
 	}
+	guarded := c.cfg.Policy == FCFS || now > deadline
 	for i := range q {
 		e := &q[i]
-		if i > 0 && (e.secure && blockSecure || !e.secure && blockNormal) {
+		if (i > 0 || !guarded) && (e.secure && blockSecure || !e.secure && blockNormal) {
 			continue
 		}
 		m := c.bankState(e.bank)

@@ -39,6 +39,7 @@ type quietCounts struct {
 	issueWindows  int // windows opened on a tick that issued a command
 	quietDones    int // skipped ticks that delivered a completion
 	coopDeferred  int // windows opened over a deferred preallocation update
+	headWaits     int // windows opened while a ready read head waits its turn
 }
 
 func (q *quietCounts) add(o quietCounts) {
@@ -46,6 +47,7 @@ func (q *quietCounts) add(o quietCounts) {
 	q.issueWindows += o.issueWindows
 	q.quietDones += o.quietDones
 	q.coopDeferred += o.coopDeferred
+	q.headWaits += o.headWaits
 }
 
 // commands is how many commands c's channel has issued.
@@ -126,6 +128,9 @@ func (p *quietPair) tickFast(now uint64) {
 	}
 	if p.fast.coopDue == now+1 && p.fast.quietUntil > now+1 {
 		p.coopDeferred++
+	}
+	if p.fast.quietUntil > now+1 && headWaits(p.fast, now) {
+		p.headWaits++
 	}
 	p.settled, p.next = now+1, p.fast.NextEvent(now)
 }
@@ -261,6 +266,61 @@ func TestRefreshTickMakesNoPreallocationUpdate(t *testing.T) {
 		for _, lazy := range []bool{false, true} {
 			newQuietPair(timing, 8, cfg, lazy).run(t, fmt.Sprintf("burst at %d, lazy %v", start, lazy), due+9, offer)
 		}
+	}
+}
+
+// headWaits reports whether c's read-queue head could issue its next
+// command on the next cycle but belongs to a class the next tick's
+// cooperative turn blocks, with the starvation guard not yet serving it.
+func headWaits(c *Controller, now uint64) bool {
+	if len(c.readQ) == 0 || c.cfg.Policy == FCFS || now > c.readQ[0].req.Arrival+c.cfg.StarvationAge {
+		return false
+	}
+	turn, _ := c.coopStep(c.coopSecTurn, c.coopCount)
+	blockSecure, blockNormal := c.coopBlocks(turn)
+	head := c.readQ[0]
+	if head.secure && !blockSecure || !head.secure && (!blockNormal || c.draining) {
+		return false
+	}
+	at := head.req.Coord
+	open := c.ch.OpenRow(at.Rank, at.Bank)
+	cmd := dram.CmdPrecharge
+	switch open {
+	case dram.RowNone:
+		cmd = dram.CmdActivate
+	case at.Row:
+		cmd = dram.CmdRead
+	}
+	return c.ch.NextCanIssue(cmd, at.Rank, at.Bank, open, now) <= now+1
+}
+
+// TestQuietWindowBehindBlockedHead covers a read-queue head that the
+// cooperative turn blocks before the starvation guard serves it. Secure
+// reads take the turn, a normal read to an idle bank arrives behind them,
+// and a stream of secure row hits keeps the channel contended. Once the
+// first secure reads issue, the normal read heads the queue with its
+// activate ready but not its turn. That ready command must not pin the
+// quiet bound to the next cycle: windows open between the secure column
+// reads while it waits, and every pick still matches the full scan.
+func TestQuietWindowBehindBlockedHead(t *testing.T) {
+	timing := dram.DDR31600()
+	cfg := DefaultConfig()
+	cfg.CoopEnabled = true
+	offer := func(now uint64) (OpType, bool, addrmap.Coord, bool) {
+		switch {
+		case now == 4:
+			return OpRead, false, addrmap.Coord{Bank: 7, Row: 1}, true
+		case now < 20:
+			return OpRead, true, addrmap.Coord{Bank: int(now % 4), Row: 1, Col: int(now)}, true
+		}
+		return 0, false, addrmap.Coord{}, false
+	}
+	for _, lazy := range []bool{false, true} {
+		n := newQuietPair(timing, 8, cfg, lazy).run(t, fmt.Sprintf("lazy %v", lazy), 20, offer)
+		if n.headWaits == 0 {
+			t.Fatalf("lazy %v: no window opened while the read head waited for its turn", lazy)
+		}
+		t.Logf("lazy %v: %d windows opened behind the waiting head", lazy, n.headWaits)
 	}
 }
 
