@@ -266,12 +266,6 @@ func (l *Link) DownStats() *LinkStats { return &l.down.stats }
 // UpStats returns statistics for the BOB-to-CPU direction.
 func (l *Link) UpStats() *LinkStats { return &l.up.stats }
 
-// DownFreeAt returns when the down direction finishes its current transfer.
-func (l *Link) DownFreeAt() uint64 { return l.down.freeAt }
-
-// UpFreeAt returns when the up direction finishes its current transfer.
-func (l *Link) UpFreeAt() uint64 { return l.up.freeAt }
-
 // InFlight reports how many of the link's directions are serializing a
 // transfer at CPU cycle now (0..2).
 func (l *Link) InFlight(now uint64) int {

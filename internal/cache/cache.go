@@ -74,9 +74,6 @@ func New(sizeBytes uint64, assoc int, lineBytes uint64) *Cache {
 // Stats returns the cache's counters.
 func (c *Cache) Stats() *Stats { return &c.stats }
 
-// NumSets returns the number of sets.
-func (c *Cache) NumSets() int { return len(c.sets) }
-
 // Access performs one read or write and returns the outcome. On a miss the
 // line is filled (allocate-on-write policy).
 func (c *Cache) Access(addr uint64, write bool) Result {

@@ -102,7 +102,14 @@ func chaosSpec(seed uint64) []byte {
 // workers, and waits until all have joined.
 func startCluster(t *testing.T, n int) (*Coordinator, string, []*chaosWorker) {
 	t.Helper()
-	c := NewCoordinator(chaosConfig())
+	return startClusterWith(t, chaosConfig(), n)
+}
+
+// startClusterWith is startCluster with a given coordinator config.
+func startClusterWith(t *testing.T, cfg CoordinatorConfig, n int) (*Coordinator, string, []*chaosWorker) {
+	t.Helper()
+	c := NewCoordinator(cfg)
+	t.Cleanup(c.Shutdown)
 	front := httptest.NewServer(c.Handler())
 	t.Cleanup(front.Close)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -171,6 +178,29 @@ func TestChaosKillWorkerMidSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos harness runs real simulations")
 	}
+	chaosKillSweep(t, chaosConfig())
+}
+
+// TestChaosKillWorkerMidSweepFanIn runs the same seeded sweep with worker
+// event fan-in on, so dispatches wake on completion events while the
+// victim dies. The results must be the same single-node bytes, and no
+// completion waiter may outlive the sweep.
+func TestChaosKillWorkerMidSweepFanIn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos harness runs real simulations")
+	}
+	cfg := chaosConfig()
+	cfg.EventFanIn = true
+	c := chaosKillSweep(t, cfg)
+	if n := waitersLeft(c); n != 0 {
+		t.Errorf("%d completion waiters outlived the sweep", n)
+	}
+}
+
+// chaosKillSweep runs the seeded kill-mid-sweep schedule on a cluster
+// built from cfg and returns its coordinator.
+func chaosKillSweep(t *testing.T, cfg CoordinatorConfig) *Coordinator {
+	t.Helper()
 	rng := rand.New(rand.NewSource(chaosSeed))
 
 	const nWorkers = 3
@@ -181,7 +211,7 @@ func TestChaosKillWorkerMidSweep(t *testing.T) {
 	}
 	want := singleNodeResults(t, specs)
 
-	c, front, workers := startCluster(t, nWorkers)
+	c, front, workers := startClusterWith(t, cfg, nWorkers)
 
 	// Submit the sweep, killing the victim partway through: after a
 	// random prefix of submissions, with a random breath for jobs to get
@@ -243,6 +273,7 @@ func TestChaosKillWorkerMidSweep(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	return c
 }
 
 // TestChaosPartitionHeals: a worker partitioned from the coordinator is

@@ -24,7 +24,9 @@ type CoordinatorConfig struct {
 	// 5×HeartbeatInterval.
 	NodeTimeout time.Duration
 	// StepInterval is the cadence of heartbeat expiry and of each
-	// dispatched job's status poll; 0 means 100ms.
+	// dispatched job's status poll; 0 means 100ms. With EventFanIn the
+	// poll is only the fallback: a dispatch wakes on its worker job's
+	// terminal event.
 	StepInterval time.Duration
 	// RequestTimeout bounds each request to a worker; 0 means 10s.
 	RequestTimeout time.Duration
@@ -54,10 +56,11 @@ type CoordinatorConfig struct {
 	// included; nil discards them (Logf still carries the one-liners).
 	Logger *slog.Logger
 
-	// EventFanIn opens a standing /events stream to every live worker and
+	// EventFanIn opens a standing /events stream to every live worker,
 	// republishes its events (stamped with the worker id) on the
-	// coordinator's bus. Off by default: the standing requests are
-	// visible to injected transports, so deterministic tests must opt in.
+	// coordinator's bus, and wakes the dispatch waiting on each worker job
+	// that ends. Off by default: the standing requests are visible to
+	// injected transports, so deterministic tests must opt in.
 	EventFanIn bool
 
 	// Service configures the job service the coordinator runs on: queue
@@ -151,6 +154,13 @@ type Coordinator struct {
 	stopTails context.CancelFunc
 	tails     sync.WaitGroup
 
+	// Completion wake-ups (fan-in only): the wake channel of the dispatch
+	// holding each live attempt. Keyed by node as well as worker job id:
+	// ids such as j-00000001 repeat across workers, and across a worker's
+	// restarts, which re-join as a new node.
+	waitMu  sync.Mutex
+	waiters map[waitKey]chan<- struct{}
+
 	// Counters, in the registry shared with the service.
 	dispatched, redispatched, hedgesSent, hedgeWins  *metrics.SyncCounter
 	nodeJoins, nodeDeaths, breakerTrips, proxyErrors *metrics.SyncCounter
@@ -162,11 +172,12 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	cfg = cfg.withDefaults()
 	reg := cfg.Service.Registry
 	c := &Coordinator{
-		cfg:   cfg,
-		hc:    &http.Client{Transport: cfg.Transport},
-		now:   time.Now,
-		nodes: make(map[string]*node),
-		ring:  newRing(ringReplicas),
+		cfg:     cfg,
+		hc:      &http.Client{Transport: cfg.Transport},
+		now:     time.Now,
+		nodes:   make(map[string]*node),
+		ring:    newRing(ringReplicas),
+		waiters: make(map[waitKey]chan<- struct{}),
 	}
 	c.tailCtx, c.stopTails = context.WithCancel(context.Background())
 	c.dispatched = reg.SyncCounter("cluster.jobs.dispatched")
@@ -339,7 +350,9 @@ func (c *Coordinator) Nodes() []NodeStatus {
 // stream is tailed and every event republished, stamped with the worker's
 // id, on the coordinator service's own bus. One stream then shows both
 // the cluster-level job lifecycle (Node empty) and the per-worker detail
-// behind it.
+// behind it. A worker job's terminal event also wakes the dispatch
+// waiting on it, which then polls the job instead of waiting out
+// StepInterval.
 
 // tailReconnect is the delay between fan-in reconnect attempts; the
 // Last-Event-ID cursor plus the worker's replay ring make the gap
@@ -359,7 +372,7 @@ func (c *Coordinator) startTailLocked(n *node) {
 	c.tails.Add(1)
 	go func() {
 		defer c.tails.Done()
-		c.tailWorker(ctx, n.id)
+		c.tailWorker(ctx, n)
 	}()
 }
 
@@ -367,19 +380,24 @@ func (c *Coordinator) startTailLocked(n *node) {
 // reconnecting with the last seen cursor so events survive brief outages.
 // It deliberately bypasses doNode: a standing stream must not feed the
 // dispatch circuit breaker or count as proxy traffic.
-func (c *Coordinator) tailWorker(ctx context.Context, nodeID string) {
+func (c *Coordinator) tailWorker(ctx context.Context, n *node) {
 	var cursor uint64
 	for ctx.Err() == nil {
-		err := simsvc.FollowEvents(ctx, c.hc, nodeID, &cursor, func(ev simsvc.Event) bool {
+		err := simsvc.FollowEvents(ctx, c.hc, n.id, &cursor, func(ev simsvc.Event) bool {
+			// Wake before republishing, so a subscriber that has seen a
+			// terminal event knows its dispatch was signalled.
+			if ev.Kind == simsvc.EventJob && ev.State.Terminal() {
+				c.wake(n, ev.JobID)
+			}
 			// Republish under this bus's sequence space. The gauges stay
 			// worker-local — they describe the originating node's load.
-			ev.Node = nodeID
+			ev.Node = n.id
 			c.svc.Events().Publish(ev)
 			return true
 		})
 		if ctx.Err() == nil {
 			c.cfg.Logger.Debug("fan-in stream ended",
-				slog.String("node", nodeID), slog.String("error", err.Error()))
+				slog.String("node", n.id), slog.String("error", err.Error()))
 		}
 		sleep(ctx, tailReconnect)
 	}

@@ -67,15 +67,29 @@ func (w *fakeWorker) url() string { return w.srv.URL }
 
 // gateTransport is an injectable transport that can sever individual
 // workers (simulating a network partition or dead host) and counts
-// requests per host.
+// requests per host and per method and path.
 type gateTransport struct {
 	mu      sync.Mutex
 	blocked map[string]bool
 	calls   map[string]int
+	routes  map[string]int // keyed by routeKey
+	// hold, when set, runs on each successful round trip before its
+	// response is returned, so a test can delay chosen responses.
+	hold func(*http.Request)
 }
 
 func newGateTransport() *gateTransport {
-	return &gateTransport{blocked: make(map[string]bool), calls: make(map[string]int)}
+	return &gateTransport{blocked: make(map[string]bool), calls: make(map[string]int), routes: make(map[string]int)}
+}
+
+func routeKey(method, host, path string) string { return method + " " + host + path }
+
+// countRoute returns how many requests of one method reached one path
+// of a worker.
+func (g *gateTransport) countRoute(method, baseURL, path string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.routes[routeKey(method, g.hostOf(baseURL), path)]
 }
 
 func (g *gateTransport) hostOf(raw string) string {
@@ -104,12 +118,17 @@ func (g *gateTransport) count(baseURL string) int {
 func (g *gateTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	g.mu.Lock()
 	g.calls[req.URL.Host]++
-	dead := g.blocked[req.URL.Host]
+	g.routes[routeKey(req.Method, req.URL.Host, req.URL.Path)]++
+	dead, hold := g.blocked[req.URL.Host], g.hold
 	g.mu.Unlock()
 	if dead {
 		return nil, fmt.Errorf("gate: connection to %s refused", req.URL.Host)
 	}
-	return http.DefaultTransport.RoundTrip(req)
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil && hold != nil {
+		hold(req)
+	}
+	return resp, err
 }
 
 // testCoordinator builds a coordinator with the given workers joined. It
@@ -143,6 +162,9 @@ func testCoordinator(t *testing.T, clk *fakeClock, gate *gateTransport, cfg Coor
 	c := NewCoordinator(cfg)
 	t.Cleanup(func() {
 		c.Shutdown()
+		if n := waitersLeft(c); n != 0 {
+			t.Errorf("%d completion waiters outlived their dispatches", n)
+		}
 		mu.Lock()
 		ended = true
 		mu.Unlock()
@@ -154,6 +176,14 @@ func testCoordinator(t *testing.T, clk *fakeClock, gate *gateTransport, cfg Coor
 		c.join(w.url(), c.now())
 	}
 	return c
+}
+
+// waitersLeft returns the size of the coordinator's completion-waiter
+// table.
+func waitersLeft(c *Coordinator) int {
+	c.waitMu.Lock()
+	defer c.waitMu.Unlock()
+	return len(c.waiters)
 }
 
 // waitFor polls pred until it holds, failing the test after 10s.

@@ -35,16 +35,22 @@ type dispatch struct {
 	live     []*attempt // live[0] is the primary, live[1] a hedge
 	attempts int        // worker acceptances consumed
 	hedged   bool       // a hedge was ever sent
+	// wake receives a live attempt's terminal worker event (EventFanIn
+	// only; nil otherwise). One slot: the poll it triggers reads every
+	// live attempt.
+	wake chan struct{}
 }
 
 // runSim is the service's RunSim: it runs one simulation on the fleet.
 // The spec goes to its ring owner (waiting out 429s there, to keep the
-// owner's result cache warm), is polled every StepInterval, hedged on the
-// next ring node after HedgeAfter, and re-dispatched when its worker dies,
-// drains or forgets it. Simulations are deterministic in the canonical
-// spec, so the first attempt to finish is the answer. Its result JSON
-// decodes into the SimResult the service caches and serves; re-encoding
-// reproduces the worker's bytes (TestResultJSONRelayIsExact pins that).
+// owner's result cache warm), is polled when its worker's fanned-in
+// terminal event wakes the dispatch and otherwise every StepInterval,
+// hedged on the next ring node after HedgeAfter, and re-dispatched when
+// its worker dies, drains or forgets it. Simulations are deterministic in
+// the canonical spec, so the first attempt to finish is the answer. Its
+// result JSON decodes into the SimResult the service caches and serves;
+// re-encoding reproduces the worker's bytes (TestResultJSONRelayIsExact
+// pins that).
 func (c *Coordinator) runSim(ctx context.Context, cfg doram.SimConfig) (*doram.SimResult, error) {
 	p, err := doram.ParamsFromSimConfig(cfg)
 	if err != nil {
@@ -52,8 +58,12 @@ func (c *Coordinator) runSim(ctx context.Context, cfg doram.SimConfig) (*doram.S
 	}
 	body, _ := p.MarshalJSON() // canonical; a Params always encodes (see Params.Hash)
 	d := &dispatch{c: c, ctx: ctx, body: body, hash: p.Hash()}
+	if c.cfg.EventFanIn {
+		d.wake = make(chan struct{}, 1)
+	}
 	res, err := d.run()
 	for _, att := range d.live { // lost the race, or the job ended: moot
+		d.unwatch(att)
 		go c.doNode(att.node, http.MethodPost, "/v1/jobs/"+att.remoteID+"/cancel", nil)
 	}
 	return res, err
@@ -83,7 +93,13 @@ func (d *dispatch) run() (*doram.SimResult, error) {
 				return res, err
 			}
 		}
-		if !sleep(d.ctx, wait) {
+		// With no live attempt the wait is a re-offer backoff, which no
+		// wake-up cuts short.
+		var wake <-chan struct{}
+		if len(d.live) > 0 {
+			wake = d.wake
+		}
+		if !sleepOr(d.ctx, wait, wake) {
 			return nil, d.ctx.Err()
 		}
 		for _, att := range slices.Clone(d.live) {
@@ -95,15 +111,20 @@ func (d *dispatch) run() (*doram.SimResult, error) {
 }
 
 // sleep waits for d or until ctx ends, reporting whether the wait ran out.
-func sleep(ctx context.Context, d time.Duration) bool {
+func sleep(ctx context.Context, d time.Duration) bool { return sleepOr(ctx, d, nil) }
+
+// sleepOr waits for d, a receive on wake (nil never fires) or the end of
+// ctx, reporting false only if ctx ended.
+func sleepOr(ctx context.Context, d time.Duration, wake <-chan struct{}) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
 		return false
 	case <-t.C:
-		return true
+	case <-wake:
 	}
+	return true
 }
 
 // offer sends the job to workers in ring-preference order, skipping the
@@ -164,7 +185,61 @@ func (d *dispatch) accept(att *attempt) {
 		c.cfg.Logf("cluster: spec %.12s re-dispatched to %s (attempt %d)", d.hash, att.node.id, d.attempts)
 	}
 	d.live = append(d.live, att)
+	d.watch(att)
 	d.place(d.live[0])
+}
+
+// watch registers a live attempt for its worker's terminal event (fan-in
+// only). It also wakes the dispatch once: the event may have fanned in
+// before the registration, and the poll that follows catches it.
+func (d *dispatch) watch(att *attempt) {
+	if d.wake == nil {
+		return
+	}
+	d.c.waitMu.Lock()
+	d.c.waiters[waitKey{att.node, att.remoteID}] = d.wake
+	d.c.waitMu.Unlock()
+	signal(d.wake)
+}
+
+// unwatch ends an attempt's registration.
+func (d *dispatch) unwatch(att *attempt) {
+	if d.wake == nil {
+		return
+	}
+	d.c.waitMu.Lock()
+	delete(d.c.waiters, waitKey{att.node, att.remoteID})
+	d.c.waitMu.Unlock()
+}
+
+// waitKey names one worker job: the node holding it and its id there.
+type waitKey struct {
+	node  *node
+	jobID string
+}
+
+// wake signals the dispatch waiting on a worker job, if any, without
+// blocking: a wake already pending covers this one.
+func (c *Coordinator) wake(n *node, jobID string) {
+	c.waitMu.Lock()
+	ch := c.waiters[waitKey{n, jobID}]
+	c.waitMu.Unlock()
+	signal(ch)
+}
+
+// signal makes a non-blocking send on a one-slot wake channel; on a nil
+// channel (no waiter) it does nothing.
+func signal(ch chan<- struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+// remove takes an attempt out of the live set.
+func (d *dispatch) remove(att *attempt) {
+	d.live = slices.DeleteFunc(d.live, func(a *attempt) bool { return a == att })
+	d.unwatch(att)
 }
 
 // place reports the job's placement on the service's status.
@@ -215,7 +290,7 @@ func (d *dispatch) poll(att *attempt) (*doram.SimResult, error) {
 // drop abandons one attempt. A lost primary is replaced by the hedge if
 // there is one; otherwise the job goes back to the ring for re-dispatch.
 func (d *dispatch) drop(att *attempt, why string) {
-	d.live = slices.DeleteFunc(d.live, func(a *attempt) bool { return a == att })
+	d.remove(att)
 	if len(d.live) == 0 {
 		d.c.redispatched.Inc()
 		d.c.cfg.Logf("cluster: spec %.12s re-dispatching: worker %s %s", d.hash, att.node.id, why)
@@ -236,7 +311,7 @@ func (d *dispatch) fetch(att *attempt) *doram.SimResult {
 	if att != d.live[0] {
 		d.c.hedgeWins.Inc()
 	}
-	d.live = slices.DeleteFunc(d.live, func(a *attempt) bool { return a == att })
+	d.remove(att)
 	d.place(att)
 	return res
 }

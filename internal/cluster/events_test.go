@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -152,6 +153,147 @@ func TestEventFanIn(t *testing.T) {
 				clusterDone, workerDone)
 		}
 	}
+}
+
+// wakeConfig turns fan-in on and pushes the fallback poll out of any
+// test's reach, so a job that finishes in time was woken by its event.
+func wakeConfig() CoordinatorConfig {
+	return CoordinatorConfig{EventFanIn: true, StepInterval: time.Hour, HedgeAfter: -1}
+}
+
+// doneWithin waits up to d for a job to finish.
+func doneWithin(t *testing.T, c *Coordinator, id string, d time.Duration) JobStatus {
+	t.Helper()
+	deadline := time.Now().Add(d)
+	for {
+		st := jobState(t, c, id)
+		switch {
+		case st.State == simsvc.StateDone:
+			return st
+		case st.State.Terminal():
+			t.Fatalf("job %s ended %s (%s)", id, st.State, st.Error)
+		case time.Now().After(deadline):
+			t.Fatalf("job %s still %s after %s: its dispatch never woke", id, st.State, d)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// checkWaiters fails the test unless the coordinator holds want
+// completion waiters.
+func checkWaiters(t *testing.T, c *Coordinator, want int) {
+	t.Helper()
+	if n := waitersLeft(c); n != want {
+		t.Errorf("%d completion waiters registered, want %d", n, want)
+	}
+}
+
+// awaitWorkerEvent reads sub until the worker's event for a job in the
+// given state arrives, reporting false after 5s or if the bus closes.
+func awaitWorkerEvent(sub *simsvc.Subscription, node, jobID string, state simsvc.State) bool {
+	deadline := time.After(5 * time.Second)
+	for {
+		select {
+		case ev, ok := <-sub.C:
+			if !ok {
+				return false
+			}
+			if ev.Node == node && ev.JobID == jobID && ev.State == state {
+				return true
+			}
+		case <-deadline:
+			return false
+		}
+	}
+}
+
+// TestFanInWake: with fan-in on, a dispatch wakes on its worker job's
+// fanned-in done event. The fallback poll is an hour away, so polling
+// alone would miss the deadline.
+func TestFanInWake(t *testing.T) {
+	gate := newGateTransport()
+	w := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: instantSim})
+	c := testCoordinator(t, nil, gate, wakeConfig(), w)
+
+	doneWithin(t, c, submit(t, c, specJSON(1)).ID, 5*time.Second)
+	checkWaiters(t, c, 0)
+}
+
+// TestFanInWakeIDCollision: two workers each hold a job with id
+// j-00000001. One worker's done event must wake only the dispatch on that
+// worker: the other worker's attempt sees no extra status poll or fetch,
+// and still wakes on its own done event.
+func TestFanInWakeIDCollision(t *testing.T) {
+	gate := newGateTransport()
+	release := make(chan struct{})
+	wa := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: instantSim})
+	wb := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: blockingSim(make(chan string, 1), release)})
+	c := testCoordinator(t, nil, gate, wakeConfig(), wa, wb)
+	sub := c.Service().Events().Subscribe(0)
+	defer sub.Close()
+	const remoteID = "j-00000001"
+	statusPath, resultPath := "/v1/jobs/"+remoteID, "/v1/jobs/"+remoteID+"/result"
+
+	// B's job runs and stays running; its dispatch makes the one poll
+	// that follows registration, then waits.
+	stB := submit(t, c, ownedBy(t, c, wb, 1)[0])
+	waitFor(t, "the post-registration poll on B", func() bool {
+		return gate.countRoute(http.MethodGet, wb.url(), statusPath) == 1
+	})
+
+	stA := doneWithin(t, c, submit(t, c, ownedBy(t, c, wa, 1)[0]).ID, 5*time.Second)
+	if stA.Node != wa.url() || stA.RemoteID != remoteID {
+		t.Fatalf("job A placed on %s as %s, want %s as %s", stA.Node, stA.RemoteID, wa.url(), remoteID)
+	}
+	if !awaitWorkerEvent(sub, wa.url(), remoteID, simsvc.StateDone) {
+		t.Fatal("worker A's done event never fanned in")
+	}
+	if got := jobState(t, c, stB.ID).RemoteID; got != remoteID {
+		t.Fatalf("job B runs as %s, want %s", got, remoteID)
+	}
+	checkWaiters(t, c, 1) // B's attempt
+
+	close(release)
+	doneWithin(t, c, stB.ID, 5*time.Second)
+	// B: the post-registration poll and the poll its own event woke.
+	if n := gate.countRoute(http.MethodGet, wb.url(), statusPath); n != 2 {
+		t.Errorf("worker B saw %d status polls, want 2: another worker's event woke its attempt", n)
+	}
+	if n := gate.countRoute(http.MethodGet, wb.url(), resultPath); n != 1 {
+		t.Errorf("worker B saw %d result fetches, want 1", n)
+	}
+	if n := gate.countRoute(http.MethodGet, wa.url(), resultPath); n != 1 {
+		t.Errorf("worker A saw %d result fetches, want 1", n)
+	}
+	checkWaiters(t, c, 0)
+}
+
+// TestFanInWakeRegistrationRace: the worker's done event fans in while
+// its acceptance of the job is still on the wire, before the dispatch has
+// registered. The poll that follows registration must find the job done.
+func TestFanInWakeRegistrationRace(t *testing.T) {
+	release := make(chan struct{})
+	w := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: blockingSim(make(chan string, 1), release)})
+	var sub *simsvc.Subscription
+	var once sync.Once
+	gate := newGateTransport()
+	gate.hold = func(req *http.Request) {
+		if req.Method != http.MethodPost || req.URL.Path != "/v1/jobs" {
+			return
+		}
+		once.Do(func() {
+			close(release)
+			if !awaitWorkerEvent(sub, w.url(), "j-00000001", simsvc.StateDone) {
+				t.Error("worker's done event never fanned in")
+			}
+		})
+	}
+	c := testCoordinator(t, nil, gate, wakeConfig(), w)
+	sub = c.Service().Events().Subscribe(0)
+	defer sub.Close()
+
+	doneWithin(t, c, submit(t, c, specJSON(1)).ID, 5*time.Second)
+	checkWaiters(t, c, 0)
 }
 
 // breakdownSim completes instantly with a canned latency-attribution

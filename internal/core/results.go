@@ -141,17 +141,6 @@ func (r *Results) AvgNSFinish() float64 {
 	return s / float64(len(r.NSFinish))
 }
 
-// MaxNSFinish returns the slowest NS core's execution time.
-func (r *Results) MaxNSFinish() uint64 {
-	var m uint64
-	for _, f := range r.NSFinish {
-		if f > m {
-			m = f
-		}
-	}
-	return m
-}
-
 // AvgReadLatency returns the mean NS read latency in CPU cycles.
 func (r *Results) AvgReadLatency() float64 { return r.NSReadLat.Mean() }
 

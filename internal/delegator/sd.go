@@ -241,9 +241,6 @@ func (sd *SD) Stats() *ExecStats { return &sd.stats }
 // path blocks read in and not yet drained back to DRAM.
 func (sd *SD) BlocksHeld() int { return sd.held }
 
-// MaxBlocksHeld returns the high-water buffer occupancy observed.
-func (sd *SD) MaxBlocksHeld() int { return sd.heldMax }
-
 // HeldCapacity bounds BlocksHeld: the delegator's pipeline holds at most
 // three accesses' paths (one reading, one draining, one parked between
 // them); the on-chip baseline runs one access at a time, so one path.

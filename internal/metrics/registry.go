@@ -11,7 +11,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"doram/internal/stats"
@@ -251,16 +250,6 @@ func (r *Registry) SeriesNames() []string {
 	for i, g := range r.gauges {
 		names[i] = g.name
 	}
-	return names
-}
-
-// sortedHistNames returns histogram names sorted for deterministic export.
-func (r *Registry) sortedHistNames() []string {
-	names := make([]string, len(r.hists))
-	for i, h := range r.hists {
-		names[i] = h.name
-	}
-	sort.Strings(names)
 	return names
 }
 

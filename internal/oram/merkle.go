@@ -45,9 +45,6 @@ func NewMerkle(p Params) *Merkle {
 // Hashes exposes the untrusted hash store so tests can tamper with it.
 func (m *Merkle) Hashes() [][32]byte { return m.hashes }
 
-// Root returns the trusted root hash.
-func (m *Merkle) Root() [32]byte { return m.root }
-
 // children returns the child node IDs of n, or ok=false for leaves.
 func (m *Merkle) children(n backend.NodeID) (left, right backend.NodeID, ok bool) {
 	l := 2*uint64(n) + 1
@@ -72,15 +69,6 @@ func (m *Merkle) nodeHash(n backend.NodeID, ct []byte) [32]byte {
 	var out [32]byte
 	h.Sum(out[:0])
 	return out
-}
-
-// pathFromLeafUp returns the path node IDs leaf-to-root.
-func (m *Merkle) pathFromLeafUp(leaf uint64) []backend.NodeID {
-	nodes := backend.PathNodes(leaf, m.p.Levels)
-	for i, j := 0, len(nodes)-1; i < j; i, j = i+1, j-1 {
-		nodes[i], nodes[j] = nodes[j], nodes[i]
-	}
-	return nodes
 }
 
 // VerifyPath checks the ciphertexts read along the path to leaf against
