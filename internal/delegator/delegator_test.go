@@ -298,61 +298,6 @@ func TestNewSDValidation(t *testing.T) {
 	}
 }
 
-func TestAdaptivePaceDropsUnderLoad(t *testing.T) {
-	r := newRig(t, 0, 400)
-	r.engine.SetAdaptivePace(50, 1600, 4)
-	// Keep the queue loaded with real requests: epochs are mostly real,
-	// so the pace must fall toward the minimum. Refill faster than the
-	// ORAM can drain (an access takes ~2000 cycles).
-	var now uint64
-	addr := uint64(0)
-	for round := 0; round < 300; round++ {
-		for r.engine.QueueLen() < 16 {
-			addr += 640
-			if !r.engine.Access(false, addr, now, nil) {
-				break
-			}
-		}
-		now = r.run(now, 2000)
-	}
-	if got := r.engine.Pace(); got >= 400 {
-		t.Fatalf("pace = %d after sustained load, want below the initial 400", got)
-	}
-	if r.engine.Stats().PaceDrops.Value() == 0 {
-		t.Fatal("no pace drops recorded")
-	}
-}
-
-func TestAdaptivePaceRaisesWhenIdle(t *testing.T) {
-	r := newRig(t, 0, 100)
-	r.engine.SetAdaptivePace(50, 1600, 4)
-	r.run(0, 400000) // all dummies
-	if got := r.engine.Pace(); got <= 100 {
-		t.Fatalf("pace = %d after idle period, want raised above 100", got)
-	}
-	if r.engine.Stats().PaceRaises.Value() == 0 {
-		t.Fatal("no pace raises recorded")
-	}
-}
-
-func TestAdaptivePaceValidation(t *testing.T) {
-	r := newRig(t, 0, 100)
-	for i, f := range []func(){
-		func() { r.engine.SetAdaptivePace(0, 100, 4) },
-		func() { r.engine.SetAdaptivePace(200, 100, 4) },
-		func() { r.engine.SetAdaptivePace(50, 100, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: invalid parameters accepted", i)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestOverlapPhasesIncreasesThroughput(t *testing.T) {
 	// [39]'s read/write phase acceleration: overlapping access n+1's read
 	// phase with access n's write-back must raise ORAM throughput over

@@ -18,8 +18,6 @@ type EngineStats struct {
 	DummySent  stats.Counter
 	QueueFull  stats.Counter
 	Turnaround stats.Latency // request issue to response arrival, CPU cycles
-	PaceDrops  stats.Counter // adaptive pace halvings (more bandwidth)
-	PaceRaises stats.Counter // adaptive pace doublings (less bandwidth)
 }
 
 // Engine is the on-chip secure engine serving one S-App core. It queues
@@ -40,16 +38,6 @@ type Engine struct {
 	sendAt  uint64
 	waiting bool
 	sentAt  uint64
-
-	// Adaptive pacing (Fletcher et al. [46]): trade a little timing
-	// leakage (the pace changes at coarse epochs) for efficiency by
-	// halving t under real demand and doubling it when idle.
-	adaptive   bool
-	paceMin    uint64
-	paceMax    uint64
-	epochLen   int
-	epochReal  int
-	epochTotal int
 
 	stats EngineStats
 
@@ -77,45 +65,6 @@ func NewEngine(exec *SD, pace uint64, queueCap int) *Engine {
 
 // Stats returns engine statistics.
 func (e *Engine) Stats() *EngineStats { return &e.stats }
-
-// Pace returns the current timing-protection interval.
-func (e *Engine) Pace() uint64 { return e.pace }
-
-// SetAdaptivePace enables epoch-granular pace adaptation within
-// [min, max]: after every epochLen requests, a mostly-real epoch halves
-// the pace and a mostly-dummy epoch doubles it. This is the timing-leakage
-// versus efficiency trade-off of Fletcher et al. (HPCA 2014), cited as
-// [46]; the paper's fixed t=50 is the zero-leakage point.
-func (e *Engine) SetAdaptivePace(min, max uint64, epochLen int) {
-	if min == 0 || max < min || epochLen < 1 {
-		panic("delegator: invalid adaptive pace parameters")
-	}
-	e.adaptive = true
-	e.paceMin, e.paceMax, e.epochLen = min, max, epochLen
-	if e.pace < min {
-		e.pace = min
-	}
-	if e.pace > max {
-		e.pace = max
-	}
-}
-
-// adaptEpoch adjusts the pace at epoch boundaries.
-func (e *Engine) adaptEpoch() {
-	if !e.adaptive || e.epochTotal < e.epochLen {
-		return
-	}
-	frac := float64(e.epochReal) / float64(e.epochTotal)
-	switch {
-	case frac > 0.75 && e.pace/2 >= e.paceMin:
-		e.pace /= 2
-		e.stats.PaceDrops.Inc()
-	case frac < 0.25 && e.pace*2 <= e.paceMax:
-		e.pace *= 2
-		e.stats.PaceRaises.Inc()
-	}
-	e.epochReal, e.epochTotal = 0, 0
-}
 
 // QueueLen returns the number of core requests awaiting ORAM service.
 func (e *Engine) QueueLen() int { return len(e.pending) }
@@ -213,12 +162,9 @@ func (e *Engine) Tick(now uint64) {
 	if op != nil {
 		e.pending = e.pending[1:]
 		e.stats.RealSent.Inc()
-		e.epochReal++
 	} else {
 		e.stats.DummySent.Inc()
 	}
-	e.epochTotal++
-	e.adaptEpoch()
 	e.waiting = true
 	e.sentAt = now
 }

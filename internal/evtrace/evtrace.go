@@ -1,21 +1,20 @@
 // Package evtrace is a per-access event tracer: the request-granularity
-// complement to internal/metrics' aggregates. Components open nested spans
-// carrying a request ID as work flows cpu → oram client → bob link →
-// delegator → mc → dram; the tracer checks their nesting, optionally
-// retains them in a bounded ring for Chrome trace-event JSON export
-// (chrome.go), and always builds a per-stage latency attribution report
-// (breakdown.go).
+// complement to internal/metrics' aggregates. Components record complete
+// spans carrying a request ID as work flows cpu → secure engine → bob link
+// → delegator → mc → dram; the tracer clamps malformed intervals,
+// optionally retains spans in a bounded ring for Chrome trace-event JSON
+// export (chrome.go), and always builds a per-stage latency attribution
+// report (breakdown.go).
 //
 // Like internal/metrics, the package is nil-safe end to end: a nil *Tracer
-// and a nil *Span are valid receivers for every method and do nothing, so a
-// component holding an unattached tracer pays exactly one nil check per
+// is a valid receiver for every method and does nothing, so a component
+// holding an unattached tracer pays exactly one nil check per
 // instrumentation point. The name avoids internal/trace, which loads MSC
 // workload traces.
 package evtrace
 
 import (
 	"slices"
-	"sort"
 
 	"doram/internal/stats"
 )
@@ -31,7 +30,7 @@ const DefaultTopK = 16
 type Config struct {
 	// Limit is the maximum number of retained events; older events are
 	// dropped (and counted) once the ring wraps. <= 0 keeps no ring:
-	// spans are still nesting-checked and the attribution report still
+	// malformed spans are still counted and the attribution report still
 	// records, but no Event survives to Finish. Only a caller that
 	// exports the trace (WriteChrome) needs a ring.
 	Limit int
@@ -48,9 +47,7 @@ type Config struct {
 	OramOnly bool
 }
 
-// Event is one completed span, half-open over [Start, End) in CPU cycles
-// (except the oram.Client track, which uses a logical operation counter —
-// the functional client has no cycle clock).
+// Event is one completed span, half-open over [Start, End) in CPU cycles.
 type Event struct {
 	Track string // timeline row, e.g. "chan0.link.down", "sapp0"
 	Cat   string // category: "oram", "ns", "link", "dram"
@@ -67,18 +64,6 @@ type Event struct {
 	Overlap bool
 }
 
-// Span is an open interval awaiting End. Child spans must be contained
-// within their parent; violations are counted, not fatal.
-type Span struct {
-	t      *Tracer
-	parent *Span
-	ev     Event
-	// maxChildEnd is the largest End among closed children; parent End
-	// must not precede it.
-	maxChildEnd uint64
-	openIdx     int // index in t.open for swap-remove
-}
-
 // Tracer accumulates per-stage breakdown histograms plus, when
 // Config.Limit is positive, events in a bounded ring. Not safe for
 // concurrent use; the simulator is single-threaded.
@@ -90,13 +75,11 @@ type Tracer struct {
 	full    bool
 	dropped uint64 // events discarded after the ring wrapped
 
-	open []*Span // spans begun but not yet ended
-
 	accessSeq  uint64 // ORAM accesses seen by AccessID
 	requestSeq uint64 // NS requests seen by RequestID
 	nextID     uint64 // last allocated non-zero span ID
 
-	violations uint64 // invariant breaches (containment, stage sums)
+	violations uint64 // invariant breaches (end before start, stage sums)
 
 	kinds map[string]*kindStats // breakdown accumulators, by kind
 	order []string              // kind insertion order, for stable reports
@@ -145,75 +128,10 @@ func (t *Tracer) RequestID() uint64 {
 	return t.nextID
 }
 
-// Begin opens a root span. Returns nil (a valid no-op span) on a nil tracer
-// or when id is 0.
-func (t *Tracer) Begin(track, cat, name string, id, now uint64) *Span {
-	if t == nil || id == 0 {
-		return nil
-	}
-	s := &Span{t: t, ev: Event{Track: track, Cat: cat, Name: name, ID: id, Start: now}}
-	s.openIdx = len(t.open)
-	t.open = append(t.open, s)
-	return s
-}
-
-// Child opens a nested span inheriting the parent's category and ID. A
-// child starting before its parent is an invariant violation (counted, then
-// clamped). Safe on nil.
-func (s *Span) Child(track, name string, now uint64) *Span {
-	if s == nil {
-		return nil
-	}
-	if now < s.ev.Start {
-		s.t.violations++
-		now = s.ev.Start
-	}
-	c := &Span{t: s.t, parent: s,
-		ev: Event{Track: track, Cat: s.ev.Cat, Name: name, ID: s.ev.ID, Start: now}}
-	c.openIdx = len(s.t.open)
-	s.t.open = append(s.t.open, c)
-	return c
-}
-
-// SetArg attaches a payload value to the span. Safe on nil.
-func (s *Span) SetArg(v uint64) {
-	if s != nil {
-		s.ev.Arg = v
-	}
-}
-
-// End closes the span at now. A span ending before it started, or before
-// one of its children ended, is an invariant violation (counted, then
-// clamped so the exported trace still nests). Safe on nil.
-func (s *Span) End(now uint64) {
-	if s == nil {
-		return
-	}
-	t := s.t
-	if now < s.ev.Start {
-		t.violations++
-		now = s.ev.Start
-	}
-	if now < s.maxChildEnd {
-		t.violations++
-		now = s.maxChildEnd
-	}
-	s.ev.End = now
-	if p := s.parent; p != nil && now > p.maxChildEnd {
-		p.maxChildEnd = now
-	}
-	// Swap-remove from the open list.
-	last := len(t.open) - 1
-	t.open[s.openIdx] = t.open[last]
-	t.open[s.openIdx].openIdx = s.openIdx
-	t.open = t.open[:last]
-	t.push(s.ev)
-}
-
-// Emit records a complete span in one call, for sites that know both
-// endpoints (completion callbacks). No containment tracking is applied;
-// the caller guarantees start <= end within its own stage arithmetic.
-// Safe on nil; a zero id is a no-op.
+// Emit records a complete lifecycle span of request id, for sites that
+// know both endpoints (completion callbacks). An end before start is an
+// invariant violation (counted, then clamped). Safe on nil; a zero id is a
+// no-op.
 func (t *Tracer) Emit(track, cat, name string, id, start, end, arg uint64) {
 	if t == nil || id == 0 {
 		return
@@ -229,7 +147,7 @@ func (t *Tracer) Emit(track, cat, name string, id, start, end, arg uint64) {
 // id: sampled out (id 0) means no-op, like Emit, but the event is marked
 // Overlap because many such intervals per access may coexist on one track
 // (per-block MC transactions, pipelined link packets) and must not be held
-// to the lifecycle-span nesting invariant. Safe on nil.
+// to the per-ID nesting check of ValidateChromeJSON. Safe on nil.
 func (t *Tracer) EmitOverlap(track, cat, name string, id, start, end, arg uint64) {
 	if t == nil || id == 0 {
 		return
@@ -274,23 +192,6 @@ func (t *Tracer) push(ev Event) {
 	t.dropped++
 }
 
-// CloseOpen force-ends every still-open span at now, keeping begin/end
-// balanced when the run stops mid-access. Safe on nil.
-func (t *Tracer) CloseOpen(now uint64) {
-	if t == nil {
-		return
-	}
-	// End children before parents so containment bookkeeping holds:
-	// later-opened spans are nested deeper, and End swap-removes, so walk
-	// by descending Start with a snapshot.
-	snap := make([]*Span, len(t.open))
-	copy(snap, t.open)
-	sort.SliceStable(snap, func(i, j int) bool { return snap[i].ev.Start > snap[j].ev.Start })
-	for _, s := range snap {
-		s.End(now)
-	}
-}
-
 // Trace is the finished, immutable result attached to run results.
 type Trace struct {
 	Events     []Event // completed spans in ring order (oldest first); nil with no ring
@@ -307,16 +208,12 @@ type Trace struct {
 }
 
 // Finish snapshots the tracer into an immutable Trace. Safe on nil (returns
-// nil). Open spans must be closed first (see CloseOpen); any still open are
-// counted as violations and discarded. The tracer is done afterwards: the
-// ring transfers to the Trace without a copy, rotated in place into
-// oldest-first order if it wrapped.
+// nil). The tracer is done afterwards: the ring transfers to the Trace
+// without a copy, rotated in place into oldest-first order if it wrapped.
 func (t *Tracer) Finish() *Trace {
 	if t == nil {
 		return nil
 	}
-	t.violations += uint64(len(t.open))
-	t.open = nil
 	events := t.events
 	if t.head != 0 {
 		// Left-rotate by head: oldest survivor (events[head]) to the front.
@@ -342,8 +239,8 @@ func (t *Tracer) Finish() *Trace {
 }
 
 // Validate checks the invariants a finished trace must satisfy: no recorded
-// violations, every span closed (End >= Start), and per-ID containment.
-// Returns nil on a nil trace.
+// violations and every span well-formed (End >= Start). Per-ID nesting is
+// checked on the export, by ValidateChromeJSON. Returns nil on a nil trace.
 func (tr *Trace) Validate() error {
 	if tr == nil {
 		return nil

@@ -7,6 +7,17 @@ import (
 	"testing"
 )
 
+// emitters are the three recording entry points, each recording one
+// interval of request id on track "a" (EmitUnkeyed drops the ID).
+var emitters = []struct {
+	name string
+	emit func(tr *Tracer, id, start, end uint64)
+}{
+	{"Emit", func(tr *Tracer, id, start, end uint64) { tr.Emit("a", "oram", "x", id, start, end, 0) }},
+	{"EmitOverlap", func(tr *Tracer, id, start, end uint64) { tr.EmitOverlap("a", "oram", "x", id, start, end, 0) }},
+	{"EmitUnkeyed", func(tr *Tracer, _, start, end uint64) { tr.EmitUnkeyed("a", "dram", "x", start, end, 0) }},
+}
+
 func TestNilTracerIsInert(t *testing.T) {
 	var tr *Tracer
 	if id := tr.AccessID(); id != 0 {
@@ -15,119 +26,60 @@ func TestNilTracerIsInert(t *testing.T) {
 	if id := tr.RequestID(); id != 0 {
 		t.Fatalf("nil RequestID = %d", id)
 	}
-	s := tr.Begin("a", "oram", "x", 1, 0)
-	if s != nil {
-		t.Fatal("nil tracer returned non-nil span")
+	for _, e := range emitters {
+		e.emit(tr, 1, 0, 5) // must not panic
 	}
-	// All span methods must be no-ops on nil.
-	s.SetArg(7)
-	c := s.Child("a", "y", 1)
-	c.End(2)
-	s.End(3)
-	tr.Emit("a", "oram", "z", 1, 0, 5, 0)
 	tr.RecordStages(KindOram, 1, 0, 10, Stage{"s", 10})
-	tr.CloseOpen(9)
 	if tr.Finish() != nil {
 		t.Fatal("nil Finish returned trace")
 	}
 }
 
 func TestZeroIDEmitsNothing(t *testing.T) {
-	tr := New(Config{Limit: DefaultLimit})
-	if s := tr.Begin("a", "oram", "x", 0, 0); s != nil {
-		t.Fatal("id 0 produced a span")
-	}
-	tr.Emit("a", "oram", "x", 0, 0, 5, 0)
-	trace := tr.Finish()
-	if len(trace.Events) != 0 {
-		t.Fatalf("events = %d, want 0", len(trace.Events))
-	}
-}
-
-func TestSpanNesting(t *testing.T) {
-	tr := New(Config{Limit: DefaultLimit})
-	root := tr.Begin("sapp0", "oram", "access", 1, 100)
-	c1 := root.Child("sapp0", "read_phase", 100)
-	c1.End(180)
-	c2 := root.Child("sapp0", "respond", 180)
-	c2.SetArg(72)
-	c2.End(200)
-	root.End(200)
-	trace := tr.Finish()
-	if trace.Violations != 0 {
-		t.Fatalf("violations = %d", trace.Violations)
-	}
-	if len(trace.Events) != 3 {
-		t.Fatalf("events = %d, want 3", len(trace.Events))
-	}
-	if err := trace.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestContainmentViolationsCounted(t *testing.T) {
-	cases := []struct {
-		name string
-		run  func(tr *Tracer)
-	}{
-		{"child starts before parent", func(tr *Tracer) {
-			r := tr.Begin("a", "oram", "p", 1, 100)
-			c := r.Child("a", "c", 50)
-			c.End(150)
-			r.End(150)
-		}},
-		{"span ends before start", func(tr *Tracer) {
-			r := tr.Begin("a", "oram", "p", 1, 100)
-			r.End(50)
-		}},
-		{"parent ends before child", func(tr *Tracer) {
-			r := tr.Begin("a", "oram", "p", 1, 100)
-			c := r.Child("a", "c", 120)
-			c.End(200)
-			r.End(150)
-		}},
-		{"emit end before start", func(tr *Tracer) {
-			tr.Emit("a", "oram", "x", 1, 100, 50, 0)
-		}},
-		{"left open at finish", func(tr *Tracer) {
-			tr.Begin("a", "oram", "p", 1, 100)
-		}},
-	}
-	for _, tc := range cases {
+	for _, e := range emitters[:2] { // EmitUnkeyed takes no ID
 		tr := New(Config{Limit: DefaultLimit})
-		tc.run(tr)
+		e.emit(tr, 0, 0, 5)
+		if trace := tr.Finish(); len(trace.Events) != 0 {
+			t.Errorf("%s: id 0 recorded %d events, want 0", e.name, len(trace.Events))
+		}
+	}
+}
+
+// TestContainmentViolationsCounted: a span ending before it starts is
+// counted as a violation and clamped to zero length, whichever entry point
+// recorded it.
+func TestContainmentViolationsCounted(t *testing.T) {
+	for _, e := range emitters {
+		tr := New(Config{Limit: DefaultLimit})
+		e.emit(tr, 1, 100, 50)
 		trace := tr.Finish()
-		if trace.Violations == 0 {
-			t.Errorf("%s: violation not counted", tc.name)
+		if trace.Violations != 1 {
+			t.Errorf("%s: violations = %d, want 1", e.name, trace.Violations)
 		}
 		if trace.Validate() == nil {
-			t.Errorf("%s: Validate accepted violating trace", tc.name)
+			t.Errorf("%s: Validate accepted violating trace", e.name)
 		}
-		// Clamping must still keep every recorded event well-formed.
-		for _, ev := range trace.Events {
-			if ev.End < ev.Start {
-				t.Errorf("%s: clamping failed: [%d,%d)", tc.name, ev.Start, ev.End)
-			}
+		if len(trace.Events) != 1 || trace.Events[0].Start != 100 || trace.Events[0].End != 100 {
+			t.Errorf("%s: clamping failed: %+v", e.name, trace.Events)
 		}
 	}
 }
 
-func TestCloseOpenBalances(t *testing.T) {
-	tr := New(Config{Limit: DefaultLimit})
-	r := tr.Begin("a", "oram", "p", 1, 10)
-	r.Child("a", "c", 20) // left open deliberately
-	tr.Begin("b", "ns", "q", 2, 15)
-	tr.CloseOpen(99)
-	trace := tr.Finish()
-	if trace.Violations != 0 {
-		t.Fatalf("violations = %d after CloseOpen", trace.Violations)
-	}
-	if len(trace.Events) != 3 {
-		t.Fatalf("events = %d, want 3", len(trace.Events))
-	}
-	for _, ev := range trace.Events {
-		if ev.End != 99 {
-			t.Fatalf("span %s not closed at 99: %d", ev.Name, ev.End)
+// TestCrossingSameIDSpansRejected: two lifecycle spans of one request that
+// cross on a track fail the export's nesting check, while the same pair
+// recorded as occupancy intervals (EmitOverlap) passes it.
+func TestCrossingSameIDSpansRejected(t *testing.T) {
+	for i, want := range []bool{false, true} { // Emit, EmitOverlap
+		e := emitters[i]
+		tr := New(Config{Limit: DefaultLimit})
+		e.emit(tr, 1, 0, 10)
+		e.emit(tr, 1, 5, 15)
+		var buf bytes.Buffer
+		if err := tr.Finish().WriteChrome(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := ValidateChromeJSON(buf.Bytes()); (err == nil) != want {
+			t.Errorf("%s: ValidateChromeJSON = %v, want accepted=%v", e.name, err, want)
 		}
 	}
 }
@@ -182,20 +134,19 @@ func TestRingExactWrapAndHandover(t *testing.T) {
 }
 
 // TestNoRingKeepsAttribution: a tracer without a ring keeps no events and
-// drops none, yet still counts nesting violations, records the breakdown
-// and ranks the slowest accesses exactly as a ringed tracer does.
+// drops none, yet still counts violations, records the breakdown and ranks
+// the slowest accesses exactly as a ringed tracer does.
 func TestNoRingKeepsAttribution(t *testing.T) {
 	drive := func(tr *Tracer) *Trace {
 		for i := uint64(1); i <= 50; i++ {
 			id := tr.AccessID()
-			root := tr.Begin("sapp0", "oram", "access", id, i*100)
-			root.Child("sapp0", "read_phase", i*100).End(i*100 + 40 + i)
-			root.End(i*100 + 60 + i)
-			tr.Emit("chan0.link.down", "link", "packet", id, i*100, i*100+18, 72)
+			tr.Emit("sapp0", "oram", "access", id, i*100, i*100+60+i, 0)
+			tr.Emit("sapp0", "oram", "read_phase", id, i*100, i*100+40+i, 0)
+			tr.EmitOverlap("chan0.link.down", "link", "packet", id, i*100, i*100+18, 72)
 			tr.RecordStages(KindOram, id, i*100, 60+i, Stage{"read_phase", 40 + i}, Stage{"respond", 20})
 		}
-		tr.Begin("sapp0", "oram", "access", 1000, 10).End(5) // ends before it starts
-		tr.Begin("sapp0", "oram", "access", 1001, 20)        // left open
+		tr.Emit("sapp0", "oram", "access", 1000, 10, 5, 0) // ends before it starts
+		tr.EmitUnkeyed("chan0.dram", "dram", "refresh", 30, 20, 0)
 		return tr.Finish()
 	}
 	ringless := drive(New(Config{Sample: 4, TopK: 3}))
@@ -303,10 +254,9 @@ func TestTopKSlowest(t *testing.T) {
 
 func TestChromeRoundTrip(t *testing.T) {
 	tr := New(Config{Limit: DefaultLimit})
-	root := tr.Begin("sapp0", "oram", "access", 1, 100)
-	root.Child("sapp0", "read_phase", 100).End(180)
-	root.End(200)
-	tr.Emit("chan0.link.down", "link", "packet", 1, 100, 118, 72)
+	tr.Emit("sapp0", "oram", "access", 1, 100, 200, 0)
+	tr.Emit("sapp0", "oram", "read_phase", 1, 100, 180, 0)
+	tr.EmitOverlap("chan0.link.down", "link", "packet", 1, 100, 118, 72)
 	trace := tr.Finish()
 	var buf bytes.Buffer
 	if err := trace.WriteChrome(&buf); err != nil {

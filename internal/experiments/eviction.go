@@ -52,8 +52,8 @@ func evictionParams() oram.Params {
 // level-by-level and greedy-by-depth touch exactly the same tree nodes —
 // they differ only in which stash blocks fill the written buckets — so
 // their timing rows coincide; deterministic-two-path reads and writes one
-// extra reverse-lexicographic path per access, which the simulator prices
-// as real channel traffic.
+// extra reverse-lexicographic path per access, real or dummy, which the
+// simulator prices as real channel traffic.
 func EvictionAblation(o Options) (*EvictionSummary, *Table, error) {
 	benches := o.benchmarks()
 	strategies := backend.Evictions()
@@ -111,7 +111,7 @@ func EvictionAblation(o Options) (*EvictionSummary, *Table, error) {
 	t.Notes = append(t.Notes,
 		"identical per-benchmark request streams; strategies differ only in bucket fill choice",
 		"level-by-level and greedy-by-depth touch the same nodes, so their timing rows coincide",
-		"deterministic-two-path evicts one extra reverse-lexicographic path per access (priced as real traffic)")
+		"deterministic-two-path evicts one extra reverse-lexicographic path per access, real or dummy (priced as real traffic)")
 	return sum, t, nil
 }
 

@@ -34,9 +34,6 @@ func (s *Stash) Len() int { return len(s.blocks) }
 // MaxSeen returns the high-water occupancy observed, for overflow studies.
 func (s *Stash) MaxSeen() int { return s.maxSeen }
 
-// Capacity returns the configured bound.
-func (s *Stash) Capacity() int { return s.capacity }
-
 // search returns the position of addr in the sorted blocks, or where it
 // would be inserted, and whether it is present.
 func (s *Stash) search(addr uint64) (int, bool) {

@@ -3,8 +3,6 @@ package oram
 import (
 	"fmt"
 
-	"doram/internal/evtrace"
-	"doram/internal/metrics"
 	"doram/internal/oram/backend"
 	"doram/internal/xrand"
 )
@@ -54,13 +52,6 @@ type Client struct {
 	evictedBlocks  uint64 // blocks moved stash -> tree by write-backs
 	extraEvictions uint64 // extra whole-path evictions the strategy scheduled
 
-	// Background eviction (PHANTOM-style [28]): when the stash exceeds
-	// bgThreshold after an access, issue dummy accesses until it drains
-	// below the threshold (bounded per access by bgMaxPerAccess).
-	bgThreshold    int
-	bgMaxPerAccess int
-	bgEvictions    uint64
-
 	// Stash-pressure relief: when occupancy reaches pressureThreshold, up
 	// to pressureMax dummy accesses run before the next real access so the
 	// protocol degrades (extra dummies) instead of failing with
@@ -75,15 +66,6 @@ type Client struct {
 	rng *xrand.Rand
 
 	accesses uint64
-
-	// trace records per-access phase spans; nil (the default) costs one
-	// nil check per access. The functional client has no cycle clock, so
-	// spans advance opClock, a logical operation counter, one tick per
-	// phase boundary — ordering and containment hold, durations are
-	// operation counts, not cycles.
-	trace   *evtrace.Tracer
-	track   string
-	opClock uint64
 }
 
 // ClientOptions selects implementations for the client's pluggable seams.
@@ -210,46 +192,6 @@ func (c *Client) ConstantTime() bool { return c.ct }
 // the constant-time tests assert.
 func (c *Client) CTOps() uint64 { return c.ctOps }
 
-// AttachMetrics registers the functional client's protocol state under
-// prefix (e.g. "oram."): stash occupancy for the timeline plus its
-// high-water mark, configured bound and access count at dump time. No-op
-// on a nil registry.
-func (c *Client) AttachMetrics(r *metrics.Registry, prefix string) {
-	if r == nil {
-		return
-	}
-	r.Gauge(prefix+"stash_blocks", metrics.Level(c.StashLen))
-	r.CounterFunc(prefix+"stash_max", func() uint64 { return uint64(c.StashMax()) })
-	r.CounterFunc(prefix+"stash_capacity", func() uint64 { return uint64(c.stash.Capacity()) })
-	r.CounterFunc(prefix+"accesses", func() uint64 { return c.accesses })
-}
-
-// AttachTracer routes per-access protocol-phase spans to t on the given
-// track. Timestamps are logical operation counts (see opClock), so these
-// spans order and nest correctly but are not cycle-comparable with the
-// timing simulator's tracks. No-op fields on nil.
-func (c *Client) AttachTracer(t *evtrace.Tracer, track string) {
-	c.trace = t
-	c.track = track
-}
-
-// opTick advances the logical clock one step; only called on traced paths.
-func (c *Client) opTick() uint64 {
-	c.opClock++
-	return c.opClock
-}
-
-// emitAccess emits the root access span plus its protocol-phase children
-// from the boundary timestamps collected during Access.
-func (c *Client) emitAccess(id uint64, m *[7]uint64) {
-	names := [...]string{"pressure_relief", "position_lookup", "path_read",
-		"stash_serve", "writeback", "bg_evict"}
-	c.trace.Emit(c.track, "oram", "access", id, m[0], m[6], 0)
-	for i, name := range names {
-		c.trace.Emit(c.track, "oram", name, id, m[i], m[i+1], 0)
-	}
-}
-
 // PositionOf exposes the current leaf of addr for invariant tests.
 func (c *Client) PositionOf(addr uint64) uint64 { return c.pos.Get(addr) }
 
@@ -264,34 +206,18 @@ func (c *Client) Access(op Op, addr uint64, data []byte) ([]byte, Trace, error) 
 	if len(data) > c.p.BlockSize {
 		return nil, Trace{}, fmt.Errorf("oram: data %d bytes exceeds block size %d", len(data), c.p.BlockSize)
 	}
-	traced := c.trace != nil
-	var id uint64
-	var marks [7]uint64
-	if traced {
-		id = c.trace.AccessID()
-		marks[0] = c.opTick()
-	}
 	if err := c.relieveStashPressure(); err != nil {
 		return nil, Trace{}, err
-	}
-	if traced {
-		marks[1] = c.opTick()
 	}
 	leaf := c.pos.Get(addr)
 	if leaf == backend.InvalidPath {
 		leaf = c.rng.Uint64n(c.p.NumLeaves())
 		c.pos.Set(addr, leaf)
 	}
-	if traced {
-		marks[2] = c.opTick()
-	}
 
 	tr, err := c.readPath(leaf)
 	if err != nil {
 		return nil, Trace{}, err
-	}
-	if traced {
-		marks[3] = c.opTick()
 	}
 
 	// Serve the request from the stash (the path read moved the block there
@@ -332,70 +258,14 @@ func (c *Client) Access(op Op, addr uint64, data []byte) ([]byte, Trace, error) 
 	c.pos.Set(addr, newLeaf)
 	b.Leaf = newLeaf
 
-	if traced {
-		marks[4] = c.opTick()
-	}
 	if err := c.writePath(leaf, &tr); err != nil {
 		return nil, Trace{}, err
 	}
-	// Strategy-scheduled extra eviction paths (deterministic-two-path):
-	// full read+write of each, merged into the access trace so the timing
-	// plane charges the added bandwidth to this access.
-	for _, el := range c.evict.ExtraPaths(c.p.Levels) {
-		etr, err := c.readPath(el)
-		if err != nil {
-			return nil, Trace{}, err
-		}
-		if err := c.writePath(el, &etr); err != nil {
-			return nil, Trace{}, err
-		}
-		tr.ReadNodes = append(tr.ReadNodes, etr.ReadNodes...)
-		tr.WriteNodes = append(tr.WriteNodes, etr.WriteNodes...)
-		c.extraEvictions++
-	}
-	if traced {
-		marks[5] = c.opTick()
-	}
-	c.accesses++
-	if err := c.backgroundEvict(); err != nil {
+	if err := c.extraPaths(&tr); err != nil {
 		return nil, Trace{}, err
 	}
-	if traced {
-		marks[6] = c.opTick()
-		c.emitAccess(id, &marks)
-	}
+	c.accesses++
 	return out, tr, nil
-}
-
-// SetBackgroundEviction enables PHANTOM-style stash management: whenever
-// an access leaves more than threshold blocks in the stash, up to
-// maxPerAccess dummy accesses run immediately to drain it. A threshold of
-// 0 disables the mechanism.
-func (c *Client) SetBackgroundEviction(threshold, maxPerAccess int) {
-	c.bgThreshold = threshold
-	c.bgMaxPerAccess = maxPerAccess
-}
-
-// BackgroundEvictions returns the dummy accesses issued for stash relief.
-func (c *Client) BackgroundEvictions() uint64 { return c.bgEvictions }
-
-// backgroundEvict drains the stash below the configured threshold.
-func (c *Client) backgroundEvict() error {
-	if c.bgThreshold <= 0 {
-		return nil
-	}
-	for i := 0; i < c.bgMaxPerAccess && c.stash.Len() > c.bgThreshold; i++ {
-		leaf := c.rng.Uint64n(c.p.NumLeaves())
-		tr, err := c.readPath(leaf)
-		if err != nil {
-			return err
-		}
-		if err := c.writePath(leaf, &tr); err != nil {
-			return err
-		}
-		c.bgEvictions++
-	}
-	return nil
 }
 
 // SetRecovery replaces the integrity-failure recovery policy. A
@@ -419,20 +289,15 @@ func (c *Client) SetStashPressureRelief(threshold, maxPerAccess int) {
 	c.pressureMax = maxPerAccess
 }
 
-// relieveStashPressure issues dummy path evictions while the stash sits
-// at or above the pressure threshold. These are protocol-internal and do
-// not count as accesses.
+// relieveStashPressure issues dummy paths while the stash sits at or above
+// the pressure threshold. These are protocol-internal and do not count as
+// accesses.
 func (c *Client) relieveStashPressure() error {
 	if c.pressureThreshold <= 0 {
 		return nil
 	}
 	for i := 0; i < c.pressureMax && c.stash.Len() >= c.pressureThreshold; i++ {
-		leaf := c.rng.Uint64n(c.p.NumLeaves())
-		tr, err := c.readPath(leaf)
-		if err != nil {
-			return err
-		}
-		if err := c.writePath(leaf, &tr); err != nil {
+		if _, err := c.dummyPath(); err != nil {
 			return err
 		}
 		c.recStats.PressureEvictions++
@@ -444,6 +309,18 @@ func (c *Client) relieveStashPressure() error {
 // without serving any block. D-ORAM issues these to keep the request rate
 // fixed (timing-channel protection, §III-B).
 func (c *Client) DummyAccess() (Trace, error) {
+	tr, err := c.dummyPath()
+	if err != nil {
+		return Trace{}, err
+	}
+	c.accesses++
+	return tr, nil
+}
+
+// dummyPath reads and writes back the path to a uniformly random leaf,
+// then the strategy's extra eviction paths, exactly as a real access
+// does, so a dummy's trace has a real access's shape.
+func (c *Client) dummyPath() (Trace, error) {
 	leaf := c.rng.Uint64n(c.p.NumLeaves())
 	tr, err := c.readPath(leaf)
 	if err != nil {
@@ -452,8 +329,29 @@ func (c *Client) DummyAccess() (Trace, error) {
 	if err := c.writePath(leaf, &tr); err != nil {
 		return Trace{}, err
 	}
-	c.accesses++
+	if err := c.extraPaths(&tr); err != nil {
+		return Trace{}, err
+	}
 	return tr, nil
+}
+
+// extraPaths runs the strategy-scheduled extra eviction paths
+// (deterministic-two-path): a full read+write of each, merged into tr so
+// the timing plane charges the added bandwidth to this access.
+func (c *Client) extraPaths(tr *Trace) error {
+	for _, el := range c.evict.ExtraPaths(c.p.Levels) {
+		etr, err := c.readPath(el)
+		if err != nil {
+			return err
+		}
+		if err := c.writePath(el, &etr); err != nil {
+			return err
+		}
+		tr.ReadNodes = append(tr.ReadNodes, etr.ReadNodes...)
+		tr.WriteNodes = append(tr.WriteNodes, etr.WriteNodes...)
+		c.extraEvictions++
+	}
+	return nil
 }
 
 // EnableMerkle attaches hash-tree integrity: every path read is verified

@@ -509,39 +509,3 @@ func TestForkPathOffKeepsFullPaths(t *testing.T) {
 		t.Fatal("nodes skipped with fork path off")
 	}
 }
-
-func TestBackgroundEvictionKeepsStashLow(t *testing.T) {
-	// A Z=2 tree retains blocks in the stash between accesses, giving the
-	// background eviction something to drain.
-	p := Params{Levels: 6, Z: 2, BlockSize: 64, TopCacheLevels: 2, StashCapacity: 400}
-	mk := func(bg bool) int {
-		c, err := NewClient(p, backend.NewMemStorage(p.NumNodes()), testKey, false, 21)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bg {
-			c.SetBackgroundEviction(4, 4)
-		}
-		n := p.MaxBlocks() / 2
-		rng := xrand.New(31)
-		for i := uint64(0); i < n; i++ {
-			if _, _, err := c.Access(OpWrite, i, []byte{1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for step := 0; step < 800; step++ {
-			if _, _, err := c.Access(OpRead, rng.Uint64n(n), nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if bg && c.BackgroundEvictions() == 0 {
-			t.Fatal("background eviction enabled but never ran")
-		}
-		return c.StashMax()
-	}
-	with, without := mk(true), mk(false)
-	if with > without {
-		t.Fatalf("background eviction raised the stash high-water: %d vs %d", with, without)
-	}
-	t.Logf("stash high-water: with bg eviction %d, without %d", with, without)
-}

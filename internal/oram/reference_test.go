@@ -63,8 +63,8 @@ func TestClientMatchesReferenceModel(t *testing.T) {
 }
 
 // TestClientWithAllFeaturesMatchesReference runs the same reference check
-// with Merkle integrity, a recursive position map and background eviction
-// all enabled at once.
+// with Merkle integrity, a recursive position map and a low stash-pressure
+// threshold (so dummy paths run between real accesses) all at once.
 func TestClientWithAllFeaturesMatchesReference(t *testing.T) {
 	p := smallParams()
 	rm, err := NewRecursiveMap(DefaultRecursiveMapConfig(p.MaxBlocks()))
@@ -78,7 +78,7 @@ func TestClientWithAllFeaturesMatchesReference(t *testing.T) {
 	if err := c.EnableMerkle(); err != nil {
 		t.Fatal(err)
 	}
-	c.SetBackgroundEviction(6, 2)
+	c.SetStashPressureRelief(2, 2)
 
 	ref := map[uint64]byte{}
 	rng := xrand.New(123)
@@ -100,5 +100,8 @@ func TestClientWithAllFeaturesMatchesReference(t *testing.T) {
 				t.Fatalf("step %d: addr %d = %d, want %d", i, addr, got[0], ref[addr])
 			}
 		}
+	}
+	if c.RecoveryStats().PressureEvictions == 0 {
+		t.Fatal("stash-pressure relief never ran")
 	}
 }

@@ -36,10 +36,9 @@ type Sampler struct {
 	// strategies that schedule extra eviction paths change the sampled
 	// stream (selection-order strategies shuffle stash contents, which a
 	// stashless sampler has none of); deterministic-two-path appends one
-	// full extra path per real access, and the timing simulator then
-	// prices that bandwidth. nil means the default single-path policy.
-	evict      backend.EvictionStrategy
-	extraPaths uint64
+	// full extra path per access, real or dummy, and the timing simulator
+	// then prices that bandwidth. nil means the default single-path policy.
+	evict backend.EvictionStrategy
 }
 
 // NewSampler builds a trace sampler; it panics on invalid params, a
@@ -59,18 +58,29 @@ func (s *Sampler) Params() Params { return s.p }
 func (s *Sampler) MappedBlocks() int { return s.pos.Len() }
 
 // Access returns the trace of an access to logical block addr and remaps
-// the block. Strategy-scheduled extra eviction paths are merged into the
-// returned trace, exactly as the functional client merges them.
+// the block.
 func (s *Sampler) Access(addr uint64) Trace {
 	leaf := s.pos.Get(addr)
 	s.pos.Set(addr, s.rng.Uint64n(s.p.NumLeaves()))
+	return s.path(leaf)
+}
+
+// Dummy returns the trace of a dummy access to a random path.
+func (s *Sampler) Dummy() Trace {
+	return s.path(s.rng.Uint64n(s.p.NumLeaves()))
+}
+
+// path returns the trace of the path to leaf with the strategy-scheduled
+// extra eviction paths merged in, exactly as the functional client merges
+// them. Real and dummy accesses both go through it, so the two have one
+// shape on the bus.
+func (s *Sampler) path(leaf uint64) Trace {
 	tr := s.trace(leaf)
 	if s.evict != nil {
 		for _, el := range s.evict.ExtraPaths(s.p.Levels) {
 			etr := s.trace(el)
 			tr.ReadNodes = append(tr.ReadNodes, etr.ReadNodes...)
 			tr.WriteNodes = append(tr.WriteNodes, etr.WriteNodes...)
-			s.extraPaths++
 		}
 	}
 	return tr
@@ -86,15 +96,6 @@ func (s *Sampler) SetEviction(name string) error {
 	}
 	s.evict = ev
 	return nil
-}
-
-// ExtraEvictionPaths returns how many strategy-scheduled extra eviction
-// paths have been sampled.
-func (s *Sampler) ExtraEvictionPaths() uint64 { return s.extraPaths }
-
-// Dummy returns the trace of a dummy access to a random path.
-func (s *Sampler) Dummy() Trace {
-	return s.trace(s.rng.Uint64n(s.p.NumLeaves()))
 }
 
 // SetForkPath toggles the Fork Path redundant-access elimination.

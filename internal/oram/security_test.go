@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"doram/internal/oram/backend"
 	"doram/internal/xrand"
 )
 
@@ -97,14 +98,46 @@ func TestTraceRevealsNothingAboutOperation(t *testing.T) {
 }
 
 // TestDummyTraceIndistinguishableFromReal checks that timing-protection
-// dummies touch exactly as many nodes as real accesses.
+// dummies touch exactly as many nodes as real accesses under every
+// eviction strategy, in both the trace sampler and the functional client.
+// A strategy that schedules extra eviction paths must schedule them for
+// dummies too, or a real access is visibly larger on the bus. Fork Path
+// stays off: with it, the count depends on the previous leaf.
 func TestDummyTraceIndistinguishableFromReal(t *testing.T) {
 	p := smallParams()
-	s := NewSampler(p, 4)
-	real := s.Access(12)
-	dummy := s.Dummy()
-	if len(real.ReadNodes) != len(dummy.ReadNodes) ||
-		len(real.WriteNodes) != len(dummy.WriteNodes) {
-		t.Fatal("dummy access shape differs from a real access")
+	sameShape := func(t *testing.T, who string, real, dummy Trace) {
+		t.Helper()
+		if len(real.ReadNodes) != len(dummy.ReadNodes) || len(real.WriteNodes) != len(dummy.WriteNodes) {
+			t.Errorf("%s: real access touches %d/%d read/write nodes, dummy %d/%d", who,
+				len(real.ReadNodes), len(real.WriteNodes), len(dummy.ReadNodes), len(dummy.WriteNodes))
+		}
+	}
+	for _, name := range backend.Evictions() {
+		t.Run(name, func(t *testing.T) {
+			s := NewSampler(p, 4)
+			if err := s.SetEviction(name); err != nil {
+				t.Fatal(err)
+			}
+			sameShape(t, "sampler", s.Access(12), s.Dummy())
+
+			evict, err := backend.NewEviction(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := NewClientWithOptions(p, ClientOptions{
+				Storage: backend.NewMemStorage(p.NumNodes()), Key: testKey, Eviction: evict, Seed: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, real, err := c.Access(OpWrite, 12, []byte{1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dummy, err := c.DummyAccess()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameShape(t, "client", real, dummy)
+		})
 	}
 }

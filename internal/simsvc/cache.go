@@ -120,9 +120,9 @@ func (s *Service) SaveCache(path string) error {
 
 // LoadCache installs the results of a snapshot written by SaveCache and
 // returns how many it loaded. A missing file is not an error — a fresh
-// deployment simply starts cold. Entries whose key is not the length of a
-// spec hash (64 hex characters) or whose document does not decode are
-// skipped.
+// deployment simply starts cold. Entries whose key is not a spec hash (64
+// lower-case hex characters, as doram.Params.Hash writes it) or whose
+// document does not decode are skipped: no lookup could ever hit them.
 func (s *Service) LoadCache(path string) (int, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -144,11 +144,25 @@ func (s *Service) LoadCache(path string) (int, error) {
 	n := 0
 	for hash, doc := range snap.Results {
 		res := new(doram.SimResult)
-		if len(hash) != 64 || json.Unmarshal([]byte(doc), res) != nil {
+		if !isSpecHash(hash) || json.Unmarshal([]byte(doc), res) != nil {
 			continue
 		}
 		s.cache.put(hash, res)
 		n++
 	}
 	return n, nil
+}
+
+// isSpecHash reports whether key has the form of doram.Params.Hash: 64
+// lower-case hex characters.
+func isSpecHash(key string) bool {
+	if len(key) != 64 {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }

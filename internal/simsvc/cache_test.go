@@ -84,11 +84,14 @@ func TestCacheSnapshotFormat(t *testing.T) {
 	if _, err := s.LoadCache(bad); err == nil {
 		t.Error("future snapshot version loaded without error")
 	}
-	// Keys that are not spec hashes are skipped.
-	short := filepath.Join(dir, "short.json")
-	os.WriteFile(short, []byte(`{"version":1,"results":{"deadbeef":"{\"AvgNSExecCycles\":1}"}}`), 0o644)
-	if n, err := s.LoadCache(short); n != 0 || err != nil {
-		t.Errorf("garbage key: n=%d err=%v, want 0 loaded, nil", n, err)
+	// Keys that are not spec hashes are skipped: too short, the right
+	// length but not hex, and upper-case hex (Params.Hash writes lower).
+	for _, key := range []string{"deadbeef", strings.Repeat("g", 64), strings.Repeat("AB", 32)} {
+		garbage := filepath.Join(dir, "garbage.json")
+		os.WriteFile(garbage, []byte(`{"version":1,"results":{"`+key+`":"{\"AvgNSExecCycles\":1}"}}`), 0o644)
+		if n, err := s.LoadCache(garbage); n != 0 || err != nil {
+			t.Errorf("garbage key %q: n=%d err=%v, want 0 loaded, nil", key, n, err)
+		}
 	}
 	if got := counter(t, s, "simsvc.cache.entries"); got != 0 {
 		t.Errorf("garbage key installed: %d cache entries", got)
