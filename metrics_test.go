@@ -31,9 +31,10 @@ func metricsRun(t *testing.T) *SimResult {
 	return res
 }
 
-// goldenSchemes are the schemes whose exact exports are pinned: D-ORAM and
-// the Path ORAM baseline it is measured against.
-var goldenSchemes = []Scheme{SchemeDORAM, SchemePathORAM}
+// goldenSchemes are the schemes whose exact exports are pinned: D-ORAM, the
+// Path ORAM baseline it is measured against, and secure memory, whose S-App
+// enqueues straight into the controllers beside NS traffic.
+var goldenSchemes = []Scheme{SchemeDORAM, SchemePathORAM, SchemeSecureMemory}
 
 // goldenPath names a scheme's golden file: D-ORAM keeps the bare base name,
 // every other scheme gets its name as a suffix.
