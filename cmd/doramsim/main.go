@@ -8,7 +8,8 @@
 //	doramsim -scheme d-oram -bench mummer -k 1 -c 4
 //	doramsim -scheme non-secure -bench black -ns 7 -channels 1,2,3
 //	doramsim -chaos -seed 7
-//	doramsim -scheme d-oram -bench face -eviction deterministic-two-path -encryptor aes-gcm
+//	doramsim -scheme d-oram -bench face -eviction deterministic-two-path
+//	doramsim -chaos -seed 3 -encryptor aes-gcm
 //	doramsim -scheme d-oram -bench face -link-corrupt 0.02 -link-loss 0.01
 //	doramsim -scheme d-oram -bench face -metrics-json metrics.json -metrics-csv timeline.csv
 //	doramsim -scheme d-oram -bench face -pprof cpu.out
@@ -37,7 +38,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 
 		eviction  = flag.String("eviction", "", "S-App eviction strategy: "+strings.Join(doram.EvictionStrategies(), ", "))
-		encryptor = flag.String("encryptor", "", "functional bucket encryptor: "+strings.Join(doram.BucketEncryptors(), ", "))
+		encryptor = flag.String("encryptor", "", "functional bucket encryptor for -chaos: "+strings.Join(doram.BucketEncryptors(), ", "))
 		channels  = flag.String("channels", "", "NS channel subset, e.g. 1,2,3")
 		asJSON    = flag.Bool("json", false, "emit the result as JSON")
 		traceDir  = flag.String("tracedir", "", "replay recorded traces from this directory (tracegen -o)")
@@ -103,7 +104,6 @@ func main() {
 	cfg.Seed = *seed
 	cfg.TraceDir = *traceDir
 	cfg.Eviction = *eviction
-	cfg.Encryptor = *encryptor
 	cfg.NoFastForward = *noFF
 	cfg.LinkCorruptProb = *linkCorrupt
 	cfg.LinkLossProb = *linkLoss

@@ -32,8 +32,7 @@ func main() {
 		benches = flag.String("benches", "", "comma-separated benchmark subset")
 		asCSV   = flag.Bool("csv", false, "emit data tables as CSV instead of text")
 
-		eviction  = flag.String("eviction", "", "S-App eviction strategy for every run: "+strings.Join(doram.EvictionStrategies(), ", "))
-		encryptor = flag.String("encryptor", "", "functional bucket encryptor carried by every run: "+strings.Join(doram.BucketEncryptors(), ", "))
+		eviction = flag.String("eviction", "", "S-App eviction strategy for every run: "+strings.Join(doram.EvictionStrategies(), ", "))
 
 		metricsDir   = flag.String("metrics-dir", "", "write one metric dump JSON per run into this directory (enables metrics)")
 		metricsEpoch = flag.Uint64("metrics-epoch", 0, "timeline sampling period in CPU cycles (0 = default)")
@@ -55,16 +54,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
-	if err := validateName("encryptor", *encryptor, doram.BucketEncryptors()); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(2)
-	}
 
 	opts := doram.ExperimentOptions{
 		Quick: *quick, TraceLen: *trace, Seed: *seed,
 		MetricsDir: *metricsDir, MetricsEpochCycles: *metricsEpoch,
 		TraceDir: *traceDir, Endpoint: *endpoint,
-		Eviction: *eviction, Encryptor: *encryptor,
+		Eviction: *eviction,
 	}
 	if *benches != "" {
 		opts.Benchmarks = strings.Split(*benches, ",")

@@ -151,8 +151,8 @@ func DefaultORAMConfig() ORAMConfig {
 func EvictionStrategies() []string { return backend.Evictions() }
 
 // BucketEncryptors lists the registered bucket-encryptor names accepted by
-// ORAMConfig.Encryptor, SimConfig.Encryptor and the CLIs' -encryptor
-// flags, sorted. The empty name selects the default (ctr-hmac).
+// ORAMConfig.Encryptor and doramsim's -encryptor flag (for -chaos),
+// sorted. The empty name selects the default (ctr-hmac).
 func BucketEncryptors() []string { return backend.Encryptors() }
 
 // ORAM is a functional Path ORAM block store: every Read or Write touches

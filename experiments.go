@@ -32,10 +32,6 @@ type ExperimentOptions struct {
 	// Eviction, when non-empty, selects the S-App eviction strategy for
 	// every run (names: EvictionStrategies()).
 	Eviction string
-	// Encryptor, when non-empty, selects the functional bucket encryptor
-	// carried by every run (names: BucketEncryptors()); it does not alter
-	// timing.
-	Encryptor string
 	// Endpoint, when set, offloads runs to a doramd simulation service at
 	// this base URL instead of simulating in-process; identical runs are
 	// served from the service's result cache. Not combinable with TraceDir
@@ -62,7 +58,6 @@ func (o ExperimentOptions) internal() (experiments.Options, error) {
 	io.MetricsEpochCycles = o.MetricsEpochCycles
 	io.TraceDir = o.TraceDir
 	io.Eviction = o.Eviction
-	io.Encryptor = o.Encryptor
 	if o.Endpoint != "" {
 		if o.TraceDir != "" {
 			return io, fmt.Errorf("doram: TraceDir cannot be combined with Endpoint (span traces stay on the server)")

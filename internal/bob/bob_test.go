@@ -280,6 +280,61 @@ func TestSimpleControllerParallelSubChannels(t *testing.T) {
 	}
 }
 
+// TestDirectChannel checks a direct-attached channel: Submit enqueues
+// straight into the controller, a full controller queue rejects without
+// buffering, and a read completes when its burst ends, with no link hop.
+// A reference controller fed the same read directly gives the burst's end.
+func TestDirectChannel(t *testing.T) {
+	cfg := mc.DefaultConfig()
+	cfg.RefreshEnabled = false
+	cfg.ReadQueueCap = 1
+	newMC := func() *mc.Controller { return mc.New(dram.NewChannel(dram.DDR31600(), 1, 8), cfg) }
+	sub, ref := newMC(), newMC()
+	s := NewDirect(sub, 2)
+	if s.Link() != nil {
+		t.Fatal("direct channel has a link")
+	}
+
+	const now = 10 // between memory edges: the enqueue floors to ToMem(now)
+	coord := addrmap.Coord{Bank: 1, Row: 5, Col: 3}
+	var done uint64
+	if !s.Submit(&NSRequest{Coord: coord, OnDone: func(c uint64) { done = c }}, now) {
+		t.Fatal("submit rejected")
+	}
+	if reads, _ := sub.QueueLen(); reads != 1 {
+		t.Fatalf("controller holds %d reads after Submit, want 1 without a Tick", reads)
+	}
+	var refDone uint64
+	ref.Enqueue(&mc.Request{Op: mc.OpRead, Coord: coord,
+		OnComplete: func(_ *mc.Request, memDone uint64) { refDone = memDone }}, clock.ToMem(now))
+
+	if s.Submit(&NSRequest{Coord: addrmap.Coord{Bank: 2, Row: 7}}, now) {
+		t.Fatal("submit accepted past the controller's read queue")
+	}
+	if s.Stats().Rejected.Value() != 1 || s.QueueLen() != 0 {
+		t.Fatalf("rejected %d, buffered %d; want 1 rejection and nothing buffered",
+			s.Stats().Rejected.Value(), s.QueueLen())
+	}
+
+	for cpu := clock.AlignMemEdge(now); done == 0; cpu += clock.CPUPerMem {
+		if cpu > 4000 {
+			t.Fatal("read never completed")
+		}
+		if want := clock.ToCPU(sub.NextEvent(clock.ToMem(cpu) - 1)); s.NextEvent(cpu-1) != want {
+			t.Fatalf("cycle %d: NextEvent %d, want the controller's horizon %d", cpu-1, s.NextEvent(cpu-1), want)
+		}
+		s.Tick(cpu)
+		ref.Tick(clock.ToMem(cpu))
+	}
+	if refDone == 0 || done != clock.ToCPU(refDone) {
+		t.Fatalf("read done at CPU cycle %d, want the burst end %d (memory cycle %d)",
+			done, clock.ToCPU(refDone), refDone)
+	}
+	if !s.Idle() {
+		t.Fatal("channel not idle after completion")
+	}
+}
+
 // FuzzUnmarshal ensures arbitrary bytes never panic the packet parser and
 // valid round trips always survive.
 func FuzzUnmarshal(f *testing.F) {

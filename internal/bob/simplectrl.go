@@ -11,8 +11,9 @@ import (
 	"doram/internal/stats"
 )
 
-// NSRequest is one non-secure application access crossing the serial link
-// to a BOB channel.
+// NSRequest is one non-secure application access to a memory channel:
+// across the serial link to a BOB channel, or straight into a direct
+// channel's controller.
 type NSRequest struct {
 	Write bool
 	// Coord locates the line on this channel; Coord.Bus is the local
@@ -21,8 +22,9 @@ type NSRequest struct {
 	AppID int
 	// TraceID ties the request's tracer spans together; 0 = unsampled.
 	TraceID uint64
-	// OnDone fires for reads when the response packet reaches the CPU
-	// (CPU cycles). Writes are posted and have no response.
+	// OnDone fires for reads when the response packet reaches the CPU, or
+	// on a direct channel when the burst ends (CPU cycles). Writes are
+	// posted and have no response.
 	OnDone func(cpuCycle uint64)
 	// OnWriteDrained, if set on a write, fires when the data reaches the
 	// DRAM device (CPU cycles, no response packet) — used for latency
@@ -48,9 +50,14 @@ type arrivedReq struct {
 // sub-channel memory controllers with JEDEC-compliant timing, and returns
 // response packets. The secure delegator of D-ORAM shares this
 // controller's link and sub-channels (package delegator).
+//
+// Built by NewDirect it is instead a direct-attached channel: no link and
+// no on-board buffer, one controller the processor drives itself.
 type SimpleController struct {
-	link *Link
+	link *Link // nil on a direct channel
 	subs []*mc.Controller
+	// ch is a direct channel's index, the arg of its root spans.
+	ch int
 
 	inQ    []arrivedReq
 	inQCap int
@@ -116,6 +123,10 @@ func (f *fwdReq) onComplete(mr *mc.Request, memDone uint64) {
 	submitAt, readyAt, fwdCPU := f.submitAt, f.readyAt, f.fwdCPU
 	issuedAt := mr.IssuedAt
 	s.putFwd(f)
+	if s.link == nil {
+		s.completeDirect(r, submitAt, clock.ToCPU(issuedAt), clock.ToCPU(memDone))
+		return
+	}
 	trace := s.trace
 	if !r.Write {
 		if r.OnDone == nil && trace == nil {
@@ -158,6 +169,39 @@ func (f *fwdReq) onComplete(mr *mc.Request, memDone uint64) {
 	}
 }
 
+// completeDirect finishes a request on a direct channel, issued by the CPU
+// at cycle issue: there is no response packet, so a read is done when its
+// burst ends.
+func (s *SimpleController) completeDirect(r *NSRequest, issue, issued, done uint64) {
+	if s.trace != nil {
+		s.traceDirect(r, issue, issued, done)
+	}
+	if r.Write {
+		if r.OnWriteDrained != nil {
+			r.OnWriteDrained(done)
+		}
+	} else if r.OnDone != nil {
+		r.OnDone(done)
+	}
+}
+
+// traceDirect records one direct-channel request's latency breakdown
+// (controller queue wait, then DRAM service) and its root span, with the
+// channel index as its arg. The memory-clock flooring on
+// enqueue and issue is folded into mc_queue so the two stages sum exactly
+// to the end-to-end latency.
+func (s *SimpleController) traceDirect(r *NSRequest, issue, issued, done uint64) {
+	issued = min(max(issued, issue), done)
+	kind, name := evtrace.KindNSRead, "ns_read"
+	if r.Write {
+		kind, name = evtrace.KindNSWrite, "ns_write"
+	}
+	s.trace.RecordStages(kind, r.TraceID, issue, done-issue,
+		evtrace.Stage{Name: "mc_queue", Dur: issued - issue},
+		evtrace.Stage{Name: "dram", Dur: done - issued})
+	s.trace.Emit(s.track, "ns", name, r.TraceID, issue, done, uint64(s.ch))
+}
+
 // NewSimpleController builds a controller over the given link and
 // sub-channel memory controllers. inQCap bounds the on-board request
 // buffer (back-pressure to the CPU when full).
@@ -173,8 +217,15 @@ func NewSimpleController(link *Link, subs []*mc.Controller, inQCap int) (*Simple
 	return &SimpleController{link: link, subs: subs, inQCap: inQCap}, nil
 }
 
+// NewDirect builds direct-attached channel ch over its one controller.
+// Submit enqueues straight into the controller, rejecting when its queue
+// is full, and a read completes when its burst ends.
+func NewDirect(sub *mc.Controller, ch int) *SimpleController {
+	return &SimpleController{subs: []*mc.Controller{sub}, ch: ch}
+}
+
 // Link returns the channel's serial link (shared with the SD on the
-// secure channel).
+// secure channel); nil on a direct channel.
 func (s *SimpleController) Link() *Link { return s.link }
 
 // SubChannels returns the sub-channel controllers.
@@ -208,8 +259,17 @@ func (s *SimpleController) AttachTracer(t *evtrace.Tracer, track string) {
 }
 
 // Submit sends a request packet from the CPU's main controller at CPU
-// cycle now. It returns false when the on-board buffer is full.
+// cycle now. It returns false when the on-board buffer is full, or on a
+// direct channel when the controller's queue is.
 func (s *SimpleController) Submit(r *NSRequest, now uint64) bool {
+	if s.link == nil {
+		if !s.forward(arrivedReq{req: r, submitAt: now, readyAt: now}, clock.ToMem(now)) {
+			s.stats.Rejected.Inc()
+			return false
+		}
+		s.stats.Submitted.Inc()
+		return true
+	}
 	if len(s.inQ) >= s.inQCap {
 		s.stats.Rejected.Inc()
 		return false

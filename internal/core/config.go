@@ -147,11 +147,6 @@ type Config struct {
 	// the address stream: deterministic-two-path adds one full path per
 	// access, pricing its bandwidth through the whole memory system.
 	Eviction string
-	// Encryptor selects the functional-plane bucket crypto by registry
-	// name (backend.Encryptors; "" = ctr-hmac). The timing simulator
-	// models crypto as part of the fixed delegator pipeline, so this knob
-	// is validated and carried in specs but does not alter timing results.
-	Encryptor string
 
 	// NoFastForward disables the idle-cycle fast-forward scheduler and runs
 	// the original cycle-by-cycle loop. The zero value (fast-forward on) is
@@ -263,9 +258,6 @@ func (c Config) Validate() error {
 	case !backend.ValidEviction(c.Eviction):
 		return fmt.Errorf("core: unknown eviction strategy %q (valid: %v)",
 			c.Eviction, backend.Evictions())
-	case !backend.ValidEncryptor(c.Encryptor):
-		return fmt.Errorf("core: unknown encryptor %q (valid: %v)",
-			c.Encryptor, backend.Encryptors())
 	}
 	for _, ch := range c.NSChannels {
 		if ch < 0 || ch >= NumChannels {

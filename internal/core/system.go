@@ -31,11 +31,10 @@ type System struct {
 	nsCores []*cpu.Core
 	sCores  []*cpu.Core
 
-	// Direct-attached backend (NonSecure, PathORAMBaseline, SecureMemory).
-	directMCs []*mc.Controller
-
-	// BOB backend (DORAM).
-	bobs []*bob.SimpleController
+	// chans are the memory channels in channel order: BOB channels
+	// (DORAM) or direct-attached ones, link-less BOB controllers
+	// (NonSecure, PathORAMBaseline, SecureMemory).
+	chans []*bob.SimpleController
 
 	// chanMappers maps channel-local addresses onto each channel's
 	// sub-channel geometry.
@@ -43,8 +42,8 @@ type System struct {
 
 	engines []*delegator.Engine
 	// sds are the S-App copies' ORAM executors: secure delegators behind
-	// the secure BOB (DORAM) or on-chip over the direct controllers
-	// (PathORAMBaseline).
+	// the secure BOB (DORAM) or on-chip over the direct channels'
+	// controllers (PathORAMBaseline).
 	sds   []*delegator.SD
 	smems []*secmem.SecMem
 
@@ -62,23 +61,22 @@ type System struct {
 	// every component call through it is nil-safe.
 	trace *evtrace.Tracer
 
-	// sdAllBobs widens the fast-forward loop's SD-event invalidation from
-	// the secure channel to every BOB channel: with tree-top splitting
-	// (SplitK > 0) the SD also enqueues relocated blocks remotely.
-	sdAllBobs bool
+	// sdAllChans widens the fast-forward loop's SD-event invalidation from
+	// the secure channel to every channel: with tree-top splitting
+	// (SplitK > 0) the SD also enqueues relocated blocks remotely, and the
+	// on-chip executor stripes over every direct channel.
+	sdAllChans bool
 
-	// Free lists for the NS-App port requests (one per backend kind).
-	// Allocation (Access from tickCPU) and recycling (completion
-	// callbacks) both run on the simulation goroutine, so the lists need
-	// no locking.
-	freeNS     *nsReq
-	freeDirect *directReq
+	// freeNS is the free list of NS-App port requests. Allocation (Access
+	// from tickCPU) and recycling (completion callbacks) both run on the
+	// simulation goroutine, so the list needs no locking.
+	freeNS *nsReq
 
 	// visits counts the cycles the fast-forward loop visited.
 	visits uint64
 }
 
-// nsReq is one pooled BOB-port request: the NSRequest crossing the link
+// nsReq is one pooled NS-port request: the NSRequest submitted to a channel
 // plus the latency-recording state its completions need. The two callback
 // method values are bound once at allocation.
 type nsReq struct {
@@ -112,7 +110,7 @@ func (s *System) putNSReq(r *nsReq) {
 	s.freeNS = r
 }
 
-// done finishes a read: the response packet reached the CPU.
+// done finishes a read: the data reached the CPU.
 func (r *nsReq) done(doneCycle uint64) {
 	sys, ch, issue, onDone := r.sys, r.ch, r.issue, r.onDone
 	sys.putNSReq(r)
@@ -127,53 +125,6 @@ func (r *nsReq) drained(doneCycle uint64) {
 	sys, ch, issue := r.sys, r.ch, r.issue
 	sys.putNSReq(r)
 	sys.recordWrite(ch, doneCycle-issue)
-}
-
-// directReq is one pooled direct-attached-port request; the controller
-// completion callback is bound once at allocation.
-type directReq struct {
-	req    mc.Request
-	sys    *System
-	ch     int
-	issue  uint64
-	onDone func(uint64) // the core's read callback
-
-	onCompleteFn func(*mc.Request, uint64)
-	next         *directReq
-}
-
-func (s *System) getDirectReq() *directReq {
-	r := s.freeDirect
-	if r == nil {
-		r = &directReq{sys: s}
-		r.onCompleteFn = r.onComplete
-		return r
-	}
-	s.freeDirect = r.next
-	r.next = nil
-	return r
-}
-
-func (s *System) putDirectReq(r *directReq) {
-	r.onDone = nil
-	r.next = s.freeDirect
-	s.freeDirect = r
-}
-
-func (r *directReq) onComplete(mr *mc.Request, memDone uint64) {
-	sys, ch, issue, onDone := r.sys, r.ch, r.issue, r.onDone
-	done := clock.ToCPU(memDone)
-	write := mr.Op == mc.OpWrite
-	if write {
-		sys.recordWrite(ch, done-issue)
-	} else {
-		sys.recordRead(ch, done-issue)
-	}
-	sys.traceDirectNS(mr, ch, issue, done, write)
-	sys.putDirectReq(r)
-	if !write && onDone != nil {
-		onDone(done)
-	}
 }
 
 // appBase separates per-application address spaces so different apps use
@@ -248,24 +199,24 @@ func NewSystem(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.bobs = append(s.bobs, b)
+		s.chans = append(s.chans, b)
 		s.chanMappers[0] = addrmap.New(geo, addrmap.OpenPage, subBuses)
 		for c := 1; c < NumChannels; c++ {
 			b, err := newBob(c, []*mc.Controller{newMC()})
 			if err != nil {
 				return nil, err
 			}
-			s.bobs = append(s.bobs, b)
+			s.chans = append(s.chans, b)
 			s.chanMappers[c] = addrmap.New(geo, addrmap.OpenPage, []int{0})
 		}
 	} else {
 		for c := 0; c < NumChannels; c++ {
-			s.directMCs = append(s.directMCs, newMC())
+			s.chans = append(s.chans, bob.NewDirect(newMC(), c))
 			s.chanMappers[c] = addrmap.New(geo, addrmap.OpenPage, []int{0})
 		}
 	}
 
-	s.sdAllBobs = cfg.SplitK > 0
+	s.sdAllChans = cfg.SplitK > 0 || cfg.Scheme != DORAM
 
 	ts, err := newTraceSource(cfg)
 	if err != nil {
@@ -321,19 +272,17 @@ func (s *System) attachTrace() {
 		OramOnly: s.cfg.TraceOramOnly,
 	})
 	s.trace = t
-	if s.cfg.Scheme == DORAM {
-		for c, b := range s.bobs {
-			b.Link().AttachTracer(t, fmt.Sprintf("chan%d.link.", c))
-			b.AttachTracer(t, fmt.Sprintf("chan%d.bob", c))
-			for i, sub := range b.SubChannels() {
-				sub.AttachTracer(t, fmt.Sprintf("chan%d.sub%d.mc", c, i))
-				sub.Channel().AttachTracer(t, fmt.Sprintf("chan%d.sub%d.dram", c, i))
-			}
+	for c, ch := range s.chans {
+		track := "cpu" // a direct channel's NS spans: no on-board row
+		if l := ch.Link(); l != nil {
+			l.AttachTracer(t, fmt.Sprintf("chan%d.link.", c))
+			track = fmt.Sprintf("chan%d.bob", c)
 		}
-	} else {
-		for c, m := range s.directMCs {
-			m.AttachTracer(t, fmt.Sprintf("chan%d.mc", c))
-			m.Channel().AttachTracer(t, fmt.Sprintf("chan%d.dram", c))
+		ch.AttachTracer(t, track)
+		for i, sub := range ch.SubChannels() {
+			p := subPrefix(ch, c, i)
+			sub.AttachTracer(t, p+"mc")
+			sub.Channel().AttachTracer(t, p+"dram")
 		}
 	}
 	for i, sd := range s.sds {
@@ -350,25 +299,18 @@ func (s *System) attachTrace() {
 func (s *System) attachMetrics(epoch uint64) {
 	r := metrics.New()
 	s.metrics, s.metricsEpoch = r, epoch
-	if s.cfg.Scheme == DORAM {
-		for c, b := range s.bobs {
+	for c, ch := range s.chans {
+		if l := ch.Link(); l != nil {
 			p := fmt.Sprintf("chan%d.", c)
-			b.Link().AttachMetrics(r, p+"link.")
-			b.AttachMetrics(r, p+"bob.")
-			for i, sub := range b.SubChannels() {
-				sp := fmt.Sprintf("%ssub%d.", p, i)
-				sub.AttachMetrics(r, sp+"mc.")
-				sub.Channel().AttachMetrics(r, sp+"dram.")
-			}
-			s.attachChannelAggregates(r, c, b.SubChannels())
+			l.AttachMetrics(r, p+"link.")
+			ch.AttachMetrics(r, p+"bob.")
 		}
-	} else {
-		for c, m := range s.directMCs {
-			p := fmt.Sprintf("chan%d.", c)
-			m.AttachMetrics(r, p+"mc.")
-			m.Channel().AttachMetrics(r, p+"dram.")
-			s.attachChannelAggregates(r, c, []*mc.Controller{m})
+		for i, sub := range ch.SubChannels() {
+			p := subPrefix(ch, c, i)
+			sub.AttachMetrics(r, p+"mc.")
+			sub.Channel().AttachMetrics(r, p+"dram.")
 		}
+		s.attachChannelAggregates(r, c, ch.SubChannels())
 	}
 	for i, sd := range s.sds {
 		sd.AttachMetrics(r, fmt.Sprintf("sapp%d.", i))
@@ -377,6 +319,26 @@ func (s *System) attachMetrics(epoch uint64) {
 		e.AttachMetrics(r, fmt.Sprintf("sapp%d.engine.", i))
 	}
 	r.StartTimeline(epoch)
+}
+
+// subPrefix names sub-channel i of channel c in metrics and trace tracks:
+// "chan<c>.sub<i>." behind a BOB, "chan<c>." on a direct channel.
+func subPrefix(ch *bob.SimpleController, c, i int) string {
+	if ch.Link() == nil {
+		return fmt.Sprintf("chan%d.", c)
+	}
+	return fmt.Sprintf("chan%d.sub%d.", c, i)
+}
+
+// controllers gathers every channel's controllers in channel order, for
+// the S-App machinery that drives them directly (the on-chip executor and
+// secure memory).
+func (s *System) controllers() []*mc.Controller {
+	var mcs []*mc.Controller
+	for _, ch := range s.chans {
+		mcs = append(mcs, ch.SubChannels()...)
+	}
+	return mcs
 }
 
 // attachChannelAggregates registers channel-level rollups over the
@@ -454,9 +416,9 @@ func (s *System) buildSApp(geo addrmap.Geometry, idx int) error {
 		var sd *delegator.SD
 		var err error
 		if s.cfg.Scheme == DORAM {
-			sd, err = delegator.NewSD(sdCfg, sampler, lay, s.bobs[0], s.bobs[1:], geo)
+			sd, err = delegator.NewSD(sdCfg, sampler, lay, s.chans[0], s.chans[1:], geo)
 		} else {
-			sd, err = delegator.NewOnChip(sdCfg, sampler, lay, s.directMCs, geo)
+			sd, err = delegator.NewOnChip(sdCfg, sampler, lay, s.controllers(), geo)
 		}
 		if err != nil {
 			return err
@@ -472,7 +434,7 @@ func (s *System) buildSApp(geo addrmap.Geometry, idx int) error {
 		}
 		mapper := addrmap.New(geo, addrmap.OpenPage, buses)
 		s.smems = append(s.smems,
-			secmem.New(secmem.DefaultConfig(), s.directMCs, mapper, s.cfg.NumNS+idx))
+			secmem.New(secmem.DefaultConfig(), s.controllers(), mapper, s.cfg.NumNS+idx))
 	default:
 		return fmt.Errorf("core: scheme %v cannot host an S-App", s.cfg.Scheme)
 	}
@@ -481,11 +443,7 @@ func (s *System) buildSApp(geo addrmap.Geometry, idx int) error {
 
 // nsPort builds NS-App i's memory port.
 func (s *System) nsPort(i int) cpu.Port {
-	channels := s.cfg.nsChannelsFor(i)
-	if s.cfg.Scheme == DORAM {
-		return &bobPort{sys: s, appID: i, channels: channels, base: appBase(i)}
-	}
-	return &directPort{sys: s, appID: i, channels: channels, base: appBase(i)}
+	return &chanPort{sys: s, appID: i, channels: s.cfg.nsChannelsFor(i), base: appBase(i)}
 }
 
 // sPort builds S-App copy idx's memory port.
@@ -496,9 +454,10 @@ func (s *System) sPort(idx int) cpu.Port {
 	return s.engines[idx]
 }
 
-// directPort routes an NS-App's accesses straight into the on-chip memory
-// controllers (direct-attached architecture).
-type directPort struct {
+// chanPort routes an NS-App's accesses to its memory channels: over the
+// serial links of the BOB architecture, or straight into the direct-attached
+// controllers.
+type chanPort struct {
 	sys      *System
 	appID    int
 	channels []int
@@ -506,38 +465,7 @@ type directPort struct {
 }
 
 // Access implements cpu.Port.
-func (p *directPort) Access(write bool, addr uint64, now uint64, onDone func(uint64)) bool {
-	ch, localAddr := route(addr, p.channels)
-	coord := p.sys.chanMappers[ch].Map(p.base + localAddr)
-	op := mc.OpRead
-	if write {
-		op = mc.OpWrite
-	}
-	sys := p.sys
-	r := sys.getDirectReq()
-	r.ch, r.issue, r.onDone = ch, now, onDone
-	r.req = mc.Request{Op: op, Coord: coord, AppID: p.appID, OnComplete: r.onCompleteFn}
-	if sys.trace != nil {
-		r.req.TraceID = sys.trace.RequestID()
-	}
-	if !sys.directMCs[ch].Enqueue(&r.req, clock.ToMem(now)) {
-		sys.putDirectReq(r)
-		return false
-	}
-	return true
-}
-
-// bobPort routes an NS-App's accesses over the serial links of the BOB
-// architecture.
-type bobPort struct {
-	sys      *System
-	appID    int
-	channels []int
-	base     uint64
-}
-
-// Access implements cpu.Port.
-func (p *bobPort) Access(write bool, addr uint64, now uint64, onDone func(uint64)) bool {
+func (p *chanPort) Access(write bool, addr uint64, now uint64, onDone func(uint64)) bool {
 	ch, localAddr := route(addr, p.channels)
 	coord := p.sys.chanMappers[ch].Map(p.base + localAddr)
 	sys := p.sys
@@ -552,7 +480,7 @@ func (p *bobPort) Access(write bool, addr uint64, now uint64, onDone func(uint64
 	} else {
 		r.ns.OnDone = r.onDoneFn
 	}
-	if !sys.bobs[ch].Submit(&r.ns, now) {
+	if !sys.chans[ch].Submit(&r.ns, now) {
 		sys.putNSReq(r)
 		return false
 	}
@@ -569,31 +497,6 @@ type secMemPort struct {
 // Access implements cpu.Port.
 func (p *secMemPort) Access(write bool, addr uint64, now uint64, onDone func(uint64)) bool {
 	return p.smem.Access(write, p.base+addr, now, onDone)
-}
-
-// traceDirectNS records one direct-attached NS request's latency breakdown
-// (controller queue wait, then DRAM service) and its root span on the "cpu"
-// track. The memory-clock flooring on enqueue and issue is folded into
-// mc_queue so the two stages sum exactly to the end-to-end latency.
-func (s *System) traceDirectNS(r *mc.Request, ch int, issue, done uint64, write bool) {
-	if s.trace == nil {
-		return
-	}
-	issued := clock.ToCPU(r.IssuedAt)
-	if issued < issue {
-		issued = issue
-	}
-	if issued > done {
-		issued = done
-	}
-	kind, name := evtrace.KindNSRead, "ns_read"
-	if write {
-		kind, name = evtrace.KindNSWrite, "ns_write"
-	}
-	s.trace.RecordStages(kind, r.TraceID, issue, done-issue,
-		evtrace.Stage{Name: "mc_queue", Dur: issued - issue},
-		evtrace.Stage{Name: "dram", Dur: done - issued})
-	s.trace.Emit("cpu", "ns", name, r.TraceID, issue, done, uint64(ch))
 }
 
 func (s *System) recordRead(ch int, lat uint64) {
@@ -739,13 +642,11 @@ func (s *System) runEveryCycle(st *runState) uint64 {
 // memLazy is the fast-forward loop's per-component memory-side state:
 // cached event horizons (CPU cycles) and the memory cycle count through
 // which each component's per-cycle accounting has been settled, by Tick or
-// by bulk Skip. Indexes parallel s.bobs and s.directMCs.
+// by bulk Skip. Indexes parallel s.chans.
 type memLazy struct {
-	bobNext []uint64
-	bobSet  []uint64 // mem cycles [0, bobSet) accounted
-	mcNext  []uint64
-	mcSet   []uint64
-	memNext uint64 // global memory-side horizon, min over components
+	next    []uint64
+	set     []uint64 // mem cycles [0, set) accounted
+	memNext uint64   // global memory-side horizon, min over components
 }
 
 // coreLazy is the fast-forward loop's per-core state. cores lists every
@@ -848,10 +749,8 @@ func (cl *coreLazy) catchUp(cyc uint64) {
 //     horizon does not know about.
 func (s *System) runFastForward(st *runState) (uint64, *memLazy) {
 	lz := &memLazy{
-		bobNext: make([]uint64, len(s.bobs)),
-		bobSet:  make([]uint64, len(s.bobs)),
-		mcNext:  make([]uint64, len(s.directMCs)),
-		mcSet:   make([]uint64, len(s.directMCs)),
+		next:    make([]uint64, len(s.chans)),
+		set:     make([]uint64, len(s.chans)),
 		memNext: clock.Never,
 	}
 	cl := newCoreLazy(s)
@@ -922,19 +821,15 @@ func (s *System) runFastForward(st *runState) (uint64, *memLazy) {
 
 // tickCycle advances every component by one CPU cycle in the fixed order
 // the simulation has always used: cores, engines, then (on memory edges)
-// delegators, BOB controllers and direct controllers.
+// delegators and channels.
 func (s *System) tickCycle(cyc uint64, onEdge bool, st *runState) {
 	s.tickCPU(cyc, st)
 	if onEdge {
 		for _, sd := range s.sds {
 			sd.Tick(cyc)
 		}
-		for _, b := range s.bobs {
-			b.Tick(cyc)
-		}
-		memNow := clock.ToMem(cyc)
-		for _, m := range s.directMCs {
-			m.Tick(memNow)
+		for _, ch := range s.chans {
+			ch.Tick(cyc)
 		}
 	}
 }
@@ -966,8 +861,8 @@ func (s *System) tickCPU(cyc uint64, st *runState) {
 
 // tickMemLazy advances the memory domain at a visited edge. Delegator
 // schedulers always tick (they are cheap when idle and they are the source
-// of cross-component enqueues); BOB and direct controllers tick only when
-// their cached horizon has arrived or when an invalidation — CPU-side
+// of cross-component enqueues); channels tick only when their cached
+// horizon has arrived or when an invalidation — CPU-side
 // activity since the previous visited edge, or delegator events due this
 // edge — means new work may have been enqueued anywhere. Elided accounting
 // for skipped edges is settled in bulk just before a component's next real
@@ -979,8 +874,7 @@ func (s *System) tickMemLazy(cyc uint64, lz *memLazy, cpuActive bool) {
 	// An SD with events due this edge can enqueue into the controllers it
 	// stripes over: the secure channel's sub-channels — and, when tree-top
 	// splitting relocates blocks, the normal channels too — or, on-chip,
-	// the direct controllers. A system has BOBs or direct controllers,
-	// never both, so one flag scopes the invalidation.
+	// every direct channel. sdAllChans scopes the invalidation.
 	sdDue := false
 	if !invalAll {
 		for _, sd := range s.sds {
@@ -993,44 +887,20 @@ func (s *System) tickMemLazy(cyc uint64, lz *memLazy, cpuActive bool) {
 	for _, sd := range s.sds {
 		sd.Tick(cyc)
 	}
-	for i, b := range s.bobs {
-		if invalAll || (sdDue && (i == 0 || s.sdAllBobs)) || lz.bobNext[i] <= cyc {
-			if memNow > lz.bobSet[i] {
-				b.Skip(memNow - lz.bobSet[i])
+	for i, ch := range s.chans {
+		if invalAll || (sdDue && (i == 0 || s.sdAllChans)) || lz.next[i] <= cyc {
+			if memNow > lz.set[i] {
+				ch.Skip(memNow - lz.set[i])
 			}
-			b.Tick(cyc)
-			lz.bobSet[i] = memNow + 1
-			lz.bobNext[i] = b.NextEvent(cyc)
+			ch.Tick(cyc)
+			lz.set[i] = memNow + 1
+			lz.next[i] = ch.NextEvent(cyc)
 		}
 	}
-	for i, m := range s.directMCs {
-		if invalAll || sdDue || lz.mcNext[i] <= cyc {
-			if memNow > lz.mcSet[i] {
-				m.Skip(memNow - lz.mcSet[i])
-			}
-			m.Tick(memNow)
-			lz.mcSet[i] = memNow + 1
-			if t := m.NextEvent(memNow); t == clock.Never {
-				lz.mcNext[i] = clock.Never
-			} else {
-				lz.mcNext[i] = clock.ToCPU(t)
-			}
-		}
-	}
-	// Refresh the global memory horizon: cached controller horizons plus
+	// Refresh the global memory horizon: cached channel horizons plus
 	// fresh delegator queries (their schedules may have gained events from
-	// completions fired during the controller ticks above).
-	next := clock.Never
-	for _, t := range lz.bobNext {
-		if t < next {
-			next = t
-		}
-	}
-	for _, t := range lz.mcNext {
-		if t < next {
-			next = t
-		}
-	}
+	// completions fired during the channel ticks above).
+	next := slices.Min(lz.next)
 	for _, sd := range s.sds {
 		if t := sd.NextEvent(cyc); t < next {
 			next = t
@@ -1045,16 +915,10 @@ func (s *System) tickMemLazy(cyc uint64, lz *memLazy, cpuActive bool) {
 // would have ticked each controller on every edge up to cyc.
 func (s *System) settleMem(cyc uint64, lz *memLazy) {
 	target := clock.ToMem(cyc) + 1
-	for i, b := range s.bobs {
-		if target > lz.bobSet[i] {
-			b.Skip(target - lz.bobSet[i])
-			lz.bobSet[i] = target
-		}
-	}
-	for i, m := range s.directMCs {
-		if target > lz.mcSet[i] {
-			m.Skip(target - lz.mcSet[i])
-			lz.mcSet[i] = target
+	for i, ch := range s.chans {
+		if target > lz.set[i] {
+			ch.Skip(target - lz.set[i])
+			lz.set[i] = target
 		}
 	}
 }
@@ -1095,12 +959,9 @@ func (s *System) collect(cyc uint64) {
 	}
 	power := dram.DDR31600Power()
 	elapsedMem := clock.ToMem(cyc)
-	hitRate := func(ctrl *mc.Controller) (hits, miss uint64) {
-		return ctrl.Stats().RowHits.Value(), ctrl.Stats().RowMisses.Value()
-	}
-	if s.cfg.Scheme == DORAM {
-		for c, b := range s.bobs {
-			for _, st := range []*bob.LinkStats{b.Link().DownStats(), b.Link().UpStats()} {
+	for c, ch := range s.chans {
+		if l := ch.Link(); l != nil {
+			for _, st := range []*bob.LinkStats{l.DownStats(), l.UpStats()} {
 				lf := &s.res.LinkFaults[c]
 				lf.Corrupted += st.Corrupted.Value()
 				lf.Lost += st.Lost.Value()
@@ -1108,26 +969,16 @@ func (s *System) collect(cyc uint64) {
 				lf.GiveUps += st.GiveUps.Value()
 				lf.RetryCycles += st.RetryCycles.Value()
 			}
-			var hits, miss uint64
-			for _, sub := range b.SubChannels() {
-				s.res.ChannelDataBusBusy[c] += sub.Channel().Stats().DataBus.Busy()
-				s.res.ChannelEnergyUJ[c] += sub.Channel().Energy(power, elapsedMem).Total()
-				h, m := hitRate(sub)
-				hits += h
-				miss += m
-			}
-			if hits+miss > 0 {
-				s.res.ChannelRowHitRate[c] = float64(hits) / float64(hits+miss)
-			}
 		}
-	} else {
-		for c, m := range s.directMCs {
-			s.res.ChannelDataBusBusy[c] = m.Channel().Stats().DataBus.Busy()
-			s.res.ChannelEnergyUJ[c] = m.Channel().Energy(power, elapsedMem).Total()
-			h, ms := hitRate(m)
-			if h+ms > 0 {
-				s.res.ChannelRowHitRate[c] = float64(h) / float64(h+ms)
-			}
+		var hits, miss uint64
+		for _, sub := range ch.SubChannels() {
+			s.res.ChannelDataBusBusy[c] += sub.Channel().Stats().DataBus.Busy()
+			s.res.ChannelEnergyUJ[c] += sub.Channel().Energy(power, elapsedMem).Total()
+			hits += sub.Stats().RowHits.Value()
+			miss += sub.Stats().RowMisses.Value()
+		}
+		if hits+miss > 0 {
+			s.res.ChannelRowHitRate[c] = float64(hits) / float64(hits+miss)
 		}
 	}
 }

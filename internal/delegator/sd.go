@@ -79,7 +79,7 @@ type SD struct {
 	// only the crypto check.
 	link *bob.Link
 	// mcs are the controllers the tree is striped over: the secure BOB's
-	// sub-channels in D-ORAM, the direct channels in the baseline.
+	// sub-channels in D-ORAM, one per direct channel in the baseline.
 	mcs     []*mc.Controller
 	normals []*bob.SimpleController // indexed 0..2 for channels 1..3
 
@@ -200,8 +200,9 @@ func NewSD(cfg SDConfig, sampler *oram.Sampler, lay *layout.Layout,
 	return newSD(cfg, sampler, lay, secure.Link(), secure.SubChannels(), normals, geo)
 }
 
-// NewOnChip builds the Path ORAM baseline's executor over the
-// direct-attached channel controllers: the SD state machine with no link.
+// NewOnChip builds the Path ORAM baseline's executor over the controllers
+// of the direct-attached channels (bob.NewDirect), one per channel in
+// channel order: the SD state machine with no link.
 // lay must have no split (the baseline stripes every node's blocks across
 // all channels).
 func NewOnChip(cfg SDConfig, sampler *oram.Sampler, lay *layout.Layout,

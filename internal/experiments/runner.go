@@ -43,10 +43,6 @@ type Options struct {
 	// every run of the sweep (backend.Evictions() names). The stashless
 	// sampler's traces only change for strategies that add eviction paths.
 	Eviction string
-	// Encryptor, when non-empty, selects the functional bucket encryptor
-	// carried by every config (backend.Encryptors() names); it is
-	// validated and recorded but does not alter timing.
-	Encryptor string
 
 	// Exec, when set, runs each config in place of the in-process
 	// simulation — the hook a remote executor (a doramd endpoint) plugs
@@ -104,9 +100,6 @@ func (o Options) apply(cfg core.Config) core.Config {
 	}
 	if o.Eviction != "" {
 		cfg.Eviction = o.Eviction
-	}
-	if o.Encryptor != "" {
-		cfg.Encryptor = o.Encryptor
 	}
 	return cfg
 }

@@ -51,9 +51,11 @@ type SecMem struct {
 	stats  Stats
 }
 
-// New builds the port over the direct-attached channel controllers. The
-// mapper spreads the S-App's lines across all channels (bus indices must
-// match the mcs slice).
+// New builds the port over the controllers of the direct-attached
+// channels (bob.NewDirect), one per channel in channel order; the S-App
+// enqueues into them beside the NS-Apps' traffic. The mapper spreads the
+// S-App's lines across all channels (bus indices must match the mcs
+// slice).
 func New(cfg Config, mcs []*mc.Controller, mapper *addrmap.Mapper, appID int) *SecMem {
 	if len(mcs) == 0 {
 		panic("secmem: need at least one channel")

@@ -68,13 +68,12 @@ type Params struct {
 	DDR4          bool `json:"ddr4,omitempty"`
 	NoFastForward bool `json:"no_fast_forward,omitempty"`
 
-	// Eviction and Encryptor select the ORAM backend by registry name
-	// (internal/oram/backend). Omitted or spelled-out defaults
-	// ("level-by-level", "ctr-hmac") canonicalize to the empty string, so
+	// Eviction selects the ORAM write-back strategy by registry name
+	// (internal/oram/backend). Omitted or spelled-out default
+	// ("level-by-level") canonicalizes to the empty string, so
 	// pre-existing spec hashes — and with them every simsvc/cluster cache
-	// key — are unchanged by the knobs' existence.
-	Eviction  string `json:"eviction,omitempty"`
-	Encryptor string `json:"encryptor,omitempty"`
+	// key — are unchanged by the knob's existence.
+	Eviction string `json:"eviction,omitempty"`
 
 	LinkCorruptProb float64 `json:"link_corrupt_prob,omitempty"`
 	LinkLossProb    float64 `json:"link_loss_prob,omitempty"`
@@ -150,9 +149,6 @@ func (p Params) Canonical() Params {
 	}
 	if c.Eviction == backend.DefaultEviction {
 		c.Eviction = ""
-	}
-	if c.Encryptor == backend.DefaultEncryptor {
-		c.Encryptor = ""
 	}
 	if c.TraceSample > 1 || c.TraceOramOnly || c.TraceTopN > 0 {
 		c.Trace = true
@@ -251,7 +247,6 @@ func (p Params) SimConfig() SimConfig {
 		DDR4:               c.DDR4,
 		NoFastForward:      c.NoFastForward,
 		Eviction:           c.Eviction,
-		Encryptor:          c.Encryptor,
 		LinkCorruptProb:    c.LinkCorruptProb,
 		LinkLossProb:       c.LinkLossProb,
 		Metrics:            c.Metrics,
@@ -316,7 +311,6 @@ func paramsFromCore(c core.Config) (Params, bool) {
 		DDR4:               c.DDR4,
 		NoFastForward:      c.NoFastForward,
 		Eviction:           c.Eviction,
-		Encryptor:          c.Encryptor,
 		LinkCorruptProb:    c.LinkCorruptProb,
 		LinkLossProb:       c.LinkLossProb,
 		MetricsEpochCycles: c.MetricsEpochCycles,

@@ -65,7 +65,7 @@ func TestParamsHashInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bare spec: %v", err)
 	}
-	d2, err := ParamsFromJSON([]byte(`{"scheme":"d-oram","benchmark":"face","eviction":"level-by-level","encryptor":"ctr-hmac"}`))
+	d2, err := ParamsFromJSON([]byte(`{"scheme":"d-oram","benchmark":"face","eviction":"level-by-level"}`))
 	if err != nil {
 		t.Fatalf("default-backend spec: %v", err)
 	}
@@ -203,7 +203,6 @@ func TestParamsFromCoreSweepConfigs(t *testing.T) {
 	base := ExperimentOptions{TraceLen: 1200, Seed: 42, Benchmarks: []string{"face"}}
 	withMetrics := base
 	withMetrics.MetricsDir = t.TempDir()
-	withMetrics.Encryptor = "aes-gcm"
 	cfgs := append(sweepConfigs(t, base), sweepConfigs(t, withMetrics)...)
 
 	inexpressible := 0

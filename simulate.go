@@ -77,10 +77,6 @@ type SimConfig struct {
 	// the simulated address stream; selection-only strategies matter to
 	// the functional plane.
 	Eviction string
-	// Encryptor selects the functional-plane bucket crypto by name ("" =
-	// ctr-hmac; see internal/oram/backend.Encryptors). Validated and
-	// carried in job specs; timing results do not depend on it.
-	Encryptor string
 	// DDR4 swaps DDR3-1600 for DDR4-2400 devices (bank groups).
 	DDR4 bool
 
@@ -331,7 +327,6 @@ func (cfg SimConfig) coreConfig() (core.Config, error) {
 	ic.ForkPath = cfg.ForkPath
 	ic.OverlapPhases = cfg.OverlapPhases
 	ic.Eviction = cfg.Eviction
-	ic.Encryptor = cfg.Encryptor
 	ic.DDR4 = cfg.DDR4
 	ic.NSChannels = cfg.NSChannels
 	ic.SecureSharers = cfg.SecureSharers
