@@ -209,9 +209,11 @@ func checkFlagConflicts(explicit map[string]bool, traceJSON string, traceLimit i
 			"trace-json", "trace-limit", "trace-sample", "trace-top", "trace-validate",
 		} {
 			if explicit[name] {
-				return fmt.Errorf("-chaos runs a fixed fault campaign against the functional ORAM; -%s does not apply (only -seed does)", name)
+				return fmt.Errorf("-chaos runs a fixed fault campaign against the functional ORAM; -%s does not apply (only -seed, -eviction and -encryptor do)", name)
 			}
 		}
+	} else if explicit["encryptor"] {
+		return fmt.Errorf("-encryptor picks the bucket cipher of the functional ORAM only -chaos runs; add -chaos")
 	}
 	if (explicit["trace-sample"] || explicit["trace-limit"]) && traceJSON == "" {
 		return fmt.Errorf("-trace-sample/-trace-limit shape the event ring only -trace-json exports; add -trace-json")

@@ -27,6 +27,11 @@ func TestCheckFlagConflicts(t *testing.T) {
 		{name: "chaos with scheme", explicit: set("chaos", "scheme"), wantErr: "-scheme does not apply"},
 		{name: "chaos with metrics", explicit: set("chaos", "metrics-json"), wantErr: "-metrics-json does not apply"},
 		{name: "chaos with bench", explicit: set("chaos", "bench"), wantErr: "-bench does not apply"},
+		{name: "chaos names what applies", explicit: set("chaos", "trace"), wantErr: "only -seed, -eviction and -encryptor do"},
+		{name: "chaos with eviction and encryptor", explicit: set("chaos", "seed", "eviction", "encryptor")},
+		{name: "encryptor without chaos", explicit: set("encryptor"), wantErr: "add -chaos"},
+		{name: "encryptor on a simulation", explicit: set("scheme", "encryptor"), wantErr: "add -chaos"},
+		{name: "eviction on a simulation", explicit: set("scheme", "eviction")},
 		{name: "sample without sink", explicit: set("trace-sample"), wantErr: "add -trace-json"},
 		{name: "limit without sink", explicit: set("trace-limit"), wantErr: "add -trace-json"},
 		{name: "sample with trace-json", explicit: set("trace-sample", "trace-json"), traceJSON: "out.json", traceLimit: 200000},
