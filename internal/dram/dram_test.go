@@ -319,6 +319,91 @@ func TestPropertyMonotonicIssueTimes(t *testing.T) {
 	}
 }
 
+// TestPropertyEarliestIssueExact drives DDR3 and DDR4 channels with random
+// legal command streams and checks, between commands, that EarliestIssue
+// is exact and CanIssue monotone: for every command, bank and cycle T from
+// the cycle asked, CanIssue holds exactly when EarliestIssue <= T. The
+// memory controller's readiness memo rests on it. Each stream starts at
+// cycle 0 and asks both before and after the cycle's command slot resets.
+func TestPropertyEarliestIssueExact(t *testing.T) {
+	const banks, horizon = 8, 300
+	cmds := []Command{CmdActivate, CmdPrecharge, CmdRead, CmdWrite, CmdRefresh}
+	for _, tm := range []Timing{DDR31600(), DDR42400()} {
+		f := func(seed int64) bool {
+			rng := newSplitMix(uint64(seed))
+			ch := NewChannel(tm, 2, banks)
+			check := func(now uint64) bool {
+				for _, cmd := range cmds {
+					rank, bank := int(rng.next()%2), int(rng.next()%banks)
+					row := ch.OpenRow(rank, bank)
+					if rng.next()%4 == 0 {
+						row = int64(rng.next() % 4)
+					}
+					e := ch.EarliestIssue(cmd, rank, bank, row, now)
+					for at := now; at < now+horizon; at++ {
+						if ch.CanIssue(cmd, rank, bank, row, at) != (e <= at) {
+							t.Logf("%s rank %d bank %d row %d asked at %d: EarliestIssue %d, CanIssue(%d) %v",
+								cmd, rank, bank, row, now, e, at, !(e <= at))
+							return false
+						}
+					}
+				}
+				return true
+			}
+			now := uint64(0)
+			refreshes := 0
+			for i := 0; i < 600; i++ {
+				// Mostly rank 0, and an activate whenever the bank is
+				// closed, so activate windows fill up.
+				rank, bank := int(rng.next()%4/3), int(rng.next()%banks)
+				cmd := cmds[1+rng.next()%3]
+				if ch.OpenRow(rank, bank) == RowNone {
+					cmd = CmdActivate
+				}
+				if ch.RefreshPressure(rank, now) {
+					// Close the rank's banks, then refresh it.
+					cmd, bank = CmdRefresh, 0
+					for b := 0; b < banks; b++ {
+						if ch.OpenRow(rank, b) != RowNone {
+							cmd, bank = CmdPrecharge, b
+							break
+						}
+					}
+				}
+				row := ch.OpenRow(rank, bank)
+				if cmd == CmdActivate {
+					row = int64(rng.next() % 4)
+				}
+				if ch.CanIssue(cmd, rank, bank, row, now) {
+					ch.Issue(cmd, rank, bank, row, now)
+					if cmd == CmdRefresh {
+						refreshes++
+					}
+				}
+				if !check(now) {
+					return false
+				}
+				ch.EndCycle()
+				if !check(now + 1) {
+					return false
+				}
+				now += 1 + rng.next()%4
+				if rng.next()%16 == 0 {
+					now += rng.next() % 512 // idle stretch: reach refresh deadlines
+				}
+			}
+			if refreshes == 0 {
+				t.Log("no refresh issued")
+				return false
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // splitMix is a tiny deterministic RNG for tests, avoiding math/rand state.
 type splitMix struct{ s uint64 }
 
