@@ -28,17 +28,21 @@
 // "Cluster mode") — the API is identical; against a coordinator, tail
 // shows the merged stream including per-worker events.
 //
-// Transient failures are retried with jittered exponential backoff:
-// connection errors and 502/503/504 for a handful of attempts, and 429
-// (queue full) honouring the server's Retry-After. A plain 500 means
-// the job itself failed and is not retried. wait polls with the same
-// jittered backoff (100ms doubling to a 2s cap), resetting whenever the
-// job makes progress; -follow replaces polling with the server's SSE
-// event stream and falls back to polling if streaming is unavailable.
+// Every request goes through the shared job client (internal/retry), so
+// doramctl retries exactly as `experiments -endpoint` does. Connection
+// errors and 502/503/504 are retried six times with jittered exponential
+// backoff (250ms doubling to a 10s cap, or the server's Retry-After); a
+// 429 (queue full) waits for the server's Retry-After (2s if absent,
+// capped at 30s), jittered, up to 20 times. Any other error status, a
+// plain 500 included (the job itself failed), is final. A sweep's 429
+// keeps the jobs it accepted and resubmits only the specs turned away for
+// backpressure. wait polls from 50ms doubling to a 2s cap, jittered and
+// reset whenever the job's state changes; -follow replaces polling with
+// the server's SSE event stream and falls back to polling if streaming is
+// unavailable. Retries and state changes are noted on stderr.
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -80,14 +84,15 @@ func main() {
 	c := newClient(server)
 
 	cmd, args := args[0], args[1:]
+	get := func(path string) error { return printBody(c.Do("GET", path, nil)) }
 	var err error
 	switch cmd {
 	case "health":
-		err = c.health()
+		err = get("/healthz")
 	case "varz":
-		err = c.printBody("GET", "/varz", nil)
+		err = get("/varz")
 	case "nodes":
-		err = c.printBody("GET", "/v1/cluster/nodes", nil)
+		err = get("/v1/cluster/nodes")
 	case "submit":
 		err = c.submit(args)
 	case "run":
@@ -95,25 +100,21 @@ func main() {
 	case "sweep":
 		err = c.sweep(args)
 	case "status":
-		err = c.oneJob(args, func(id string) error { return c.printBody("GET", "/v1/jobs/"+id, nil) })
+		err = oneJob(args, func(id string) error { return get("/v1/jobs/" + id) })
 	case "wait":
-		follow := false
 		if len(args) > 0 && (args[0] == "-follow" || args[0] == "--follow") {
-			follow, args = true, args[1:]
-		}
-		if follow {
-			err = c.oneJob(args, func(id string) error { _, err := c.waitFollow(id); return err })
+			err = oneJob(args[1:], c.waitFollow)
 		} else {
-			err = c.oneJob(args, func(id string) error { _, err := c.wait(id); return err })
+			err = oneJob(args, func(id string) error { _, err := c.Wait(id); return err })
 		}
 	case "tail":
 		err = c.tail(args)
 	case "result":
-		err = c.oneJob(args, func(id string) error { return c.printBody("GET", "/v1/jobs/"+id+"/result", nil) })
+		err = oneJob(args, func(id string) error { return get("/v1/jobs/" + id + "/result") })
 	case "metrics":
-		err = c.oneJob(args, func(id string) error { return c.printBody("GET", "/v1/jobs/"+id+"/metrics", nil) })
+		err = oneJob(args, func(id string) error { return get("/v1/jobs/" + id + "/metrics") })
 	case "cancel":
-		err = c.oneJob(args, func(id string) error { return c.printBody("POST", "/v1/jobs/"+id+"/cancel", nil) })
+		err = oneJob(args, func(id string) error { return printBody(c.Do("POST", "/v1/jobs/"+id+"/cancel", nil)) })
 	default:
 		usage()
 	}
@@ -123,126 +124,33 @@ func main() {
 	}
 }
 
+// client is doramctl's view of the service: the shared job client, plus
+// the base URL its event streams open against.
 type client struct {
+	*retry.Client
 	base string
-	rng  *xrand.Rand // backoff jitter
 }
 
 // newClient seeds the backoff jitter from DORAMCTL_SEED when set (tests
 // pin it for reproducible retry schedules), else from the wall clock and
-// pid so a fleet of concurrently launched clients spreads out.
+// pid so a fleet of concurrently launched clients spreads out. Retries and
+// job state changes are noted on stderr.
 func newClient(server string) *client {
 	seed, err := strconv.ParseUint(os.Getenv("DORAMCTL_SEED"), 10, 64)
 	if err != nil || seed == 0 {
 		seed = uint64(time.Now().UnixNano()) ^ uint64(os.Getpid())<<32
 	}
-	return &client{base: strings.TrimRight(server, "/"), rng: xrand.New(seed)}
+	base := strings.TrimRight(server, "/")
+	return &client{Client: retry.NewClient(base, nil, xrand.New(seed).Float64, notice), base: base}
 }
 
-// jobStatus mirrors the service's JobStatus closely enough to drive the
-// client (unknown fields are ignored on purpose: older clients keep
-// working against newer servers).
-type jobStatus struct {
-	ID    string `json:"id"`
-	State string `json:"state"`
-	Error string `json:"error"`
+// notice writes one progress line to stderr: a retry, a job state change.
+func notice(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "doramctl: "+format+"\n", args...)
 }
 
-func terminal(state string) bool {
-	return state == "done" || state == "failed" || state == "cancelled"
-}
-
-// Retry policy. Connection errors and gateway errors (502/503/504) get
-// maxTransientRetries attempts with jittered exponential backoff; 429
-// gets maxQueueRetries honouring the server's Retry-After. A plain 500
-// is the job's own failure and is never retried.
-const (
-	maxTransientRetries = 6
-	maxQueueRetries     = 8
-	retryBase           = 250 * time.Millisecond
-	retryCap            = 10 * time.Second
-)
-
-// backoff returns the jittered exponential delay for the given attempt
-// (0-based): base·2^attempt, capped, scaled by a random [0.5,1.5) factor.
-func (c *client) backoff(attempt int) time.Duration {
-	return retry.Backoff{Base: retryBase, Cap: retryCap, Lo: 0.5, Hi: 1.5}.Delay(attempt, c.rng.Float64())
-}
-
-func transientStatus(code int) bool {
-	return code == http.StatusBadGateway || code == http.StatusServiceUnavailable ||
-		code == http.StatusGatewayTimeout
-}
-
-// do performs one request and returns the body. Service errors become Go
-// errors carrying the server's message; transient failures are retried
-// per the policy above.
-func (c *client) do(method, path string, body []byte) ([]byte, error) {
-	transient, queued := 0, 0
-	for {
-		req, err := http.NewRequest(method, c.base+path, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			if transient >= maxTransientRetries {
-				return nil, fmt.Errorf("after %d attempts: %w", transient+1, err)
-			}
-			delay := c.backoff(transient)
-			transient++
-			fmt.Fprintf(os.Stderr, "doramctl: %v, retrying in %s\n", err, delay.Round(time.Millisecond))
-			time.Sleep(delay)
-			continue
-		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			if transient >= maxTransientRetries {
-				return nil, fmt.Errorf("after %d attempts: %w", transient+1, err)
-			}
-			delay := c.backoff(transient)
-			transient++
-			time.Sleep(delay)
-			continue
-		}
-		switch {
-		case resp.StatusCode == http.StatusTooManyRequests && queued < maxQueueRetries:
-			// Jitter so a fleet of clients doesn't re-dogpile the queue.
-			delay := retry.Jitter(retry.After(resp.Header, 2*time.Second), 0.75, 1.25, c.rng.Float64())
-			queued++
-			fmt.Fprintf(os.Stderr, "doramctl: queue full, retrying in %s\n", delay.Round(time.Millisecond))
-			time.Sleep(delay)
-			continue
-		case transientStatus(resp.StatusCode) && transient < maxTransientRetries:
-			delay := retry.After(resp.Header, c.backoff(transient))
-			transient++
-			fmt.Fprintf(os.Stderr, "doramctl: HTTP %d, retrying in %s\n", resp.StatusCode, delay.Round(time.Millisecond))
-			time.Sleep(delay)
-			continue
-		}
-		if resp.StatusCode >= 300 {
-			return nil, errors.New(retry.ErrorMessage(resp.StatusCode, data))
-		}
-		return data, nil
-	}
-}
-
-// printBody performs a request and echoes the JSON response to stdout.
-func (c *client) printBody(method, path string, body []byte) error {
-	data, err := c.do(method, path, body)
-	if err != nil {
-		return err
-	}
-	os.Stdout.Write(data)
-	return nil
-}
-
-func (c *client) health() error {
-	data, err := c.do("GET", "/healthz", nil)
+// printBody echoes a response body to stdout.
+func printBody(data []byte, err error) error {
 	if err != nil {
 		return err
 	}
@@ -251,7 +159,7 @@ func (c *client) health() error {
 }
 
 // oneJob runs fn against exactly one job-id argument.
-func (c *client) oneJob(args []string, fn func(id string) error) error {
+func oneJob(args []string, fn func(id string) error) error {
 	if len(args) != 1 {
 		return fmt.Errorf("expected exactly one job id, got %d arguments", len(args))
 	}
@@ -278,26 +186,14 @@ func (c *client) submit(args []string) error {
 	if err != nil {
 		return err
 	}
-	data, err := c.do("POST", "/v1/jobs", spec)
-	if err != nil {
+	job, data, err := c.Submit(spec)
+	if err != nil || !wait {
+		return printBody(data, err)
+	}
+	if job, err = c.Wait(job.ID); err != nil {
 		return err
 	}
-	var st jobStatus
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("decoding response: %w", err)
-	}
-	if !wait {
-		os.Stdout.Write(data)
-		return nil
-	}
-	final, err := c.wait(st.ID)
-	if err != nil {
-		return err
-	}
-	if final.State != "done" {
-		return fmt.Errorf("job %s ended %s: %s", final.ID, final.State, final.Error)
-	}
-	return nil
+	return job.Err()
 }
 
 // run submits one spec, waits for it, and prints the result document —
@@ -311,24 +207,13 @@ func (c *client) run(args []string) error {
 	if err != nil {
 		return err
 	}
-	data, err := c.do("POST", "/v1/jobs", spec)
-	if err != nil {
-		return err
-	}
-	var st jobStatus
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("decoding response: %w", err)
-	}
-	final, err := c.wait(st.ID)
-	if err != nil {
-		return err
-	}
-	if final.State != "done" {
-		return fmt.Errorf("job %s ended %s: %s", final.ID, final.State, final.Error)
-	}
-	return c.printBody("GET", "/v1/jobs/"+final.ID+"/result", nil)
+	return printBody(c.Run(spec))
 }
 
+// sweep submits a batch in one request. A 429 means the queue filled part
+// way through: the jobs it accepted stand, and only the specs it turned
+// away for backpressure are resubmitted, one at a time under the client's
+// 429 policy — re-posting the batch would orphan the accepted jobs.
 func (c *client) sweep(args []string) error {
 	wait := false
 	if len(args) > 0 && args[0] == "-wait" {
@@ -337,149 +222,106 @@ func (c *client) sweep(args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("sweep expects at least one spec file")
 	}
-	var req struct {
-		Specs []json.RawMessage `json:"specs"`
-	}
-	for _, path := range args {
+	req := simsvc.SweepRequest{Specs: make([]json.RawMessage, len(args))}
+	for i, path := range args {
 		spec, err := readSpec(path)
 		if err != nil {
 			return err
 		}
-		req.Specs = append(req.Specs, json.RawMessage(spec))
+		req.Specs[i] = spec
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
-	data, err := c.do("POST", "/v1/sweeps", body)
+	code, data, _, err := c.Send("POST", "/v1/sweeps", body)
 	if err != nil {
 		return err
 	}
-	var resp struct {
-		Jobs     []*jobStatus `json:"jobs"`
-		Errors   []string     `json:"errors"`
-		Rejected int          `json:"rejected"`
+	var resp simsvc.SweepResponse
+	if json.Unmarshal(data, &resp) != nil || len(resp.Jobs) != len(args) {
+		return errors.New(retry.ErrorMessage(code, data))
 	}
-	if err := json.Unmarshal(data, &resp); err != nil {
-		return fmt.Errorf("decoding response: %w", err)
+	if len(resp.Errors) != len(args) { // omitted when nothing was rejected
+		resp.Errors = make([]string, len(args))
+	}
+	if code == http.StatusTooManyRequests {
+		for i, job := range resp.Jobs {
+			if job != nil || !simsvc.IsQueueFull(resp.Errors[i]) {
+				continue
+			}
+			var st simsvc.JobStatus
+			_, data, err := c.Submit(req.Specs[i])
+			if err == nil {
+				err = json.Unmarshal(data, &st)
+			}
+			if err != nil {
+				resp.Errors[i] = err.Error()
+				continue
+			}
+			resp.Jobs[i], resp.Errors[i] = &st, ""
+			resp.Rejected--
+		}
+	}
+	if resp.Rejected == 0 {
+		resp.Errors = nil
 	}
 	if !wait {
-		os.Stdout.Write(data)
+		out, err := json.MarshalIndent(resp, "", "  ")
+		if err != nil {
+			return err
+		}
+		os.Stdout.Write(append(out, '\n'))
 		if resp.Rejected > 0 {
-			return fmt.Errorf("%d of %d specs rejected", resp.Rejected, len(req.Specs))
+			return fmt.Errorf("%d of %d specs rejected", resp.Rejected, len(args))
 		}
 		return nil
 	}
 	failed := 0
 	for i, job := range resp.Jobs {
 		if job == nil {
-			fmt.Fprintf(os.Stderr, "doramctl: spec %s rejected: %s\n", args[i], resp.Errors[i])
+			notice("spec %s rejected: %s", args[i], resp.Errors[i])
 			failed++
 			continue
 		}
-		final, err := c.wait(job.ID)
+		final, err := c.Wait(job.ID)
 		if err != nil {
 			return err
 		}
-		if final.State != "done" {
-			fmt.Fprintf(os.Stderr, "doramctl: job %s (%s) ended %s: %s\n", final.ID, args[i], final.State, final.Error)
+		if err := final.Err(); err != nil {
+			notice("%v (%s)", err, args[i])
 			failed++
 		}
 	}
 	if failed > 0 {
-		return fmt.Errorf("%d of %d sweep jobs did not finish", failed, len(req.Specs))
+		return fmt.Errorf("%d of %d sweep jobs did not finish", failed, len(args))
 	}
 	return nil
 }
 
-// pollBase/pollCap bound the wait-polling cadence: 100ms doubling per
-// quiet poll, capped at 2s, jittered so a fleet of waiting clients
-// spreads out instead of polling in lockstep.
-const (
-	pollBase = 100 * time.Millisecond
-	pollCap  = 2 * time.Second
-)
-
-// pollDelay is the jittered exponential wait-poll schedule for the given
-// consecutive-quiet-poll count (0-based).
-func (c *client) pollDelay(quiet int) time.Duration {
-	return retry.Backoff{Base: pollBase, Cap: pollCap, Lo: 0.5, Hi: 1.5}.Delay(quiet, c.rng.Float64())
-}
-
-// wait polls a job until it is terminal, printing each state change, and
-// returns the final status. The poll interval backs off exponentially
-// (with jitter) while the state is unchanged and resets on progress.
-func (c *client) wait(id string) (jobStatus, error) {
-	last := ""
-	quiet := 0
-	for {
-		data, err := c.do("GET", "/v1/jobs/"+id, nil)
-		if err != nil {
-			return jobStatus{}, err
-		}
-		var st jobStatus
-		if err := json.Unmarshal(data, &st); err != nil {
-			return jobStatus{}, fmt.Errorf("decoding status: %w", err)
-		}
-		if st.State != last {
-			fmt.Fprintf(os.Stderr, "doramctl: %s %s\n", id, st.State)
-			last = st.State
-			quiet = 0
-		}
-		if terminal(st.State) {
-			return st, nil
-		}
-		time.Sleep(c.pollDelay(quiet))
-		quiet++
-	}
-}
-
 // waitFollow waits for a job by consuming its SSE event stream, falling
-// back to jittered polling when streaming is unavailable (old server, a
-// proxy stripping the stream, mid-transfer disconnects).
-func (c *client) waitFollow(id string) (jobStatus, error) {
-	st, err := c.followJob(id)
+// back to polling when streaming is unavailable (old server, a proxy
+// stripping the stream, mid-transfer disconnects).
+func (c *client) waitFollow(id string) error {
+	var cursor uint64
+	var last simsvc.State
+	// The job's stream lives at {base}/v1/jobs/{id}/events and ends after
+	// its terminal event.
+	err := simsvc.FollowEvents(context.Background(), http.DefaultClient, c.base+"/v1/jobs/"+id, &cursor, func(ev simsvc.Event) bool {
+		if ev.Kind != simsvc.EventJob {
+			return true
+		}
+		if ev.State != last {
+			notice("%s %s", id, ev.State)
+			last = ev.State
+		}
+		return !ev.State.Terminal()
+	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "doramctl: event stream unavailable (%v), falling back to polling\n", err)
-		return c.wait(id)
+		notice("event stream unavailable (%v), falling back to polling", err)
+		_, err = c.Wait(id)
 	}
-	return st, nil
-}
-
-// followJob consumes one job's event stream until the terminal event.
-func (c *client) followJob(id string) (jobStatus, error) {
-	resp, err := http.Get(c.base + "/v1/jobs/" + id + "/events")
-	if err != nil {
-		return jobStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return jobStatus{}, fmt.Errorf("HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(data))
-	}
-	if !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
-		return jobStatus{}, fmt.Errorf("server does not stream events (Content-Type %q)", resp.Header.Get("Content-Type"))
-	}
-	sc := simsvc.NewSSEScanner(resp.Body)
-	last := ""
-	for {
-		raw, err := sc.Next()
-		if err != nil {
-			return jobStatus{}, fmt.Errorf("stream ended before the job did: %w", err)
-		}
-		ev, err := raw.Decode()
-		if err != nil || ev.Kind != simsvc.EventJob {
-			continue
-		}
-		state := string(ev.State)
-		if state != last {
-			fmt.Fprintf(os.Stderr, "doramctl: %s %s\n", id, state)
-			last = state
-		}
-		if terminal(state) {
-			return jobStatus{ID: id, State: state, Error: ev.Error}, nil
-		}
-	}
+	return err
 }
 
 // tail streams service events to stdout: every event when called bare,
@@ -489,16 +331,12 @@ func (c *client) tail(args []string) error {
 	if len(args) > 0 {
 		pending = make(map[string]bool)
 		for _, id := range args {
-			data, err := c.do("GET", "/v1/jobs/"+id, nil)
+			st, err := c.Status(id)
 			if err != nil {
 				return err
 			}
-			var st jobStatus
-			if err := json.Unmarshal(data, &st); err != nil {
-				return fmt.Errorf("decoding status: %w", err)
-			}
 			fmt.Printf("%s %s\n", st.ID, st.State)
-			if !terminal(st.State) {
+			if !st.Terminal() {
 				pending[id] = true
 			}
 		}
@@ -506,49 +344,24 @@ func (c *client) tail(args []string) error {
 			return nil
 		}
 	}
-
 	var cursor uint64
-	attempts := 0
-	for {
-		progressed, err := c.tailOnce(&cursor, pending)
-		if err == nil {
-			return nil // all followed jobs terminal
-		}
-		if progressed {
-			attempts = 0 // the cursor moved; this outage is a fresh one
-		}
-		if attempts >= maxTransientRetries {
-			return fmt.Errorf("event stream: %w", err)
-		}
-		delay := c.backoff(attempts)
-		attempts++
-		fmt.Fprintf(os.Stderr, "doramctl: stream interrupted (%v), reconnecting in %s\n", err, delay.Round(time.Millisecond))
-		time.Sleep(delay)
-	}
-}
-
-// tailOnce consumes one /events stream, resuming from cursor, rendering
-// each event, and pruning pending jobs as they reach terminal states.
-// Returns a nil error only when every followed job is terminal; a bare
-// tail (pending == nil) streams until the connection breaks. progressed
-// reports whether any event arrived, so the caller can reset its
-// reconnect budget.
-func (c *client) tailOnce(cursor *uint64, pending map[string]bool) (progressed bool, err error) {
-	start := *cursor
-	err = simsvc.FollowEvents(context.Background(), http.DefaultClient, c.base, cursor, func(ev simsvc.Event) bool {
-		// A coordinator's stream also carries its workers' events (Node
-		// set), whose job ids are the workers' own.
-		if pending != nil && (ev.Kind != simsvc.EventJob || ev.Node != "" || !pending[ev.JobID]) {
+	return c.Stream(func() (bool, error) {
+		start := cursor
+		err := simsvc.FollowEvents(context.Background(), http.DefaultClient, c.base, &cursor, func(ev simsvc.Event) bool {
+			// A coordinator's stream also carries its workers' events
+			// (Node set), whose job ids are the workers' own.
+			if pending != nil && (ev.Kind != simsvc.EventJob || ev.Node != "" || !pending[ev.JobID]) {
+				return true
+			}
+			fmt.Println(renderEvent(ev))
+			if pending != nil && ev.State.Terminal() {
+				delete(pending, ev.JobID)
+				return len(pending) > 0
+			}
 			return true
-		}
-		fmt.Println(renderEvent(ev))
-		if pending != nil && ev.State.Terminal() {
-			delete(pending, ev.JobID)
-			return len(pending) > 0
-		}
-		return true
+		})
+		return cursor != start, err
 	})
-	return *cursor != start, err
 }
 
 // renderEvent formats one bus event as a tail output line.

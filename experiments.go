@@ -62,7 +62,7 @@ func (o ExperimentOptions) internal() (experiments.Options, error) {
 		if o.TraceDir != "" {
 			return io, fmt.Errorf("doram: TraceDir cannot be combined with Endpoint (span traces stay on the server)")
 		}
-		io.Exec = newRemoteClient(o.Endpoint).exec
+		io.Exec = remoteExec(o.Endpoint)
 	}
 	return io, nil
 }

@@ -55,7 +55,6 @@ func startChaosWorker(t *testing.T, coordURL string, cfg simsvc.Config) *chaosWo
 			Coordinator: coordURL,
 			Advertise:   w.url,
 			Transport:   w.gate,
-			Logf:        func(string, ...any) {},
 		})
 	}()
 	t.Cleanup(func() { w.kill(coordURL) })

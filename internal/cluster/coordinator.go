@@ -49,11 +49,9 @@ type CoordinatorConfig struct {
 	// Transport overrides the HTTP transport used to reach workers (the
 	// deterministic-test injection point); nil means the default.
 	Transport http.RoundTripper
-	// Logf receives one-line membership and failover events; nil means a
-	// shim over Logger when that is set, else log.Printf.
-	Logf func(format string, args ...any)
-	// Logger receives structured serving-plane logs, the job service's
-	// included; nil discards them (Logf still carries the one-liners).
+	// Logger receives structured serving-plane logs: membership and
+	// failover events at Info, and the job service's own lines. Nil
+	// discards them.
 	Logger *slog.Logger
 
 	// EventFanIn opens a standing /events stream to every live worker,
@@ -79,7 +77,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if c.HedgeAfter == 0 {
 		c.HedgeAfter = 30 * time.Second
 	}
-	c.Logf = logfOr(c.Logf, c.Logger)
 	if c.Logger == nil {
 		c.Logger = obslog.Discard()
 	}
@@ -269,7 +266,7 @@ func (c *Coordinator) join(id string, now time.Time) time.Duration {
 		c.ring.add(id)
 		c.nodeJoins.Inc()
 		c.startTailLocked(n)
-		c.cfg.Logf("cluster: worker %s joined (%d alive)", id, c.ring.size())
+		c.cfg.Logger.Info("worker joined", slog.String("node", id), slog.Int("alive", c.ring.size()))
 	}
 	n.lastBeat = now
 	return c.cfg.HeartbeatInterval
@@ -318,7 +315,7 @@ func (c *Coordinator) markDeadLocked(n *node, why string) {
 	if n.stopTail != nil {
 		n.stopTail()
 	}
-	c.cfg.Logf("cluster: worker %s dead (%s), %d alive", n.id, why, c.ring.size())
+	c.cfg.Logger.Info("worker dead", slog.String("node", n.id), slog.String("why", why), slog.Int("alive", c.ring.size()))
 }
 
 // Nodes returns the membership snapshot, alive nodes first, each sorted

@@ -7,14 +7,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"doram"
+	"doram/internal/obslog"
 	"doram/internal/simsvc"
 )
 
@@ -131,6 +134,23 @@ func (g *gateTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, err
 }
 
+// testLogWriter writes each log line to the test's log until the test
+// ends; late lines (cancel forwarding still in flight) are dropped.
+type testLogWriter struct {
+	t     *testing.T
+	mu    sync.Mutex
+	ended bool
+}
+
+func (w *testLogWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.ended {
+		w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	}
+	return len(p), nil
+}
+
 // testCoordinator builds a coordinator with the given workers joined. It
 // polls every 5ms so fleet tests run in real time; heartbeat expiry and
 // hedging are off unless a test asks (Run is not started). A non-nil clk
@@ -150,24 +170,17 @@ func testCoordinator(t *testing.T, clk *fakeClock, gate *gateTransport, cfg Coor
 	if cfg.Transport == nil && gate != nil {
 		cfg.Transport = gate
 	}
-	var mu sync.Mutex
-	ended := false
-	cfg.Logf = func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		if !ended {
-			t.Logf(format, args...)
-		}
-	}
+	tw := &testLogWriter{t: t}
+	cfg.Logger = obslog.New(tw, obslog.FormatText, slog.LevelInfo)
 	c := NewCoordinator(cfg)
 	t.Cleanup(func() {
 		c.Shutdown()
 		if n := waitersLeft(c); n != 0 {
 			t.Errorf("%d completion waiters outlived their dispatches", n)
 		}
-		mu.Lock()
-		ended = true
-		mu.Unlock()
+		tw.mu.Lock()
+		tw.ended = true
+		tw.mu.Unlock()
 	})
 	if clk != nil {
 		c.now = clk.now

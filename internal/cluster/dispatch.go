@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"slices"
@@ -151,7 +152,7 @@ func (d *dispatch) offer(exclude string) (*doram.SimResult, time.Duration, error
 		}
 		var st simsvc.JobStatus
 		if err := json.Unmarshal(data, &st); err != nil || st.ID == "" {
-			c.cfg.Logf("cluster: worker %s returned an undecodable acceptance", n.id)
+			c.cfg.Logger.Info("undecodable acceptance", slog.String("node", n.id))
 			continue
 		}
 		att := &attempt{node: n, remoteID: st.ID, at: c.now()}
@@ -179,10 +180,11 @@ func (d *dispatch) accept(att *attempt) {
 	case len(d.live) > 0:
 		d.hedged = true
 		c.hedgesSent.Inc()
-		c.cfg.Logf("cluster: spec %.12s hedged to %s after %s on %s",
-			d.hash, att.node.id, att.at.Sub(d.live[0].at), d.live[0].node.id)
+		c.cfg.Logger.Info("spec hedged", slog.String("spec", d.hash), slog.String("node", att.node.id),
+			slog.Duration("after", att.at.Sub(d.live[0].at)), slog.String("primary", d.live[0].node.id))
 	case d.attempts > 1:
-		c.cfg.Logf("cluster: spec %.12s re-dispatched to %s (attempt %d)", d.hash, att.node.id, d.attempts)
+		c.cfg.Logger.Info("spec re-dispatched", slog.String("spec", d.hash), slog.String("node", att.node.id),
+			slog.Int("attempt", d.attempts))
 	}
 	d.live = append(d.live, att)
 	d.watch(att)
@@ -293,7 +295,8 @@ func (d *dispatch) drop(att *attempt, why string) {
 	d.remove(att)
 	if len(d.live) == 0 {
 		d.c.redispatched.Inc()
-		d.c.cfg.Logf("cluster: spec %.12s re-dispatching: worker %s %s", d.hash, att.node.id, why)
+		d.c.cfg.Logger.Info("spec re-dispatching", slog.String("spec", d.hash), slog.String("node", att.node.id),
+			slog.String("why", why))
 		d.place(nil)
 		return
 	}
@@ -355,7 +358,7 @@ func (c *Coordinator) doNode(n *node, method, path string, body []byte) (int, []
 		c.proxyErrors.Inc()
 		if n.breaker.onFailure() {
 			c.breakerTrips.Inc()
-			c.cfg.Logf("cluster: breaker opened for worker %s", n.id)
+			c.cfg.Logger.Info("breaker opened", slog.String("node", n.id))
 		}
 		return 0, nil, nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
 	"log/slog"
 	"net/http"
 	"time"
@@ -26,9 +25,7 @@ type JoinConfig struct {
 	// Transport overrides the HTTP transport (test injection); nil means
 	// the default.
 	Transport http.RoundTripper
-	// Logf receives one-line membership events; nil means a shim over
-	// Logger when that is set, else log.Printf.
-	Logf   func(format string, args ...any)
+	// Logger receives membership events at Info; nil discards them.
 	Logger *slog.Logger
 	// Seed pins the backoff-jitter PRNG for reproducible retry schedules;
 	// 0 seeds from the advertise URL and the clock, spreading out a fleet.
@@ -53,7 +50,9 @@ func Join(ctx context.Context, cfg JoinConfig) error {
 	if cfg.Coordinator == "" || cfg.Advertise == "" {
 		return fmt.Errorf("cluster: join needs both a coordinator and an advertise URL")
 	}
-	cfg.Logf = logfOr(cfg.Logf, cfg.Logger)
+	if cfg.Logger == nil {
+		cfg.Logger = obslog.Discard()
+	}
 	hc := &http.Client{Transport: cfg.Transport}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -87,7 +86,7 @@ func Join(ctx context.Context, cfg JoinConfig) error {
 			if err == nil && code == http.StatusOK {
 				var jr JoinResponse
 				if json.Unmarshal(data, &jr) == nil && jr.HeartbeatMillis > 0 {
-					cfg.Logf("cluster: joined %s as %s", cfg.Coordinator, cfg.Advertise)
+					cfg.Logger.Info("joined", slog.String("coordinator", cfg.Coordinator), slog.String("node", cfg.Advertise))
 					return time.Duration(jr.HeartbeatMillis) * time.Millisecond, nil
 				}
 				err = fmt.Errorf("cluster: undecodable join response")
@@ -95,7 +94,8 @@ func Join(ctx context.Context, cfg JoinConfig) error {
 				err = fmt.Errorf("cluster: join rejected: %s", retry.ErrorMessage(code, data))
 			}
 			delay := joinBackoff.Delay(attempt, rng.Float64())
-			cfg.Logf("cluster: join %s failed (%v), retrying in %s", cfg.Coordinator, err, delay)
+			cfg.Logger.Info("join failed", slog.String("coordinator", cfg.Coordinator),
+				slog.String("error", err.Error()), slog.Duration("retry_in", delay))
 			if !sleep(ctx, delay) {
 				return 0, ctx.Err()
 			}
@@ -121,26 +121,14 @@ func Join(ctx context.Context, cfg JoinConfig) error {
 			case err != nil:
 				// Coordinator unreachable; keep heartbeating — it may come
 				// back before it (or its successor) times this worker out.
-				cfg.Logf("cluster: heartbeat failed: %v", err)
+				cfg.Logger.Info("heartbeat failed", slog.String("error", err.Error()))
 			case code == http.StatusNotFound:
 				// Declared dead (or the coordinator restarted): re-join.
-				cfg.Logf("cluster: coordinator forgot %s, re-joining", cfg.Advertise)
+				cfg.Logger.Info("coordinator forgot this worker, re-joining", slog.String("node", cfg.Advertise))
 				if _, err := join(); err != nil {
 					return err
 				}
 			}
 		}
 	}
-}
-
-// logfOr returns logf, or a one-line logger over l when logf is nil, or
-// log.Printf when both are.
-func logfOr(logf func(string, ...any), l *slog.Logger) func(string, ...any) {
-	switch {
-	case logf != nil:
-		return logf
-	case l != nil:
-		return obslog.Logf(l)
-	}
-	return log.Printf
 }

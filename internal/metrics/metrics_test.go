@@ -13,10 +13,7 @@ import (
 // branch on an "enabled" flag.
 func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
-	if r.Enabled() {
-		t.Fatal("nil registry reports enabled")
-	}
-	c := r.Counter("x")
+	c := r.SyncCounter("x")
 	c.Inc()
 	c.Add(5)
 	if c.Value() != 0 || c.Name() != "" {
@@ -31,9 +28,6 @@ func TestNilRegistryIsInert(t *testing.T) {
 	r.Gauge("g", func(uint64) float64 { return 1 })
 	r.StartTimeline(16)
 	r.Sample(16)
-	if r.SampleDue(16) {
-		t.Fatal("nil registry claims a sample is due")
-	}
 	if r.Timeline() != nil || r.Dump() != nil || r.CounterValues() != nil || r.SeriesNames() != nil {
 		t.Fatal("nil registry returned state")
 	}
@@ -41,10 +35,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 
 func TestRegistryCountersAndFuncs(t *testing.T) {
 	r := New()
-	if !r.Enabled() {
-		t.Fatal("fresh registry disabled")
-	}
-	c := r.Counter("events")
+	c := r.SyncCounter("events")
 	c.Inc()
 	c.Add(2)
 	ext := uint64(40)
@@ -61,7 +52,7 @@ func TestRegistryCountersAndFuncs(t *testing.T) {
 
 func TestRegistryDuplicateNamePanics(t *testing.T) {
 	r := New()
-	r.Counter("dup")
+	r.SyncCounter("dup")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration accepted")
@@ -75,13 +66,6 @@ func TestTimelineSampling(t *testing.T) {
 	depth := 0
 	r.Gauge("q", Level(func() int { return depth }))
 	r.StartTimeline(100)
-
-	if r.SampleDue(150) {
-		t.Fatal("sample due off the epoch grid")
-	}
-	if !r.SampleDue(200) {
-		t.Fatal("sample not due on the epoch grid")
-	}
 
 	depth = 3
 	r.Sample(100)
@@ -164,7 +148,7 @@ func TestBusyRate(t *testing.T) {
 
 func TestDumpJSONRoundTrip(t *testing.T) {
 	r := New()
-	r.Counter("a").Add(7)
+	r.SyncCounter("a").Add(7)
 	r.Histogram("lat", []uint64{10, 100}).Observe(42)
 	r.Gauge("g", func(uint64) float64 { return 1.5 })
 	r.StartTimeline(8)

@@ -19,9 +19,9 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden fi
 // and without overflow samples.
 func seededDump() *Dump {
 	r := New()
-	r.Counter("simsvc.jobs.completed").Add(7)
+	r.SyncCounter("simsvc.jobs.completed").Add(7)
 	r.SyncCounter("simsvc.queue.depth").Add(3)
-	r.Counter("9weird name-with/chars").Add(1)
+	r.SyncCounter("9weird name-with/chars").Add(1)
 	h := r.Histogram("simsvc.stage.oram.total_cycles", []uint64{4, 16, 64})
 	for _, v := range []uint64{1, 3, 5, 17, 100, 200} {
 		h.Observe(v)

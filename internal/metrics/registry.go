@@ -16,48 +16,12 @@ import (
 	"doram/internal/stats"
 )
 
-// Counter is a named monotonic event count. A nil *Counter (handed out by
-// a nil registry) is inert: Inc/Add do nothing, Value reports 0.
-type Counter struct {
-	name string
-	c    stats.Counter
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.c.Inc()
-	}
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) {
-	if c != nil {
-		c.c.Add(d)
-	}
-}
-
-// Value returns the current count (0 on a nil counter).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.c.Value()
-}
-
-// Name returns the registered name ("" on a nil counter).
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
-// SyncCounter is a concurrency-safe named monotonic counter for
-// multi-goroutine subsystems (the doramd job service). The simulator's
-// single-threaded components keep using Counter, which stays free of
-// atomic traffic on the cycle-loop hot paths. A nil *SyncCounter is inert,
-// exactly like a nil *Counter.
+// SyncCounter is a named monotonic event count, safe for concurrent use
+// (the doramd job service counts through it from many goroutines). The
+// simulator's components keep their own statistics and bridge them in
+// through CounterFunc, so the cycle loop pays no atomic traffic. A nil
+// *SyncCounter (handed out by a nil registry) is inert: Inc and Add do
+// nothing, Value reports 0.
 type SyncCounter struct {
 	name string
 	v    atomic.Uint64
@@ -135,7 +99,6 @@ type namedCounterFunc struct {
 // safe for concurrent use; the simulator's single-threaded cycle loop is
 // the intended caller (concurrent sweeps give each run its own registry).
 type Registry struct {
-	counters     []*Counter
 	syncCounters []*SyncCounter
 	counterFuncs []namedCounterFunc
 	gauges       []namedGauge
@@ -150,9 +113,6 @@ func New() *Registry {
 	return &Registry{names: make(map[string]struct{})}
 }
 
-// Enabled reports whether the registry records anything (false for nil).
-func (r *Registry) Enabled() bool { return r != nil }
-
 // claim panics on duplicate registration — metric names are a flat
 // namespace and a collision is a wiring programming error.
 func (r *Registry) claim(name string) {
@@ -160,17 +120,6 @@ func (r *Registry) claim(name string) {
 		panic(fmt.Sprintf("metrics: duplicate registration of %q", name))
 	}
 	r.names[name] = struct{}{}
-}
-
-// Counter registers and returns the named counter (nil on a nil registry).
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.claim(name)
-	c := &Counter{name: name}
-	r.counters = append(r.counters, c)
-	return c
 }
 
 // SyncCounter registers and returns the named concurrency-safe counter
@@ -228,10 +177,7 @@ func (r *Registry) CounterValues() map[string]uint64 {
 	if r == nil {
 		return nil
 	}
-	out := make(map[string]uint64, len(r.counters)+len(r.syncCounters)+len(r.counterFuncs))
-	for _, c := range r.counters {
-		out[c.name] = c.Value()
-	}
+	out := make(map[string]uint64, len(r.syncCounters)+len(r.counterFuncs))
 	for _, c := range r.syncCounters {
 		out[c.name] = c.Value()
 	}

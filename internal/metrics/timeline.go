@@ -38,16 +38,6 @@ func (r *Registry) StartTimeline(epochCycles uint64) {
 	r.timeline = &Timeline{EpochCycles: epochCycles}
 }
 
-// SampleDue reports whether the cycle loop should take a sample at now.
-// Cheap enough for a per-cycle call even at high frequency, but callers on
-// the hot path should gate on their own modulo first.
-func (r *Registry) SampleDue(now uint64) bool {
-	if r == nil || r.timeline == nil {
-		return false
-	}
-	return now%r.timeline.EpochCycles == 0
-}
-
 // Sample records one timeline epoch at CPU cycle now, reading every
 // registered gauge once in registration order. Samples at a cycle not
 // after the previous one are dropped, keeping Epochs strictly increasing

@@ -1,9 +1,7 @@
 // Package obslog is the serving stack's shared structured-logging setup:
 // one place that builds log/slog loggers (text or JSON handlers, leveled),
-// threads request and job identifiers through context so every line a
-// handler emits carries them, and adapts a *slog.Logger back into the
-// legacy Logf signature (func(string, ...any)) that older components and
-// their tests still speak.
+// and threads request and job identifiers through context so every line a
+// handler emits carries them.
 //
 // The simulator core stays logging-free; obslog is for the serving plane
 // (internal/simsvc, internal/cluster, cmd/doramd, cmd/doramctl).
@@ -81,19 +79,6 @@ func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false 
 func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
 func (d discardHandler) WithGroup(string) slog.Handler           { return d }
-
-// Logf adapts a structured logger into the legacy printf-style callback
-// (cluster.CoordinatorConfig.Logf and friends). Nil yields a no-op shim.
-// The rendered line becomes the record message; callers migrating to
-// structured attributes should log through the *slog.Logger directly.
-func Logf(l *slog.Logger) func(format string, args ...any) {
-	if l == nil {
-		return func(string, ...any) {}
-	}
-	return func(format string, args ...any) {
-		l.Info(fmt.Sprintf(format, args...))
-	}
-}
 
 // ---- context identifiers ----
 

@@ -69,19 +69,9 @@ func TestLevelFilter(t *testing.T) {
 	if buf.Len() == 0 {
 		t.Errorf("warn record dropped at info level")
 	}
-}
-
-// TestLogfShim checks the legacy shim renders printf-style into a record,
-// and that the nil shim is callable.
-func TestLogfShim(t *testing.T) {
-	var buf bytes.Buffer
-	logf := Logf(New(&buf, FormatText, slog.LevelInfo))
-	logf("worker %s joined (%d alive)", "w1", 3)
-	if !strings.Contains(buf.String(), "worker w1 joined (3 alive)") {
-		t.Errorf("shim output %q missing rendered message", buf.String())
+	if Discard().Enabled(context.Background(), slog.LevelError) {
+		t.Errorf("Discard logger enabled")
 	}
-	Logf(nil)("must not panic %d", 1)
-	Discard().Info("dropped")
 }
 
 // TestHTTPMiddleware checks request IDs are assigned, threaded through the

@@ -1,9 +1,12 @@
-// Package retry holds the HTTP client retry policy shared by every
-// client of the doramd API — doramctl, doramload's runner, the
-// experiments runner's remote mode, and the cluster coordinator and
-// workers: the Retry-After header in both directions, jittered capped
-// exponential backoff, and the JSON error envelope. It imports only the
-// standard library, so any package can use it without an import cycle.
+// Package retry is the client side of the doramd job API. Client is the
+// one job client — doramctl and the experiments runner's remote sweeps
+// submit, poll, fetch results and retry through it, under one policy. The
+// primitives beneath it (the Retry-After header in both directions,
+// jittered capped exponential backoff and the JSON error envelope) are
+// shared with the clients that keep their own loops on purpose:
+// doramload's open-loop runner and the cluster coordinator and workers.
+// It imports only the standard library, so any package can use it
+// without an import cycle.
 package retry
 
 import (
@@ -39,7 +42,6 @@ func After(h http.Header, def time.Duration) time.Duration {
 }
 
 // Backoff is a capped exponential schedule with multiplicative jitter.
-// Each caller keeps its own base, cap and jitter range.
 type Backoff struct {
 	Base, Cap time.Duration
 	// Lo and Hi bound the jitter factor: each delay is scaled by a factor

@@ -123,8 +123,10 @@ type SweepRequest struct {
 // SweepResponse reports per-spec outcomes in request order. Jobs holds a
 // status for every accepted spec; Errors holds a message for every
 // rejected one (empty string for accepted slots), and Rejected counts
-// them. A partially rejected sweep returns 429 when any rejection was
-// backpressure, else 400.
+// them. A sweep with any backpressure rejection returns 429 — its
+// accepted jobs stand, and IsQueueFull picks out the specs to resubmit;
+// otherwise it returns 400 when every spec was rejected and 202 when any
+// was accepted.
 type SweepResponse struct {
 	Jobs     []*JobStatus `json:"jobs"`
 	Errors   []string     `json:"errors,omitempty"`

@@ -449,10 +449,17 @@ func (s *Service) Submit(spec doram.Params) (*Job, error) {
 		delete(s.jobs, job.id)
 		s.rejected.Inc()
 		return nil, &Error{Kind: ErrQueueFull,
-			Msg:        fmt.Sprintf("simsvc: queue full (%d jobs)", s.cfg.QueueDepth),
+			Msg:        fmt.Sprintf("%s (%d jobs)", queueFullMsg, s.cfg.QueueDepth),
 			RetryAfter: s.retryAfterLocked()}
 	}
 }
+
+// queueFullMsg opens the message of every backpressure rejection.
+const queueFullMsg = "simsvc: queue full"
+
+// IsQueueFull reports whether a rejection message — a SweepResponse's
+// Errors entry — is backpressure, so the spec may be resubmitted.
+func IsQueueFull(msg string) bool { return strings.HasPrefix(msg, queueFullMsg) }
 
 // SubmitJSON admits one job-spec document (doram.ParamsFromJSON); a
 // malformed spec is an ErrInvalid error.

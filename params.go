@@ -66,7 +66,6 @@ type Params struct {
 	ForkPath      bool `json:"fork_path,omitempty"`
 	OverlapPhases bool `json:"overlap_phases,omitempty"`
 	DDR4          bool `json:"ddr4,omitempty"`
-	NoFastForward bool `json:"no_fast_forward,omitempty"`
 
 	// Eviction selects the ORAM write-back strategy by registry name
 	// (internal/oram/backend). Omitted or spelled-out default
@@ -94,16 +93,6 @@ type Params struct {
 	TraceTopN     int    `json:"trace_top,omitempty"`
 }
 
-// Default spec values, shared with DefaultSimConfig and core.DefaultConfig.
-const (
-	defaultNumNS         = 7
-	defaultTraceLen      = 20000
-	defaultSeed          = 1
-	defaultPace          = 50
-	defaultCoopThreshold = 0.5
-	defaultMaxCycles     = 2_000_000_000
-)
-
 // Canonical returns the spec with every omitted field replaced by its
 // default and every implied flag made explicit, so that equivalent specs
 // compare (and hash) equal. MaxCycles runs the other way: its default
@@ -112,7 +101,7 @@ const (
 func (p Params) Canonical() Params {
 	c := p
 	if c.NumNS == nil {
-		n := defaultNumNS
+		n := paperDefaults.NumNS
 		c.NumNS = &n
 	}
 	if c.HasSApp == nil {
@@ -127,18 +116,18 @@ func (p Params) Canonical() Params {
 		c.NSChannels = nil
 	}
 	if c.TraceLen == 0 {
-		c.TraceLen = defaultTraceLen
+		c.TraceLen = paperDefaults.TraceLen
 	}
 	if c.Seed == 0 {
-		c.Seed = defaultSeed
+		c.Seed = paperDefaults.Seed
 	}
 	if c.Pace == 0 {
-		c.Pace = defaultPace
+		c.Pace = paperDefaults.Pace
 	}
 	if !(c.CoopThreshold > 0) { // as in SimConfig lowering
-		c.CoopThreshold = defaultCoopThreshold
+		c.CoopThreshold = paperDefaults.CoopThreshold
 	}
-	if c.MaxCycles == defaultMaxCycles {
+	if c.MaxCycles == paperDefaults.MaxCycles {
 		c.MaxCycles = 0
 	}
 	if c.MetricsEpochCycles > 0 {
@@ -245,7 +234,6 @@ func (p Params) SimConfig() SimConfig {
 		ForkPath:           c.ForkPath,
 		OverlapPhases:      c.OverlapPhases,
 		DDR4:               c.DDR4,
-		NoFastForward:      c.NoFastForward,
 		Eviction:           c.Eviction,
 		LinkCorruptProb:    c.LinkCorruptProb,
 		LinkLossProb:       c.LinkLossProb,
@@ -309,7 +297,6 @@ func paramsFromCore(c core.Config) (Params, bool) {
 		ForkPath:           c.ForkPath,
 		OverlapPhases:      c.OverlapPhases,
 		DDR4:               c.DDR4,
-		NoFastForward:      c.NoFastForward,
 		Eviction:           c.Eviction,
 		LinkCorruptProb:    c.LinkCorruptProb,
 		LinkLossProb:       c.LinkLossProb,

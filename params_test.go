@@ -138,6 +138,11 @@ func TestParamsFromSimConfigHashPinned(t *testing.T) {
 			t.Errorf("%s: hash %s, pinned %s", s, got, pinned[string(s)])
 		}
 	}
+	noFF := DefaultSimConfig(SchemeDORAM, "face")
+	noFF.NoFastForward = true
+	if p, err := ParamsFromSimConfig(noFF); err != nil || p.Hash() != pinned["d-oram"] {
+		t.Errorf("NoFastForward lifted to a different spec (%v): %+v", err, p)
+	}
 
 	for name, c := range map[string]struct {
 		p    Params
@@ -310,6 +315,13 @@ func TestParamsFromJSONRejects(t *testing.T) {
 		if _, err := ParamsFromJSON([]byte(in)); err == nil {
 			t.Errorf("%s: accepted %s", name, in)
 		}
+	}
+	// The run loop is an execution strategy, not a simulation knob (the
+	// differential suite proves both loops bit-identical), so a spec
+	// cannot name it and split the cache.
+	in := `{"scheme":"d-oram","benchmark":"face","no_fast_forward":true}`
+	if _, err := ParamsFromJSON([]byte(in)); err == nil || !strings.Contains(err.Error(), `unknown field "no_fast_forward"`) {
+		t.Errorf("no_fast_forward: got %v, want an unknown-field rejection", err)
 	}
 }
 

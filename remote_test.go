@@ -177,7 +177,7 @@ func startFleet(t *testing.T, n int) string {
 		t.Cleanup(worker.Close)
 		go func() {
 			defer wg.Done()
-			cluster.Join(ctx, cluster.JoinConfig{Coordinator: front.URL, Advertise: worker.URL, Logf: func(string, ...any) {}})
+			cluster.Join(ctx, cluster.JoinConfig{Coordinator: front.URL, Advertise: worker.URL})
 		}()
 	}
 	for deadline := time.Now().Add(10 * time.Second); coord.Registry().CounterValues()["cluster.nodes.alive"] != uint64(n); {

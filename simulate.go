@@ -196,13 +196,17 @@ func DefaultSimConfig(scheme Scheme, benchmark string) SimConfig {
 	return SimConfig{
 		Scheme:        scheme,
 		Benchmark:     benchmark,
-		NumNS:         7,
+		NumNS:         paperDefaults.NumNS,
 		HasSApp:       scheme != SchemeNonSecure,
-		SecureSharers: AllNS,
-		TraceLen:      20000,
-		Seed:          1,
+		SecureSharers: paperDefaults.SecureSharers,
+		TraceLen:      paperDefaults.TraceLen,
+		Seed:          paperDefaults.Seed,
 	}
 }
+
+// paperDefaults holds the paper's configuration (core.DefaultConfig), the
+// one source of the defaults DefaultSimConfig and Params.Canonical fill.
+var paperDefaults = core.DefaultConfig(core.DORAM, "")
 
 // SimResult summarizes one run. Times are in CPU cycles at 3.2 GHz unless
 // stated otherwise.
