@@ -97,9 +97,9 @@ func main() {
 	}
 
 	cfg := doram.DefaultSimConfig(doram.Scheme(*scheme), *bench)
-	cfg.NumNS = *numNS
+	cfg.NumNS = numNS
 	cfg.SplitK = *k
-	cfg.SecureSharers = *c
+	cfg.C = c
 	cfg.TraceLen = *traceLen
 	cfg.Seed = *seed
 	cfg.TraceDir = *traceDir

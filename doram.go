@@ -145,9 +145,9 @@ func DefaultORAMConfig() ORAMConfig {
 }
 
 // EvictionStrategies lists the registered eviction-strategy names
-// accepted by ORAMConfig.Eviction, SimConfig.Eviction and the CLIs'
-// -eviction flags, sorted. The empty name selects the default
-// (level-by-level).
+// accepted by ORAMConfig.Eviction, the job spec's Params.Eviction (which
+// SimConfig embeds) and the CLIs' -eviction flags, sorted. The empty name
+// selects the default (level-by-level).
 func EvictionStrategies() []string { return backend.Evictions() }
 
 // BucketEncryptors lists the registered bucket-encryptor names accepted by

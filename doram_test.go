@@ -69,7 +69,7 @@ func TestSimulatePublicAPI(t *testing.T) {
 }
 
 func TestSimulateRejectsUnknownScheme(t *testing.T) {
-	if _, err := Simulate(SimConfig{Scheme: "bogus", Benchmark: "libq", NumNS: 1, TraceLen: 10}); err == nil {
+	if _, err := Simulate(SimConfig{Params: Params{Scheme: "bogus", Benchmark: "libq", NumNS: intp(1), TraceLen: 10}}); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
 }

@@ -28,21 +28,21 @@ func ExampleORAM() {
 }
 
 // ExampleSimulate runs one D-ORAM co-run simulation and prints whether
-// the delegation beat the Path ORAM baseline.
+// the delegation beat the Path ORAM baseline. The spec leaves NumNS,
+// HasSApp and C unset, which means the paper's 1S7NS co-run: seven
+// NS-Apps, one S-App, and every NS-App allowed on the secure channel.
 func ExampleSimulate() {
-	base, err := doram.Simulate(doram.SimConfig{
+	base, err := doram.Simulate(doram.SimConfig{Params: doram.Params{
 		Scheme: doram.SchemePathORAM, Benchmark: "libq",
-		NumNS: 7, HasSApp: true, SecureSharers: doram.AllNS,
 		TraceLen: 2000, Seed: 1,
-	})
+	}})
 	if err != nil {
 		panic(err)
 	}
-	dor, err := doram.Simulate(doram.SimConfig{
+	dor, err := doram.Simulate(doram.SimConfig{Params: doram.Params{
 		Scheme: doram.SchemeDORAM, Benchmark: "libq",
-		NumNS: 7, HasSApp: true, SecureSharers: doram.AllNS,
 		TraceLen: 2000, Seed: 1,
-	})
+	}})
 	if err != nil {
 		panic(err)
 	}

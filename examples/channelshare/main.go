@@ -38,7 +38,7 @@ func main() {
 	// does: T25mix = latency slowdown sharing all 4 channels with the
 	// S-App; T33 = latency slowdown on the 3 normal channels only.
 	solo := doram.DefaultSimConfig(doram.SchemeNonSecure, bench)
-	solo.NumNS = 1
+	solo.NumNS = ptr(1)
 	solo.Seed = 99
 	soloRes := run(solo)
 
@@ -47,7 +47,7 @@ func main() {
 	mixRes := run(mix)
 
 	only3 := doram.DefaultSimConfig(doram.SchemeDORAM, bench)
-	only3.SecureSharers = 0
+	only3.C = ptr(0)
 	only3.Seed = 99
 	only3Res := run(only3)
 
@@ -66,7 +66,7 @@ func main() {
 	bestC, bestV := 0, 0.0
 	for c := 0; c <= 7; c++ {
 		cfg := doram.DefaultSimConfig(doram.SchemeDORAM, bench)
-		cfg.SecureSharers = c
+		cfg.C = &c
 		res := run(cfg)
 		fmt.Printf("%-6d %14.0f\n", c, res.AvgNSExecCycles)
 		if c == 0 || res.AvgNSExecCycles < bestV {
@@ -76,3 +76,5 @@ func main() {
 	fmt.Printf("\nmeasured best: c=%d — profiling %s\n", bestC,
 		map[bool]string{true: "agrees", false: "disagrees"}[(ratio > 1) == (bestC < 4)])
 }
+
+func ptr[T any](v T) *T { return &v }

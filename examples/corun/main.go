@@ -33,14 +33,14 @@ func main() {
 	}
 
 	solo := doram.DefaultSimConfig(doram.SchemeNonSecure, bench)
-	solo.NumNS = 1
+	solo.NumNS = ptr(1)
 	soloRes := run("solo", solo)
 
 	baseRes := run("baseline", doram.DefaultSimConfig(doram.SchemePathORAM, bench))
 	dorRes := run("d-oram", doram.DefaultSimConfig(doram.SchemeDORAM, bench))
 
 	shared := doram.DefaultSimConfig(doram.SchemeDORAM, bench)
-	shared.SecureSharers = 4
+	shared.C = ptr(4)
 	sharedRes := run("d-oram/4", shared)
 
 	fmt.Printf("benchmark %s, 1 S-App + 7 NS-Apps, %d accesses per core\n\n", bench, traceLen)
@@ -60,3 +60,5 @@ func main() {
 	fmt.Println("(paper: D-ORAM cuts NS execution to 87.5% of the baseline on average,")
 	fmt.Println(" 77.5% with the best sharing setting; S-App cost stays in the same range)")
 }
+
+func ptr[T any](v T) *T { return &v }

@@ -23,7 +23,7 @@ func main() {
 	run := func(label string, numS, numNS, k int) *doram.SimResult {
 		cfg := doram.DefaultSimConfig(doram.SchemeDORAM, bench)
 		cfg.NumS = numS
-		cfg.NumNS = numNS
+		cfg.NumNS = &numNS
 		cfg.SplitK = k
 		cfg.TraceLen = traceLen
 		res, err := doram.Simulate(cfg)

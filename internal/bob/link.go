@@ -21,6 +21,10 @@ type LinkConfig struct {
 	LatencyCycles uint64
 }
 
+// DefaultLinkLatencyNs is the paper's one-way buffer-logic-plus-link
+// latency (Table II).
+const DefaultLinkLatencyNs = 15
+
 // maxLinkLatencyCycles bounds LatencyCycles to a physically plausible
 // range (1 ms at 3.2 GHz); beyond it a latency is almost certainly a
 // unit-conversion bug in the caller.
@@ -44,7 +48,7 @@ func (c LinkConfig) Validate() error {
 func DefaultLinkConfig() LinkConfig {
 	return LinkConfig{
 		BytesPerCPUCycle: 4,
-		LatencyCycles:    clock.NanosToCPU(15),
+		LatencyCycles:    clock.NanosToCPU(DefaultLinkLatencyNs),
 	}
 }
 

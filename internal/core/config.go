@@ -245,6 +245,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Pace must be positive")
 	case c.CoopThreshold <= 0 || c.CoopThreshold > 1:
 		return fmt.Errorf("core: CoopThreshold out of (0,1]")
+	case c.SubtreeLevels < 0:
+		return fmt.Errorf("core: SubtreeLevels %d must be non-negative", c.SubtreeLevels)
+	case c.LinkLatencyNs < 0 || c.LinkLatencyNs != c.LinkLatencyNs:
+		return fmt.Errorf("core: LinkLatencyNs %v must be non-negative", c.LinkLatencyNs)
 	case c.LinkCorruptProb < 0 || c.LinkCorruptProb > 1 || c.LinkCorruptProb != c.LinkCorruptProb:
 		return fmt.Errorf("core: LinkCorruptProb %v out of [0,1]", c.LinkCorruptProb)
 	case c.LinkLossProb < 0 || c.LinkLossProb > 1 || c.LinkLossProb != c.LinkLossProb:

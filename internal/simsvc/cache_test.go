@@ -207,7 +207,7 @@ func TestTracedJobKeepsNoEvents(t *testing.T) {
 		t.Fatalf("served job kept %d span events (%d dropped)", len(res.Trace.Events), res.Trace.Dropped)
 	}
 
-	cfg := spec.Canonical().SimConfig()
+	cfg := spec.SimConfig()
 	cfg.TraceEventLimit = evtrace.DefaultLimit
 	local, err := doram.Simulate(cfg)
 	if err != nil {

@@ -8,9 +8,11 @@ import (
 	"sync"
 	"testing"
 
+	"doram/internal/bob"
 	"doram/internal/core"
 	"doram/internal/mc"
 	"doram/internal/oram/backend"
+	"doram/internal/oram/layout"
 )
 
 // TestParamsHashInvariance: the cache key must not care how the client
@@ -80,6 +82,17 @@ func TestParamsHashInvariance(t *testing.T) {
 	if d1.Hash() != d4.Hash() {
 		t.Errorf("spelled-out default max_cycles changed the hash")
 	}
+	// Nor must the layout and link ablations' paper values, which the
+	// simulator fills for omitted knobs.
+	for _, knob := range []string{`"subtree_levels":7`, `"link_latency_ns":15`} {
+		d, err := ParamsFromJSON([]byte(`{"scheme":"d-oram","benchmark":"face",` + knob + `}`))
+		if err != nil {
+			t.Fatalf("spelled-out %s spec: %v", knob, err)
+		}
+		if d1.Hash() != d.Hash() {
+			t.Errorf("spelled-out default %s changed the hash", knob)
+		}
+	}
 	d3, err := ParamsFromJSON([]byte(`{"scheme":"d-oram","benchmark":"face","eviction":"deterministic-two-path"}`))
 	if err != nil {
 		t.Fatalf("two-path spec: %v", err)
@@ -117,6 +130,8 @@ func TestParamsHashSensitivity(t *testing.T) {
 }
 
 func intp(v int) *int { return &v }
+
+func boolp(v bool) *bool { return &v }
 
 // TestParamsFromSimConfigHashPinned pins ParamsFromSimConfig's hashes —
 // the cache keys doramctl, doramload and the coordinator compute — for the
@@ -228,9 +243,18 @@ func TestParamsFromCoreSweepConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("config %d: lowering: %v", i, err)
 		}
-		want := cfg // default backend names fold to "": the same simulation
+		// Spelled-out defaults fold to omitted, which lowers to the same
+		// simulation: the default backend name to "", the layout and link
+		// ablations' paper rows to 0.
+		want := cfg
 		if want.Eviction == backend.DefaultEviction {
 			want.Eviction = ""
+		}
+		if want.SubtreeLevels == layout.DefaultSubtreeLevels {
+			want.SubtreeLevels = 0
+		}
+		if want.LinkLatencyNs == bob.DefaultLinkLatencyNs {
+			want.LinkLatencyNs = 0
 		}
 		if !reflect.DeepEqual(back, want) {
 			t.Errorf("config %d (%s): spec lowers to a different simulation:\n  cfg:  %+v\n  back: %+v", i, cfg.Scheme, cfg, back)
@@ -310,6 +334,10 @@ func TestParamsFromJSONRejects(t *testing.T) {
 		"k out of range": `{"scheme":"d-oram","benchmark":"face","k":7}`,
 		"k off-scheme":   `{"scheme":"path-oram","benchmark":"face","k":1}`,
 		"bad link prob":  `{"scheme":"d-oram","benchmark":"face","link_corrupt_prob":1.5}`,
+		// Both once admitted: the first panicked in the layout builder, the
+		// second ran like the 15 ns default under a different hash.
+		"negative subtree levels": `{"scheme":"d-oram","benchmark":"face","subtree_levels":-3}`,
+		"negative link latency":   `{"scheme":"d-oram","benchmark":"face","link_latency_ns":-1}`,
 	}
 	for name, in := range cases {
 		if _, err := ParamsFromJSON([]byte(in)); err == nil {
@@ -338,8 +366,115 @@ func TestParamsSimConfigRoundTrip(t *testing.T) {
 		t.Errorf("SimConfig round trip drifted:\n  in:  %+v\n  out: %+v", p, back)
 	}
 
-	if _, err := ParamsFromSimConfig(SimConfig{Scheme: SchemeDORAM, Benchmark: "face", TraceDir: "/tmp/x"}); err == nil {
+	if _, err := ParamsFromSimConfig(SimConfig{Params: Params{Scheme: SchemeDORAM, Benchmark: "face"}, TraceDir: "traces"}); err == nil {
 		t.Errorf("TraceDir spec lifted without error")
+	}
+}
+
+// TestSimConfigFieldCoverage: SimConfig.coreConfig is the one copy of the
+// spec into core.Config and paramsFromCore the one copy back, so a spec
+// field either copy misses would split a spec's hash from the run it
+// names. Each field, set to a non-default value, must change the hash,
+// lower to a simulation other than the base spec's, and lift back to its
+// own hash. Each local knob must reach core.Config and stay out of the
+// spec.
+func TestSimConfigFieldCoverage(t *testing.T) {
+	base := DefaultSimConfig(SchemeDORAM, "face")
+	baseCore, err := base.coreConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	special := map[string]any{ // fields whose kind gives no non-default value
+		"Scheme":    SchemePathORAM,
+		"Benchmark": "libq",
+		"Eviction":  "deterministic-two-path",
+		"HasSApp":   boolp(false),
+	}
+	set := func(f reflect.StructField, v reflect.Value) {
+		if s, ok := special[f.Name]; ok {
+			v.Set(reflect.ValueOf(s))
+			return
+		}
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Int:
+			v.SetInt(2)
+		case reflect.Uint64:
+			v.SetUint(2)
+		case reflect.Float64:
+			v.SetFloat(0.25)
+		case reflect.String:
+			v.SetString("traces")
+		case reflect.Pointer:
+			v.Set(reflect.ValueOf(intp(2)))
+		case reflect.Slice:
+			v.Set(reflect.ValueOf([]int{1, 2}))
+		default:
+			t.Fatalf("%s: no non-default value for kind %s", f.Name, v.Kind())
+		}
+	}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Anonymous {
+			continue
+		}
+		cfg := base
+		set(f, reflect.ValueOf(&cfg).Elem().Field(i))
+		ic, err := cfg.coreConfig()
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		if reflect.DeepEqual(ic, baseCore) {
+			t.Errorf("local knob %s does not reach core.Config", f.Name)
+		}
+		if p, err := ParamsFromSimConfig(cfg); err == nil && p.Hash() != base.Hash() {
+			t.Errorf("local knob %s changed the spec", f.Name)
+		}
+	}
+	ptyp := reflect.TypeOf(base.Params)
+	for i := 0; i < ptyp.NumField(); i++ {
+		f := ptyp.Field(i)
+		p := base.Params
+		set(f, reflect.ValueOf(&p).Elem().Field(i))
+		if p.Hash() == base.Hash() {
+			t.Errorf("%s does not change the hash", f.Name)
+		}
+		ic, err := p.SimConfig().coreConfig()
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		if reflect.DeepEqual(ic, baseCore) {
+			t.Errorf("%s does not reach core.Config", f.Name)
+		}
+		if back, ok := paramsFromCore(ic); !ok || back.Hash() != p.Hash() {
+			t.Errorf("%s does not survive the lift (ok=%v):\n  spec: %+v\n  back: %+v", f.Name, ok, p.Canonical(), back)
+		}
+	}
+}
+
+// TestSimConfigPromotedMethods pins how SimConfig treats the two Params
+// methods that could carry the local knobs: both are left promoted, so
+// MarshalJSON encodes the job spec alone and SimConfig() returns the
+// spec's configuration with the local knobs cleared.
+func TestSimConfigPromotedMethods(t *testing.T) {
+	cfg := DefaultSimConfig(SchemeDORAM, "face")
+	cfg.SplitK = 1
+	cfg.TraceDir, cfg.TraceEventLimit, cfg.NoFastForward = "traces", 100, true
+	got, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(cfg.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("SimConfig JSON is not its spec's:\n  got:  %s\n  want: %s", got, want)
+	}
+	if s := cfg.SimConfig(); !reflect.DeepEqual(s, SimConfig{Params: cfg.Params.Canonical()}) {
+		t.Errorf("SimConfig() kept the local knobs: %+v", s)
 	}
 }
 
@@ -354,9 +489,8 @@ func TestParamsHashIsHex(t *testing.T) {
 // FuzzParamsFromJSON: the job-spec decoder reads untrusted bytes from the
 // doramd HTTP API. It must never panic; an accepted spec must keep its
 // hash (the result-cache key) through a marshal/parse round trip; and
-// lowering to SimConfig and lifting back must keep it too — the identity
-// that lets the remote sweep executor and ParamsFromSimConfig share one
-// lifting. Seeds live in testdata/fuzz/FuzzParamsFromJSON.
+// ParamsFromSimConfig(p.SimConfig()) must keep it too. Seeds live in
+// testdata/fuzz/FuzzParamsFromJSON.
 func FuzzParamsFromJSON(f *testing.F) {
 	f.Add([]byte(`{"scheme":"d-oram","benchmark":"face"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -49,7 +49,7 @@ func TestResultJSONRelayIsExact(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			p.TraceLen, p.Metrics, p.Trace = 1500, true, true
-			res, err := Simulate(p.Canonical().SimConfig())
+			res, err := Simulate(p.SimConfig())
 			if err != nil {
 				t.Fatalf("simulate: %v", err)
 			}
@@ -78,9 +78,10 @@ func TestResultJSONRelayIsExact(t *testing.T) {
 // bit for bit.
 func TestResultsFromRawRoundTrip(t *testing.T) {
 	for name, sc := range map[string]SimConfig{
-		"solo": {Scheme: SchemeNonSecure, Benchmark: "face", NumNS: 1, TraceLen: 1500, Seed: 3},
-		"d-oram-split-metrics": {Scheme: SchemeDORAM, Benchmark: "libq", NumNS: 7, HasSApp: true,
-			SplitK: 1, SecureSharers: 4, TraceLen: 1500, Seed: 3, LatencyWarmup: 75, Metrics: true},
+		"solo": {Params: Params{Scheme: SchemeNonSecure, Benchmark: "face", NumNS: intp(1), HasSApp: boolp(false),
+			TraceLen: 1500, Seed: 3}},
+		"d-oram-split-metrics": {Params: Params{Scheme: SchemeDORAM, Benchmark: "libq",
+			SplitK: 1, C: intp(4), TraceLen: 1500, Seed: 3, LatencyWarmup: 75, Metrics: true}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			ic, err := sc.coreConfig()

@@ -51,124 +51,40 @@ func (s Scheme) internal() (core.Scheme, error) {
 const AllNS = core.AllNS
 
 // SimConfig describes one co-run simulation (Table II system; the
-// benchmark names and MPKIs come from Table III).
+// benchmark names and MPKIs come from Table III): a job spec plus the
+// three knobs no spec can carry. Every spec field keeps its Params
+// meaning, so a zero field takes the paper's default — nil NumNS, HasSApp
+// and C mean 7 NS-Apps, an S-App under every scheme but SchemeNonSecure,
+// and no /c limit. SimConfig{Params: Params{Scheme: s, Benchmark: b}} is
+// the paper's 1S7NS co-run.
+//
+// Params' methods are promoted: MarshalJSON encodes the job spec alone
+// (the local knobs below never travel), and SimConfig returns the spec's
+// configuration with the local knobs cleared.
 type SimConfig struct {
-	Scheme    Scheme
-	Benchmark string
-
-	// NumNS is the number of NS-App copies (paper: 7).
-	NumNS int
-	// HasSApp runs an S-App under the scheme's protection. It defaults to
-	// true for every scheme except SchemeNonSecure.
-	HasSApp bool
-	// NumS runs multiple S-App copies (0 with HasSApp means 1) — the
-	// §III-C capacity-pressure scenario.
-	NumS int
-	// ForkPath enables the redundant-path-access elimination of Zhang et
-	// al. (MICRO 2015), an optional optimization outside the paper's
-	// evaluated configurations.
-	ForkPath bool
-	// OverlapPhases pipelines consecutive ORAM accesses in the SD ([39]'s
-	// read/write phase acceleration; off reproduces the paper).
-	OverlapPhases bool
-	// Eviction selects the ORAM write-back strategy by name ("" =
-	// level-by-level; see internal/oram/backend.Evictions). Strategies
-	// that schedule extra eviction paths (deterministic-two-path) change
-	// the simulated address stream; selection-only strategies matter to
-	// the functional plane.
-	Eviction string
-	// DDR4 swaps DDR3-1600 for DDR4-2400 devices (bank groups).
-	DDR4 bool
-
-	// LatencyWarmup discards each latency stream's first N observations
-	// (cold-start queues and row buffers) from the reported statistics;
-	// execution-time metrics are end-to-end and unaffected. The sweep
-	// runner uses TraceLen/20.
-	LatencyWarmup uint64
-	// Pace is the timing-protection interval t (§III-B) in memory cycles;
-	// 0 uses the paper's 50.
-	Pace uint64
-	// CoopThreshold is the bandwidth-preallocation share for ORAM traffic
-	// on channels it shares with NS-Apps (§IV); 0 uses the paper's 0.5.
-	CoopThreshold float64
-	// SubtreeLevels overrides the ORAM subtree layout depth; 0 uses the
-	// paper's 7. A value of 1 degenerates to the naive level-order layout.
-	SubtreeLevels int
-	// LinkLatencyNs overrides the BOB buffer-logic+link latency; 0 uses
-	// the paper's 15 ns.
-	LinkLatencyNs float64
-	// MaxCycles bounds the run as a livelock safety net; 0 uses the
-	// 2-billion-cycle default.
-	MaxCycles uint64
-
-	// NSChannels restricts NS-Apps to a channel subset (e.g. []int{1,2,3}
-	// for the 7NS-3ch partition). Nil means all four channels.
-	NSChannels []int
-	// SecureSharers is D-ORAM's c: how many NS-Apps may use channel 0.
-	// Use AllNS for no limit.
-	SecureSharers int
-	// SplitK is D-ORAM's tree-split depth (0-3); the ORAM tree grows by
-	// 2^k and the bottom k levels move to the normal channels.
-	SplitK int
-
-	// TraceLen is the number of memory accesses each core replays.
-	TraceLen uint64
-	Seed     uint64
+	Params
 
 	// TraceDir loads recorded traces (cmd/tracegen -o) instead of
 	// synthesizing: "<Benchmark>.<core>.dtrc" per core, else a shared
-	// "<Benchmark>.dtrc" rotated per core.
+	// "<Benchmark>.dtrc" rotated per core. A server-side file path, so a
+	// job spec cannot name it.
 	TraceDir string
 
-	// LinkCorruptProb / LinkLossProb make every BOB serial link unreliable
-	// (SchemeDORAM only): each transfer attempt is independently corrupted
-	// (caught by the receiver's frame checksum) or lost (times out) with
-	// these probabilities, and recovered by sequence-numbered retransmission
-	// with exponential backoff. The recovery cost appears in the result's
-	// LinkFaults.
-	LinkCorruptProb float64
-	LinkLossProb    float64
+	// TraceEventLimit sizes the span-event ring that Trace.WriteChrome
+	// exports (oldest events evicted first). 0 keeps no ring: the run
+	// still returns LatencyBreakdown, Trace.Top and the stage histograms,
+	// but Trace.Events stays empty. Set it only to export the trace;
+	// doramsim -trace-json uses 200000. Implies Trace. A result does not
+	// transport span events, so a job spec cannot ask for them.
+	TraceEventLimit int
 
 	// NoFastForward disables the idle-cycle fast-forward scheduler and
 	// visits every CPU cycle like the original loop. Fast-forward (the
 	// default) is bit-identical in results, metrics and traces — the
 	// differential test suite enforces it — so this is an escape hatch and
-	// the reference side of that comparison, not a fidelity trade-off.
+	// the reference side of that comparison, not a fidelity trade-off; a
+	// job spec therefore cannot name it.
 	NoFastForward bool
-
-	// Metrics enables the observability subsystem: a metric registry over
-	// every simulated component and a cycle-sampled timeline of bus
-	// utilization, queue depths, stash occupancy and link fault counters,
-	// returned in SimResult.Metrics / SimResult.Timeline. Off by default;
-	// disabled runs pay at most a nil check per instrumentation point.
-	Metrics bool
-	// MetricsEpochCycles is the timeline sampling period in CPU cycles;
-	// 0 uses DefaultMetricsEpochCycles. Setting it implies Metrics.
-	MetricsEpochCycles uint64
-
-	// Trace enables per-access event tracing: nested spans across the
-	// engine, delegator, links, memory controllers and NS request paths
-	// (kept for export only with TraceEventLimit), returned in
-	// SimResult.Trace together with the per-stage latency
-	// attribution (SimResult.LatencyBreakdown). Off by default; disabled
-	// runs pay at most a nil check per instrumentation point.
-	Trace bool
-	// TraceEventLimit sizes the span-event ring that Trace.WriteChrome
-	// exports (oldest events evicted first). 0 keeps no ring: the run
-	// still returns LatencyBreakdown, Trace.Top and the stage histograms,
-	// but Trace.Events stays empty. Set it only to export the trace;
-	// doramsim -trace-json uses 200000. Implies Trace.
-	TraceEventLimit int
-	// TraceSample keeps every Nth ORAM access / NS request in the event
-	// ring (0 or 1 = all); the attribution report always covers every
-	// access. Values > 1 imply Trace.
-	TraceSample uint64
-	// TraceOramOnly suppresses NS-request spans, keeping sweep traces
-	// small; NS latency breakdowns are still recorded. Implies Trace.
-	TraceOramOnly bool
-	// TraceTopN sizes the slowest-ORAM-accesses report in the trace
-	// (0 = 16). Implies Trace.
-	TraceTopN int
 }
 
 // DefaultMetricsEpochCycles is the default timeline sampling period.
@@ -191,22 +107,11 @@ type EventTrace = evtrace.Trace
 // with stage means summing to the end-to-end mean.
 type TraceReport = evtrace.Report
 
-// DefaultSimConfig returns the paper's 1S7NS co-run for the scheme.
+// DefaultSimConfig returns the paper's 1S7NS co-run for the scheme: a spec
+// naming only the scheme and benchmark, every other field at its default.
 func DefaultSimConfig(scheme Scheme, benchmark string) SimConfig {
-	return SimConfig{
-		Scheme:        scheme,
-		Benchmark:     benchmark,
-		NumNS:         paperDefaults.NumNS,
-		HasSApp:       scheme != SchemeNonSecure,
-		SecureSharers: paperDefaults.SecureSharers,
-		TraceLen:      paperDefaults.TraceLen,
-		Seed:          paperDefaults.Seed,
-	}
+	return SimConfig{Params: Params{Scheme: scheme, Benchmark: benchmark}}
 }
-
-// paperDefaults holds the paper's configuration (core.DefaultConfig), the
-// one source of the defaults DefaultSimConfig and Params.Canonical fill.
-var paperDefaults = core.DefaultConfig(core.DORAM, "")
 
 // SimResult summarizes one run. Times are in CPU cycles at 3.2 GHz unless
 // stated otherwise.
@@ -317,58 +222,51 @@ type LinkFaultSummary struct {
 	RetryDelayNs float64
 }
 
-// coreConfig lowers the public configuration onto the internal one,
-// filling paper defaults for every zero-valued knob.
+// coreConfig lowers the configuration onto the internal one: the spec's
+// canonical form, copied field by field, plus the local knobs. It is the
+// only place a spec field reaches core.Config; paramsFromCore is its
+// inverse.
 func (cfg SimConfig) coreConfig() (core.Config, error) {
-	scheme, err := cfg.Scheme.internal()
+	p := cfg.Params.Canonical()
+	scheme, err := p.Scheme.internal()
 	if err != nil {
 		return core.Config{}, err
 	}
-	ic := core.DefaultConfig(scheme, cfg.Benchmark)
-	ic.NumNS = cfg.NumNS
-	ic.HasSApp = cfg.HasSApp
-	ic.NumS = cfg.NumS
-	ic.ForkPath = cfg.ForkPath
-	ic.OverlapPhases = cfg.OverlapPhases
-	ic.Eviction = cfg.Eviction
-	ic.DDR4 = cfg.DDR4
-	ic.NSChannels = cfg.NSChannels
-	ic.SecureSharers = cfg.SecureSharers
-	ic.SplitK = cfg.SplitK
-	if cfg.TraceLen > 0 {
-		ic.TraceLen = cfg.TraceLen
+	ic := core.Config{
+		Scheme:             scheme,
+		Benchmark:          p.Benchmark,
+		NumNS:              *p.NumNS,
+		HasSApp:            *p.HasSApp,
+		NumS:               p.NumS,
+		SplitK:             p.SplitK,
+		SecureSharers:      *p.C,
+		NSChannels:         p.NSChannels,
+		TraceLen:           p.TraceLen,
+		Seed:               p.Seed,
+		LatencyWarmup:      p.LatencyWarmup,
+		Pace:               p.Pace,
+		CoopThreshold:      p.CoopThreshold,
+		SubtreeLevels:      p.SubtreeLevels,
+		LinkLatencyNs:      p.LinkLatencyNs,
+		MaxCycles:          p.MaxCycles,
+		ForkPath:           p.ForkPath,
+		OverlapPhases:      p.OverlapPhases,
+		DDR4:               p.DDR4,
+		Eviction:           p.Eviction,
+		LinkCorruptProb:    p.LinkCorruptProb,
+		LinkLossProb:       p.LinkLossProb,
+		MetricsEpochCycles: p.MetricsEpochCycles,
+		TraceEvents:        p.Trace || cfg.TraceEventLimit != 0,
+		TraceSample:        p.TraceSample,
+		TraceOramOnly:      p.TraceOramOnly,
+		TraceTopK:          p.TraceTopN,
+
+		TraceDir:      cfg.TraceDir,
+		TraceLimit:    cfg.TraceEventLimit,
+		NoFastForward: cfg.NoFastForward,
 	}
-	if cfg.Seed != 0 {
-		ic.Seed = cfg.Seed
-	}
-	ic.TraceDir = cfg.TraceDir
-	ic.LinkCorruptProb = cfg.LinkCorruptProb
-	ic.LinkLossProb = cfg.LinkLossProb
-	ic.NoFastForward = cfg.NoFastForward
-	ic.LatencyWarmup = cfg.LatencyWarmup
-	ic.SubtreeLevels = cfg.SubtreeLevels
-	ic.LinkLatencyNs = cfg.LinkLatencyNs
-	if cfg.Pace > 0 {
-		ic.Pace = cfg.Pace
-	}
-	if cfg.CoopThreshold > 0 {
-		ic.CoopThreshold = cfg.CoopThreshold
-	}
-	if cfg.MaxCycles > 0 {
-		ic.MaxCycles = cfg.MaxCycles
-	}
-	if cfg.Metrics || cfg.MetricsEpochCycles > 0 {
-		ic.MetricsEpochCycles = cfg.MetricsEpochCycles
-		if ic.MetricsEpochCycles == 0 {
-			ic.MetricsEpochCycles = DefaultMetricsEpochCycles
-		}
-	}
-	if cfg.Trace || cfg.TraceEventLimit != 0 || cfg.TraceSample > 1 || cfg.TraceOramOnly || cfg.TraceTopN != 0 {
-		ic.TraceEvents = true
-		ic.TraceLimit = cfg.TraceEventLimit
-		ic.TraceSample = cfg.TraceSample
-		ic.TraceOramOnly = cfg.TraceOramOnly
-		ic.TraceTopK = cfg.TraceTopN
+	if ic.MaxCycles == 0 { // Canonical folds the default to omitted
+		ic.MaxCycles = paperDefaults.MaxCycles
 	}
 	return ic, nil
 }
