@@ -2,6 +2,8 @@ package doram
 
 import (
 	"bytes"
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -114,6 +116,23 @@ func TestExperimentsListed(t *testing.T) {
 			t.Fatalf("missing experiment %q", want)
 		}
 	}
+}
+
+// TestExperimentsGolden pins the text of every experiment at a tiny scale,
+// so a change to how the sweeps are built or reduced cannot move a single
+// byte of any table. Regenerate with
+// `go test -run TestExperimentsGolden -update .` after intentional changes.
+func TestExperimentsGolden(t *testing.T) {
+	opts := ExperimentOptions{TraceLen: 300, Benchmarks: []string{"libq"}}
+	var buf bytes.Buffer
+	for _, id := range Experiments() {
+		out, err := RunExperiment(id, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		fmt.Fprintf(&buf, "### %s\n%s", id, out)
+	}
+	checkGolden(t, filepath.Join("testdata", "experiments_golden.txt"), buf.Bytes())
 }
 
 func TestORAMWithMerkleAndRecursion(t *testing.T) {
