@@ -5,7 +5,7 @@
 //
 //	experiments                      # run everything at default scale
 //	experiments -exp fig9            # one experiment
-//	experiments -figure eviction     # -figure is an alias for -exp
+//	experiments -exp eviction        # eviction-strategy ablation
 //	experiments -exp fig4 -quick     # reduced sweep
 //	experiments -trace 20000         # longer traces (slower, steadier)
 //	experiments -benches black,libq  # workload subset
@@ -25,7 +25,6 @@ import (
 func main() {
 	var (
 		exp     = flag.String("exp", "all", "experiment id: all, "+strings.Join(doram.Experiments(), ", "))
-		figure  = flag.String("figure", "", "alias for -exp")
 		quick   = flag.Bool("quick", false, "reduced sweep (3 benchmarks, short traces)")
 		trace   = flag.Uint64("trace", 0, "memory accesses per core per run (0 = default)")
 		seed    = flag.Uint64("seed", 0, "simulation seed (0 = default)")
@@ -41,15 +40,6 @@ func main() {
 	)
 	flag.Parse()
 
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if explicit["exp"] && explicit["figure"] && *exp != *figure {
-		fmt.Fprintf(os.Stderr, "experiments: -figure is an alias for -exp; set one, not conflicting values %q and %q\n", *exp, *figure)
-		os.Exit(2)
-	}
-	if *figure != "" {
-		*exp = *figure
-	}
 	if err := validateName("eviction", *eviction, doram.EvictionStrategies()); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)

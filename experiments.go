@@ -70,85 +70,21 @@ func (o ExperimentOptions) internal() (experiments.Options, error) {
 // Experiments lists the reproducible experiment identifiers: the paper's
 // tables and figures in order, then the ablation studies of the design
 // choices DESIGN.md calls out.
-func Experiments() []string {
-	return []string{
-		"table1", "fig4", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "sapp",
-		"ablation-layout", "ablation-pace", "ablation-link", "ablation-coop", "ablation-scheduler", "ablation-memgen", "ablation-overlap", "ablation-forkpath", "oram-compare", "eviction", "energy",
-	}
-}
+func Experiments() []string { return experiments.IDs() }
 
-// runExperimentTable resolves an experiment id to its result table.
-func runExperimentTable(id string, o experiments.Options) (*experiments.Table, error) {
-	bench := "face"
-	if len(o.Benchmarks) > 0 {
-		bench = o.Benchmarks[0]
+// experimentTable regenerates one experiment's result table.
+func experimentTable(id string, opts ExperimentOptions) (*experiments.Table, error) {
+	io, err := opts.internal()
+	if err != nil {
+		return nil, err
 	}
-	switch id {
-	case "table1":
-		_, t := experiments.TableI()
-		return t, nil
-	case "fig4":
-		_, t, err := experiments.Figure4(o)
-		return t, err
-	case "fig8":
-		if len(o.Benchmarks) == 0 {
-			bench = "black"
-		}
-		_, t, err := experiments.Figure8(o, bench)
-		return t, err
-	case "fig9":
-		_, t, err := experiments.Figure9(o)
-		return t, err
-	case "fig10":
-		_, t, err := experiments.Figure10(o)
-		return t, err
-	case "fig11":
-		_, t, err := experiments.Figure11(o)
-		return t, err
-	case "fig12":
-		_, t, err := experiments.Figure12(o)
-		return t, err
-	case "fig13":
-		_, t, err := experiments.Figure13(o)
-		return t, err
-	case "sapp":
-		_, t, err := experiments.SAppImpact(o)
-		return t, err
-	case "energy":
-		_, t, err := experiments.EnergyStudy(o)
-		return t, err
-	case "oram-compare":
-		_, t, err := experiments.ORAMCompare(12, 2000, o.Seed)
-		return t, err
-	case "eviction":
-		_, t, err := experiments.EvictionAblation(o)
-		return t, err
-	case "ablation-layout", "ablation-pace", "ablation-link", "ablation-coop", "ablation-scheduler", "ablation-memgen", "ablation-overlap", "ablation-forkpath":
-		fns := map[string]func(experiments.Options, string) (*experiments.AblationSummary, *experiments.Table, error){
-			"ablation-layout":    experiments.AblationSubtreeLayout,
-			"ablation-pace":      experiments.AblationPace,
-			"ablation-link":      experiments.AblationLinkLatency,
-			"ablation-coop":      experiments.AblationCoopThreshold,
-			"ablation-scheduler": experiments.AblationScheduler,
-			"ablation-memgen":    experiments.AblationMemoryGen,
-			"ablation-overlap":   experiments.AblationPhaseOverlap,
-			"ablation-forkpath":  experiments.AblationForkPath,
-		}
-		_, t, err := fns[id](o, bench)
-		return t, err
-	default:
-		return nil, fmt.Errorf("doram: unknown experiment %q (want one of %v)", id, Experiments())
-	}
+	return experiments.Run(id, io)
 }
 
 // RunExperiment regenerates one table or figure of the paper's evaluation
 // and returns its formatted text. Identifiers are those of Experiments().
 func RunExperiment(id string, opts ExperimentOptions) (string, error) {
-	io, err := opts.internal()
-	if err != nil {
-		return "", err
-	}
-	t, err := runExperimentTable(id, io)
+	t, err := experimentTable(id, opts)
 	if err != nil {
 		return "", err
 	}
@@ -160,11 +96,7 @@ func RunExperiment(id string, opts ExperimentOptions) (string, error) {
 // RunExperimentCSV regenerates one experiment and returns its data table
 // as CSV (header plus rows, notes omitted) for plotting pipelines.
 func RunExperimentCSV(id string, opts ExperimentOptions) (string, error) {
-	io, err := opts.internal()
-	if err != nil {
-		return "", err
-	}
-	t, err := runExperimentTable(id, io)
+	t, err := experimentTable(id, opts)
 	if err != nil {
 		return "", err
 	}

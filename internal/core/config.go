@@ -10,6 +10,7 @@ import (
 	"doram/internal/addrmap"
 	"doram/internal/dram"
 	"doram/internal/mc"
+	"doram/internal/oram"
 	"doram/internal/oram/backend"
 	"doram/internal/trace"
 )
@@ -114,7 +115,8 @@ type Config struct {
 
 	// SubtreeLevels overrides the ORAM subtree layout depth; 0 uses the
 	// paper's 7. A value of 1 degenerates to the naive level-order layout
-	// that Ren et al. [32] improve on.
+	// that Ren et al. [32] improve on; 21, the uncached depth, lays the
+	// whole secure-channel tree out as one subtree.
 	SubtreeLevels int
 	// LinkLatencyNs overrides the BOB buffer-logic+link latency; 0 uses
 	// the paper's 15 ns.
@@ -195,6 +197,12 @@ type Config struct {
 	Stop func() bool `json:"-"`
 }
 
+// maxSubtreeLevels is the deepest subtree layout that differs from the
+// shallower ones: the uncached levels of the paper's tree, which stay
+// 21 deep under any split k (the k expanded levels are the ones moved
+// off the secure channel). The layout clamps deeper settings to it.
+var maxSubtreeLevels = oram.PaperParams().Levels - oram.PaperParams().TopCacheLevels + 1
+
 // DefaultMetricsEpochCycles is the timeline sampling period callers should
 // use unless they have a reason not to: 4096 CPU cycles (1.28 us at
 // 3.2 GHz) resolves ORAM-access-scale behaviour without bloating dumps.
@@ -235,6 +243,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: NumS %d out of [0,4]", c.NumS)
 	case c.NumS > 0 && !c.HasSApp:
 		return fmt.Errorf("core: NumS > 0 requires HasSApp")
+	case c.SecureSharers < AllNS:
+		return fmt.Errorf("core: SecureSharers %d below AllNS (%d)", c.SecureSharers, AllNS)
 	case c.SplitK < 0 || c.SplitK > 3:
 		return fmt.Errorf("core: SplitK %d out of [0,3]", c.SplitK)
 	case c.SplitK > 0 && c.Scheme != DORAM:
@@ -247,6 +257,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: CoopThreshold out of (0,1]")
 	case c.SubtreeLevels < 0:
 		return fmt.Errorf("core: SubtreeLevels %d must be non-negative", c.SubtreeLevels)
+	case c.SubtreeLevels > maxSubtreeLevels:
+		return fmt.Errorf("core: SubtreeLevels %d above the %d uncached tree levels", c.SubtreeLevels, maxSubtreeLevels)
 	case c.LinkLatencyNs < 0 || c.LinkLatencyNs != c.LinkLatencyNs:
 		return fmt.Errorf("core: LinkLatencyNs %v must be non-negative", c.LinkLatencyNs)
 	case c.LinkCorruptProb < 0 || c.LinkCorruptProb > 1 || c.LinkCorruptProb != c.LinkCorruptProb:

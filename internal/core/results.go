@@ -1,6 +1,7 @@
 package core
 
 import (
+	"doram/internal/clock"
 	"doram/internal/delegator"
 	"doram/internal/evtrace"
 	"doram/internal/metrics"
@@ -139,6 +140,15 @@ func (r *Results) AvgNSFinish() float64 {
 		s += float64(f)
 	}
 	return s / float64(len(r.NSFinish))
+}
+
+// ORAMAccessNs returns the S-App's mean ORAM access time (read plus write
+// phase) in nanoseconds, or 0 when no S-App ran.
+func (r *Results) ORAMAccessNs() float64 {
+	if r.SApp == nil {
+		return 0
+	}
+	return clock.CPUToNanos(uint64(r.SApp.ReadPhase.Mean() + r.SApp.WritePhase.Mean()))
 }
 
 // AvgReadLatency returns the mean NS read latency in CPU cycles.

@@ -1,7 +1,8 @@
 package experiments
 
 import (
-	"doram/internal/clock"
+	"fmt"
+
 	"doram/internal/core"
 	"doram/internal/mc"
 )
@@ -22,134 +23,94 @@ type AblationSummary struct {
 	Rows []AblationRow
 }
 
-// runAblation executes a sweep of configs and normalizes NS execution to
-// the first entry.
-func runAblation(o Options, name string, labels []string, cfgs []core.Config) (*AblationSummary, *Table, error) {
+// ablation is one design-choice sweep over the 1S7NS D-ORAM co-run: set
+// applies row i's setting to the plain D-ORAM config. Row 0 is the
+// paper's choice, which the other rows are normalized to.
+type ablation struct {
+	id, title string
+	labels    []string
+	set       func(cfg *core.Config, i int)
+}
+
+// ablations lists the design-choice sweeps in presentation order.
+var ablations = []ablation{
+	// The subtree layout of Ren et al. [32]: depth 7 (the paper's choice,
+	// near-perfect row hits along a path) versus depth 1 (naive
+	// level-order layout, a row miss per level).
+	{"ablation-layout", "ORAM subtree layout depth",
+		[]string{"subtree-7 (paper)", "subtree-4", "subtree-1 (naive)"},
+		func(c *core.Config, i int) { c.SubtreeLevels = []int{7, 4, 1}[i] }},
+	// The timing-protection interval t (§III-B, paper t=50): smaller t
+	// means a denser ORAM request stream and more interference; larger t
+	// throttles the S-App.
+	{"ablation-pace", "timing-protection pace t",
+		[]string{"t=50 (paper)", "t=10", "t=200", "t=1000"},
+		func(c *core.Config, i int) { c.Pace = []uint64{50, 10, 200, 1000}[i] }},
+	// The BOB buffer-logic+link latency (Table II, 15 ns from Twin-Load):
+	// D-ORAM's NS path crosses the link twice per read, so this prices the
+	// architecture's fixed cost.
+	{"ablation-link", "BOB link latency",
+		[]string{"15ns (paper)", "5ns", "30ns", "60ns"},
+		func(c *core.Config, i int) { c.LinkLatencyNs = []float64{15, 5, 30, 60}[i] }},
+	// The cooperative bandwidth-preallocation share (§IV, paper 0.5):
+	// higher shares favour the S-App on the secure channel at the
+	// NS-Apps' cost.
+	{"ablation-coop", "cooperative preallocation threshold",
+		[]string{"50% (paper)", "25%", "75%"},
+		func(c *core.Config, i int) { c.CoopThreshold = []float64{0.5, 0.25, 0.75}[i] }},
+	// Memory scheduling policies: FR-FCFS (USIMM's reference, the
+	// evaluation default), strict FCFS, and close-page.
+	{"ablation-scheduler", "memory scheduling policy",
+		[]string{"fr-fcfs (paper)", "fcfs", "close-page"},
+		func(c *core.Config, i int) { c.MCPolicy = []mc.Policy{mc.FRFCFS, mc.FCFS, mc.ClosePage}[i] }},
+	// The paper's DDR3-1600 memory against DDR4-2400 (bank groups, higher
+	// rate).
+	{"ablation-memgen", "memory generation",
+		[]string{"DDR3-1600 (paper)", "DDR4-2400"},
+		func(c *core.Config, i int) { c.DDR4 = i == 1 }},
+	// The paper's strict phase buffering (§III-B) against the read/write
+	// phase overlap of Wang et al. [39].
+	{"ablation-overlap", "SD phase pipelining",
+		[]string{"buffered (paper)", "overlapped [39]"},
+		func(c *core.Config, i int) { c.OverlapPhases = i == 1 }},
+	// D-ORAM with and without the Fork Path redundant-access elimination
+	// [44].
+	{"ablation-forkpath", "fork-path elimination",
+		[]string{"full paths (paper)", "fork path [44]"},
+		func(c *core.Config, i int) { c.ForkPath = i == 1 }},
+}
+
+// Ablation runs the design-choice sweep named id (an "ablation-*"
+// experiment) on one benchmark.
+func Ablation(o Options, id, bench string) (*AblationSummary, *Table, error) {
+	for _, a := range ablations {
+		if a.id == id {
+			return runAblation(o, a, bench)
+		}
+	}
+	return nil, nil, fmt.Errorf("experiments: unknown ablation %q", id)
+}
+
+// runAblation executes one sweep and normalizes NS execution to its first
+// row.
+func runAblation(o Options, a ablation, bench string) (*AblationSummary, *Table, error) {
+	cfgs := make([]core.Config, len(a.labels))
+	for i := range cfgs {
+		cfgs[i] = doramConfig(o, bench, 0, core.AllNS)
+		a.set(&cfgs[i], i)
+	}
 	res, err := runAll(o, cfgs)
 	if err != nil {
 		return nil, nil, err
 	}
-	sum := &AblationSummary{Name: name}
+	sum := &AblationSummary{Name: a.title + " (" + bench + ")"}
 	base := res[0].AvgNSFinish()
 	for i, r := range res {
-		row := AblationRow{Label: labels[i], NSExec: r.AvgNSFinish() / base}
-		if r.SApp != nil && r.SApp.ReadPhase.Count() > 0 {
-			row.ORAMAccessNs = clock.CPUToNanos(uint64(r.SApp.ReadPhase.Mean() + r.SApp.WritePhase.Mean()))
-		}
-		sum.Rows = append(sum.Rows, row)
+		sum.Rows = append(sum.Rows, AblationRow{Label: a.labels[i], NSExec: r.AvgNSFinish() / base, ORAMAccessNs: r.ORAMAccessNs()})
 	}
-	t := &Table{Title: "Ablation: " + name, Header: []string{"config", "NS exec (norm)", "ORAM access (ns)"}}
+	t := &Table{Title: "Ablation: " + sum.Name, Header: []string{"config", "NS exec (norm)", "ORAM access (ns)"}}
 	for _, r := range sum.Rows {
 		t.AddRow(r.Label, f3(r.NSExec), f2(r.ORAMAccessNs))
 	}
 	return sum, t, nil
-}
-
-// AblationSubtreeLayout quantifies the subtree layout of Ren et al. [32]:
-// depth 7 (the paper's choice, near-perfect row hits along a path) versus
-// depth 1 (naive level-order layout, a row miss per level).
-func AblationSubtreeLayout(o Options, bench string) (*AblationSummary, *Table, error) {
-	labels := []string{"subtree-7 (paper)", "subtree-4", "subtree-1 (naive)"}
-	var cfgs []core.Config
-	for _, depth := range []int{7, 4, 1} {
-		cfg := doramConfig(o, bench, 0, core.AllNS)
-		cfg.SubtreeLevels = depth
-		cfgs = append(cfgs, cfg)
-	}
-	return runAblation(o, "ORAM subtree layout depth ("+bench+")", labels, cfgs)
-}
-
-// AblationPace sweeps the timing-protection interval t (§III-B, paper
-// t=50): smaller t means a denser ORAM request stream and more
-// interference; larger t throttles the S-App.
-func AblationPace(o Options, bench string) (*AblationSummary, *Table, error) {
-	labels := []string{"t=50 (paper)", "t=10", "t=200", "t=1000"}
-	var cfgs []core.Config
-	for _, pace := range []uint64{50, 10, 200, 1000} {
-		cfg := doramConfig(o, bench, 0, core.AllNS)
-		cfg.Pace = pace
-		cfgs = append(cfgs, cfg)
-	}
-	return runAblation(o, "timing-protection pace t ("+bench+")", labels, cfgs)
-}
-
-// AblationLinkLatency sweeps the BOB buffer-logic+link latency (Table II,
-// 15 ns from Twin-Load): D-ORAM's NS path crosses the link twice per read,
-// so this prices the architecture's fixed cost.
-func AblationLinkLatency(o Options, bench string) (*AblationSummary, *Table, error) {
-	labels := []string{"15ns (paper)", "5ns", "30ns", "60ns"}
-	var cfgs []core.Config
-	for _, ns := range []float64{15, 5, 30, 60} {
-		cfg := doramConfig(o, bench, 0, core.AllNS)
-		cfg.LinkLatencyNs = ns
-		cfgs = append(cfgs, cfg)
-	}
-	return runAblation(o, "BOB link latency ("+bench+")", labels, cfgs)
-}
-
-// AblationCoopThreshold sweeps the cooperative bandwidth-preallocation
-// share (§IV, paper 0.5): higher shares favour the S-App on the secure
-// channel at the NS-Apps' cost.
-func AblationCoopThreshold(o Options, bench string) (*AblationSummary, *Table, error) {
-	labels := []string{"50% (paper)", "25%", "75%"}
-	var cfgs []core.Config
-	for _, thr := range []float64{0.5, 0.25, 0.75} {
-		cfg := doramConfig(o, bench, 0, core.AllNS)
-		cfg.CoopThreshold = thr
-		cfgs = append(cfgs, cfg)
-	}
-	return runAblation(o, "cooperative preallocation threshold ("+bench+")", labels, cfgs)
-}
-
-// AblationScheduler compares memory scheduling policies under the D-ORAM
-// co-run: FR-FCFS (USIMM's reference, the evaluation default), strict
-// FCFS, and close-page.
-func AblationScheduler(o Options, bench string) (*AblationSummary, *Table, error) {
-	labels := []string{"fr-fcfs (paper)", "fcfs", "close-page"}
-	var cfgs []core.Config
-	for _, pol := range []mc.Policy{mc.FRFCFS, mc.FCFS, mc.ClosePage} {
-		cfg := doramConfig(o, bench, 0, core.AllNS)
-		cfg.MCPolicy = pol
-		cfgs = append(cfgs, cfg)
-	}
-	return runAblation(o, "memory scheduling policy ("+bench+")", labels, cfgs)
-}
-
-// AblationMemoryGen compares the paper's DDR3-1600 memory against
-// DDR4-2400 (bank groups, higher rate) under the D-ORAM co-run.
-func AblationMemoryGen(o Options, bench string) (*AblationSummary, *Table, error) {
-	labels := []string{"DDR3-1600 (paper)", "DDR4-2400"}
-	var cfgs []core.Config
-	for _, d4 := range []bool{false, true} {
-		cfg := doramConfig(o, bench, 0, core.AllNS)
-		cfg.DDR4 = d4
-		cfgs = append(cfgs, cfg)
-	}
-	return runAblation(o, "memory generation ("+bench+")", labels, cfgs)
-}
-
-// AblationPhaseOverlap compares the paper's strict phase buffering
-// (§III-B) against the read/write phase overlap of Wang et al. [39].
-func AblationPhaseOverlap(o Options, bench string) (*AblationSummary, *Table, error) {
-	labels := []string{"buffered (paper)", "overlapped [39]"}
-	var cfgs []core.Config
-	for _, ov := range []bool{false, true} {
-		cfg := doramConfig(o, bench, 0, core.AllNS)
-		cfg.OverlapPhases = ov
-		cfgs = append(cfgs, cfg)
-	}
-	return runAblation(o, "SD phase pipelining ("+bench+")", labels, cfgs)
-}
-
-// AblationForkPath compares D-ORAM with and without the Fork Path
-// redundant-access elimination [44].
-func AblationForkPath(o Options, bench string) (*AblationSummary, *Table, error) {
-	labels := []string{"full paths (paper)", "fork path [44]"}
-	var cfgs []core.Config
-	for _, fp := range []bool{false, true} {
-		cfg := doramConfig(o, bench, 0, core.AllNS)
-		cfg.ForkPath = fp
-		cfgs = append(cfgs, cfg)
-	}
-	return runAblation(o, "fork-path elimination ("+bench+")", labels, cfgs)
 }

@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestAblationSubtreeLayout(t *testing.T) {
-	sum, table, err := AblationSubtreeLayout(opts(), "face")
+	sum, table, err := Ablation(opts(), "ablation-layout", "face")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestAblationSubtreeLayout(t *testing.T) {
 }
 
 func TestAblationPace(t *testing.T) {
-	sum, _, err := AblationPace(opts(), "face")
+	sum, _, err := Ablation(opts(), "ablation-pace", "face")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestAblationPace(t *testing.T) {
 }
 
 func TestAblationLinkLatency(t *testing.T) {
-	sum, _, err := AblationLinkLatency(opts(), "libq")
+	sum, _, err := Ablation(opts(), "ablation-link", "libq")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestAblationLinkLatency(t *testing.T) {
 }
 
 func TestAblationCoopThreshold(t *testing.T) {
-	sum, _, err := AblationCoopThreshold(opts(), "face")
+	sum, _, err := Ablation(opts(), "ablation-coop", "face")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestAblationCoopThreshold(t *testing.T) {
 }
 
 func TestAblationScheduler(t *testing.T) {
-	sum, _, err := AblationScheduler(opts(), "face")
+	sum, _, err := Ablation(opts(), "ablation-scheduler", "face")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestAblationScheduler(t *testing.T) {
 }
 
 func TestAblationMemoryGen(t *testing.T) {
-	sum, _, err := AblationMemoryGen(opts(), "face")
+	sum, _, err := Ablation(opts(), "ablation-memgen", "face")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestAblationMemoryGen(t *testing.T) {
 }
 
 func TestAblationPhaseOverlap(t *testing.T) {
-	sum, _, err := AblationPhaseOverlap(opts(), "face")
+	sum, _, err := Ablation(opts(), "ablation-overlap", "face")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,29 +16,27 @@ type EnergyRow struct {
 // schemes — a consequence of ORAM's ~170x traffic amplification the paper
 // does not quantify but a deployment would care about.
 func EnergyStudy(o Options) ([]EnergyRow, *Table, error) {
-	benches := o.benchmarks()
-	var cfgs []core.Config
-	for _, b := range benches {
-		cfgs = append(cfgs,
+	res, err := runBenches(o, func(b string) []core.Config {
+		return []core.Config{
 			soloConfig(o, b),
 			baselineConfig(o, b),
 			doramConfig(o, b, 0, core.AllNS),
-			o.apply(core.DefaultConfig(core.SecureMemory, b)),
-		)
-	}
-	res, err := runAll(o, cfgs)
+			secureMemoryConfig(o, b),
+		}
+	})
 	if err != nil {
 		return nil, nil, err
 	}
 	var rows []EnergyRow
-	for i, b := range benches {
-		solo := res[i*4].TotalEnergyUJ()
+	for i, b := range o.benchmarks() {
+		r := res[i]
+		solo := r[0].TotalEnergyUJ()
 		rows = append(rows, EnergyRow{
 			Bench:    b,
 			Solo:     solo,
-			PathORAM: res[i*4+1].TotalEnergyUJ() / solo,
-			DORAM:    res[i*4+2].TotalEnergyUJ() / solo,
-			SecMem:   res[i*4+3].TotalEnergyUJ() / solo,
+			PathORAM: r[1].TotalEnergyUJ() / solo,
+			DORAM:    r[2].TotalEnergyUJ() / solo,
+			SecMem:   r[3].TotalEnergyUJ() / solo,
 		})
 	}
 	t := &Table{

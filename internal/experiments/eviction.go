@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"doram/internal/clock"
 	"doram/internal/core"
 	"doram/internal/oram"
 	"doram/internal/oram/backend"
@@ -55,19 +54,17 @@ func evictionParams() oram.Params {
 // extra reverse-lexicographic path per access, real or dummy, which the
 // simulator prices as real channel traffic.
 func EvictionAblation(o Options) (*EvictionSummary, *Table, error) {
-	benches := o.benchmarks()
 	strategies := backend.Evictions()
 
 	// Timing runs: one co-run per (bench, strategy).
-	var cfgs []core.Config
-	for _, b := range benches {
-		for _, s := range strategies {
-			cfg := doramConfig(o, b, 0, core.AllNS)
-			cfg.Eviction = s
-			cfgs = append(cfgs, cfg)
+	res, err := runBenches(o, func(b string) []core.Config {
+		cfgs := make([]core.Config, len(strategies))
+		for i, s := range strategies {
+			cfgs[i] = doramConfig(o, b, 0, core.AllNS)
+			cfgs[i].Eviction = s
 		}
-	}
-	res, err := runAll(o, cfgs)
+		return cfgs
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -82,18 +79,16 @@ func EvictionAblation(o Options) (*EvictionSummary, *Table, error) {
 	}
 
 	sum := &EvictionSummary{}
-	for bi, b := range benches {
-		base := res[bi*len(strategies)+baseIdx].AvgNSFinish()
+	for bi, b := range o.benchmarks() {
+		base := res[bi][baseIdx].AvgNSFinish()
 		for si, s := range strategies {
 			fn, err := evictionFunctional(b, s, o.TraceLen, o.Seed)
 			if err != nil {
 				return nil, nil, err
 			}
-			r := res[bi*len(strategies)+si]
+			r := res[bi][si]
 			fn.NSExec = r.AvgNSFinish() / base
-			if r.SApp != nil && r.SApp.ReadPhase.Count() > 0 {
-				fn.ORAMAccessNs = clock.CPUToNanos(uint64(r.SApp.ReadPhase.Mean() + r.SApp.WritePhase.Mean()))
-			}
+			fn.ORAMAccessNs = r.ORAMAccessNs()
 			sum.Rows = append(sum.Rows, fn)
 		}
 	}

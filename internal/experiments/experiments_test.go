@@ -3,7 +3,9 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"os"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"doram/internal/core"
@@ -221,6 +223,35 @@ func TestTraceDirKeepsRing(t *testing.T) {
 	if cfg := o.apply(base); !cfg.TraceEvents || cfg.TraceLimit != evtrace.DefaultLimit {
 		t.Fatalf("trace-dir sweep: TraceEvents %v, TraceLimit %d, want ring of %d",
 			cfg.TraceEvents, cfg.TraceLimit, evtrace.DefaultLimit)
+	}
+}
+
+// TestOneDumpPerRun: every run an experiment executes leaves exactly one
+// metrics dump and one trace dump, so no batch of a sweep overwrites
+// another batch's files.
+func TestOneDumpPerRun(t *testing.T) {
+	count := func(dir string) int {
+		files, err := os.ReadDir(dir)
+		if err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		return len(files)
+	}
+	for _, id := range IDs() {
+		o := Options{TraceLen: 300, Seed: 42, Benchmarks: []string{"libq"},
+			MetricsDir: t.TempDir() + "/m", TraceDir: t.TempDir() + "/t"}
+		var runs atomic.Int64
+		o.Exec = func(cfg core.Config) (*core.Results, error) {
+			runs.Add(1)
+			return Options{}.run(cfg)
+		}
+		if _, err := Run(id, o); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		n := int(runs.Load())
+		if m, tr := count(o.MetricsDir), count(o.TraceDir); m != n || tr != n {
+			t.Errorf("%s: %d runs left %d metrics and %d trace dumps", id, n, m, tr)
+		}
 	}
 }
 

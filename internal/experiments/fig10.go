@@ -24,24 +24,23 @@ type Fig10Summary struct {
 // Path ORAM tree by k levels (capacity 4 GB -> 4*2^k GB) with the bottom
 // k levels relocated to the normal channels.
 func Figure10(o Options) (*Fig10Summary, *Table, error) {
-	benches := o.benchmarks()
-	var cfgs []core.Config
-	for _, b := range benches {
+	res, err := runBenches(o, func(b string) []core.Config {
+		var cfgs []core.Config
 		for k := 0; k <= 3; k++ {
 			cfgs = append(cfgs, doramConfig(o, b, k, core.AllNS))
 		}
-	}
-	res, err := runAll(o, cfgs)
+		return cfgs
+	})
 	if err != nil {
 		return nil, nil, err
 	}
 
 	sum := &Fig10Summary{}
-	for i, b := range benches {
-		base := res[i*4].AvgNSFinish()
+	for i, b := range o.benchmarks() {
 		row := Fig10Row{Bench: b}
-		for k := 0; k <= 3; k++ {
-			row.K[k] = res[i*4+k].AvgNSFinish() / base
+		base := res[i][0].AvgNSFinish()
+		for k, r := range res[i] {
+			row.K[k] = r.AvgNSFinish() / base
 		}
 		sum.Rows = append(sum.Rows, row)
 	}

@@ -2,6 +2,35 @@ package experiments
 
 import "doram/internal/core"
 
+// cSweepLen is a c-sweep's run count per benchmark: the Path ORAM
+// baseline, then D-ORAM at c = 0..7.
+const cSweepLen = 1 + 8
+
+// cSweep returns one benchmark's c-sweep, the study Figures 9, 11 and 12
+// share: the Path ORAM baseline, then D-ORAM letting c = 0..7 of the seven
+// NS-Apps allocate on the secure channel (c = 7 runs like plain D-ORAM).
+func cSweep(o Options, bench string) []core.Config {
+	cfgs := []core.Config{baselineConfig(o, bench)}
+	for c := 0; c <= 7; c++ {
+		cfgs = append(cfgs, doramConfig(o, bench, 0, c))
+	}
+	return cfgs
+}
+
+// bestC reduces a c-sweep's results (cSweep order) to the NS execution time
+// at every c normalized to the baseline, and the c minimizing it (the
+// smallest such c on ties).
+func bestC(res []*core.Results) (norm [8]float64, best int) {
+	base := res[0].AvgNSFinish()
+	for c := range norm {
+		norm[c] = res[1+c].AvgNSFinish() / base
+		if norm[c] < norm[best] {
+			best = c
+		}
+	}
+	return norm, best
+}
+
 // Fig11Row holds one benchmark's normalized execution time at every
 // secure-channel sharing setting, plus the channel-partition references.
 type Fig11Row struct {
@@ -22,38 +51,25 @@ type Fig11Summary struct {
 // and 7NS-4ch partitions for comparison. Values are normalized to the
 // Path ORAM baseline, like Figure 9.
 func Figure11(o Options) (*Fig11Summary, *Table, error) {
-	benches := o.benchmarks()
-	var cfgs []core.Config
-	for _, b := range benches {
-		cfgs = append(cfgs, baselineConfig(o, b))
-		for c := 0; c <= 7; c++ {
-			cfgs = append(cfgs, doramConfig(o, b, 0, c))
-		}
-		cfgs = append(cfgs,
+	res, err := runBenches(o, func(b string) []core.Config {
+		return append(cSweep(o, b),
 			corunConfig(o, b, []int{1, 2, 3}),
 			corunConfig(o, b, nil),
 		)
-	}
-	res, err := runAll(o, cfgs)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
 
 	sum := &Fig11Summary{}
-	const perBench = 1 + 8 + 2
-	for i, b := range benches {
-		base := res[i*perBench].AvgNSFinish()
-		row := Fig11Row{Bench: b}
-		best := 0.0
-		for c := 0; c <= 7; c++ {
-			v := res[i*perBench+1+c].AvgNSFinish() / base
-			row.C[c] = v
-			if c == 0 || v < best {
-				best, row.BestC = v, c
-			}
+	for i, b := range o.benchmarks() {
+		r := res[i]
+		base := r[0].AvgNSFinish()
+		row := Fig11Row{Bench: b,
+			NS3: r[cSweepLen].AvgNSFinish() / base,
+			NS4: r[cSweepLen+1].AvgNSFinish() / base,
 		}
-		row.NS3 = res[i*perBench+9].AvgNSFinish() / base
-		row.NS4 = res[i*perBench+10].AvgNSFinish() / base
+		row.C, row.BestC = bestC(r)
 		sum.Rows = append(sum.Rows, row)
 	}
 

@@ -24,46 +24,32 @@ type Fig12Summary struct {
 // yields T25mix and T33 (§III-D); the ratio r = T25mix/T33 predicts
 // whether a benchmark prefers few (r > 1) or many (r < 1) NS-Apps on the
 // secure channel. Predictions are checked against the measured best c of
-// the evaluation segment (Figure 11's sweep).
+// the evaluation segment (Figure 11's c-sweep).
 func Figure12(o Options) (*Fig12Summary, *Table, error) {
 	// Profiling segment: a different part of the trace, i.e. another seed.
 	prof := o
 	prof.Seed = o.Seed ^ 0x70f11e
-
-	benches := o.benchmarks()
-	var profCfgs []core.Config
-	for _, b := range benches {
-		profCfgs = append(profCfgs,
+	res, err := runBenches(o, func(b string) []core.Config {
+		return append([]core.Config{
 			soloConfig(prof, b),
 			doramConfig(prof, b, 0, core.AllNS), // T25mix: all share
 			doramConfig(prof, b, 0, 0),          // T33: normal channels only
-		)
-	}
-	profRes, err := runAll(prof, profCfgs)
+		}, cSweep(o, b)...)
+	})
 	if err != nil {
 		return nil, nil, err
-	}
-
-	// Evaluation segment: the measured optimum (reuses Figure 11's sweep).
-	fig11, _, err := Figure11(o)
-	if err != nil {
-		return nil, nil, err
-	}
-	bestC := map[string]int{}
-	for _, r := range fig11.Rows {
-		bestC[r.Bench] = r.BestC
 	}
 
 	sum := &Fig12Summary{}
 	agree := 0
-	for i, b := range benches {
-		solo := profRes[i*3]
+	for i, b := range o.benchmarks() {
+		r := res[i]
 		row := Fig12Row{
 			Bench:  b,
-			T25mix: profRes[i*3+1].LatencySlowdown(solo),
-			T33:    profRes[i*3+2].LatencySlowdown(solo),
-			BestC:  bestC[b],
+			T25mix: r[1].LatencySlowdown(r[0]),
+			T33:    r[2].LatencySlowdown(r[0]),
 		}
+		_, row.BestC = bestC(r[3:])
 		if row.T33 > 0 {
 			row.Ratio = row.T25mix / row.T33
 		}

@@ -26,26 +26,21 @@ type Fig13Summary struct {
 // Figure13 reproduces Figure 13: the average NS-App read and write access
 // latency reduction of D-ORAM over the Path ORAM baseline.
 func Figure13(o Options) (*Fig13Summary, *Table, error) {
-	benches := o.benchmarks()
-	var cfgs []core.Config
-	for _, b := range benches {
-		cfgs = append(cfgs,
+	res, err := runBenches(o, func(b string) []core.Config {
+		return []core.Config{
 			baselineConfig(o, b),
 			doramConfig(o, b, 1, core.AllNS), // D-ORAM+1
 			doramConfig(o, b, 0, 4),          // D-ORAM/4
-		)
-	}
-	res, err := runAll(o, cfgs)
+		}
+	})
 	if err != nil {
 		return nil, nil, err
 	}
 
 	sum := &Fig13Summary{}
 	var reads, writes []float64
-	for i, b := range benches {
-		base := res[i*3]
-		k1 := res[i*3+1]
-		c4 := res[i*3+2]
+	for i, b := range o.benchmarks() {
+		base, k1, c4 := res[i][0], res[i][1], res[i][2]
 		row := Fig13Row{
 			Bench:        b,
 			ReadDORAMk1:  k1.AvgReadLatency() / base.AvgReadLatency(),

@@ -25,34 +25,29 @@ type Fig4Summary struct {
 // Figure4 reproduces Figure 4: NS-App performance degradation under
 // different co-run scenarios, normalized to solo execution.
 func Figure4(o Options) (*Fig4Summary, *Table, error) {
-	benches := o.benchmarks()
-	var cfgs []core.Config
-	for _, b := range benches {
-		cfgs = append(cfgs,
+	res, err := runBenches(o, func(b string) []core.Config {
+		return []core.Config{
 			soloConfig(o, b),
-			o.apply(core.DefaultConfig(core.PathORAMBaseline, b)),
-			o.apply(core.DefaultConfig(core.SecureMemory, b)),
+			baselineConfig(o, b),
+			secureMemoryConfig(o, b),
 			corunConfig(o, b, nil),
 			corunConfig(o, b, []int{1, 2, 3}),
-		)
-	}
-	res, err := runAll(o, cfgs)
+		}
+	})
 	if err != nil {
 		return nil, nil, err
 	}
 
 	sum := &Fig4Summary{}
-	const perBench = 5
-	for i, b := range benches {
-		solo := res[i*perBench]
-		row := Fig4Row{
+	for i, b := range o.benchmarks() {
+		r := res[i]
+		sum.Rows = append(sum.Rows, Fig4Row{
 			Bench:    b,
-			PathORAM: res[i*perBench+1].Slowdown(solo),
-			SecMem:   res[i*perBench+2].Slowdown(solo),
-			NS4:      res[i*perBench+3].Slowdown(solo),
-			NS3:      res[i*perBench+4].Slowdown(solo),
-		}
-		sum.Rows = append(sum.Rows, row)
+			PathORAM: r[1].Slowdown(r[0]),
+			SecMem:   r[2].Slowdown(r[0]),
+			NS4:      r[3].Slowdown(r[0]),
+			NS3:      r[4].Slowdown(r[0]),
+		})
 	}
 	sum.summarize()
 

@@ -31,42 +31,28 @@ type Fig9Summary struct {
 // D-ORAM/X (best sharing), D-ORAM+1 and D-ORAM+1/4 against the Path ORAM
 // baseline. The per-c sweep it computes is also Figure 11's data.
 func Figure9(o Options) (*Fig9Summary, *Table, error) {
-	benches := o.benchmarks()
-	var cfgs []core.Config
-	for _, b := range benches {
-		cfgs = append(cfgs, baselineConfig(o, b))
-		for c := 0; c <= 7; c++ { // c=7 == plain D-ORAM (all NS share)
-			cfgs = append(cfgs, doramConfig(o, b, 0, c))
-		}
-		cfgs = append(cfgs,
+	res, err := runBenches(o, func(b string) []core.Config {
+		return append(cSweep(o, b),
 			doramConfig(o, b, 1, core.AllNS), // D-ORAM+1
 			doramConfig(o, b, 1, 4),          // D-ORAM+1/4
 		)
-	}
-	res, err := runAll(o, cfgs)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
 
 	sum := &Fig9Summary{CSweep: map[string][8]float64{}}
-	const perBench = 1 + 8 + 2
-	for i, b := range benches {
-		base := res[i*perBench].AvgNSFinish()
-		var sweep [8]float64
-		row := Fig9Row{Bench: b, BestC: 0}
-		bestV := 0.0
-		for c := 0; c <= 7; c++ {
-			v := res[i*perBench+1+c].AvgNSFinish() / base
-			sweep[c] = v
-			if c == 0 || v < bestV {
-				bestV, row.BestC = v, c
-			}
-		}
-		row.DORAM = sweep[7]
-		row.DORAMX = bestV
-		row.DORAMk1 = res[i*perBench+9].AvgNSFinish() / base
-		row.DORAMk1c4 = res[i*perBench+10].AvgNSFinish() / base
-		sum.Rows = append(sum.Rows, row)
+	for i, b := range o.benchmarks() {
+		r := res[i]
+		base := r[0].AvgNSFinish()
+		sweep, best := bestC(r)
+		sum.Rows = append(sum.Rows, Fig9Row{Bench: b,
+			DORAM:     sweep[7],
+			DORAMX:    sweep[best],
+			BestC:     best,
+			DORAMk1:   r[cSweepLen].AvgNSFinish() / base,
+			DORAMk1c4: r[cSweepLen+1].AvgNSFinish() / base,
+		})
 		sum.CSweep[b] = sweep
 	}
 	var d, dx, dk, dkc []float64

@@ -146,6 +146,28 @@ func runAll(o Options, cfgs []core.Config) ([]*core.Results, error) {
 	return results, nil
 }
 
+// runBenches builds each benchmark's configs with build, runs them all as
+// one runAll batch (so per-run dumps are numbered once across the sweep)
+// and returns each benchmark's results in build order.
+func runBenches(o Options, build func(bench string) []core.Config) ([][]*core.Results, error) {
+	var cfgs []core.Config
+	var sizes []int
+	for _, b := range o.benchmarks() {
+		bc := build(b)
+		cfgs = append(cfgs, bc...)
+		sizes = append(sizes, len(bc))
+	}
+	res, err := runAll(o, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]*core.Results, len(sizes))
+	for i, n := range sizes {
+		out[i], res = res[:n], res[n:]
+	}
+	return out, nil
+}
+
 // run executes one config through Exec, in-process when none is set.
 func (o Options) run(cfg core.Config) (*core.Results, error) {
 	if o.Exec != nil {
@@ -239,4 +261,9 @@ func doramConfig(o Options, bench string, k, c int) core.Config {
 // baselineConfig is the 1S7NS Path ORAM baseline run.
 func baselineConfig(o Options, bench string) core.Config {
 	return o.apply(core.DefaultConfig(core.PathORAMBaseline, bench))
+}
+
+// secureMemoryConfig is the 1S7NS run with a secure-memory S-App.
+func secureMemoryConfig(o Options, bench string) core.Config {
+	return o.apply(core.DefaultConfig(core.SecureMemory, bench))
 }

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"doram/internal/clock"
-	"doram/internal/core"
-)
+import "doram/internal/core"
 
 // SAppRow holds one benchmark's S-App-side ORAM timing under the Path
 // ORAM baseline and D-ORAM.
@@ -26,25 +23,15 @@ type SAppSummary struct {
 // thousands of nanoseconds, so the tens of nanoseconds the BOB link and
 // delegation add are negligible for the S-App.
 func SAppImpact(o Options) (*SAppSummary, *Table, error) {
-	benches := o.benchmarks()
-	var cfgs []core.Config
-	for _, b := range benches {
-		cfgs = append(cfgs, baselineConfig(o, b), doramConfig(o, b, 0, core.AllNS))
-	}
-	res, err := runAll(o, cfgs)
+	res, err := runBenches(o, func(b string) []core.Config {
+		return []core.Config{baselineConfig(o, b), doramConfig(o, b, 0, core.AllNS)}
+	})
 	if err != nil {
 		return nil, nil, err
 	}
 	sum := &SAppSummary{}
-	for i, b := range benches {
-		base, dor := res[i*2], res[i*2+1]
-		row := SAppRow{Bench: b}
-		if base.SApp != nil {
-			row.BaselineNs = clock.CPUToNanos(uint64(base.SApp.ReadPhase.Mean() + base.SApp.WritePhase.Mean()))
-		}
-		if dor.SApp != nil {
-			row.DORAMNs = clock.CPUToNanos(uint64(dor.SApp.ReadPhase.Mean() + dor.SApp.WritePhase.Mean()))
-		}
+	for i, b := range o.benchmarks() {
+		row := SAppRow{Bench: b, BaselineNs: res[i][0].ORAMAccessNs(), DORAMNs: res[i][1].ORAMAccessNs()}
 		row.OverheadNs = row.DORAMNs - row.BaselineNs
 		sum.Rows = append(sum.Rows, row)
 	}

@@ -44,7 +44,7 @@ type Params struct {
 	// 2^k and the bottom k levels move to the normal channels.
 	SplitK int `json:"k,omitempty"`
 	// C is D-ORAM's secure-channel sharing limit c: how many NS-Apps may
-	// use channel 0. Omitted means AllNS (no limit).
+	// use channel 0. Omitted (or num_ns and above) means AllNS (no limit).
 	C *int `json:"c,omitempty"`
 	// NSChannels restricts NS-Apps to a channel subset (e.g. [1,2,3] for
 	// the 7NS-3ch partition); empty means all four channels.
@@ -70,7 +70,7 @@ type Params struct {
 	CoopThreshold float64 `json:"coop_threshold,omitempty"`
 	// SubtreeLevels overrides the ORAM subtree layout depth; omitted
 	// means the paper's 7. A value of 1 degenerates to the naive
-	// level-order layout.
+	// level-order layout; at most 21, the uncached tree depth.
 	SubtreeLevels int `json:"subtree_levels,omitempty"`
 	// LinkLatencyNs overrides the BOB buffer-logic+link latency; omitted
 	// means the paper's 15 ns.
@@ -143,10 +143,11 @@ var paperDefaults = core.DefaultConfig(core.DORAM, "")
 
 // Canonical returns the spec with every omitted field replaced by its
 // default and every implied flag made explicit, so that equivalent specs
-// compare (and hash) equal. MaxCycles, SubtreeLevels and LinkLatencyNs run
-// the other way: a spelled-out default folds to omitted, which keeps the
-// hashes of specs that never named them. It does not validate; see
-// Validate.
+// compare (and hash) equal. A sharing limit c of num_ns or more folds to
+// AllNS, which it runs identically. MaxCycles, SubtreeLevels and
+// LinkLatencyNs run the other way: a spelled-out default folds to omitted,
+// which keeps the hashes of specs that never named them. It does not
+// validate; see Validate.
 func (p Params) Canonical() Params {
 	c := p
 	if c.NumNS == nil {
@@ -157,7 +158,7 @@ func (p Params) Canonical() Params {
 		h := c.Scheme != SchemeNonSecure
 		c.HasSApp = &h
 	}
-	if c.C == nil {
+	if c.C == nil || *c.C >= *c.NumNS {
 		all := AllNS
 		c.C = &all
 	}

@@ -10,6 +10,7 @@ import (
 
 	"doram/internal/bob"
 	"doram/internal/core"
+	"doram/internal/experiments"
 	"doram/internal/mc"
 	"doram/internal/oram/backend"
 	"doram/internal/oram/layout"
@@ -91,6 +92,25 @@ func TestParamsHashInvariance(t *testing.T) {
 		}
 		if d1.Hash() != d.Hash() {
 			t.Errorf("spelled-out default %s changed the hash", knob)
+		}
+	}
+	// A sharing limit that every NS-App is under runs like no limit, so it
+	// must hash like one.
+	for limited, unlimited := range map[string]string{
+		`{"scheme":"d-oram","benchmark":"face","c":7}`:            `{"scheme":"d-oram","benchmark":"face"}`,
+		`{"scheme":"d-oram","benchmark":"face","c":9}`:            `{"scheme":"d-oram","benchmark":"face"}`,
+		`{"scheme":"d-oram","benchmark":"face","num_ns":3,"c":3}`: `{"scheme":"d-oram","benchmark":"face","num_ns":3}`,
+	} {
+		a, err := ParamsFromJSON([]byte(limited))
+		if err != nil {
+			t.Fatalf("%s: %v", limited, err)
+		}
+		b, err := ParamsFromJSON([]byte(unlimited))
+		if err != nil {
+			t.Fatalf("%s: %v", unlimited, err)
+		}
+		if a.Hash() != b.Hash() {
+			t.Errorf("%s hashes unlike %s", limited, unlimited)
 		}
 	}
 	d3, err := ParamsFromJSON([]byte(`{"scheme":"d-oram","benchmark":"face","eviction":"deterministic-two-path"}`))
@@ -186,7 +206,7 @@ func TestParamsFromSimConfigHashPinned(t *testing.T) {
 
 // sweepConfigs returns every config the experiment sweeps build under o,
 // captured by an executor that records each one and fails it, so nothing
-// is simulated. Sweeps that run in stages stop after their first.
+// is simulated.
 func sweepConfigs(t *testing.T, o ExperimentOptions) []core.Config {
 	t.Helper()
 	io, err := o.internal()
@@ -206,7 +226,7 @@ func sweepConfigs(t *testing.T, o ExperimentOptions) []core.Config {
 		if id == "table1" || id == "oram-compare" { // no simulation sweep
 			continue
 		}
-		if _, err := runExperimentTable(id, io); !errors.Is(err, errRecorded) {
+		if _, err := experiments.Run(id, io); !errors.Is(err, errRecorded) {
 			t.Fatalf("%s: got %v, want the recording executor's error", id, err)
 		}
 	}
@@ -245,8 +265,12 @@ func TestParamsFromCoreSweepConfigs(t *testing.T) {
 		}
 		// Spelled-out defaults fold to omitted, which lowers to the same
 		// simulation: the default backend name to "", the layout and link
-		// ablations' paper rows to 0.
+		// ablations' paper rows to 0, and Figures 9 and 11's c = 7 row to
+		// AllNS.
 		want := cfg
+		if want.SecureSharers >= want.NumNS {
+			want.SecureSharers = core.AllNS
+		}
 		if want.Eviction == backend.DefaultEviction {
 			want.Eviction = ""
 		}
@@ -338,6 +362,11 @@ func TestParamsFromJSONRejects(t *testing.T) {
 		// second ran like the 15 ns default under a different hash.
 		"negative subtree levels": `{"scheme":"d-oram","benchmark":"face","subtree_levels":-3}`,
 		"negative link latency":   `{"scheme":"d-oram","benchmark":"face","link_latency_ns":-1}`,
+		// Both once admitted under a hash of their own: c below AllNS ran
+		// like c = 0, and a subtree deeper than the 21 uncached levels
+		// like one of exactly 21.
+		"c below AllNS":          `{"scheme":"d-oram","benchmark":"face","c":-5}`,
+		"subtree levels past 21": `{"scheme":"d-oram","benchmark":"face","subtree_levels":30}`,
 	}
 	for name, in := range cases {
 		if _, err := ParamsFromJSON([]byte(in)); err == nil {

@@ -67,15 +67,15 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 func TestRemoteFallsBackForScheduler(t *testing.T) {
 	url := startService(t)
 
-	localSum, _, err := experiments.AblationScheduler(quick(), "face")
+	localSum, _, err := experiments.Ablation(quick(), "ablation-scheduler", "face")
 	if err != nil {
-		t.Fatalf("local AblationScheduler: %v", err)
+		t.Fatalf("local ablation-scheduler: %v", err)
 	}
 	remote := quick()
 	remote.Exec = doram.RemoteExec(url)
-	remoteSum, _, err := experiments.AblationScheduler(remote, "face")
+	remoteSum, _, err := experiments.Ablation(remote, "ablation-scheduler", "face")
 	if err != nil {
-		t.Fatalf("remote AblationScheduler: %v", err)
+		t.Fatalf("remote ablation-scheduler: %v", err)
 	}
 	if !reflect.DeepEqual(localSum, remoteSum) {
 		t.Errorf("scheduler ablation differs under endpoint fallback:\n  local:  %+v\n  remote: %+v", localSum, remoteSum)

@@ -325,7 +325,7 @@ func simResult(res *core.Results) *SimResult {
 	}
 	if res.SApp != nil {
 		out.ORAMAccesses = res.SApp.Accesses.Value()
-		out.ORAMAccessNs = clock.CPUToNanos(uint64(res.SApp.ReadPhase.Mean() + res.SApp.WritePhase.Mean()))
+		out.ORAMAccessNs = res.ORAMAccessNs()
 	}
 	lf := res.TotalLinkFaults()
 	out.LinkFaults = LinkFaultSummary{
