@@ -79,6 +79,30 @@ func TestLinkLatencyAndOccupancy(t *testing.T) {
 	}
 }
 
+// TestLinkOccupancy pins serialization time to ceil(n/4) cycles, at least
+// one, for every packet size the link carries, framed and unframed.
+func TestLinkOccupancy(t *testing.T) {
+	l := MustLink(DefaultLinkConfig())
+	cases := []struct {
+		n    int
+		want uint64
+	}{
+		{0, 1},
+		{1, 1},
+		{3, 1},
+		{ShortReadBytes, 2},
+		{ShortReadBytes + 1, 3},
+		{ShortReadBytes + FrameOverhead, 4},
+		{FullPacketBytes, 18},
+		{FrameBytes, 20},
+	}
+	for _, c := range cases {
+		if got := l.occupancy(c.n); got != c.want {
+			t.Errorf("occupancy(%d) = %d, want %d", c.n, got, c.want)
+		}
+	}
+}
+
 func TestLinkShortPacketsCheaper(t *testing.T) {
 	l := MustLink(DefaultLinkConfig())
 	full := l.SendDown(FullPacketBytes, 0)
