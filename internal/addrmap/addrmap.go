@@ -6,6 +6,11 @@
 // Each application owns a Mapper restricted to the set of buses the OS
 // allocated to it; this is how channel partitioning (7NS-3ch), D-ORAM's
 // secure channel and the /c sharing masks are expressed.
+//
+// The interleaving is USIMM's default open-page mapping: lines go across
+// buses first, then fill a row's columns before moving to the next bank,
+// so the bit order is bus | col | bank | rank | row (LSB to MSB). Streams
+// enjoy long row hits plus bus parallelism.
 package addrmap
 
 import "fmt"
@@ -41,50 +46,16 @@ type Coord struct {
 	Col  int
 }
 
-// Scheme selects the bit order of the interleaving.
-type Scheme int
-
-const (
-	// OpenPage interleaves lines across buses first, then fills a row's
-	// columns before moving to the next bank: bus | col | bank | rank | row
-	// (LSB to MSB). Streams enjoy long row hits plus bus parallelism.
-	// This is USIMM's default open-page address mapping.
-	OpenPage Scheme = iota
-	// ClosePage interleaves lines across buses, then banks, then columns:
-	// bus | bank | rank | col | row. Consecutive lines land in different
-	// banks, trading row locality for bank parallelism.
-	ClosePage
-	// OpenPageXOR is OpenPage with the bank index XOR-hashed by low row
-	// bits (permutation-based interleaving), spreading same-bank row
-	// conflicts of power-of-two strided streams across all banks.
-	OpenPageXOR
-)
-
-// String names the scheme.
-func (s Scheme) String() string {
-	switch s {
-	case OpenPage:
-		return "open-page"
-	case ClosePage:
-		return "close-page"
-	case OpenPageXOR:
-		return "open-page-xor"
-	default:
-		return fmt.Sprintf("Scheme(%d)", int(s))
-	}
-}
-
 // Mapper decodes line addresses for one application. The buses slice lists
 // the global bus indices the application may use, in interleave order.
 type Mapper struct {
-	geo    Geometry
-	scheme Scheme
-	buses  []int
+	geo   Geometry
+	buses []int
 }
 
 // New builds a Mapper. It panics on invalid geometry or an empty bus set,
 // which are configuration programming errors.
-func New(geo Geometry, scheme Scheme, buses []int) *Mapper {
+func New(geo Geometry, buses []int) *Mapper {
 	if err := geo.Validate(); err != nil {
 		panic(err)
 	}
@@ -93,7 +64,7 @@ func New(geo Geometry, scheme Scheme, buses []int) *Mapper {
 	}
 	b := make([]int, len(buses))
 	copy(b, buses)
-	return &Mapper{geo: geo, scheme: scheme, buses: b}
+	return &Mapper{geo: geo, buses: b}
 }
 
 // Buses returns the bus set in interleave order.
@@ -106,7 +77,8 @@ func (m *Mapper) Buses() []int {
 // Geometry returns the per-bus geometry.
 func (m *Mapper) Geometry() Geometry { return m.geo }
 
-// Map decodes the byte address addr into a DRAM coordinate.
+// Map decodes the byte address addr into a DRAM coordinate under the
+// open-page interleaving (see the package comment).
 func (m *Mapper) Map(addr uint64) Coord {
 	line := addr / m.geo.LineBytes
 	n := uint64(len(m.buses))
@@ -116,28 +88,12 @@ func (m *Mapper) Map(addr uint64) Coord {
 	banks := uint64(m.geo.Banks)
 	ranks := uint64(m.geo.Ranks)
 
-	var col, bank, rank, row uint64
-	switch m.scheme {
-	case OpenPage, OpenPageXOR:
-		col = rest % cols
-		rest /= cols
-		bank = rest % banks
-		rest /= banks
-		rank = rest % ranks
-		row = rest / ranks
-		if m.scheme == OpenPageXOR {
-			bank ^= row % banks
-		}
-	case ClosePage:
-		bank = rest % banks
-		rest /= banks
-		rank = rest % ranks
-		rest /= ranks
-		col = rest % cols
-		row = rest / cols
-	default:
-		panic(fmt.Sprintf("addrmap: unknown scheme %d", int(m.scheme)))
-	}
+	col := rest % cols
+	rest /= cols
+	bank := rest % banks
+	rest /= banks
+	rank := rest % ranks
+	row := rest / ranks
 	return Coord{Bus: bus, Rank: int(rank), Bank: int(bank), Row: int64(row), Col: int(col)}
 }
 
@@ -157,25 +113,10 @@ func (m *Mapper) Unmap(c Coord) (uint64, error) {
 	cols := m.geo.ColumnsPerRow()
 	banks := uint64(m.geo.Banks)
 	ranks := uint64(m.geo.Ranks)
-	var rest uint64
-	switch m.scheme {
-	case OpenPage, OpenPageXOR:
-		bank := uint64(c.Bank)
-		if m.scheme == OpenPageXOR {
-			bank ^= uint64(c.Row) % banks
-		}
-		rest = uint64(c.Row)
-		rest = rest*ranks + uint64(c.Rank)
-		rest = rest*banks + bank
-		rest = rest*cols + uint64(c.Col)
-	case ClosePage:
-		rest = uint64(c.Row)
-		rest = rest*cols + uint64(c.Col)
-		rest = rest*ranks + uint64(c.Rank)
-		rest = rest*banks + uint64(c.Bank)
-	default:
-		panic(fmt.Sprintf("addrmap: unknown scheme %d", int(m.scheme)))
-	}
+	rest := uint64(c.Row)
+	rest = rest*ranks + uint64(c.Rank)
+	rest = rest*banks + uint64(c.Bank)
+	rest = rest*cols + uint64(c.Col)
 	line := rest*uint64(len(m.buses)) + uint64(pos)
 	return line * m.geo.LineBytes, nil
 }

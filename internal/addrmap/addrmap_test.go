@@ -27,7 +27,7 @@ func TestGeometryValidate(t *testing.T) {
 }
 
 func TestOpenPageStreamStaysInRow(t *testing.T) {
-	m := New(geo(), OpenPage, []int{0, 1, 2, 3})
+	m := New(geo(), []int{0, 1, 2, 3})
 	// A sequential stream should revisit the same row on each bus for
 	// ColumnsPerRow lines before changing banks.
 	first := m.Map(0)
@@ -48,19 +48,8 @@ func TestOpenPageStreamStaysInRow(t *testing.T) {
 	}
 }
 
-func TestClosePageSpreadsBanks(t *testing.T) {
-	m := New(geo(), ClosePage, []int{0})
-	seen := map[int]bool{}
-	for i := uint64(0); i < 8; i++ {
-		seen[m.Map(i*64).Bank] = true
-	}
-	if len(seen) != 8 {
-		t.Fatalf("8 consecutive lines hit %d banks, want 8", len(seen))
-	}
-}
-
 func TestRestrictedBusSet(t *testing.T) {
-	m := New(geo(), OpenPage, []int{1, 2, 3})
+	m := New(geo(), []int{1, 2, 3})
 	for i := uint64(0); i < 100; i++ {
 		c := m.Map(i * 64)
 		if c.Bus == 0 {
@@ -70,23 +59,21 @@ func TestRestrictedBusSet(t *testing.T) {
 }
 
 func TestMapUnmapRoundTrip(t *testing.T) {
-	for _, scheme := range []Scheme{OpenPage, ClosePage} {
-		for _, buses := range [][]int{{0}, {0, 1, 2, 3}, {1, 2, 3}, {4, 5, 6}} {
-			m := New(geo(), scheme, buses)
-			f := func(line uint32) bool {
-				addr := uint64(line) * 64
-				back, err := m.Unmap(m.Map(addr))
-				return err == nil && back == addr
-			}
-			if err := quick.Check(f, nil); err != nil {
-				t.Errorf("%v buses=%v: %v", scheme, buses, err)
-			}
+	for _, buses := range [][]int{{0}, {0, 1, 2, 3}, {1, 2, 3}, {4, 5, 6}} {
+		m := New(geo(), buses)
+		f := func(line uint32) bool {
+			addr := uint64(line) * 64
+			back, err := m.Unmap(m.Map(addr))
+			return err == nil && back == addr
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Errorf("buses=%v: %v", buses, err)
 		}
 	}
 }
 
 func TestUnmapRejectsForeignBus(t *testing.T) {
-	m := New(geo(), OpenPage, []int{1, 2})
+	m := New(geo(), []int{1, 2})
 	if _, err := m.Unmap(Coord{Bus: 0}); err == nil {
 		t.Fatal("Unmap accepted a bus outside the mapper's set")
 	}
@@ -95,7 +82,7 @@ func TestUnmapRejectsForeignBus(t *testing.T) {
 // TestMapIsInjective proves distinct line addresses never collide on the
 // same coordinate (within a large window).
 func TestMapIsInjective(t *testing.T) {
-	m := New(geo(), OpenPage, []int{0, 1, 2})
+	m := New(geo(), []int{0, 1, 2})
 	seen := make(map[Coord]uint64)
 	for i := uint64(0); i < 1<<15; i++ {
 		addr := i * 64
@@ -113,60 +100,14 @@ func TestNewPanicsOnEmptyBusSet(t *testing.T) {
 			t.Fatal("New accepted an empty bus set")
 		}
 	}()
-	New(geo(), OpenPage, nil)
+	New(geo(), nil)
 }
 
 func TestBusesReturnsCopy(t *testing.T) {
-	m := New(geo(), OpenPage, []int{0, 1})
+	m := New(geo(), []int{0, 1})
 	b := m.Buses()
 	b[0] = 99
 	if m.Buses()[0] == 99 {
 		t.Fatal("Buses leaked internal slice")
-	}
-}
-
-func TestOpenPageXORSpreadsStridedStreams(t *testing.T) {
-	// A stream striding exactly one row's worth of lines hammers a single
-	// bank under plain OpenPage but spreads across banks under XOR hashing.
-	g := geo()
-	plain := New(g, OpenPage, []int{0})
-	xor := New(g, OpenPageXOR, []int{0})
-	// Stride of a full bank rotation: each step returns to the same bank
-	// with the next row under OpenPage.
-	stride := uint64(g.Banks) * g.ColumnsPerRow() * 64
-	plainBanks := map[int]bool{}
-	xorBanks := map[int]bool{}
-	for i := uint64(0); i < 32; i++ {
-		plainBanks[plain.Map(i*stride).Bank] = true
-		xorBanks[xor.Map(i*stride).Bank] = true
-	}
-	if len(plainBanks) != 1 {
-		t.Fatalf("OpenPage spread a row-strided stream over %d banks", len(plainBanks))
-	}
-	if len(xorBanks) < 4 {
-		t.Fatalf("OpenPageXOR used only %d banks for a row-strided stream", len(xorBanks))
-	}
-}
-
-func TestOpenPageXORRoundTrip(t *testing.T) {
-	m := New(geo(), OpenPageXOR, []int{0, 1, 2})
-	f := func(line uint32) bool {
-		addr := uint64(line) * 64
-		back, err := m.Unmap(m.Map(addr))
-		return err == nil && back == addr
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOpenPageXORKeepsRowLocality(t *testing.T) {
-	m := New(geo(), OpenPageXOR, []int{0})
-	first := m.Map(0)
-	for i := uint64(1); i < geo().ColumnsPerRow(); i++ {
-		c := m.Map(i * 64)
-		if c.Row != first.Row || c.Bank != first.Bank {
-			t.Fatalf("line %d left the row under XOR hashing", i)
-		}
 	}
 }

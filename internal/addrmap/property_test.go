@@ -1,7 +1,7 @@
 package addrmap
 
 // Randomized property tests over the full generator support: random
-// geometries, schemes and bus subsets, with the seed logged on failure so a
+// geometries and bus subsets, with the seed logged on failure so a
 // CI hit can be replayed locally with DORAM_PROP_SEED and shrunk by hand.
 
 import (
@@ -27,17 +27,16 @@ func propSeed(t *testing.T) int64 {
 // randMapper draws one mapper from the generator support: 1-4 ranks, a
 // power-of-two bank count, 1-8 KB rows and a shuffled non-empty subset of
 // eight global buses.
-func randMapper(r *rand.Rand) (*Mapper, Geometry, Scheme, []int) {
+func randMapper(r *rand.Rand) (*Mapper, Geometry, []int) {
 	geo := Geometry{
 		Ranks:     1 + r.Intn(4),
 		Banks:     []int{2, 4, 8, 16}[r.Intn(4)],
 		RowBytes:  uint64(1024) << uint(r.Intn(4)),
 		LineBytes: 64,
 	}
-	scheme := Scheme(r.Intn(3))
 	perm := r.Perm(8)
 	buses := perm[:1+r.Intn(8)]
-	return New(geo, scheme, buses), geo, scheme, buses
+	return New(geo, buses), geo, buses
 }
 
 // TestPropertyMapUnmapRandom proves Unmap∘Map is the identity on random
@@ -47,7 +46,7 @@ func TestPropertyMapUnmapRandom(t *testing.T) {
 	seed := propSeed(t)
 	r := rand.New(rand.NewSource(seed))
 	for caseIdx := 0; caseIdx < 50; caseIdx++ {
-		m, geo, scheme, buses := randMapper(r)
+		m, geo, buses := randMapper(r)
 		lines := uint64(len(buses)) * geo.ColumnsPerRow() *
 			uint64(geo.Banks) * uint64(geo.Ranks) * 512 // 512 rows per bank
 		for i := 0; i < 200; i++ {
@@ -56,12 +55,12 @@ func TestPropertyMapUnmapRandom(t *testing.T) {
 			c := m.Map(addr + off)
 			back, err := m.Unmap(c)
 			if err != nil {
-				t.Fatalf("replay: DORAM_PROP_SEED=%d case %d: Unmap(Map(%#x+%d)) on %+v/%v/buses=%v: %v",
-					seed, caseIdx, addr, off, geo, scheme, buses, err)
+				t.Fatalf("replay: DORAM_PROP_SEED=%d case %d: Unmap(Map(%#x+%d)) on %+v/buses=%v: %v",
+					seed, caseIdx, addr, off, geo, buses, err)
 			}
 			if back != addr {
-				t.Fatalf("replay: DORAM_PROP_SEED=%d case %d: round trip %#x+%d -> %+v -> %#x on %+v/%v/buses=%v",
-					seed, caseIdx, addr, off, c, back, geo, scheme, buses)
+				t.Fatalf("replay: DORAM_PROP_SEED=%d case %d: round trip %#x+%d -> %+v -> %#x on %+v/buses=%v",
+					seed, caseIdx, addr, off, c, back, geo, buses)
 			}
 		}
 	}
@@ -74,13 +73,13 @@ func TestPropertyMapInjectiveRandom(t *testing.T) {
 	seed := propSeed(t)
 	r := rand.New(rand.NewSource(seed))
 	for caseIdx := 0; caseIdx < 20; caseIdx++ {
-		m, geo, scheme, buses := randMapper(r)
+		m, geo, buses := randMapper(r)
 		seen := make(map[Coord]uint64, 4096)
 		for line := uint64(0); line < 4096; line++ {
 			c := m.Map(line * geo.LineBytes)
 			if prev, dup := seen[c]; dup {
-				t.Fatalf("replay: DORAM_PROP_SEED=%d case %d: lines %d and %d both map to %+v on %+v/%v/buses=%v",
-					seed, caseIdx, prev, line, c, geo, scheme, buses)
+				t.Fatalf("replay: DORAM_PROP_SEED=%d case %d: lines %d and %d both map to %+v on %+v/buses=%v",
+					seed, caseIdx, prev, line, c, geo, buses)
 			}
 			seen[c] = line
 		}

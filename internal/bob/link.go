@@ -2,7 +2,6 @@ package bob
 
 import (
 	"fmt"
-	"math"
 
 	"doram/internal/clock"
 	"doram/internal/evtrace"
@@ -10,16 +9,17 @@ import (
 	"doram/internal/stats"
 )
 
-// LinkConfig sets the serial link's bandwidth and latency.
+// LinkConfig sets the serial link's latency.
 type LinkConfig struct {
-	// BytesPerCPUCycle is the per-direction link bandwidth. The paper sets
-	// the serial link comparable to one DDR3-1600 parallel channel:
-	// 12.8 GB/s = 4 bytes per 3.2 GHz CPU cycle.
-	BytesPerCPUCycle float64
 	// LatencyCycles is the one-way buffer-logic-plus-link latency added to
 	// every transfer: 15 ns (Table II, from Twin-Load [10]) = 48 cycles.
 	LatencyCycles uint64
 }
+
+// linkBytesPerCycle is the per-direction link bandwidth. The paper sets the
+// serial link comparable to one DDR3-1600 parallel channel: 12.8 GB/s =
+// 4 bytes per 3.2 GHz CPU cycle.
+const linkBytesPerCycle = 4
 
 // DefaultLinkLatencyNs is the paper's one-way buffer-logic-plus-link
 // latency (Table II).
@@ -32,12 +32,7 @@ const maxLinkLatencyCycles = 3_200_000
 
 // Validate reports whether the link configuration is usable.
 func (c LinkConfig) Validate() error {
-	switch {
-	case math.IsNaN(c.BytesPerCPUCycle) || math.IsInf(c.BytesPerCPUCycle, 0):
-		return fmt.Errorf("bob: link bandwidth %v is not finite", c.BytesPerCPUCycle)
-	case c.BytesPerCPUCycle <= 0:
-		return fmt.Errorf("bob: link bandwidth %v must be positive", c.BytesPerCPUCycle)
-	case c.LatencyCycles > maxLinkLatencyCycles:
+	if c.LatencyCycles > maxLinkLatencyCycles {
 		return fmt.Errorf("bob: link latency %d cycles exceeds %d (unit error?)",
 			c.LatencyCycles, uint64(maxLinkLatencyCycles))
 	}
@@ -46,10 +41,7 @@ func (c LinkConfig) Validate() error {
 
 // DefaultLinkConfig returns the paper's link parameters.
 func DefaultLinkConfig() LinkConfig {
-	return LinkConfig{
-		BytesPerCPUCycle: 4,
-		LatencyCycles:    clock.NanosToCPU(DefaultLinkLatencyNs),
-	}
+	return LinkConfig{LatencyCycles: clock.NanosToCPU(DefaultLinkLatencyNs)}
 }
 
 // Outcome is the fate of one transfer attempt on an unreliable link.
@@ -110,7 +102,8 @@ type LinkStats struct {
 
 // Link is one full-duplex serial link: independent down (CPU to BOB) and
 // up (BOB to CPU) directions, each a FIFO wire that serializes packets at
-// the configured bandwidth and delivers them after the fixed latency.
+// the paper's fixed bandwidth and delivers them after the configured
+// latency.
 // With a FaultModel attached, every packet carries a sequence-and-checksum
 // frame (FrameOverhead extra wire bytes) and corrupted or lost transfers
 // are retransmitted on timeout with exponential backoff, all modeled
@@ -158,13 +151,10 @@ func MustLink(cfg LinkConfig) *Link {
 // model shared by both directions.
 func (l *Link) SetFaultModel(m FaultModel) { l.faults = m }
 
-// occupancy returns the serialization time of a packet of n bytes.
+// occupancy returns the serialization time of a packet of n bytes: the
+// whole cycles it takes at linkBytesPerCycle, at least one.
 func (l *Link) occupancy(n int) uint64 {
-	c := uint64(float64(n)/l.cfg.BytesPerCPUCycle + 0.999999)
-	if c == 0 {
-		c = 1
-	}
-	return c
+	return max(uint64(n+linkBytesPerCycle-1)/linkBytesPerCycle, 1)
 }
 
 // transfer models one wire occupancy on a direction and returns the

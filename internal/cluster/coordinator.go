@@ -34,9 +34,6 @@ type CoordinatorConfig struct {
 	// worker before a hedge is sent to the next ring node; 0 means 30s,
 	// negative disables hedging.
 	HedgeAfter time.Duration
-	// MaxAttempts bounds how many workers may accept (and then lose) one
-	// job before it is failed; 0 means 8.
-	MaxAttempts int
 
 	// Circuit breaker: BreakerThreshold consecutive transport failures
 	// eject a worker from dispatch; after BreakerCooldown it half-opens
@@ -73,7 +70,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	setDefault(&c.NodeTimeout, 5*c.HeartbeatInterval)
 	setDefault(&c.StepInterval, 100*time.Millisecond)
 	setDefault(&c.RequestTimeout, 10*time.Second)
-	setDefault(&c.MaxAttempts, 8)
 	if c.HedgeAfter == 0 {
 		c.HedgeAfter = 30 * time.Second
 	}
@@ -90,7 +86,7 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 }
 
 // setDefault replaces a non-positive setting with its default.
-func setDefault[T int | time.Duration](v *T, def T) {
+func setDefault(v *time.Duration, def time.Duration) {
 	if *v <= 0 {
 		*v = def
 	}

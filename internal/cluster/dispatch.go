@@ -18,6 +18,10 @@ import (
 	"doram/internal/simsvc"
 )
 
+// maxAttempts bounds how many workers may accept (and then lose) one job
+// before it is failed.
+const maxAttempts = 8
+
 // attempt is one acceptance of a job by one worker.
 type attempt struct {
 	node     *node
@@ -78,7 +82,7 @@ func (d *dispatch) run() (*doram.SimResult, error) {
 		wait := c.cfg.StepInterval
 		switch {
 		case len(d.live) == 0:
-			if d.attempts >= c.cfg.MaxAttempts {
+			if d.attempts >= maxAttempts {
 				return nil, fmt.Errorf("cluster: giving up after %d workers accepted and lost the job", d.attempts)
 			}
 			res, retryIn, err := d.offer("")
@@ -88,7 +92,7 @@ func (d *dispatch) run() (*doram.SimResult, error) {
 			if len(d.live) == 0 {
 				wait = retryIn
 			}
-		case len(d.live) == 1 && c.cfg.HedgeAfter >= 0 && d.attempts < c.cfg.MaxAttempts &&
+		case len(d.live) == 1 && c.cfg.HedgeAfter >= 0 && d.attempts < maxAttempts &&
 			c.now().Sub(d.live[0].at) >= c.cfg.HedgeAfter:
 			if res, _, err := d.offer(d.live[0].node.id); res != nil || err != nil {
 				return res, err

@@ -128,11 +128,13 @@ func TestDORAMBeatsPathORAMBaseline(t *testing.T) {
 }
 
 func TestDORAMSAppStreamsORAM(t *testing.T) {
-	res := runCfg(t, quick(DORAM, "mummer"))
+	cfg := quick(DORAM, "mummer")
+	cfg.MetricsEpochCycles = DefaultMetricsEpochCycles
+	res := runCfg(t, cfg)
 	if res.SApp == nil || res.SApp.Accesses.Value() == 0 {
 		t.Fatal("SD executed no ORAM accesses")
 	}
-	if res.Engine == nil || res.Engine.RealSent.Value() == 0 {
+	if res.Metrics.Counters["sapp0.engine.real_sent"] == 0 {
 		t.Fatal("secure engine sent no real requests")
 	}
 	// The secure channel must be the busiest (ORAM's 168 blocks/access).

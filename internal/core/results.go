@@ -40,8 +40,6 @@ type Results struct {
 	// run hosts multiple S-Apps (§III-C).
 	SApp    *delegator.ExecStats
 	SAppAll []*delegator.ExecStats
-	// Engine carries the secure engine's statistics in the same schemes.
-	Engine *delegator.EngineStats
 	// SAppFinish is the S-App core's completion cycle (0 if it did not
 	// finish within the run; it usually outlives the NS-Apps).
 	SAppFinish uint64

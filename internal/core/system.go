@@ -217,19 +217,19 @@ func NewSystem(cfg Config) (*System, error) {
 			return nil, err
 		}
 		s.chans = append(s.chans, b)
-		s.chanMappers[0] = addrmap.New(geo, addrmap.OpenPage, subBuses)
+		s.chanMappers[0] = addrmap.New(geo, subBuses)
 		for c := 1; c < NumChannels; c++ {
 			b, err := newBob(c, []*mc.Controller{newMC()})
 			if err != nil {
 				return nil, err
 			}
 			s.chans = append(s.chans, b)
-			s.chanMappers[c] = addrmap.New(geo, addrmap.OpenPage, []int{0})
+			s.chanMappers[c] = addrmap.New(geo, []int{0})
 		}
 	} else {
 		for c := 0; c < NumChannels; c++ {
 			s.chans = append(s.chans, bob.NewDirect(newMC(), c))
-			s.chanMappers[c] = addrmap.New(geo, addrmap.OpenPage, []int{0})
+			s.chanMappers[c] = addrmap.New(geo, []int{0})
 		}
 	}
 
@@ -449,9 +449,9 @@ func (s *System) buildSApp(geo addrmap.Geometry, idx int) error {
 		for i := range buses {
 			buses[i] = i
 		}
-		mapper := addrmap.New(geo, addrmap.OpenPage, buses)
+		mapper := addrmap.New(geo, buses)
 		s.smems = append(s.smems,
-			secmem.New(secmem.DefaultConfig(), s.controllers(), mapper, s.cfg.NumNS+idx))
+			secmem.New(s.controllers(), mapper, s.cfg.NumNS+idx))
 	default:
 		return fmt.Errorf("core: scheme %v cannot host an S-App", s.cfg.Scheme)
 	}
@@ -978,9 +978,6 @@ func (s *System) collect(cyc uint64) {
 	}
 	if len(s.sCores) > 0 && s.sCores[0].Done() {
 		s.res.SAppFinish = s.sCores[0].FinishedAt()
-	}
-	if len(s.engines) > 0 {
-		s.res.Engine = s.engines[0].Stats()
 	}
 	for _, sd := range s.sds {
 		s.res.SAppAll = append(s.res.SAppAll, sd.Stats())

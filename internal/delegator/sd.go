@@ -14,30 +14,29 @@ import (
 	"doram/internal/oram/layout"
 )
 
-// SDConfig tunes the secure delegator's timing.
+// SDConfig places the secure delegator's ORAM region.
 type SDConfig struct {
-	// CryptoCycles models the SD's packet check (decrypt, authenticate,
-	// integrity) and crypto pipeline fill, in CPU cycles.
-	CryptoCycles uint64
-	// FwdDelay is the processor-side forwarding cost for tree-split
-	// messages relayed between the secure and normal channels.
-	FwdDelay uint64
 	// OramBase is the byte offset of the ORAM region within each channel's
 	// address space, separating ORAM rows from NS-App rows.
 	OramBase uint64
-	// RetryInterval is the repoll interval when a DRAM queue is full.
-	RetryInterval uint64
 }
 
-// DefaultSDConfig returns the timing used in the evaluation.
+// DefaultSDConfig returns the placement used in the evaluation.
 func DefaultSDConfig() SDConfig {
-	return SDConfig{
-		CryptoCycles:  16,
-		FwdDelay:      8,
-		OramBase:      1 << 38,
-		RetryInterval: clock.CPUPerMem,
-	}
+	return SDConfig{OramBase: 1 << 38}
 }
+
+// The delegator's fixed timing, in CPU cycles.
+const (
+	// cryptoCycles models the SD's packet check (decrypt, authenticate,
+	// integrity) and crypto pipeline fill.
+	cryptoCycles = 16
+	// fwdDelay is the processor-side forwarding cost for tree-split
+	// messages relayed between the secure and normal channels.
+	fwdDelay = 8
+	// retryInterval is the repoll interval when a DRAM queue is full.
+	retryInterval = clock.CPUPerMem
+)
 
 // sdAccess is one in-flight ORAM access's bookkeeping.
 type sdAccess struct {
@@ -170,7 +169,7 @@ func (sd *SD) putReq(r *sdReq) {
 // attempt enqueues the transaction, retrying while the DRAM queue is full.
 func (r *sdReq) attempt(now uint64) {
 	if !r.sub.Enqueue(&r.req, clock.ToMem(now)) {
-		r.sd.sched.Add(now+r.sd.cfg.RetryInterval, r.attemptFn)
+		r.sd.sched.Add(now+retryInterval, r.attemptFn)
 	}
 }
 
@@ -227,10 +226,10 @@ func newSD(cfg SDConfig, sampler *oram.Sampler, lay *layout.Layout, link *bob.Li
 	}
 	sd := &SD{cfg: cfg, sampler: sampler, lay: lay, link: link, mcs: mcs, normals: normals}
 	for i := range mcs {
-		sd.subMap = append(sd.subMap, addrmap.New(geo, addrmap.OpenPage, []int{i}))
+		sd.subMap = append(sd.subMap, addrmap.New(geo, []int{i}))
 	}
 	for range normals {
-		sd.normalMap = append(sd.normalMap, addrmap.New(geo, addrmap.OpenPage, []int{0}))
+		sd.normalMap = append(sd.normalMap, addrmap.New(geo, []int{0}))
 	}
 	return sd, nil
 }
@@ -300,7 +299,7 @@ func (sd *SD) Submit(a *Access, now uint64) bool {
 	}
 	sd.buffered = a
 	sd.bufferedSubmit, sd.bufferedArrival = now, arrival
-	sd.sched.Add(arrival+sd.cfg.CryptoCycles, sd.tryStart)
+	sd.sched.Add(arrival+cryptoCycles, sd.tryStart)
 	return true
 }
 
@@ -372,21 +371,21 @@ func (sd *SD) remoteRead(ctx *sdAccess, pl layout.Placement, now uint64) {
 	id := ctx.a.TraceID
 	nc := sd.normals[pl.Channel-1]
 	a1 := sd.link.SendUpFor(id, bob.ShortReadBytes, now)
-	a2 := nc.Link().SendDownFor(id, bob.ShortReadBytes, a1+sd.cfg.FwdDelay)
+	a2 := nc.Link().SendDownFor(id, bob.ShortReadBytes, a1+fwdDelay)
 	coord := sd.normalMap[pl.Channel-1].Map(sd.cfg.OramBase + pl.Addr)
 	// Normal channels are not upgraded (§III-C): they cannot tell split
 	// traffic from ordinary requests, so no Secure scheduling class here.
 	req := &mc.Request{Op: mc.OpRead, Coord: coord, AppID: -1, TraceID: id,
 		OnComplete: func(_ *mc.Request, memDone uint64) {
 			a3 := nc.Link().SendUpFor(id, bob.FullPacketBytes, clock.ToCPU(memDone))
-			a4 := sd.link.SendDownFor(id, bob.FullPacketBytes, a3+sd.cfg.FwdDelay)
+			a4 := sd.link.SendDownFor(id, bob.FullPacketBytes, a3+fwdDelay)
 			sd.sched.Add(a4, func(t uint64) { sd.readDone(ctx, t) })
 		}}
 	sub := nc.SubChannels()[0]
 	var attempt func(uint64)
 	attempt = func(n uint64) {
 		if !sub.Enqueue(req, clock.ToMem(n)) {
-			sd.sched.Add(n+sd.cfg.RetryInterval, attempt)
+			sd.sched.Add(n+retryInterval, attempt)
 		}
 	}
 	sd.sched.Add(a2, attempt)
@@ -405,7 +404,7 @@ func (sd *SD) readDone(ctx *sdAccess, now uint64) {
 	}
 	sd.stats.ReadPhase.Observe(now - ctx.phaseStart)
 	ctx.readEnd = now
-	ctx.respAt = now + sd.cfg.CryptoCycles
+	ctx.respAt = now + cryptoCycles
 	if sd.link != nil {
 		ctx.respAt = sd.link.SendUpFor(ctx.a.TraceID, bob.FullPacketBytes, ctx.respAt)
 	}
@@ -447,7 +446,7 @@ func (sd *SD) remoteWrite(ctx *sdAccess, pl layout.Placement, now uint64) {
 	id := ctx.a.TraceID
 	nc := sd.normals[pl.Channel-1]
 	a1 := sd.link.SendUpFor(id, bob.FullPacketBytes, now)
-	a2 := nc.Link().SendDownFor(id, bob.FullPacketBytes, a1+sd.cfg.FwdDelay)
+	a2 := nc.Link().SendDownFor(id, bob.FullPacketBytes, a1+fwdDelay)
 	coord := sd.normalMap[pl.Channel-1].Map(sd.cfg.OramBase + pl.Addr)
 	// Plain write from the unupgraded normal channel's point of view.
 	req := &mc.Request{Op: mc.OpWrite, Coord: coord, AppID: -1, TraceID: id}
@@ -455,7 +454,7 @@ func (sd *SD) remoteWrite(ctx *sdAccess, pl layout.Placement, now uint64) {
 	var attempt func(uint64)
 	attempt = func(n uint64) {
 		if !sub.Enqueue(req, clock.ToMem(n)) {
-			sd.sched.Add(n+sd.cfg.RetryInterval, attempt)
+			sd.sched.Add(n+retryInterval, attempt)
 			return
 		}
 		sd.writeDone(ctx, n)

@@ -267,10 +267,6 @@ func (ch *Channel) busReadyFor(rank int, isWrite bool, lat uint64) uint64 {
 	return need - lat
 }
 
-// IssuedThisCycle reports whether a command has issued since the last
-// EndCycle — i.e. whether the current memory cycle's command slot is used.
-func (ch *Channel) IssuedThisCycle() bool { return ch.hasIssuedCmd }
-
 // Issue executes cmd at cycle now and returns the cycle at which its effect
 // completes: for reads/writes the cycle the last data beat leaves/arrives
 // on the bus; for other commands the issue cycle itself. Callers must have

@@ -202,9 +202,6 @@ func TestOptionsDefaults(t *testing.T) {
 	if len(o.benchmarks()) != 15 {
 		t.Fatalf("default benchmarks = %d, want 15", len(o.benchmarks()))
 	}
-	if o.parallelism() < 1 {
-		t.Fatal("parallelism must be at least 1")
-	}
 	q := QuickOptions()
 	if len(q.benchmarks()) >= 15 {
 		t.Fatal("quick options should reduce the benchmark set")

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -21,8 +22,6 @@ type Options struct {
 	Seed uint64
 	// Benchmarks restricts the workload set; nil means all 15 (Table III).
 	Benchmarks []string
-	// Parallelism bounds concurrent simulations; 0 means GOMAXPROCS.
-	Parallelism int
 
 	// MetricsDir, when set, enables the observability subsystem on every
 	// run of the sweep and writes each run's metric dump to
@@ -73,13 +72,6 @@ func (o Options) benchmarks() []string {
 	return trace.Names()
 }
 
-func (o Options) parallelism() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // apply stamps the option's run-scale fields onto a config. Latency
 // statistics discard a cold-start warmup proportional to the run length.
 func (o Options) apply(cfg core.Config) core.Config {
@@ -104,13 +96,14 @@ func (o Options) apply(cfg core.Config) core.Config {
 	return cfg
 }
 
-// runAll executes the configs concurrently and returns results in order.
+// runAll executes the configs concurrently, at most GOMAXPROCS at a time,
+// and returns results in order.
 // Every failed run of the sweep is reported, not just the first, so a
 // broken 15-benchmark sweep surfaces all broken configs at once.
 func runAll(o Options, cfgs []core.Config) ([]*core.Results, error) {
 	results := make([]*core.Results, len(cfgs))
 	errs := make([]error, len(cfgs))
-	sem := make(chan struct{}, o.parallelism())
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for i, cfg := range cfgs {
 		wg.Add(1)
@@ -134,12 +127,26 @@ func runAll(o Options, cfgs []core.Config) ([]*core.Results, error) {
 			len(failures), len(cfgs), errors.Join(failures...))
 	}
 	if o.MetricsDir != "" {
-		if err := dumpRunMetrics(o.MetricsDir, cfgs, results); err != nil {
+		err := dumpRuns(o.MetricsDir, "metrics", ".json", cfgs, results,
+			func(r *core.Results) func(io.Writer) error {
+				if r.Metrics == nil {
+					return nil
+				}
+				return r.Metrics.WriteJSON
+			})
+		if err != nil {
 			return nil, err
 		}
 	}
 	if o.TraceDir != "" {
-		if err := dumpRunTraces(o.TraceDir, cfgs, results); err != nil {
+		err := dumpRuns(o.TraceDir, "trace", ".trace.json", cfgs, results,
+			func(r *core.Results) func(io.Writer) error {
+				if r.Trace == nil {
+					return nil
+				}
+				return r.Trace.WriteChrome
+			})
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -180,54 +187,34 @@ func (o Options) run(cfg core.Config) (*core.Results, error) {
 	return sys.Run()
 }
 
-// dumpRunMetrics writes each run's metric dump as one JSON file under dir.
-func dumpRunMetrics(dir string, cfgs []core.Config, results []*core.Results) error {
+// dumpRuns writes one file per run under dir, named
+// "run<NNN>_<scheme>_<bench><suffix>", with write; kind names the dump in
+// errors. Runs for which write is nil are skipped.
+func dumpRuns(dir, kind, suffix string, cfgs []core.Config, results []*core.Results,
+	writer func(*core.Results) func(io.Writer) error) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("experiments: metrics dir: %w", err)
+		return fmt.Errorf("experiments: %s dir: %w", kind, err)
 	}
 	for i, res := range results {
-		if res == nil || res.Metrics == nil {
+		if res == nil {
 			continue
 		}
-		name := fmt.Sprintf("run%03d_%s_%s.json", i, cfgs[i].Scheme, cfgs[i].Benchmark)
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return fmt.Errorf("experiments: metrics dump: %w", err)
-		}
-		werr := res.Metrics.WriteJSON(f)
-		cerr := f.Close()
-		if werr != nil {
-			return fmt.Errorf("experiments: metrics dump %s: %w", name, werr)
-		}
-		if cerr != nil {
-			return fmt.Errorf("experiments: metrics dump %s: %w", name, cerr)
-		}
-	}
-	return nil
-}
-
-// dumpRunTraces writes each run's event trace as one Chrome JSON file
-// under dir.
-func dumpRunTraces(dir string, cfgs []core.Config, results []*core.Results) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("experiments: trace dir: %w", err)
-	}
-	for i, res := range results {
-		if res == nil || res.Trace == nil {
+		write := writer(res)
+		if write == nil {
 			continue
 		}
-		name := fmt.Sprintf("run%03d_%s_%s.trace.json", i, cfgs[i].Scheme, cfgs[i].Benchmark)
+		name := fmt.Sprintf("run%03d_%s_%s%s", i, cfgs[i].Scheme, cfgs[i].Benchmark, suffix)
 		f, err := os.Create(filepath.Join(dir, name))
 		if err != nil {
-			return fmt.Errorf("experiments: trace dump: %w", err)
+			return fmt.Errorf("experiments: %s dump: %w", kind, err)
 		}
-		werr := res.Trace.WriteChrome(f)
+		werr := write(f)
 		cerr := f.Close()
 		if werr != nil {
-			return fmt.Errorf("experiments: trace dump %s: %w", name, werr)
+			return fmt.Errorf("experiments: %s dump %s: %w", kind, name, werr)
 		}
 		if cerr != nil {
-			return fmt.Errorf("experiments: trace dump %s: %w", name, cerr)
+			return fmt.Errorf("experiments: %s dump %s: %w", kind, name, cerr)
 		}
 	}
 	return nil

@@ -1,7 +1,7 @@
 // Package obslog is the serving stack's shared structured-logging setup:
 // one place that builds log/slog loggers (text or JSON handlers, leveled),
-// and threads request and job identifiers through context so every line a
-// handler emits carries them.
+// and threads the request identifier through context so every line a
+// handler emits carries it.
 //
 // The simulator core stays logging-free; obslog is for the serving plane
 // (internal/simsvc, internal/cluster, cmd/doramd, cmd/doramctl).
@@ -55,7 +55,7 @@ func ParseLevel(s string) (slog.Level, error) {
 
 // New builds a leveled logger writing to w in the given format. Every
 // record passes through the context-ID handler, so lines logged with a
-// context carrying WithRequest / WithJob IDs pick them up as attributes.
+// context carrying a WithRequest ID pick it up as an attribute.
 func New(w io.Writer, format Format, level slog.Level) *slog.Logger {
 	opts := &slog.HandlerOptions{Level: level}
 	var h slog.Handler
@@ -80,39 +80,24 @@ func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
 func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
-// ---- context identifiers ----
+// ---- context identifier ----
 
-type ctxKey int
-
-const (
-	requestIDKey ctxKey = iota
-	jobIDKey
-)
+// requestIDKey keys the request ID in a context.
+type requestIDKey struct{}
 
 // WithRequest returns a context carrying an HTTP request ID.
 func WithRequest(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, requestIDKey, id)
+	return context.WithValue(ctx, requestIDKey{}, id)
 }
 
 // RequestID extracts the request ID threaded by WithRequest ("" if none).
 func RequestID(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey).(string)
+	id, _ := ctx.Value(requestIDKey{}).(string)
 	return id
 }
 
-// WithJob returns a context carrying a job ID.
-func WithJob(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, jobIDKey, id)
-}
-
-// JobID extracts the job ID threaded by WithJob ("" if none).
-func JobID(ctx context.Context) string {
-	id, _ := ctx.Value(jobIDKey).(string)
-	return id
-}
-
-// ctxHandler decorates records with the IDs found in the logging context,
-// so call sites never thread them by hand.
+// ctxHandler decorates records with the request ID found in the logging
+// context, so call sites never thread it by hand.
 type ctxHandler struct {
 	slog.Handler
 }
@@ -120,9 +105,6 @@ type ctxHandler struct {
 func (h *ctxHandler) Handle(ctx context.Context, r slog.Record) error {
 	if id := RequestID(ctx); id != "" {
 		r.AddAttrs(slog.String("request_id", id))
-	}
-	if id := JobID(ctx); id != "" {
-		r.AddAttrs(slog.String("job_id", id))
 	}
 	return h.Handler.Handle(ctx, r)
 }

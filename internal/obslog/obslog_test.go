@@ -33,27 +33,27 @@ func TestParseLevel(t *testing.T) {
 	}
 }
 
-// TestContextIDs checks WithRequest/WithJob IDs surface as attributes on
-// both handler encodings.
+// TestContextIDs checks a WithRequest ID surfaces as an attribute on both
+// handler encodings.
 func TestContextIDs(t *testing.T) {
 	var buf bytes.Buffer
 	l := New(&buf, FormatJSON, slog.LevelInfo)
-	ctx := WithJob(WithRequest(context.Background(), "r-1"), "j-7")
+	ctx := WithRequest(context.Background(), "r-1")
 	l.InfoContext(ctx, "hello", slog.Int("n", 3))
 
 	var rec map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
 		t.Fatalf("log line is not JSON: %v (%q)", err, buf.String())
 	}
-	if rec["request_id"] != "r-1" || rec["job_id"] != "j-7" {
-		t.Errorf("record %v missing context IDs", rec)
+	if rec["request_id"] != "r-1" {
+		t.Errorf("record %v missing the request ID", rec)
 	}
 
 	buf.Reset()
 	lt := New(&buf, FormatText, slog.LevelInfo)
 	lt.InfoContext(ctx, "hello")
-	if !strings.Contains(buf.String(), "request_id=r-1") || !strings.Contains(buf.String(), "job_id=j-7") {
-		t.Errorf("text record %q missing context IDs", buf.String())
+	if !strings.Contains(buf.String(), "request_id=r-1") {
+		t.Errorf("text record %q missing the request ID", buf.String())
 	}
 }
 

@@ -12,6 +12,7 @@ package backend
 import (
 	"fmt"
 	"math/bits"
+	"sort"
 )
 
 // NodeID identifies a tree node by its index in heap order: node 0 is the
@@ -94,4 +95,36 @@ func (e ErrIntegrity) Error() string {
 	}
 	return fmt.Sprintf("oram: %s verification failed at node %d (level %d)",
 		e.Mechanism, e.Node, e.Level)
+}
+
+// registry is an ordered table of named constructors, the one list a
+// pluggable component's names, validation and construction read.
+type registry[F any] []struct {
+	name  string
+	build F
+}
+
+// names returns the registered names, sorted.
+func (r registry[F]) names() []string {
+	names := make([]string, len(r))
+	for i, e := range r {
+		names[i] = e.name
+	}
+	sort.Strings(names)
+	return names
+}
+
+// lookup returns the constructor registered under name, with "" standing
+// for def.
+func (r registry[F]) lookup(name, def string) (F, bool) {
+	if name == "" {
+		name = def
+	}
+	for _, e := range r {
+		if e.name == name {
+			return e.build, true
+		}
+	}
+	var zero F
+	return zero, false
 }

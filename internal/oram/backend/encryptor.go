@@ -8,7 +8,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
-	"sort"
 )
 
 // Encryptor seals bucket images for untrusted storage and opens them on
@@ -42,36 +41,32 @@ const (
 // DefaultEncryptor is the scheme the empty name resolves to.
 const DefaultEncryptor = EncryptorCTRHMAC
 
-// Encryptors returns the valid encryptor names, sorted.
-func Encryptors() []string {
-	names := []string{EncryptorCTRHMAC, EncryptorAESGCM, EncryptorNoOp}
-	sort.Strings(names)
-	return names
-}
-
-// ValidEncryptor reports whether name selects a known encryptor ("" is the
-// default).
-func ValidEncryptor(name string) bool {
-	switch name {
-	case "", EncryptorCTRHMAC, EncryptorAESGCM, EncryptorNoOp:
-		return true
-	}
-	return false
-}
-
-// NewEncryptor builds the named encryptor over a 16-byte key. withMAC only
-// affects the ctr-hmac scheme (GCM always authenticates, noop never does).
-// An unknown name lists the valid ones in the error.
-func NewEncryptor(name string, key []byte, withMAC bool) (Encryptor, error) {
-	switch name {
-	case "", EncryptorCTRHMAC:
+// encryptors is the encryptor registry: every name with its constructor
+// over a 16-byte key. withMAC only affects the ctr-hmac scheme (GCM always
+// authenticates, noop never does).
+var encryptors = registry[func(key []byte, withMAC bool) (Encryptor, error)]{
+	{EncryptorCTRHMAC, func(key []byte, withMAC bool) (Encryptor, error) {
 		return NewCTRHMACEncryptor(key, withMAC)
-	case EncryptorAESGCM:
+	}},
+	{EncryptorAESGCM, func(key []byte, _ bool) (Encryptor, error) {
 		return NewAESGCMEncryptor(key)
-	case EncryptorNoOp:
+	}},
+	{EncryptorNoOp, func([]byte, bool) (Encryptor, error) {
 		return NewNoOpEncryptor(), nil
+	}},
+}
+
+// Encryptors returns the valid encryptor names, sorted.
+func Encryptors() []string { return encryptors.names() }
+
+// NewEncryptor builds the named encryptor over a 16-byte key (see
+// encryptors). An unknown name lists the valid ones in the error.
+func NewEncryptor(name string, key []byte, withMAC bool) (Encryptor, error) {
+	build, ok := encryptors.lookup(name, DefaultEncryptor)
+	if !ok {
+		return nil, fmt.Errorf("oram: unknown encryptor %q (valid: %v)", name, Encryptors())
 	}
-	return nil, fmt.Errorf("oram: unknown encryptor %q (valid: %v)", name, Encryptors())
+	return build(key, withMAC)
 }
 
 // MACSize is the truncated tag length appended to ctr-hmac buckets.

@@ -40,36 +40,32 @@ const (
 // DefaultEviction is the strategy the empty name resolves to.
 const DefaultEviction = EvictionLevelByLevel
 
-// Evictions returns the valid eviction-strategy names, sorted.
-func Evictions() []string {
-	names := []string{EvictionLevelByLevel, EvictionGreedyByDepth, EvictionDeterministicTwoPath}
-	sort.Strings(names)
-	return names
+// evictions is the strategy registry: every name with its constructor
+// (strategies carry per-client state, so each client gets a fresh one).
+var evictions = registry[func() EvictionStrategy]{
+	{EvictionLevelByLevel, func() EvictionStrategy { return &LevelByLevel{} }},
+	{EvictionGreedyByDepth, func() EvictionStrategy { return &GreedyByDepth{} }},
+	{EvictionDeterministicTwoPath, func() EvictionStrategy { return &DeterministicTwoPath{} }},
 }
+
+// Evictions returns the valid eviction-strategy names, sorted.
+func Evictions() []string { return evictions.names() }
 
 // ValidEviction reports whether name selects a known strategy ("" is the
 // default).
 func ValidEviction(name string) bool {
-	switch name {
-	case "", EvictionLevelByLevel, EvictionGreedyByDepth, EvictionDeterministicTwoPath:
-		return true
-	}
-	return false
+	_, ok := evictions.lookup(name, DefaultEviction)
+	return ok
 }
 
-// NewEviction builds a fresh instance of the named strategy (strategies
-// carry per-client state). An unknown name lists the valid ones in the
-// error.
+// NewEviction builds a fresh instance of the named strategy. An unknown
+// name lists the valid ones in the error.
 func NewEviction(name string) (EvictionStrategy, error) {
-	switch name {
-	case "", EvictionLevelByLevel:
-		return &LevelByLevel{}, nil
-	case EvictionGreedyByDepth:
-		return &GreedyByDepth{}, nil
-	case EvictionDeterministicTwoPath:
-		return &DeterministicTwoPath{}, nil
+	build, ok := evictions.lookup(name, DefaultEviction)
+	if !ok {
+		return nil, fmt.Errorf("oram: unknown eviction strategy %q (valid: %v)", name, Evictions())
 	}
-	return nil, fmt.Errorf("oram: unknown eviction strategy %q (valid: %v)", name, Evictions())
+	return build(), nil
 }
 
 // LevelByLevel is the classic greedy write-back of Stefanov et al.: at

@@ -8,7 +8,9 @@
 // The model captures the property Figure 4 depends on: each S-App access
 // multiplies into one read-shaped and one write-shaped transaction on
 // every channel, which is cheap for the S-App (parallel) but contends with
-// co-running NS-Apps on all channels.
+// co-running NS-Apps on all channels. The model has no settings: every
+// access is write-shaped, and every real read pays a fixed 32-cycle
+// packet-crypto latency.
 package secmem
 
 import (
@@ -18,21 +20,10 @@ import (
 	"doram/internal/stats"
 )
 
-// Config tunes the secure-memory model.
-type Config struct {
-	// CryptoCycles is the per-access packet encryption/authentication
-	// latency added to the S-App's critical path (the ~10% overhead the
-	// paper cites from ObfusMem).
-	CryptoCycles uint64
-	// ShapeWrites controls whether each access also issues a write-shaped
-	// transaction per channel (read/write indistinguishability).
-	ShapeWrites bool
-}
-
-// DefaultConfig returns the model used in the evaluation.
-func DefaultConfig() Config {
-	return Config{CryptoCycles: 32, ShapeWrites: true}
-}
+// cryptoCycles is the per-access packet encryption/authentication latency
+// added to the S-App's critical path (the ~10% overhead the paper cites
+// from ObfusMem).
+const cryptoCycles = 32
 
 // Stats aggregates the model's activity.
 type Stats struct {
@@ -44,7 +35,6 @@ type Stats struct {
 // SecMem is the S-App's memory port under the secure-memory model. It
 // implements cpu.Port.
 type SecMem struct {
-	cfg    Config
 	mcs    []*mc.Controller
 	mapper *addrmap.Mapper
 	appID  int
@@ -56,11 +46,11 @@ type SecMem struct {
 // enqueues into them beside the NS-Apps' traffic. The mapper spreads the
 // S-App's lines across all channels (bus indices must match the mcs
 // slice).
-func New(cfg Config, mcs []*mc.Controller, mapper *addrmap.Mapper, appID int) *SecMem {
+func New(mcs []*mc.Controller, mapper *addrmap.Mapper, appID int) *SecMem {
 	if len(mcs) == 0 {
 		panic("secmem: need at least one channel")
 	}
-	return &SecMem{cfg: cfg, mcs: mcs, mapper: mapper, appID: appID}
+	return &SecMem{mcs: mcs, mapper: mapper, appID: appID}
 }
 
 // Stats returns the model's counters.
@@ -68,8 +58,8 @@ func (s *SecMem) Stats() *Stats { return &s.stats }
 
 // Access implements cpu.Port: the real transaction goes to the channel
 // holding the line; every other channel receives a dummy of identical
-// shape, and (with ShapeWrites) a write-shaped transaction follows on all
-// channels so request types stay hidden.
+// shape, and a write-shaped transaction follows on all channels so request
+// types stay hidden.
 func (s *SecMem) Access(write bool, addr uint64, now uint64, onDone func(uint64)) bool {
 	real := s.mapper.Map(addr)
 	memNow := clock.ToMem(now)
@@ -78,9 +68,8 @@ func (s *SecMem) Access(write bool, addr uint64, now uint64, onDone func(uint64)
 	// (dropping one under backlog does not change interference trends).
 	realReq := &mc.Request{Op: mc.OpRead, Coord: real, AppID: s.appID, Secure: true}
 	if !write && onDone != nil {
-		crypto := s.cfg.CryptoCycles
 		realReq.OnComplete = func(_ *mc.Request, memDone uint64) {
-			onDone(clock.ToCPU(memDone) + crypto)
+			onDone(clock.ToCPU(memDone) + cryptoCycles)
 		}
 	}
 	if !s.mcs[real.Bus].Enqueue(realReq, memNow) {
@@ -97,16 +86,13 @@ func (s *SecMem) Access(write bool, addr uint64, now uint64, onDone func(uint64)
 				s.stats.DummyReqs.Inc()
 			}
 		}
-		if s.cfg.ShapeWrites {
-			// ObfusMem writes back the (re-encrypted) line it accessed, so
-			// the shaped write targets the same coordinate; a prompt
-			// re-read may forward from the write queue, exactly as the
-			// hardware would.
-			wc := real
-			wc.Bus = bus
-			if s.mcs[bus].Enqueue(&mc.Request{Op: mc.OpWrite, Coord: wc, AppID: s.appID, Secure: true}, memNow) && bus != real.Bus {
-				s.stats.DummyReqs.Inc()
-			}
+		// ObfusMem writes back the (re-encrypted) line it accessed, so the
+		// shaped write targets the same coordinate; a prompt re-read may
+		// forward from the write queue, exactly as the hardware would.
+		wc := real
+		wc.Bus = bus
+		if s.mcs[bus].Enqueue(&mc.Request{Op: mc.OpWrite, Coord: wc, AppID: s.appID, Secure: true}, memNow) && bus != real.Bus {
+			s.stats.DummyReqs.Inc()
 		}
 	}
 	return true

@@ -8,7 +8,7 @@ import (
 	"doram/internal/mc"
 )
 
-func newRig(t *testing.T, cfg Config) (*SecMem, []*mc.Controller) {
+func newRig(t *testing.T) (*SecMem, []*mc.Controller) {
 	t.Helper()
 	mcCfg := mc.DefaultConfig()
 	mcCfg.RefreshEnabled = false
@@ -17,8 +17,8 @@ func newRig(t *testing.T, cfg Config) (*SecMem, []*mc.Controller) {
 		mcs = append(mcs, mc.New(dram.NewChannel(dram.DDR31600(), 1, 8), mcCfg))
 	}
 	geo := addrmap.Geometry{Ranks: 1, Banks: 8, RowBytes: 8192, LineBytes: 64}
-	mapper := addrmap.New(geo, addrmap.OpenPage, []int{0, 1, 2, 3})
-	return New(cfg, mcs, mapper, 0), mcs
+	mapper := addrmap.New(geo, []int{0, 1, 2, 3})
+	return New(mcs, mapper, 0), mcs
 }
 
 func tick(mcs []*mc.Controller, from, n uint64) {
@@ -30,8 +30,7 @@ func tick(mcs []*mc.Controller, from, n uint64) {
 }
 
 func TestReadCompletesWithCryptoOverhead(t *testing.T) {
-	cfg := DefaultConfig()
-	s, mcs := newRig(t, cfg)
+	s, mcs := newRig(t)
 	var done uint64
 	if !s.Access(false, 0x1000, 0, func(c uint64) { done = c }) {
 		t.Fatal("access rejected")
@@ -42,14 +41,14 @@ func TestReadCompletesWithCryptoOverhead(t *testing.T) {
 	}
 	// Completion includes the crypto latency on top of the DRAM access.
 	tm := dram.DDR31600()
-	min := 4*(tm.RCD+tm.CL+tm.BurstCycles) + cfg.CryptoCycles
+	min := 4*(tm.RCD+tm.CL+tm.BurstCycles) + cryptoCycles
 	if done < min {
 		t.Fatalf("done at %d, below physical floor %d", done, min)
 	}
 }
 
 func TestEveryChannelSeesTraffic(t *testing.T) {
-	s, mcs := newRig(t, DefaultConfig())
+	s, mcs := newRig(t)
 	for i := 0; i < 8; i++ {
 		s.Access(i%2 == 0, uint64(i)*64, 0, nil)
 	}
@@ -70,7 +69,7 @@ func TestEveryChannelSeesTraffic(t *testing.T) {
 }
 
 func TestTrafficAmplification(t *testing.T) {
-	s, mcs := newRig(t, DefaultConfig())
+	s, mcs := newRig(t)
 	const n = 16
 	for i := 0; i < n; i++ {
 		if !s.Access(false, uint64(i)*64*1024, 0, nil) {
@@ -89,7 +88,7 @@ func TestTrafficAmplification(t *testing.T) {
 }
 
 func TestRereadForwardsFromWriteback(t *testing.T) {
-	s, mcs := newRig(t, DefaultConfig())
+	s, mcs := newRig(t)
 	// The shaped writeback targets the accessed line, so a prompt re-read
 	// forwards from the write queue — as the memory controller would.
 	s.Access(false, 0x2000, 0, nil)
@@ -114,7 +113,6 @@ func TestRereadForwardsFromWriteback(t *testing.T) {
 }
 
 func TestBackPressureWhenRealChannelFull(t *testing.T) {
-	cfg := DefaultConfig()
 	mcCfg := mc.DefaultConfig()
 	mcCfg.RefreshEnabled = false
 	mcCfg.ReadQueueCap = 2
@@ -123,7 +121,7 @@ func TestBackPressureWhenRealChannelFull(t *testing.T) {
 		mcs = append(mcs, mc.New(dram.NewChannel(dram.DDR31600(), 1, 8), mcCfg))
 	}
 	geo := addrmap.Geometry{Ranks: 1, Banks: 8, RowBytes: 8192, LineBytes: 64}
-	s := New(cfg, mcs, addrmap.New(geo, addrmap.OpenPage, []int{0, 1, 2, 3}), 0)
+	s := New(mcs, addrmap.New(geo, []int{0, 1, 2, 3}), 0)
 	accepted := 0
 	for i := 0; i < 20; i++ {
 		// All to channel 0 (line stride 4 channels): line%4==0.

@@ -118,10 +118,10 @@ func TestResultsFromRawRoundTrip(t *testing.T) {
 				}
 			}
 			// Only the first S-App's stats cross the wire; the read-latency
-			// histogram, engine stats, link-fault counters and span trace
-			// stay server-side.
+			// histogram, link-fault counters and span trace stay
+			// server-side.
 			want := *res
-			want.NSReadHist, want.Engine, want.Trace = nil, nil, nil
+			want.NSReadHist, want.Trace = nil, nil
 			want.LinkFaults = [core.NumChannels]core.LinkFaultStats{}
 			if res.SApp != nil {
 				want.SAppAll = []*delegator.ExecStats{res.SApp}
