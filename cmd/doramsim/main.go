@@ -41,7 +41,6 @@ func main() {
 		encryptor = flag.String("encryptor", "", "functional bucket encryptor for -chaos: "+strings.Join(doram.BucketEncryptors(), ", "))
 		channels  = flag.String("channels", "", "NS channel subset, e.g. 1,2,3")
 		asJSON    = flag.Bool("json", false, "emit the result as JSON")
-		traceDir  = flag.String("tracedir", "", "replay recorded traces from this directory (tracegen -o)")
 		noFF      = flag.Bool("no-fast-forward", false, "visit every CPU cycle instead of fast-forwarding idle gaps (results are bit-identical either way)")
 
 		chaos       = flag.Bool("chaos", false, "run a seeded fault-injection campaign against the functional ORAM and print a detection/recovery report")
@@ -102,7 +101,6 @@ func main() {
 	cfg.C = c
 	cfg.TraceLen = *traceLen
 	cfg.Seed = *seed
-	cfg.TraceDir = *traceDir
 	cfg.Eviction = *eviction
 	cfg.NoFastForward = *noFF
 	cfg.LinkCorruptProb = *linkCorrupt
@@ -204,7 +202,7 @@ func checkFlagConflicts(explicit map[string]bool, traceJSON string, traceLimit i
 	if explicit["chaos"] {
 		for _, name := range []string{
 			"scheme", "bench", "ns", "k", "c", "trace", "channels", "json",
-			"tracedir", "no-fast-forward", "link-corrupt", "link-loss",
+			"no-fast-forward", "link-corrupt", "link-loss",
 			"metrics", "metrics-epoch", "metrics-json", "metrics-csv",
 			"trace-json", "trace-limit", "trace-sample", "trace-top", "trace-validate",
 		} {

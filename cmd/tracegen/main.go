@@ -5,9 +5,6 @@
 //
 //	tracegen -stats                  # calibration summary of all 15
 //	tracegen -bench face -n 20       # dump the first 20 records
-//	tracegen -bench libq -llc        # memory trace after a 4MB LLC filter
-//	tracegen -bench face -n 1e6 -o face.dtrc   # record to a file
-//	tracegen -replay face.dtrc -n 20           # dump a recorded file
 package main
 
 import (
@@ -15,32 +12,20 @@ import (
 	"fmt"
 	"os"
 
-	"doram/internal/cache"
 	"doram/internal/trace"
 )
 
 func main() {
 	var (
-		bench  = flag.String("bench", "", "benchmark to dump (empty with -stats summarizes all)")
-		n      = flag.Uint64("n", 10, "records to dump / sample for stats")
-		seed   = flag.Uint64("seed", 42, "generation seed")
-		stats  = flag.Bool("stats", false, "print calibration statistics")
-		llc    = flag.Bool("llc", false, "filter the dump through a 4MB 16-way LLC")
-		out    = flag.String("o", "", "record n records to this trace file instead of dumping")
-		replay = flag.String("replay", "", "dump records from a recorded trace file")
+		bench = flag.String("bench", "", "benchmark to dump (empty with -stats summarizes all)")
+		n     = flag.Uint64("n", 10, "records to dump")
+		seed  = flag.Uint64("seed", 42, "generation seed")
+		stats = flag.Bool("stats", false, "print calibration statistics")
 	)
 	flag.Parse()
 
 	if *stats {
 		printStats(*seed)
-		return
-	}
-	if *replay != "" {
-		replayFile(*replay, *n)
-		return
-	}
-	if *out != "" {
-		recordFile(*bench, *out, *n, *seed)
 		return
 	}
 	if *bench == "" {
@@ -53,76 +38,11 @@ func main() {
 		os.Exit(2)
 	}
 	g := trace.NewGenerator(spec, *seed)
-	var c *cache.Cache
-	if *llc {
-		c = cache.New(4<<20, 16, 64)
-	}
 	fmt.Printf("# %s (%s): MPKI %.1f, read fraction %.2f\n",
 		spec.Name, spec.Suite, spec.MPKI, spec.ReadFrac)
 	fmt.Println("# gap  op  address")
-	printed := uint64(0)
-	for printed < *n {
+	for i := uint64(0); i < *n; i++ {
 		rec, _ := g.Next()
-		if c != nil {
-			res := c.Access(rec.Addr, rec.Write)
-			if res.Hit {
-				continue // filtered by the LLC
-			}
-			if res.Writeback {
-				fmt.Printf("%6d  WB  %#x\n", 0, res.VictimAddr)
-			}
-		}
-		op := "R "
-		if rec.Write {
-			op = "W "
-		}
-		fmt.Printf("%6d  %s  %#x\n", rec.Gap, op, rec.Addr)
-		printed++
-	}
-}
-
-func recordFile(bench, path string, n, seed uint64) {
-	spec, ok := trace.ByName(bench)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "tracegen: unknown benchmark %q\n", bench)
-		os.Exit(2)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	wrote, err := trace.WriteFile(f, bench, trace.NewGenerator(spec, seed), n)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("recorded %d records of %s to %s\n", wrote, bench, path)
-}
-
-func replayFile(path string, n uint64) {
-	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	fr, err := trace.OpenFile(f)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("# %s: %d records\n# gap  op  address\n", fr.Name(), fr.Total())
-	for i := uint64(0); i < n; i++ {
-		rec, ok := fr.Next()
-		if !ok {
-			if err := fr.Err(); err != nil {
-				fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-				os.Exit(1)
-			}
-			break
-		}
 		op := "R "
 		if rec.Write {
 			op = "W "

@@ -105,12 +105,6 @@ type Config struct {
 	// Execution-time metrics are end-to-end and unaffected.
 	LatencyWarmup uint64
 
-	// TraceDir, when set, loads recorded traces instead of synthesizing:
-	// "<Benchmark>.<core>.dtrc" per core if present, else a shared
-	// "<Benchmark>.dtrc" whose records are rotated per core so co-runners
-	// do not replay in lockstep. Files are produced by cmd/tracegen -o.
-	TraceDir string
-
 	// Ablation knobs (defaults reproduce the paper's configuration).
 
 	// SubtreeLevels overrides the ORAM subtree layout depth; 0 uses the

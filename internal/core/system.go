@@ -235,10 +235,7 @@ func NewSystem(cfg Config) (*System, error) {
 
 	s.sdAllChans = cfg.SplitK > 0 || cfg.Scheme != DORAM
 
-	ts, err := newTraceSource(cfg)
-	if err != nil {
-		return nil, err
-	}
+	spec, _ := trace.ByName(cfg.Benchmark) // Validate checked the name
 	coreCfg := cpu.DefaultConfig()
 
 	// S-App machinery: one engine/executor per S-App copy.
@@ -253,19 +250,14 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 
 	// Cores. The S-App cores (IDs NumNS..) run the same program as the
-	// NS-Apps per the paper's methodology.
+	// NS-Apps per the paper's methodology; each core's seed salt
+	// decorrelates its stream from its co-runners'.
 	for i := 0; i < cfg.NumNS; i++ {
-		gen, err := ts.reader(i, uint64(i+1)*0x9e3779b9)
-		if err != nil {
-			return nil, err
-		}
+		gen := trace.Limit(trace.NewGenerator(spec, cfg.Seed+uint64(i+1)*0x9e3779b9), cfg.TraceLen)
 		s.nsCores = append(s.nsCores, cpu.New(i, coreCfg, gen, s.nsPort(i)))
 	}
 	for i := 0; i < numS; i++ {
-		gen, err := ts.reader(cfg.NumNS+i, 0xabcdef+uint64(i)*0x51ab)
-		if err != nil {
-			return nil, err
-		}
+		gen := trace.Limit(trace.NewGenerator(spec, cfg.Seed+0xabcdef+uint64(i)*0x51ab), cfg.TraceLen)
 		s.sCores = append(s.sCores, cpu.New(cfg.NumNS+i, coreCfg, gen, s.sPort(i)))
 	}
 	if cfg.MetricsEpochCycles > 0 {
@@ -606,10 +598,9 @@ func (st *runState) markSDone(i int) {
 // cores and memory-side components are additionally ticked lazily — a
 // core only at the cycles it touches its port or finishes, a controller
 // only once its horizon has arrived, even on visited edges — with the few
-// per-cycle counters their elided ticks would have advanced (fetch stalls
-// and engine rejections of a core retrying a full queue, DRAM
-// bus-utilization denominators) brought up to date before anything reads
-// them. Config.NoFastForward reverts to the
+// per-cycle counters their elided ticks would have advanced (engine
+// rejections of a core retrying a full queue, DRAM bus-utilization
+// denominators) brought up to date before anything reads them. Config.NoFastForward reverts to the
 // original cycle-by-cycle loop; both paths are bit-identical in Results,
 // metrics and traces — the differential suite enforces it.
 func (s *System) Run() (*Results, error) {

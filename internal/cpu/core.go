@@ -9,7 +9,6 @@ package cpu
 
 import (
 	"doram/internal/clock"
-	"doram/internal/stats"
 	"doram/internal/trace"
 )
 
@@ -50,14 +49,6 @@ type RejectingPort interface {
 	SkipRejects(n uint64)
 }
 
-// Stats aggregates one core's execution behaviour.
-type Stats struct {
-	Reads       stats.Counter
-	Writes      stats.Counter
-	ReadLatency stats.Latency // fetch-issue to data-return, CPU cycles
-	FetchStalls stats.Counter // cycles fetch blocked on a full memory queue
-}
-
 // memOp tracks one in-flight memory instruction. Ops are pooled on the
 // core (ROB occupancy bounds the live set) and their completion callback
 // is a method value bound at allocation, so fetching a memory instruction
@@ -67,7 +58,6 @@ type memOp struct {
 	write    bool
 	addr     uint64
 	done     bool
-	issuedAt uint64
 
 	core     *Core
 	onDoneFn func(uint64)
@@ -85,14 +75,10 @@ func (op *memOp) onDone(doneCycle uint64) {
 	}
 	op.done = true
 	c.plan.valid = false
-	if doneCycle >= op.issuedAt {
-		c.stats.ReadLatency.Observe(doneCycle - op.issuedAt)
-	}
 }
 
 // Core executes one application trace.
 type Core struct {
-	id   int
 	cfg  Config
 	tr   trace.Reader
 	port Port
@@ -117,7 +103,6 @@ type Core struct {
 
 	traceDone  bool
 	finishedAt uint64
-	stats      Stats
 
 	// rport is port as a RejectingPort, nil when it is not one.
 	rport RejectingPort
@@ -151,9 +136,10 @@ type plan struct {
 	valid     bool
 }
 
-// New builds a core over the given trace and memory port.
-func New(id int, cfg Config, tr trace.Reader, port Port) *Core {
-	c := &Core{id: id, cfg: cfg, tr: tr, port: port}
+// New builds a core over the given trace and memory port. The leading
+// argument is the caller's core number, which the core itself never reads.
+func New(_ int, cfg Config, tr trace.Reader, port Port) *Core {
+	c := &Core{cfg: cfg, tr: tr, port: port}
 	c.rport, _ = port.(RejectingPort)
 	c.pull()
 	return c
@@ -164,12 +150,6 @@ func New(id int, cfg Config, tr trace.Reader, port Port) *Core {
 // it to CatchUp the core to the current cycle and to recompute its
 // Horizon. Per-cycle driving needs no hook.
 func (c *Core) SetWake(fn func()) { c.wake = fn }
-
-// ID returns the core's identifier.
-func (c *Core) ID() int { return c.id }
-
-// Stats returns the core's counters.
-func (c *Core) Stats() *Stats { return &c.stats }
 
 // Retired returns the number of retired instructions.
 func (c *Core) Retired() uint64 { return c.retireIdx }
@@ -288,9 +268,7 @@ func (c *Core) CatchUp(through uint64) {
 		}
 		c.commit(p.d)
 		if through >= p.stallFrom {
-			n := through + 1 - max(c.next, p.stallFrom)
-			c.stats.FetchStalls.Add(n)
-			c.rport.SkipRejects(n)
+			c.rport.SkipRejects(through + 1 - max(c.next, p.stallFrom))
 		}
 	} else {
 		d := c.state()
@@ -478,21 +456,17 @@ func (c *Core) fetch(now uint64) {
 		// Fetch the memory access itself.
 		op := c.getOp()
 		op.instrIdx, op.write, op.addr = c.fetchIdx, c.nextRec.Write, c.nextRec.Addr
-		op.done, op.issuedAt = false, now
+		op.done = false
 		var onDone func(uint64)
 		if !op.write {
 			onDone = op.onDoneFn
 		}
 		if !c.port.Access(op.write, op.addr, now, onDone) {
 			c.putOp(op) // rejected ports retain neither the op nor onDone
-			c.stats.FetchStalls.Inc()
-			return // back-pressure: retry next cycle
+			return      // back-pressure: retry next cycle
 		}
 		if op.write {
 			op.done = true
-			c.stats.Writes.Inc()
-		} else {
-			c.stats.Reads.Inc()
 		}
 		if c.opHead > 0 && len(c.ops) == cap(c.ops) {
 			n := copy(c.ops, c.ops[c.opHead:]) // reclaim the retired prefix

@@ -155,11 +155,10 @@ func diffCores(ref, lazy *Core, refP, lazyP *scriptPort) string {
 		Ops           int
 		Done          bool
 		FinishedAt    uint64
-		Stats         Stats
 		Rejects       uint64
 	}
 	v := func(c *Core, p *scriptPort) view {
-		return view{c.fetchIdx, c.retireIdx, c.opCount(), c.Done(), c.finishedAt, c.stats, p.rejects}
+		return view{c.fetchIdx, c.retireIdx, c.opCount(), c.Done(), c.finishedAt, p.rejects}
 	}
 	if a, b := v(ref, refP), v(lazy, lazyP); !reflect.DeepEqual(a, b) {
 		return fmt.Sprintf("state diverged:\n  every cycle %+v\n  lazy        %+v", a, b)

@@ -12,14 +12,6 @@ import (
 // arrives (§III-B item 2).
 const DefaultPace = 50
 
-// EngineStats aggregates the secure engine's request stream.
-type EngineStats struct {
-	RealSent   stats.Counter
-	DummySent  stats.Counter
-	QueueFull  stats.Counter
-	Turnaround stats.Latency // request issue to response arrival, CPU cycles
-}
-
 // Engine is the on-chip secure engine serving one S-App core. It queues
 // the core's LLC misses, converts them into constant-rate ORAM requests
 // (inserting dummies when the core is idle), and completes the core's
@@ -33,13 +25,14 @@ type Engine struct {
 
 	pending []*engineOp
 
-	// sendAt is the cycle the next request becomes due; ready marks
-	// whether a request is currently awaiting its response.
+	// sendAt is the cycle the next request becomes due; waiting marks
+	// whether a request, issued at sentAt, is awaiting its response.
 	sendAt  uint64
 	waiting bool
 	sentAt  uint64
 
-	stats EngineStats
+	// Request-stream counters, exported by AttachMetrics.
+	realSent, dummySent, queueFull stats.Counter
 
 	// trace allocates per-access IDs and records engine-level request
 	// spans; nil (the default) costs one nil check per issued access.
@@ -63,9 +56,6 @@ func NewEngine(exec *SD, pace uint64, queueCap int) *Engine {
 	return &Engine{pace: pace, exec: exec, queueCap: queueCap}
 }
 
-// Stats returns engine statistics.
-func (e *Engine) Stats() *EngineStats { return &e.stats }
-
 // QueueLen returns the number of core requests awaiting ORAM service.
 func (e *Engine) QueueLen() int { return len(e.pending) }
 
@@ -75,9 +65,9 @@ func (e *Engine) AttachMetrics(r *metrics.Registry, prefix string) {
 	if r == nil {
 		return
 	}
-	r.CounterFunc(prefix+"real_sent", e.stats.RealSent.Value)
-	r.CounterFunc(prefix+"dummy_sent", e.stats.DummySent.Value)
-	r.CounterFunc(prefix+"queue_full", e.stats.QueueFull.Value)
+	r.CounterFunc(prefix+"real_sent", e.realSent.Value)
+	r.CounterFunc(prefix+"dummy_sent", e.dummySent.Value)
+	r.CounterFunc(prefix+"queue_full", e.queueFull.Value)
 	r.Gauge(prefix+"queue", metrics.Level(e.QueueLen))
 	r.Gauge(prefix+"pace", func(uint64) float64 { return float64(e.pace) })
 }
@@ -96,7 +86,7 @@ func (e *Engine) AttachTracer(t *evtrace.Tracer, track string) {
 // complete when their ORAM access responds.
 func (e *Engine) Access(write bool, addr uint64, now uint64, onDone func(uint64)) bool {
 	if len(e.pending) >= e.queueCap {
-		e.stats.QueueFull.Inc()
+		e.queueFull.Inc()
 		return false
 	}
 	e.pending = append(e.pending, &engineOp{write: write, addr: addr, onDone: onDone})
@@ -112,7 +102,7 @@ func (e *Engine) CanAccept() bool { return len(e.pending) < e.queueCap }
 // SkipRejects implements cpu.RejectingPort: accounts n elided rejected
 // retries against the full-queue counter, exactly as n per-cycle Access
 // attempts would have.
-func (e *Engine) SkipRejects(n uint64) { e.stats.QueueFull.Add(n) }
+func (e *Engine) SkipRejects(n uint64) { e.queueFull.Add(n) }
 
 // NextEvent reports the earliest CPU cycle strictly after now at which a
 // Tick can change observable state. While awaiting a response the engine
@@ -148,10 +138,7 @@ func (e *Engine) Tick(now uint64) {
 	a.OnResponse = func(resp uint64) {
 		e.waiting = false
 		e.sendAt = resp + e.pace
-		if resp >= e.sentAt {
-			e.stats.Turnaround.Observe(resp - e.sentAt)
-			e.trace.Emit(e.track, "oram", "request", a.TraceID, e.sentAt, resp, 0)
-		}
+		e.trace.Emit(e.track, "oram", "request", a.TraceID, e.sentAt, resp, 0)
 		if op != nil && op.onDone != nil {
 			op.onDone(resp)
 		}
@@ -161,9 +148,9 @@ func (e *Engine) Tick(now uint64) {
 	}
 	if op != nil {
 		e.pending = e.pending[1:]
-		e.stats.RealSent.Inc()
+		e.realSent.Inc()
 	} else {
-		e.stats.DummySent.Inc()
+		e.dummySent.Inc()
 	}
 	e.waiting = true
 	e.sentAt = now

@@ -3,7 +3,7 @@ package delegator
 import (
 	"testing"
 
-	"doram/internal/clock"
+	"doram/internal/evtrace"
 )
 
 // TestTimingChannelRequestRateIndependentOfLoad pins §III-G's timing-
@@ -13,7 +13,7 @@ import (
 func TestTimingChannelRequestRateIndependentOfLoad(t *testing.T) {
 	requestTimes := func(loaded bool) []uint64 {
 		r := newRig(t, 0, DefaultPace)
-		// Count engine sends per window via its statistics.
+		// Count engine sends per window via its counters.
 		const horizon = 400000
 		const window = 50000
 		counts := make([]uint64, 0, horizon/window)
@@ -25,7 +25,7 @@ func TestTimingChannelRequestRateIndependentOfLoad(t *testing.T) {
 				}
 			}
 			r.run(w, window)
-			sent := r.engine.Stats().RealSent.Value() + r.engine.Stats().DummySent.Value()
+			sent := r.counter("real_sent") + r.counter("dummy_sent")
 			counts = append(counts, sent-prevSent)
 			prevSent = sent
 		}
@@ -48,20 +48,36 @@ func TestTimingChannelRequestRateIndependentOfLoad(t *testing.T) {
 	}
 }
 
-// TestResponsePacingExactlyT checks that consecutive requests depart
-// exactly t cycles after the previous response arrives, never earlier.
-func TestResponsePacingExactlyT(t *testing.T) {
-	const pace = 300
+// checkPacing runs an idle engine paced at pace for n CPU cycles and
+// checks, on the engine's "request" spans, that every request after the
+// first departs exactly pace CPU cycles after the previous response
+// arrives.
+func checkPacing(t *testing.T, pace, n uint64) {
+	t.Helper()
 	r := newRig(t, 0, pace)
-	r.run(0, 400000)
-	st := r.engine.Stats()
-	if st.Turnaround.Count() < 10 {
-		t.Fatalf("too few turnarounds (%d)", st.Turnaround.Count())
+	tr := evtrace.New(evtrace.Config{Limit: 1 << 16})
+	r.engine.AttachTracer(tr, "sapp0.engine")
+	r.run(0, n)
+	gaps := 0
+	prevEnd := int64(-1)
+	for _, ev := range tr.Finish().Events {
+		if ev.Name != "request" {
+			continue
+		}
+		if prevEnd >= 0 {
+			if gap := int64(ev.Start) - prevEnd; gap != int64(pace) {
+				t.Fatalf("request at cycle %d issued %d cycles after the previous response, want exactly %d", ev.Start, gap, pace)
+			}
+			gaps++
+		}
+		prevEnd = int64(ev.End)
 	}
-	// Mean turnaround = response latency; the engine then waits `pace`
-	// before the next send, so accesses cannot complete faster than the
-	// SD's access time and never violate the pace floor.
-	if uint64(st.Turnaround.Min()) < clock.NanosToCPU(50) {
-		t.Fatalf("turnaround min %d implausibly small", st.Turnaround.Min())
+	if gaps < 10 {
+		t.Fatalf("too few paced requests (%d) to judge the pacing", gaps)
 	}
 }
+
+// TestResponsePacingExactlyT checks §III-B item 2 at a pace long enough
+// for the SD to drain its write phase: every request departs exactly t
+// CPU cycles after the previous response arrives.
+func TestResponsePacingExactlyT(t *testing.T) { checkPacing(t, 4000, 400000) }

@@ -17,7 +17,6 @@ import (
 	"doram/internal/addrmap"
 	"doram/internal/clock"
 	"doram/internal/mc"
-	"doram/internal/stats"
 )
 
 // cryptoCycles is the per-access packet encryption/authentication latency
@@ -25,20 +24,12 @@ import (
 // from ObfusMem).
 const cryptoCycles = 32
 
-// Stats aggregates the model's activity.
-type Stats struct {
-	Accesses   stats.Counter
-	DummyReqs  stats.Counter
-	Rejections stats.Counter
-}
-
 // SecMem is the S-App's memory port under the secure-memory model. It
 // implements cpu.Port.
 type SecMem struct {
 	mcs    []*mc.Controller
 	mapper *addrmap.Mapper
 	appID  int
-	stats  Stats
 }
 
 // New builds the port over the controllers of the direct-attached
@@ -52,9 +43,6 @@ func New(mcs []*mc.Controller, mapper *addrmap.Mapper, appID int) *SecMem {
 	}
 	return &SecMem{mcs: mcs, mapper: mapper, appID: appID}
 }
-
-// Stats returns the model's counters.
-func (s *SecMem) Stats() *Stats { return &s.stats }
 
 // Access implements cpu.Port: the real transaction goes to the channel
 // holding the line; every other channel receives a dummy of identical
@@ -73,27 +61,21 @@ func (s *SecMem) Access(write bool, addr uint64, now uint64, onDone func(uint64)
 		}
 	}
 	if !s.mcs[real.Bus].Enqueue(realReq, memNow) {
-		s.stats.Rejections.Inc()
 		return false
 	}
-	s.stats.Accesses.Inc()
 
 	for bus := range s.mcs {
 		if bus != real.Bus {
 			dummy := real
 			dummy.Bus = bus
-			if s.mcs[bus].Enqueue(&mc.Request{Op: mc.OpRead, Coord: dummy, AppID: s.appID, Secure: true}, memNow) {
-				s.stats.DummyReqs.Inc()
-			}
+			s.mcs[bus].Enqueue(&mc.Request{Op: mc.OpRead, Coord: dummy, AppID: s.appID, Secure: true}, memNow)
 		}
 		// ObfusMem writes back the (re-encrypted) line it accessed, so the
 		// shaped write targets the same coordinate; a prompt re-read may
 		// forward from the write queue, exactly as the hardware would.
 		wc := real
 		wc.Bus = bus
-		if s.mcs[bus].Enqueue(&mc.Request{Op: mc.OpWrite, Coord: wc, AppID: s.appID, Secure: true}, memNow) && bus != real.Bus {
-			s.stats.DummyReqs.Inc()
-		}
+		s.mcs[bus].Enqueue(&mc.Request{Op: mc.OpWrite, Coord: wc, AppID: s.appID, Secure: true}, memNow)
 	}
 	return true
 }

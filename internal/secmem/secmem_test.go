@@ -50,11 +50,12 @@ func TestReadCompletesWithCryptoOverhead(t *testing.T) {
 func TestEveryChannelSeesTraffic(t *testing.T) {
 	s, mcs := newRig(t)
 	for i := 0; i < 8; i++ {
-		s.Access(i%2 == 0, uint64(i)*64, 0, nil)
+		// Every real line on channel 0 (line stride 4 channels).
+		s.Access(i%2 == 0, uint64(i)*4*64, 0, nil)
 	}
 	tick(mcs, 0, 4000)
-	// Shape hiding: reads and writes on all four channels regardless of
-	// where the real lines live.
+	// Shape hiding: dummies carry reads and writes to the other three
+	// channels, though no real line lives there.
 	for i, c := range mcs {
 		if c.Stats().ReadsDone.Value() == 0 {
 			t.Fatalf("channel %d saw no read-shaped traffic", i)
@@ -62,9 +63,6 @@ func TestEveryChannelSeesTraffic(t *testing.T) {
 		if c.Stats().WritesDone.Value() == 0 {
 			t.Fatalf("channel %d saw no write-shaped traffic", i)
 		}
-	}
-	if s.Stats().DummyReqs.Value() == 0 {
-		t.Fatal("no dummy requests generated")
 	}
 }
 
@@ -132,7 +130,7 @@ func TestBackPressureWhenRealChannelFull(t *testing.T) {
 	if accepted > 2 {
 		t.Fatalf("accepted %d reads into a 2-deep queue", accepted)
 	}
-	if s.Stats().Rejections.Value() == 0 {
-		t.Fatal("rejections not counted")
+	if got := mcs[0].Stats().ReadRejects.Value(); got != uint64(20-accepted) {
+		t.Fatalf("channel 0 rejected %d reads, want the %d the port refused", got, 20-accepted)
 	}
 }

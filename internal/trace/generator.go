@@ -134,8 +134,7 @@ func (l *Limited) Next() (Record, bool) {
 // Remaining returns how many records may still be read.
 func (l *Limited) Remaining() uint64 { return l.left }
 
-// SliceReader replays a fixed record slice; used by tests and file-backed
-// traces.
+// SliceReader replays a fixed record slice; tests use it to script cores.
 type SliceReader struct {
 	recs []Record
 	pos  int

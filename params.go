@@ -61,7 +61,7 @@ type Params struct {
 	// runner uses TraceLen/20.
 	LatencyWarmup uint64 `json:"latency_warmup,omitempty"`
 
-	// Pace is the timing-protection interval t (§III-B) in memory cycles;
+	// Pace is the timing-protection interval t (§III-B) in CPU cycles;
 	// omitted means the paper's 50.
 	Pace uint64 `json:"pace,omitempty"`
 	// CoopThreshold is the bandwidth-preallocation share for ORAM traffic
@@ -272,15 +272,12 @@ func (p Params) Hash() string {
 func (p Params) SimConfig() SimConfig { return SimConfig{Params: p.Canonical()} }
 
 // ParamsFromSimConfig returns the canonical spec of a simulation
-// configuration. It fails for configurations a spec cannot express:
-// recorded-trace replay (TraceDir points into the local filesystem) and an
-// event ring (TraceEventLimit keeps span events for export, which a result
-// does not transport; a spec's traced run keeps attribution only).
-// NoFastForward is dropped: the run loop does not change the result.
+// configuration. It fails for a configuration with an event ring
+// (TraceEventLimit keeps span events for export, which a result does not
+// transport; a spec's traced run keeps attribution only), which no spec
+// can express. NoFastForward is dropped: the run loop does not change the
+// result.
 func ParamsFromSimConfig(c SimConfig) (Params, error) {
-	if c.TraceDir != "" {
-		return Params{}, fmt.Errorf("doram: params: TraceDir is not expressible in a job spec")
-	}
 	if c.TraceEventLimit != 0 {
 		return Params{}, fmt.Errorf("doram: params: TraceEventLimit is not expressible in a job spec")
 	}
@@ -290,11 +287,10 @@ func ParamsFromSimConfig(c SimConfig) (Params, error) {
 // paramsFromCore lifts an internal configuration into the canonical spec —
 // the inverse of SimConfig.coreConfig, which the remote sweep executor
 // needs because sweeps build core.Configs. ok is false for configurations
-// a spec cannot express: recorded-trace replay (TraceDir), a non-default
-// memory-scheduler policy (MCPolicy) and an event ring (TraceLimit), which
-// only a local exporter can read.
+// a spec cannot express: a non-default memory-scheduler policy (MCPolicy)
+// and an event ring (TraceLimit), which only a local exporter can read.
 func paramsFromCore(c core.Config) (Params, bool) {
-	if c.TraceDir != "" || c.MCPolicy != 0 || c.TraceLimit != 0 {
+	if c.MCPolicy != 0 || c.TraceLimit != 0 {
 		return Params{}, false
 	}
 	numNS, hasS, sharers := c.NumNS, c.HasSApp, c.SecureSharers

@@ -289,7 +289,6 @@ func TestParamsFromCoreSweepConfigs(t *testing.T) {
 	}
 
 	for name, cfg := range map[string]core.Config{
-		"trace replay":   {TraceDir: "traces"},
 		"mc policy":      {MCPolicy: mc.FCFS},
 		"event ring cap": {TraceEvents: true, TraceLimit: 1000},
 	} {
@@ -395,8 +394,8 @@ func TestParamsSimConfigRoundTrip(t *testing.T) {
 		t.Errorf("SimConfig round trip drifted:\n  in:  %+v\n  out: %+v", p, back)
 	}
 
-	if _, err := ParamsFromSimConfig(SimConfig{Params: Params{Scheme: SchemeDORAM, Benchmark: "face"}, TraceDir: "traces"}); err == nil {
-		t.Errorf("TraceDir spec lifted without error")
+	if _, err := ParamsFromSimConfig(SimConfig{Params: Params{Scheme: SchemeDORAM, Benchmark: "face"}, TraceEventLimit: 100}); err == nil {
+		t.Errorf("TraceEventLimit spec lifted without error")
 	}
 }
 
@@ -433,8 +432,6 @@ func TestSimConfigFieldCoverage(t *testing.T) {
 			v.SetUint(2)
 		case reflect.Float64:
 			v.SetFloat(0.25)
-		case reflect.String:
-			v.SetString("traces")
 		case reflect.Pointer:
 			v.Set(reflect.ValueOf(intp(2)))
 		case reflect.Slice:
@@ -490,7 +487,7 @@ func TestSimConfigFieldCoverage(t *testing.T) {
 func TestSimConfigPromotedMethods(t *testing.T) {
 	cfg := DefaultSimConfig(SchemeDORAM, "face")
 	cfg.SplitK = 1
-	cfg.TraceDir, cfg.TraceEventLimit, cfg.NoFastForward = "traces", 100, true
+	cfg.TraceEventLimit, cfg.NoFastForward = 100, true
 	got, err := json.Marshal(cfg)
 	if err != nil {
 		t.Fatal(err)

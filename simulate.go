@@ -52,7 +52,7 @@ const AllNS = core.AllNS
 
 // SimConfig describes one co-run simulation (Table II system; the
 // benchmark names and MPKIs come from Table III): a job spec plus the
-// three knobs no spec can carry. Every spec field keeps its Params
+// two knobs no spec can carry. Every spec field keeps its Params
 // meaning, so a zero field takes the paper's default — nil NumNS, HasSApp
 // and C mean 7 NS-Apps, an S-App under every scheme but SchemeNonSecure,
 // and no /c limit. SimConfig{Params: Params{Scheme: s, Benchmark: b}} is
@@ -63,12 +63,6 @@ const AllNS = core.AllNS
 // configuration with the local knobs cleared.
 type SimConfig struct {
 	Params
-
-	// TraceDir loads recorded traces (cmd/tracegen -o) instead of
-	// synthesizing: "<Benchmark>.<core>.dtrc" per core, else a shared
-	// "<Benchmark>.dtrc" rotated per core. A server-side file path, so a
-	// job spec cannot name it.
-	TraceDir string
 
 	// TraceEventLimit sizes the span-event ring that Trace.WriteChrome
 	// exports (oldest events evicted first). 0 keeps no ring: the run
@@ -261,7 +255,6 @@ func (cfg SimConfig) coreConfig() (core.Config, error) {
 		TraceOramOnly:      p.TraceOramOnly,
 		TraceTopK:          p.TraceTopN,
 
-		TraceDir:      cfg.TraceDir,
 		TraceLimit:    cfg.TraceEventLimit,
 		NoFastForward: cfg.NoFastForward,
 	}
