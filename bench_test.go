@@ -16,7 +16,6 @@ import (
 	"doram/internal/mc"
 	"doram/internal/oram"
 	"doram/internal/oram/ring"
-	"doram/internal/otp"
 	"doram/internal/trace"
 	"doram/internal/xrand"
 )
@@ -285,20 +284,6 @@ func BenchmarkRingORAMAccess(b *testing.B) {
 		if _, err := c.Access(oram.OpWrite, uint64(i)%1000, payload); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkOTPSeal measures sealing one 72-byte BOB packet (Eq. 1).
-func BenchmarkOTPSeal(b *testing.B) {
-	tx, err := otp.NewEngine([]byte("0123456789abcdef"), 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pkt := make([]byte, 72)
-	b.SetBytes(72)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tx.Seal(pkt)
 	}
 }
 

@@ -320,14 +320,6 @@ func (o *ORAM) FaultReport() FaultReport {
 	return r
 }
 
-// SetRecovery tunes integrity-failure recovery: maxRetries bounds the
-// re-reads before a persistent failure escalates to a security alarm
-// (0 = fail fast on the first failure), retryCostCycles is the simulated
-// cost charged per re-read.
-func (o *ORAM) SetRecovery(maxRetries int, retryCostCycles uint64) {
-	o.client.SetRecovery(oram.RecoveryConfig{MaxRetries: maxRetries, RetryCostCycles: retryCostCycles})
-}
-
 func init() {
 	// Guard the public default against drift in internal validation.
 	if err := func() error {

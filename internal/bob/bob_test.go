@@ -1,10 +1,8 @@
 package bob
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"doram/internal/addrmap"
 	"doram/internal/clock"
@@ -12,68 +10,20 @@ import (
 	"doram/internal/mc"
 )
 
-func TestPacketRoundTrip(t *testing.T) {
-	p := Packet{Write: true, Addr: 0x1234_5678_9abc}
-	copy(p.Data[:], "payload-bytes")
-	got, err := Unmarshal(p.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Write != p.Write || got.Addr != p.Addr || !bytes.Equal(got.Data[:], p.Data[:]) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, p)
-	}
-}
-
-func TestPacketSizes(t *testing.T) {
-	if len(Packet{}.Marshal()) != 72 {
-		t.Fatal("full packet must be 72 bytes (1-bit type + 63-bit addr + 64 B data)")
-	}
-	if KindShortRead.Bytes() != 8 || KindRequest.Bytes() != 72 || KindResponse.Bytes() != 72 {
-		t.Fatal("packet kind sizes wrong")
-	}
-}
-
-func TestPacketRejectsWrongSize(t *testing.T) {
-	if _, err := Unmarshal(make([]byte, 71)); err != ErrPacketSize {
-		t.Fatalf("err = %v, want ErrPacketSize", err)
-	}
-}
-
-func TestPacketAddrLimit(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("64-bit address accepted")
-		}
-	}()
-	Packet{Addr: 1 << 63}.Marshal()
-}
-
-func TestPropertyPacketRoundTrip(t *testing.T) {
-	f := func(write bool, addr uint64, data [64]byte) bool {
-		addr &= 1<<63 - 1
-		p := Packet{Write: write, Addr: addr, Data: data}
-		got, err := Unmarshal(p.Marshal())
-		return err == nil && got == p
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLinkLatencyAndOccupancy(t *testing.T) {
 	l := MustLink(DefaultLinkConfig())
 	// 72 B at 4 B/cycle = 18 cycles occupancy + 48 cycles latency.
-	arrive := l.SendDown(72, 100)
+	arrive := l.SendDownFor(0, 72, 100)
 	if want := uint64(100 + 18 + 48); arrive != want {
 		t.Fatalf("arrival = %d, want %d", arrive, want)
 	}
 	// A second packet serializes behind the first.
-	arrive2 := l.SendDown(72, 100)
+	arrive2 := l.SendDownFor(0, 72, 100)
 	if want := uint64(100 + 36 + 48); arrive2 != want {
 		t.Fatalf("second arrival = %d, want %d", arrive2, want)
 	}
 	// Up direction is independent (full duplex).
-	up := l.SendUp(72, 100)
+	up := l.SendUpFor(0, 72, 100)
 	if want := uint64(100 + 18 + 48); up != want {
 		t.Fatalf("up arrival = %d, want %d", up, want)
 	}
@@ -105,9 +55,9 @@ func TestLinkOccupancy(t *testing.T) {
 
 func TestLinkShortPacketsCheaper(t *testing.T) {
 	l := MustLink(DefaultLinkConfig())
-	full := l.SendDown(FullPacketBytes, 0)
+	full := l.SendDownFor(0, FullPacketBytes, 0)
 	l2 := MustLink(DefaultLinkConfig())
-	short := l2.SendDown(ShortReadBytes, 0)
+	short := l2.SendDownFor(0, ShortReadBytes, 0)
 	if short >= full {
 		t.Fatalf("short packet (%d) not faster than full (%d)", short, full)
 	}
@@ -115,9 +65,9 @@ func TestLinkShortPacketsCheaper(t *testing.T) {
 
 func TestLinkStats(t *testing.T) {
 	l := MustLink(DefaultLinkConfig())
-	l.SendDown(72, 0)
-	l.SendDown(8, 0)
-	l.SendUp(72, 0)
+	l.SendDownFor(0, 72, 0)
+	l.SendDownFor(0, 8, 0)
+	l.SendUpFor(0, 72, 0)
 	if l.DownStats().Packets.Value() != 2 || l.DownStats().Bytes.Value() != 80 {
 		t.Fatalf("down stats: %d packets %d bytes",
 			l.DownStats().Packets.Value(), l.DownStats().Bytes.Value())
@@ -184,7 +134,7 @@ func TestInputQueueArrivalsInLinkOrder(t *testing.T) {
 			s.Submit(&NSRequest{Write: x == 0, Coord: addrmap.Coord{Bus: rng.Intn(2),
 				Bank: rng.Intn(8), Row: int64(rng.Intn(4))}}, cpu)
 		case x == 2:
-			link.SendDown(ShortReadBytes, cpu+uint64(rng.Intn(200)))
+			link.SendDownFor(0, ShortReadBytes, cpu+uint64(rng.Intn(200)))
 		}
 		if clock.IsMemEdge(cpu) {
 			s.Tick(cpu)
@@ -357,23 +307,4 @@ func TestDirectChannel(t *testing.T) {
 	if !s.Idle() {
 		t.Fatal("channel not idle after completion")
 	}
-}
-
-// FuzzUnmarshal ensures arbitrary bytes never panic the packet parser and
-// valid round trips always survive.
-func FuzzUnmarshal(f *testing.F) {
-	f.Add(make([]byte, 72))
-	f.Add([]byte("short"))
-	p := Packet{Write: true, Addr: 12345}
-	f.Add(p.Marshal())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		pkt, err := Unmarshal(data)
-		if err != nil {
-			return
-		}
-		back, err := Unmarshal(pkt.Marshal())
-		if err != nil || back != pkt {
-			t.Fatalf("round trip broke: %v", err)
-		}
-	})
 }

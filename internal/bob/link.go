@@ -125,7 +125,6 @@ type Link struct {
 
 type direction struct {
 	freeAt uint64
-	seq    uint64 // next frame sequence number
 	stats  LinkStats
 }
 
@@ -177,7 +176,6 @@ func (l *Link) transfer(d *direction, n int, now uint64) uint64 {
 // that doubles with every attempt before retransmitting.
 func (l *Link) send(d *direction, n int, now uint64) uint64 {
 	d.stats.Packets.Inc()
-	d.seq++
 	if l.faults == nil {
 		return l.transfer(d, n, now)
 	}
@@ -212,22 +210,16 @@ func (l *Link) send(d *direction, n int, now uint64) uint64 {
 	return arrival
 }
 
-// SendDown transmits n bytes toward the BOB unit at CPU cycle now and
-// returns the arrival cycle.
-func (l *Link) SendDown(n int, now uint64) uint64 { return l.send(&l.down, n, now) }
-
-// SendUp transmits n bytes toward the CPU at CPU cycle now and returns the
-// arrival cycle.
-func (l *Link) SendUp(n int, now uint64) uint64 { return l.send(&l.up, n, now) }
-
-// SendDownFor is SendDown carrying a tracer request ID: when a tracer is
-// attached and id is non-zero, the packet's wire time (queueing for the
-// direction excluded, retransmits included) is recorded as a span.
+// SendDownFor transmits n bytes toward the BOB unit at CPU cycle now and
+// returns the arrival cycle. When a tracer is attached and id is
+// non-zero, the packet's wire time (queueing for the direction excluded,
+// retransmits included) is recorded as a span.
 func (l *Link) SendDownFor(id uint64, n int, now uint64) uint64 {
 	return l.sendFor(&l.down, "down", id, n, now)
 }
 
-// SendUpFor is SendUp carrying a tracer request ID.
+// SendUpFor transmits n bytes toward the CPU at CPU cycle now and returns
+// the arrival cycle, tracing it as SendDownFor does.
 func (l *Link) SendUpFor(id uint64, n int, now uint64) uint64 {
 	return l.sendFor(&l.up, "up", id, n, now)
 }

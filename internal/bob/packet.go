@@ -2,15 +2,9 @@
 // fast serial link between the processor's main memory controller and the
 // on-board simple controller, the 72-byte packets that traverse it, and
 // the simple controller that drives commodity DIMM sub-channels on the far
-// side (§II-A, §III-A of the paper).
+// side (§II-A, §III-A of the paper). Packets are modeled by their wire
+// size alone: only the link's occupancy and latency affect the results.
 package bob
-
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"hash/crc32"
-)
 
 // Packet sizes on the serial link (§III-B, §III-C).
 const (
@@ -24,128 +18,11 @@ const (
 	ShortReadBytes = 8
 )
 
-// Kind classifies link packets.
-type Kind uint8
-
-// Packet kinds.
-const (
-	KindRequest   Kind = iota // CPU -> BOB full packet
-	KindResponse              // BOB -> CPU full packet
-	KindShortRead             // header-only read (tree split)
-	KindWriteFwd              // forwarded write for relocated tree levels
-)
-
-// String names the packet kind.
-func (k Kind) String() string {
-	switch k {
-	case KindRequest:
-		return "request"
-	case KindResponse:
-		return "response"
-	case KindShortRead:
-		return "short-read"
-	case KindWriteFwd:
-		return "write-fwd"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
-	}
-}
-
-// Bytes returns the wire size of a packet of this kind.
-func (k Kind) Bytes() int {
-	if k == KindShortRead {
-		return ShortReadBytes
-	}
-	return FullPacketBytes
-}
-
-// Packet is the functional BOB packet: a type bit, a 63-bit address and a
-// 64-byte data field (dummy bits for reads, §III-B item 1).
-type Packet struct {
-	Write bool
-	Addr  uint64 // must fit in 63 bits
-	Data  [64]byte
-}
-
-// ErrPacketSize is returned when unmarshalling a wrong-size buffer.
-var ErrPacketSize = errors.New("bob: packet must be 72 bytes")
-
-// Marshal serializes the packet into its 72-byte wire format. It panics if
-// the address exceeds 63 bits, a programming error.
-func (p Packet) Marshal() []byte {
-	if p.Addr>>63 != 0 {
-		panic("bob: address exceeds 63 bits")
-	}
-	buf := make([]byte, FullPacketBytes)
-	head := p.Addr << 1
-	if p.Write {
-		head |= 1
-	}
-	binary.LittleEndian.PutUint64(buf[0:8], head)
-	copy(buf[8:], p.Data[:])
-	return buf
-}
-
-// Unmarshal parses a 72-byte wire packet.
-func Unmarshal(buf []byte) (Packet, error) {
-	if len(buf) != FullPacketBytes {
-		return Packet{}, ErrPacketSize
-	}
-	head := binary.LittleEndian.Uint64(buf[0:8])
-	p := Packet{Write: head&1 == 1, Addr: head >> 1}
-	copy(p.Data[:], buf[8:])
-	return p, nil
-}
-
 // Frame sizes for unreliable-link operation.
 const (
-	// FrameOverhead is the sequence number (4 B) plus CRC32 checksum (4 B)
+	// FrameOverhead is the sequence number (4 B) plus checksum (4 B)
 	// appended to every packet when a link runs with a fault model.
 	FrameOverhead = 8
 	// FrameBytes is the framed full packet's wire size.
 	FrameBytes = FullPacketBytes + FrameOverhead
 )
-
-// Frame wraps a packet with a sequence number and a checksum so the
-// receiver can discard corrupted transfers (triggering a retransmit) and
-// detect reordered or replayed packets on the serial link.
-type Frame struct {
-	Seq    uint32
-	Packet Packet
-}
-
-// Frame unmarshalling errors.
-var (
-	// ErrFrameSize is returned when a framed buffer has the wrong length.
-	ErrFrameSize = errors.New("bob: frame must be 80 bytes")
-	// ErrChecksum is returned when a frame's CRC32 does not match its
-	// contents — the wire corruption signal that triggers retransmission.
-	ErrChecksum = errors.New("bob: frame checksum mismatch")
-)
-
-// Marshal serializes the frame: the 72-byte packet, the sequence number,
-// then a CRC32 (IEEE) over everything before it.
-func (f Frame) Marshal() []byte {
-	buf := make([]byte, FrameBytes)
-	copy(buf, f.Packet.Marshal())
-	binary.LittleEndian.PutUint32(buf[FullPacketBytes:], f.Seq)
-	sum := crc32.ChecksumIEEE(buf[:FullPacketBytes+4])
-	binary.LittleEndian.PutUint32(buf[FullPacketBytes+4:], sum)
-	return buf
-}
-
-// UnmarshalFrame parses and verifies a framed wire packet.
-func UnmarshalFrame(buf []byte) (Frame, error) {
-	if len(buf) != FrameBytes {
-		return Frame{}, ErrFrameSize
-	}
-	want := binary.LittleEndian.Uint32(buf[FullPacketBytes+4:])
-	if crc32.ChecksumIEEE(buf[:FullPacketBytes+4]) != want {
-		return Frame{}, ErrChecksum
-	}
-	pkt, err := Unmarshal(buf[:FullPacketBytes])
-	if err != nil {
-		return Frame{}, err
-	}
-	return Frame{Seq: binary.LittleEndian.Uint32(buf[FullPacketBytes:]), Packet: pkt}, nil
-}

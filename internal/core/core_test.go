@@ -53,6 +53,12 @@ func TestDeterminism(t *testing.T) {
 	if a.NSFinish[0] == a.NSFinish[1] {
 		t.Fatalf("both NS cores finished at cycle %d; co-runners ran in lockstep", a.NSFinish[0])
 	}
+	// Each core draws its own trace stream. Contention alone separates
+	// finish cycles, but identical streams retire identical instruction
+	// counts.
+	if a.NSInstrs[0] == a.NSInstrs[1] {
+		t.Fatalf("both NS cores retired %d instructions; their trace streams are not decorrelated", a.NSInstrs[0])
+	}
 }
 
 func TestCoRunSlowerThanSolo(t *testing.T) {

@@ -14,13 +14,7 @@ type Stage struct {
 
 // breakdownBounds are power-of-two bucket bounds in CPU cycles, spanning
 // one cycle to ~134M (≈42 ms at 3.2 GHz) before the overflow bucket.
-var breakdownBounds = func() []uint64 {
-	b := make([]uint64, 28)
-	for i := range b {
-		b[i] = 1 << uint(i)
-	}
-	return b
-}()
+var breakdownBounds = stats.PowerOfTwoBounds(28)
 
 // kindStats accumulates per-stage and end-to-end histograms for one
 // request kind ("oram", "ns_read", ...).

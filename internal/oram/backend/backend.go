@@ -75,8 +75,6 @@ const (
 	MechMAC Mechanism = "mac"
 	// MechMerkle is the hash tree over bucket ciphertexts.
 	MechMerkle Mechanism = "merkle"
-	// MechChecksum is the serial-link frame CRC (package bob).
-	MechChecksum Mechanism = "checksum"
 )
 
 // ErrIntegrity reports one failed integrity verification: which tree node

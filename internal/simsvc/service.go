@@ -489,13 +489,7 @@ func (s *Service) newJobLocked(spec doram.Params, hash string) *Job {
 
 // jobDurationBoundsMs are power-of-two wall-millisecond buckets for the
 // per-run duration histogram, 1 ms to ~17 min before overflow.
-var jobDurationBoundsMs = func() []uint64 {
-	b := make([]uint64, 20)
-	for i := range b {
-		b[i] = 1 << uint(i)
-	}
-	return b
-}()
+var jobDurationBoundsMs = stats.PowerOfTwoBounds(20)
 
 // Events returns the service's event bus — every job state transition and
 // service lifecycle marker, consumed by the SSE endpoints and (in cluster
@@ -684,13 +678,7 @@ func (s *Service) runJob(job *Job) {
 
 // stageMeanBounds are power-of-two cycle buckets for the per-stage mean
 // histograms, mirroring evtrace's breakdown range (1 cycle to ~134M).
-var stageMeanBounds = func() []uint64 {
-	b := make([]uint64, 28)
-	for i := range b {
-		b[i] = 1 << uint(i)
-	}
-	return b
-}()
+var stageMeanBounds = stats.PowerOfTwoBounds(28)
 
 // foldStageHistsLocked accumulates one finished run into the serving-level
 // latency histograms: wall time always, and — when the job's spec enabled

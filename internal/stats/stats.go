@@ -101,31 +101,6 @@ func LatencyFromParts(count, sum, min, max uint64) Latency {
 	return Latency{count: count, sum: sum, min: min, max: max}
 }
 
-// Merge folds other into l as if all of other's samples had been observed
-// on l directly.
-func (l *Latency) Merge(other Latency) {
-	if other.count == 0 {
-		return
-	}
-	if l.count == 0 {
-		*l = other
-		return
-	}
-	if other.min < l.min {
-		l.min = other.min
-	}
-	if other.max > l.max {
-		l.max = other.max
-	}
-	l.count += other.count
-	if other.saturated {
-		l.saturated = true
-		l.sum = math.MaxUint64
-	} else {
-		l.addSum(other.sum)
-	}
-}
-
 // Reset clears all samples.
 func (l *Latency) Reset() { *l = Latency{} }
 
@@ -158,6 +133,16 @@ func NewHistogram(bounds []uint64) *Histogram {
 	b := make([]uint64, len(bounds))
 	copy(b, bounds)
 	return &Histogram{bounds: b, counts: make([]uint64, len(bounds)+1)}
+}
+
+// PowerOfTwoBounds returns n ascending bucket bounds 1, 2, 4, ..., 2^(n-1)
+// for NewHistogram.
+func PowerOfTwoBounds(n int) []uint64 {
+	b := make([]uint64, n)
+	for i := range b {
+		b[i] = 1 << uint(i)
+	}
+	return b
 }
 
 // Observe records one sample.

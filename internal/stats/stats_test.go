@@ -43,17 +43,17 @@ func TestLatencyMerge(t *testing.T) {
 	a.Observe(10)
 	b.Observe(1)
 	b.Observe(4)
-	a.Merge(b)
+	a.MergeFrom(b)
 	if a.Count() != 4 || a.Min() != 1 || a.Max() != 10 || a.Sum() != 17 {
 		t.Fatalf("merged: %s", a.String())
 	}
 	// Merging empty is a no-op; merging into empty copies.
 	var e Latency
-	a.Merge(e)
+	a.MergeFrom(e)
 	if a.Count() != 4 {
 		t.Fatal("merge with empty changed state")
 	}
-	e.Merge(a)
+	e.MergeFrom(a)
 	if e.Count() != 4 || e.Min() != 1 {
 		t.Fatal("merge into empty failed")
 	}
@@ -192,6 +192,18 @@ func TestHistogramBoundsCopy(t *testing.T) {
 	}
 }
 
+func TestPowerOfTwoBounds(t *testing.T) {
+	b := PowerOfTwoBounds(28)
+	if len(b) != 28 || b[0] != 1 || b[27] != 1<<27 {
+		t.Fatalf("bounds = %v, want 1..2^27", b)
+	}
+	for i := 1; i < len(b); i++ {
+		if b[i] != 2*b[i-1] {
+			t.Fatalf("bound %d = %d, want twice %d", i, b[i], b[i-1])
+		}
+	}
+}
+
 func TestHistogramPanicsOnBadBounds(t *testing.T) {
 	for i, bounds := range [][]uint64{{}, {5, 5}, {9, 3}} {
 		func() {
@@ -290,12 +302,13 @@ func TestLatencySumSaturation(t *testing.T) {
 		t.Fatalf("saturation must be sticky: sum=%d count=%d", l.Sum(), l.Count())
 	}
 
-	// Saturation propagates through both merge paths.
+	// Saturation propagates through a merge: from a saturated source, and
+	// from a sum that overflows while merging.
 	var m Latency
 	m.Observe(7)
-	m.Merge(l)
+	m.MergeFrom(l)
 	if !m.Saturated() || m.Sum() != math.MaxUint64 || m.Count() != 4 {
-		t.Fatalf("Merge lost saturation: %s", m.String())
+		t.Fatalf("MergeFrom lost saturation: %s", m.String())
 	}
 	var f Latency
 	f.Observe(math.MaxUint64 - 3)
