@@ -44,7 +44,7 @@ func TestLinkOccupancy(t *testing.T) {
 		{ShortReadBytes + 1, 3},
 		{ShortReadBytes + FrameOverhead, 4},
 		{FullPacketBytes, 18},
-		{FrameBytes, 20},
+		{FullPacketBytes + FrameOverhead, 20},
 	}
 	for _, c := range cases {
 		if got := l.occupancy(c.n); got != c.want {

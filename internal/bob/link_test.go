@@ -62,8 +62,8 @@ func TestLinkRetransmitBackoffTiming(t *testing.T) {
 		t.Fatalf("retry cycles = %d, want %d", ds.RetryCycles.Value(), want)
 	}
 	// Wire accounting covers all three attempts.
-	if ds.Bytes.Value() != 3*FrameBytes {
-		t.Fatalf("bytes = %d, want %d", ds.Bytes.Value(), 3*FrameBytes)
+	if ds.Bytes.Value() != 3*(FullPacketBytes+FrameOverhead) {
+		t.Fatalf("bytes = %d, want %d", ds.Bytes.Value(), 3*(FullPacketBytes+FrameOverhead))
 	}
 	if ds.Packets.Value() != 1 {
 		t.Fatalf("packets = %d, want 1 (retransmits are not new packets)", ds.Packets.Value())

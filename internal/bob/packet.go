@@ -18,11 +18,6 @@ const (
 	ShortReadBytes = 8
 )
 
-// Frame sizes for unreliable-link operation.
-const (
-	// FrameOverhead is the sequence number (4 B) plus checksum (4 B)
-	// appended to every packet when a link runs with a fault model.
-	FrameOverhead = 8
-	// FrameBytes is the framed full packet's wire size.
-	FrameBytes = FullPacketBytes + FrameOverhead
-)
+// FrameOverhead is the sequence number (4 B) plus checksum (4 B) appended
+// to every packet when a link runs with a fault model.
+const FrameOverhead = 8

@@ -22,12 +22,16 @@ type Encryptor interface {
 	Name() string
 	// SealedBytes returns the ciphertext size for an n-byte plaintext.
 	SealedBytes(n int) int
-	// Seal encrypts a bucket image for (node, version) into a new slice.
-	// It must not retain plain, which the caller reuses.
+	// Seal encrypts a bucket image for (node, version). It consumes
+	// plain: the sealed image may share plain's array, using its spare
+	// capacity for any nonce or tag, and is in a new array only when
+	// cap(plain) < SealedBytes(len(plain)). The caller must not read
+	// plain afterwards, and the encryptor retains neither slice.
 	Seal(node NodeID, version uint64, plain []byte) []byte
 	// Open decrypts (and, when the scheme authenticates, verifies) a
-	// sealed bucket. A failed authentication returns ErrIntegrity naming
-	// the node.
+	// sealed bucket. It consumes sealed, whether or not it succeeds: the
+	// plaintext may share sealed's array. A failed authentication
+	// returns ErrIntegrity naming the node.
 	Open(node NodeID, version uint64, sealed []byte) ([]byte, error)
 }
 
@@ -130,9 +134,13 @@ func (c *CTRHMACEncryptor) stream(node NodeID, version uint64) cipher.Stream {
 	return cipher.NewCTR(c.block, c.identity(node, version))
 }
 
-// Seal implements Encryptor.
+// Seal implements Encryptor. It encrypts plain in place and appends the
+// tag into its spare capacity.
 func (c *CTRHMACEncryptor) Seal(node NodeID, version uint64, plain []byte) []byte {
-	out := make([]byte, len(plain), c.SealedBytes(len(plain)))
+	out := plain
+	if n := c.SealedBytes(len(plain)); cap(plain) < n {
+		out = make([]byte, len(plain), n)
+	}
 	c.stream(node, version).XORKeyStream(out, plain)
 	if !c.useMAC {
 		return out
@@ -140,7 +148,8 @@ func (c *CTRHMACEncryptor) Seal(node NodeID, version uint64, plain []byte) []byt
 	return append(out, c.tag(node, version, out)[:MACSize]...)
 }
 
-// Open implements Encryptor.
+// Open implements Encryptor. It verifies the tag before decrypting in
+// place, so a failed Open leaves sealed as it was.
 func (c *CTRHMACEncryptor) Open(node NodeID, version uint64, sealed []byte) ([]byte, error) {
 	body := sealed
 	if c.useMAC {
@@ -152,9 +161,8 @@ func (c *CTRHMACEncryptor) Open(node NodeID, version uint64, sealed []byte) ([]b
 			return nil, ErrIntegrity{Node: node, Level: node.Level(), Mechanism: MechMAC}
 		}
 	}
-	out := make([]byte, len(body))
-	c.stream(node, version).XORKeyStream(out, body)
-	return out, nil
+	c.stream(node, version).XORKeyStream(body, body)
+	return body, nil
 }
 
 // tag returns the full HMAC-SHA256 over (node, version, ct). The result
@@ -181,13 +189,10 @@ func (*NoOpEncryptor) Name() string { return EncryptorNoOp }
 // SealedBytes implements Encryptor.
 func (*NoOpEncryptor) SealedBytes(n int) int { return n }
 
-// Seal implements Encryptor. It copies, preserving the caller-owned-buffer
-// contract of Storage.
-func (*NoOpEncryptor) Seal(node NodeID, version uint64, plain []byte) []byte {
-	return append([]byte(nil), plain...)
-}
+// Seal implements Encryptor. It returns plain itself.
+func (*NoOpEncryptor) Seal(node NodeID, version uint64, plain []byte) []byte { return plain }
 
-// Open implements Encryptor.
+// Open implements Encryptor. It returns sealed itself.
 func (*NoOpEncryptor) Open(node NodeID, version uint64, sealed []byte) ([]byte, error) {
-	return append([]byte(nil), sealed...), nil
+	return sealed, nil
 }

@@ -34,28 +34,30 @@ func FuzzBucketOpen(f *testing.F) {
 	f.Add(uint64(0), uint64(0), uint64(13), []byte{})
 	f.Fuzz(func(t *testing.T, node, version, bit uint64, data []byte) {
 		n := NodeID(node)
+		// Seal and Open consume their input, so every call gets its own
+		// copy, and every probe opens a copy of a still-sealed image.
 		for _, e := range all {
-			if plain, err := e.Open(n, version, data); err == nil {
+			if plain, err := e.Open(n, version, bytes.Clone(data)); err == nil {
 				DecodeBucket(plain, z, blockSize)
 			}
 		}
 		for _, e := range authenticating {
 			sealed := make([][]byte, 3)
 			for k := range sealed {
-				sealed[k] = e.Seal(n+NodeID(k), version+uint64(k), data)
+				sealed[k] = e.Seal(n+NodeID(k), version+uint64(k), bytes.Clone(data))
 			}
 			for k, s := range sealed {
 				id, v := n+NodeID(k), version+uint64(k)
-				plain, err := e.Open(id, v, s)
+				plain, err := e.Open(id, v, bytes.Clone(s))
 				if err != nil || !bytes.Equal(plain, data) {
 					t.Fatalf("%s: open of a valid bucket at node %d version %d: %v", e.Name(), id, v, err)
 				}
-				flipped := append([]byte(nil), s...)
+				flipped := bytes.Clone(s)
 				pos := bit % uint64(len(flipped)*8)
 				flipped[pos/8] ^= 1 << (pos % 8)
 				expectIntegrity(t, e, id, v, flipped, "a flipped bit")
-				expectIntegrity(t, e, id+1, v, s, "another node")
-				expectIntegrity(t, e, id, v+1, s, "another version")
+				expectIntegrity(t, e, id+1, v, bytes.Clone(s), "another node")
+				expectIntegrity(t, e, id, v+1, bytes.Clone(s), "another version")
 			}
 		}
 	})

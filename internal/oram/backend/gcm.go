@@ -76,23 +76,34 @@ func aad(node NodeID, version uint64) []byte {
 	return hdr[:]
 }
 
-// Seal implements Encryptor.
+// Seal implements Encryptor. With room in plain's capacity it shifts the
+// plaintext up past the nonce and encrypts it there, the exact overlap
+// cipher.AEAD allows.
 func (g *AESGCMEncryptor) Seal(node NodeID, version uint64, plain []byte) []byte {
-	out := make([]byte, GCMNonceSize, GCMNonceSize+len(plain)+GCMTagSize)
-	if _, err := io.ReadFull(g.nonce, out); err != nil {
+	var out []byte
+	if n := g.SealedBytes(len(plain)); cap(plain) >= n {
+		out = plain[:GCMNonceSize+len(plain)]
+		copy(out[GCMNonceSize:], plain)
+		plain = out[GCMNonceSize:]
+	} else {
+		out = make([]byte, GCMNonceSize, n)
+	}
+	if _, err := io.ReadFull(g.nonce, out[:GCMNonceSize]); err != nil {
 		// crypto/rand failure means the platform's entropy source is gone;
 		// continuing would reuse or zero nonces. Fail loudly.
 		panic(fmt.Sprintf("oram: gcm nonce source: %v", err))
 	}
-	return g.aead.Seal(out, out[:GCMNonceSize], plain, aad(node, version))
+	return g.aead.Seal(out[:GCMNonceSize], out[:GCMNonceSize], plain, aad(node, version))
 }
 
-// Open implements Encryptor.
+// Open implements Encryptor. It decrypts into sealed's own ciphertext
+// bytes; a failed Open may leave them garbled.
 func (g *AESGCMEncryptor) Open(node NodeID, version uint64, sealed []byte) ([]byte, error) {
 	if len(sealed) < GCMOverhead {
 		return nil, ErrIntegrity{Node: node, Level: node.Level(), Mechanism: MechMAC}
 	}
-	plain, err := g.aead.Open(nil, sealed[:GCMNonceSize], sealed[GCMNonceSize:], aad(node, version))
+	body := sealed[GCMNonceSize:]
+	plain, err := g.aead.Open(body[:0], sealed[:GCMNonceSize], body, aad(node, version))
 	if err != nil {
 		return nil, ErrIntegrity{Node: node, Level: node.Level(), Mechanism: MechMAC}
 	}

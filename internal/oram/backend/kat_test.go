@@ -98,7 +98,7 @@ func TestCTRHMACKnownAnswers(t *testing.T) {
 				t.Fatal(err)
 			}
 			plain := unhex(t, v.plain)
-			got := e.Seal(v.node, v.version, plain)
+			got := e.Seal(v.node, v.version, bytes.Clone(plain))
 			if hex.EncodeToString(got) != v.sealed {
 				t.Fatalf("Seal = %x, want %s", got, v.sealed)
 			}
@@ -121,7 +121,7 @@ func TestAESGCMKnownAnswers(t *testing.T) {
 				t.Fatal(err)
 			}
 			plain := unhex(t, v.plain)
-			got := e.Seal(v.node, v.version, plain)
+			got := e.Seal(v.node, v.version, bytes.Clone(plain))
 			if hex.EncodeToString(got) != v.sealed {
 				t.Fatalf("Seal = %x, want %s", got, v.sealed)
 			}
@@ -153,15 +153,14 @@ func TestAESGCMBindsNodeAndVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed := unhex(t, v.sealed)
-	if _, err := e.Open(v.node+1, v.version, sealed); err == nil {
+	if _, err := e.Open(v.node+1, v.version, unhex(t, v.sealed)); err == nil {
 		t.Fatal("opened under wrong node")
 	}
-	if _, err := e.Open(v.node, v.version+1, sealed); err == nil {
+	if _, err := e.Open(v.node, v.version+1, unhex(t, v.sealed)); err == nil {
 		t.Fatal("opened under wrong version")
 	}
 	var ierr ErrIntegrity
-	_, err = e.Open(v.node, v.version+1, sealed)
+	_, err = e.Open(v.node, v.version+1, unhex(t, v.sealed))
 	if !errors.As(err, &ierr) || ierr.Mechanism != MechMAC {
 		t.Fatalf("want ErrIntegrity{MechMAC}, got %v", err)
 	}

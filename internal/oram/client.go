@@ -38,9 +38,21 @@ type Client struct {
 
 	versions []uint64           // per-node write counters (encryption nonces)
 	top      [][]*backend.Block // plaintext buckets for the cached top levels
-	img      []byte             // write-back bucket image, re-encoded per bucket
 
+	// Per-path scratch, reused by every path read and write-back. imgs
+	// holds one write-back image per uncached level (nil above), with the
+	// capacity to be sealed in place, so a sealed image stays valid until
+	// the path's Merkle update.
+	nodes  []backend.NodeID
+	plains [][]byte
+	imgs   [][]byte
+
+	// Merkle only: cts is the path's ciphertexts as read or as written,
+	// and ctBufs holds per-level copies of the read ones, taken before
+	// Open consumes the originals.
 	merkle *Merkle // optional hash-tree integrity (nil = disabled)
+	cts    [][]byte
+	ctBufs [][]byte
 
 	// Constant-time mode: stash serves and bucket decodes run branch-free
 	// (backend/consttime.go), so secret block contents never influence the
@@ -146,16 +158,28 @@ func NewClientWithOptions(p Params, o ClientOptions) (*Client, error) {
 		ct:       o.ConstantTime,
 		versions: make([]uint64, p.NumNodes()),
 		top:      make([][]*backend.Block, topNodes),
-		img:      make([]byte, backend.BucketBytes(p.Z, p.BlockSize)),
+		nodes:    make([]backend.NodeID, p.Levels+1),
+		plains:   make([][]byte, p.Levels+1),
 		rec:      DefaultRecoveryConfig(),
 		rng:      xrand.New(o.Seed),
 	}
+	c.imgs = c.levelBuffers(backend.BucketBytes(p.Z, p.BlockSize))
 	// Pressure relief engages at 90% occupancy by default — far above any
 	// healthy workload's high-water mark, so it only changes behaviour
 	// when overflow is otherwise imminent.
 	c.pressureThreshold = p.StashCapacity * 9 / 10
 	c.pressureMax = 4
 	return c, nil
+}
+
+// levelBuffers returns one buffer of length n per uncached level (nil for
+// the cached ones), each with room for the sealed image.
+func (c *Client) levelBuffers(n int) [][]byte {
+	bufs := make([][]byte, c.p.Levels+1)
+	for level := c.p.TopCacheLevels; level < len(bufs); level++ {
+		bufs[level] = make([]byte, n, c.enc.SealedBytes(backend.BucketBytes(c.p.Z, c.p.BlockSize)))
+	}
+	return bufs
 }
 
 // Params returns the instance parameters.
@@ -363,6 +387,8 @@ func (c *Client) EnableMerkle() error {
 		return fmt.Errorf("oram: EnableMerkle must precede the first access")
 	}
 	c.merkle = NewMerkle(c.p)
+	c.cts = make([][]byte, c.p.Levels+1)
+	c.ctBufs = c.levelBuffers(0)
 	return nil
 }
 
@@ -373,7 +399,7 @@ func (c *Client) EnableMerkle() error {
 func (c *Client) readPath(leaf uint64) (Trace, error) {
 	n := c.p.NodesPerAccess()
 	tr := Trace{Leaf: leaf, ReadNodes: make([]backend.NodeID, 0, n), WriteNodes: make([]backend.NodeID, 0, n)}
-	nodes := make([]backend.NodeID, c.p.Levels+1)
+	nodes := c.nodes
 	for level := range nodes {
 		nodes[level] = backend.NodeAt(level, leaf, c.p.Levels)
 	}
@@ -381,19 +407,14 @@ func (c *Client) readPath(leaf uint64) (Trace, error) {
 	// Phase 1: fetch ciphertexts and authenticate. A Merkle failure
 	// localizes only to the path, so recovery there re-fetches the whole
 	// path (each attempt MAC-verifies again too).
-	plains := make([][]byte, len(nodes))
-	var cts [][]byte
-	if c.merkle != nil {
-		cts = make([][]byte, len(nodes))
-	}
 	for pathAttempt := 0; ; pathAttempt++ {
-		if err := c.fetchPath(nodes, cts, plains); err != nil {
+		if err := c.fetchPath(nodes); err != nil {
 			return Trace{}, err
 		}
 		if c.merkle == nil {
 			break
 		}
-		err := c.merkle.VerifyPath(leaf, cts)
+		err := c.merkle.VerifyPath(leaf, c.cts)
 		if err == nil {
 			break
 		}
@@ -419,13 +440,14 @@ func (c *Client) readPath(leaf uint64) (Trace, error) {
 			c.top[node] = nil
 		} else {
 			tr.ReadNodes = append(tr.ReadNodes, node)
-			if plains[level] == nil {
+			plain := c.plains[level]
+			if plain == nil {
 				continue // never written: empty bucket
 			}
 			if c.ct {
-				blocks = backend.DecodeBucketCT(plains[level], c.p.Z, c.p.BlockSize)
+				blocks = backend.DecodeBucketCT(plain, c.p.Z, c.p.BlockSize)
 			} else {
-				blocks = backend.DecodeBucket(plains[level], c.p.Z, c.p.BlockSize)
+				blocks = backend.DecodeBucket(plain, c.p.Z, c.p.BlockSize)
 			}
 		}
 		for _, b := range blocks {
@@ -438,24 +460,21 @@ func (c *Client) readPath(leaf uint64) (Trace, error) {
 }
 
 // fetchPath reads and MAC-verifies every non-cached bucket on the path,
-// filling plains (decrypted images) and, when non-nil, cts (the verified
-// ciphertexts, for Merkle). Cached top levels get nil entries.
-func (c *Client) fetchPath(nodes []backend.NodeID, cts, plains [][]byte) error {
+// filling c.plains (decrypted images) and, under Merkle, c.cts (the
+// verified ciphertexts). Cached top levels and never-written buckets get
+// nil entries.
+func (c *Client) fetchPath(nodes []backend.NodeID) error {
 	for level, node := range nodes {
-		if level < c.p.TopCacheLevels {
-			plains[level] = nil
-			if cts != nil {
-				cts[level] = nil
+		var plain, ct []byte
+		if level >= c.p.TopCacheLevels {
+			var err error
+			if plain, ct, err = c.openWithRetry(node, level); err != nil {
+				return err
 			}
-			continue
 		}
-		plain, sealed, err := c.openWithRetry(node)
-		if err != nil {
-			return err
-		}
-		plains[level] = plain
-		if cts != nil {
-			cts[level] = sealed
+		c.plains[level] = plain
+		if c.merkle != nil {
+			c.cts[level] = ct
 		}
 	}
 	return nil
@@ -464,16 +483,22 @@ func (c *Client) fetchPath(nodes []backend.NodeID, cts, plains [][]byte) error {
 // openWithRetry reads node from storage and authenticates it, re-reading
 // up to MaxRetries times on a MAC failure. Each retry charges
 // RetryCostCycles; exhausting the budget escalates to ErrSecurityAlarm.
-// A nil return (no error) means the bucket was never written.
-func (c *Client) openWithRetry(node backend.NodeID) (plain, sealed []byte, err error) {
+// A nil return (no error) means the bucket was never written. Under
+// Merkle, ct is a copy of the image in the level's ciphertext buffer,
+// taken before Open consumes the image, since the tree hashes ciphertext.
+func (c *Client) openWithRetry(node backend.NodeID, level int) (plain, ct []byte, err error) {
 	for attempt := 0; ; attempt++ {
-		sealed = c.store.ReadBucket(node)
+		sealed := c.store.ReadBucket(node)
 		if sealed == nil {
 			return nil, nil, nil
 		}
+		if c.merkle != nil {
+			ct = append(c.ctBufs[level][:0], sealed...)
+			c.ctBufs[level] = ct
+		}
 		plain, err = c.enc.Open(node, c.versions[node], sealed)
 		if err == nil {
-			return plain, sealed, nil
+			return plain, ct, nil
 		}
 		if c.rec.MaxRetries == 0 {
 			return nil, nil, err
@@ -493,29 +518,26 @@ func (c *Client) openWithRetry(node backend.NodeID) (plain, sealed []byte, err e
 // records the writes. Which eligible blocks each bucket receives is the
 // eviction strategy's choice.
 func (c *Client) writePath(leaf uint64, tr *Trace) error {
-	var cts [][]byte
-	if c.merkle != nil {
-		cts = make([][]byte, c.p.Levels+1)
-	}
 	for level := c.p.Levels; level >= 0; level-- {
 		node := backend.NodeAt(level, leaf, c.p.Levels)
 		blocks := c.evict.PlanLevel(c.stash, leaf, level, c.p.Levels, c.p.Z)
 		c.evictedBlocks += uint64(len(blocks))
+		var sealed []byte
 		if level < c.p.TopCacheLevels {
 			c.top[node] = blocks
-			continue
+		} else {
+			tr.WriteNodes = append(tr.WriteNodes, node)
+			c.versions[node]++
+			backend.EncodeBucketInto(c.imgs[level], blocks, c.p.Z, c.p.BlockSize)
+			sealed = c.enc.Seal(node, c.versions[node], c.imgs[level])
+			c.store.WriteBucket(node, sealed)
 		}
-		tr.WriteNodes = append(tr.WriteNodes, node)
-		c.versions[node]++
-		backend.EncodeBucketInto(c.img, blocks, c.p.Z, c.p.BlockSize)
-		sealed := c.enc.Seal(node, c.versions[node], c.img)
-		c.store.WriteBucket(node, sealed)
 		if c.merkle != nil {
-			cts[level] = sealed
+			c.cts[level] = sealed
 		}
 	}
 	if c.merkle != nil {
-		return c.merkle.UpdatePath(leaf, cts)
+		return c.merkle.UpdatePath(leaf, c.cts)
 	}
 	return nil
 }

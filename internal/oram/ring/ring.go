@@ -234,7 +234,8 @@ func decodeMeta(buf []byte, total int) *slotMeta {
 func (c *Client) readMeta(node backend.NodeID) (*slotMeta, error) {
 	b := &c.buckets[node]
 	c.stats.MetaReads.Inc()
-	plain, err := c.crypto.Open(node, metaVersion(b.version), b.meta)
+	// Open consumes its input; b.meta is the bucket's stored header.
+	plain, err := c.crypto.Open(node, metaVersion(b.version), append([]byte(nil), b.meta...))
 	if err != nil {
 		return nil, err
 	}
@@ -248,11 +249,12 @@ func (c *Client) writeMeta(node backend.NodeID, m *slotMeta) {
 	b.meta = c.crypto.Seal(node, metaVersion(b.version), encodeMeta(m, c.p.Z+c.p.S))
 }
 
-// readSlot fetches and decrypts one slot.
+// readSlot fetches and decrypts a copy of one slot, leaving the stored
+// slot sealed.
 func (c *Client) readSlot(node backend.NodeID, slot int) ([]byte, error) {
 	b := &c.buckets[node]
 	c.stats.BlocksRead.Inc()
-	return c.crypto.Open(node, b.version<<8|uint64(slot), b.slots[slot])
+	return c.crypto.Open(node, b.version<<8|uint64(slot), append([]byte(nil), b.slots[slot]...))
 }
 
 // Access reads or writes logical block addr.
