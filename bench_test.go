@@ -15,7 +15,6 @@ import (
 	"doram/internal/experiments"
 	"doram/internal/mc"
 	"doram/internal/oram"
-	"doram/internal/oram/ring"
 	"doram/internal/trace"
 	"doram/internal/xrand"
 )
@@ -269,23 +268,6 @@ func BenchmarkRunFastForwardIdleHeavy(b *testing.B) { runIdleHeavy(b, false) }
 // BenchmarkRunEveryCycleIdleHeavy is the cycle-by-cycle reference loop on
 // the same workload.
 func BenchmarkRunEveryCycleIdleHeavy(b *testing.B) { runIdleHeavy(b, true) }
-
-// BenchmarkRingORAMAccess measures one Ring ORAM access (single-slot
-// online reads plus amortized eviction) for comparison with
-// BenchmarkFunctionalORAMAccess.
-func BenchmarkRingORAMAccess(b *testing.B) {
-	c, err := ring.New(ring.DefaultParams(14), []byte("0123456789abcdef"), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := []byte("payload")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Access(oram.OpWrite, uint64(i)%1000, payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkMerkleVerifyPath measures one path verification on an L=15
 // hash tree.

@@ -279,19 +279,22 @@ func TestClusterAffinityAndResultRelay(t *testing.T) {
 	w2 := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: instantSim})
 	c := testCoordinator(t, nil, gate, CoordinatorConfig{}, w1, w2)
 
+	// Four specs owned by each worker, so both nodes are hit whatever
+	// ring positions their random ports give them.
+	specs := append(ownedBy(t, c, w1, 4), ownedBy(t, c, w2, 4)...)
 	byNode := make(map[string][]string)
-	for seed := uint64(1); seed <= 8; seed++ {
-		st := waitState(t, c, submit(t, c, specJSON(seed)).ID, simsvc.StateDone)
+	for i, spec := range specs {
+		st := waitState(t, c, submit(t, c, spec).ID, simsvc.StateDone)
 		c.mu.Lock()
 		owner := c.ring.owner(st.SpecHash)
 		c.mu.Unlock()
 		if st.Node != owner {
-			t.Errorf("seed %d ran on %s, ring owner is %s", seed, st.Node, owner)
+			t.Errorf("spec %d ran on %s, ring owner is %s", i, st.Node, owner)
 		}
 		byNode[st.Node] = append(byNode[st.Node], st.ID)
 	}
-	if len(byNode) != 2 {
-		t.Errorf("8 seeds all landed on one node — affinity map: %v", byNode)
+	if len(byNode[w1.url()]) != 4 || len(byNode[w2.url()]) != 4 {
+		t.Fatalf("want 4 jobs on each node — affinity map: %v", byNode)
 	}
 
 	// Byte-equality: the coordinator's result is exactly the worker's.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"os"
-	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -261,50 +260,5 @@ func TestTableCSV(t *testing.T) {
 	lines := bytes.Count(buf.Bytes(), []byte("\n"))
 	if lines != 1+len(table.Rows) {
 		t.Fatalf("CSV has %d lines, want %d", lines, 1+len(table.Rows))
-	}
-}
-
-func TestORAMCompare(t *testing.T) {
-	rows, table, err := ORAMCompare(8, 400, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || table == nil {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	path, ring := rows[0], rows[1]
-	if ring.OnlineReads >= path.OnlineReads/2 {
-		t.Errorf("ring online reads %.1f not clearly below path's %.1f",
-			ring.OnlineReads, path.OnlineReads)
-	}
-	if ring.TotalBlocks >= path.TotalBlocks {
-		t.Errorf("ring total %.1f not below path's %.1f", ring.TotalBlocks, path.TotalBlocks)
-	}
-	// Both protocols pick eviction candidates in stash address order, so
-	// the comparison is a pure function of its seed.
-	again, _, err := ORAMCompare(8, 400, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again, rows) {
-		t.Errorf("second run gave %+v, first %+v", again, rows)
-	}
-}
-
-func TestEnergyStudy(t *testing.T) {
-	rows, _, err := EnergyStudy(opts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.Solo <= 0 {
-			t.Fatalf("%s: zero solo energy", r.Bench)
-		}
-		// A 1S7NS co-run moves at least the solo's traffic several times
-		// over (7 co-runners + the ORAM storm).
-		if r.PathORAM < 1.5 || r.DORAM < 1.5 {
-			t.Errorf("%s: ORAM schemes consume %.2f/%.2f of solo; expected well above 1",
-				r.Bench, r.PathORAM, r.DORAM)
-		}
 	}
 }

@@ -34,14 +34,7 @@ var registry = func() []experiment {
 			return t, err
 		}})
 	}
-	return append(r,
-		experiment{id: "oram-compare", run: func(o Options, _ string) (*Table, error) {
-			_, t, err := ORAMCompare(12, 2000, o.Seed)
-			return t, err
-		}},
-		experiment{id: "eviction", run: sweep(EvictionAblation)},
-		experiment{id: "energy", run: sweep(EnergyStudy)},
-	)
+	return append(r, experiment{id: "eviction", run: sweep(EvictionAblation)})
 }()
 
 // sweep adapts an experiment over every benchmark of the options to the

@@ -86,21 +86,6 @@ func (s *Stash) Remove(addr uint64) {
 	}
 }
 
-// Addrs returns the stashed addresses in ascending order — the canonical
-// iteration order for eviction strategies and constant-time scans.
-func (s *Stash) Addrs() []uint64 {
-	addrs := make([]uint64, len(s.blocks))
-	for i, b := range s.blocks {
-		addrs[i] = b.Addr
-	}
-	return addrs
-}
-
-// Sorted returns the stashed blocks in ascending address order.
-func (s *Stash) Sorted() []*Block {
-	return append([]*Block(nil), s.blocks...)
-}
-
 // EvictForPath selects up to max blocks from the stash that may legally be
 // placed in the bucket at the given level of the path to leaf (i.e. whose
 // assigned leaf shares the path prefix down to that level). Selected blocks

@@ -322,10 +322,6 @@ func TestInvariantBlockOnAssignedPathOrStash(t *testing.T) {
 			locations[b.Addr] = append(locations[b.Addr], backend.NodeID(node))
 		}
 	}
-	inStash := map[uint64]bool{}
-	for _, b := range c.stash.Sorted() {
-		inStash[b.Addr] = true
-	}
 	inTop := map[uint64]bool{}
 	for _, bucket := range c.top {
 		for _, b := range bucket {
@@ -339,7 +335,7 @@ func TestInvariantBlockOnAssignedPathOrStash(t *testing.T) {
 		}
 		nodes := locations[addr]
 		switch {
-		case inStash[addr], inTop[addr]:
+		case c.stash.Get(addr) != nil, inTop[addr]:
 			if len(nodes) != 0 {
 				t.Fatalf("block %d duplicated in stash/top and tree", addr)
 			}

@@ -223,7 +223,7 @@ func sweepConfigs(t *testing.T, o ExperimentOptions) []core.Config {
 		return nil, errRecorded
 	}
 	for _, id := range Experiments() {
-		if id == "table1" || id == "oram-compare" { // no simulation sweep
+		if id == "table1" { // no simulation sweep
 			continue
 		}
 		if _, err := experiments.Run(id, io); !errors.Is(err, errRecorded) {

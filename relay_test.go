@@ -143,3 +143,68 @@ func mustJSON(t *testing.T, v any) []byte {
 	}
 	return data
 }
+
+// FuzzResultsFromRaw: the experiments runner decodes a doramd worker's
+// result bytes into a SimResult and rebuilds the run's statistics from its
+// raw aggregates. The decoder must never panic, and every latency
+// aggregate it accepts must rebuild into exactly those parts, so an
+// impossible one (parts beside a zero count, a minimum above the maximum)
+// is an error rather than an empty stream. The seed is a real d-oram run.
+func FuzzResultsFromRaw(f *testing.F) {
+	sc := SimConfig{Params: Params{Scheme: SchemeDORAM, Benchmark: "face", TraceLen: 300, Seed: 1}}
+	ic, err := sc.coreConfig()
+	if err != nil {
+		f.Fatal(err)
+	}
+	res, err := Simulate(sc)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed, err := json.Marshal(SimResult{Raw: res.Raw})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	// The same run with one impossible aggregate each way.
+	for _, p := range []LatencyParts{{Count: 0, Sum: 5}, {Count: 2, Sum: 10, Min: 7, Max: 3}} {
+		bad := *res.Raw
+		bad.NSRead = p
+		data, err := json.Marshal(SimResult{Raw: &bad})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r SimResult
+		if json.Unmarshal(data, &r) != nil {
+			return
+		}
+		back, err := resultsFromRaw(ic, &r)
+		if err != nil {
+			return
+		}
+		raw := r.Raw
+		want := append([]LatencyParts{raw.NSRead, raw.NSWrite}, raw.ChannelRead...)
+		want = append(want, raw.ChannelWrite...)
+		got := []LatencyParts{latencyParts(back.NSReadLat), latencyParts(back.NSWriteLat)}
+		for _, l := range back.ReadLatPerChannel {
+			got = append(got, latencyParts(l))
+		}
+		for _, l := range back.WriteLatPerChannel {
+			got = append(got, latencyParts(l))
+		}
+		if raw.ORAM != nil {
+			want = append(want, raw.ORAM.ReadPhase, raw.ORAM.WritePhase)
+			got = append(got, latencyParts(back.SApp.ReadPhase), latencyParts(back.SApp.WritePhase))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("accepted latency aggregates rebuild differently:\n  wire:    %+v\n  rebuilt: %+v", want, got)
+		}
+		for _, p := range want {
+			if p.Min > p.Max {
+				t.Errorf("accepted latency aggregate %+v has its minimum above its maximum", p)
+			}
+		}
+	})
+}

@@ -380,21 +380,29 @@ func resultsFromRaw(cfg core.Config, r *SimResult) (*core.Results, error) {
 		return nil, fmt.Errorf("doram: result has %d/%d channel aggregates, want %d",
 			len(raw.ChannelRead), len(raw.ChannelWrite), core.NumChannels)
 	}
+	var err error
+	latency := func(p LatencyParts) stats.Latency {
+		l, perr := p.latency()
+		if err == nil {
+			err = perr
+		}
+		return l
+	}
 	res := &core.Results{
 		Config:     cfg,
 		Cycles:     raw.Cycles,
 		NSFinish:   r.NSFinish,
 		NSInstrs:   raw.NSInstrs,
-		NSReadLat:  raw.NSRead.latency(),
-		NSWriteLat: raw.NSWrite.latency(),
+		NSReadLat:  latency(raw.NSRead),
+		NSWriteLat: latency(raw.NSWrite),
 		Metrics:    r.Metrics,
 	}
 	if r.Metrics != nil {
 		res.Timeline = r.Metrics.Timeline
 	}
 	for ch := 0; ch < core.NumChannels; ch++ {
-		res.ReadLatPerChannel[ch] = raw.ChannelRead[ch].latency()
-		res.WriteLatPerChannel[ch] = raw.ChannelWrite[ch].latency()
+		res.ReadLatPerChannel[ch] = latency(raw.ChannelRead[ch])
+		res.WriteLatPerChannel[ch] = latency(raw.ChannelWrite[ch])
 		if ch < len(r.ChannelDataBusBusy) {
 			res.ChannelDataBusBusy[ch] = r.ChannelDataBusBusy[ch]
 		}
@@ -407,8 +415,8 @@ func resultsFromRaw(cfg core.Config, r *SimResult) (*core.Results, error) {
 	}
 	if o := raw.ORAM; o != nil {
 		es := &delegator.ExecStats{
-			ReadPhase:  o.ReadPhase.latency(),
-			WritePhase: o.WritePhase.latency(),
+			ReadPhase:  latency(o.ReadPhase),
+			WritePhase: latency(o.WritePhase),
 		}
 		es.Accesses.Add(o.Accesses)
 		es.RealAccesses.Add(o.Real)
@@ -418,12 +426,20 @@ func resultsFromRaw(cfg core.Config, r *SimResult) (*core.Results, error) {
 		res.SAppAll = []*delegator.ExecStats{es}
 		res.SAppFinish = o.SAppFinish
 	}
+	if err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
-// latency rebuilds the latency stream the aggregate was taken from.
-func (p LatencyParts) latency() stats.Latency {
-	return stats.LatencyFromParts(p.Count, p.Sum, p.Min, p.Max)
+// latency rebuilds the latency stream the aggregate was taken from. Parts
+// no stream can produce — any nonzero part beside a zero count, or a
+// minimum above the maximum — are an error, not an empty stream.
+func (p LatencyParts) latency() (stats.Latency, error) {
+	if p.Count == 0 && p.Sum|p.Min|p.Max != 0 || p.Min > p.Max {
+		return stats.Latency{}, fmt.Errorf("doram: inconsistent latency aggregate %+v", p)
+	}
+	return stats.LatencyFromParts(p.Count, p.Sum, p.Min, p.Max), nil
 }
 
 // Benchmarks returns the 15 Table III benchmark names.
