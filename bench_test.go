@@ -54,6 +54,7 @@ func BenchmarkFigure8(b *testing.B) {
 
 // BenchmarkFigure9 regenerates Figure 9 (normalized NS execution time).
 func BenchmarkFigure9(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := experiments.Figure9(benchOpts()); err != nil {
 			b.Fatal(err)
@@ -164,12 +165,14 @@ func BenchmarkFunctionalORAMStore(b *testing.B) {
 }
 
 // BenchmarkSamplerAccess measures address-trace generation at the paper's
-// full L=23 scale (the hot path of the timing simulator).
+// full L=23 scale, refilling one trace as the timing simulator's SD does.
 func BenchmarkSamplerAccess(b *testing.B) {
 	s := oram.NewSampler(oram.PaperParams(), 1)
+	var tr oram.Trace
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := s.Access(uint64(i) % (1 << 24))
+		s.AccessInto(&tr, uint64(i)%(1<<24))
 		if len(tr.ReadNodes) != 21 {
 			b.Fatal("bad trace")
 		}
@@ -178,10 +181,19 @@ func BenchmarkSamplerAccess(b *testing.B) {
 
 // BenchmarkSimulateDORAM measures one full D-ORAM co-run simulation at
 // reduced trace length.
-func BenchmarkSimulateDORAM(b *testing.B) {
+func BenchmarkSimulateDORAM(b *testing.B) { benchmarkSimulateDORAM(b, 0) }
+
+// BenchmarkSimulateDORAMSplit is BenchmarkSimulateDORAM with tree-top
+// split k=1 (D-ORAM+1), so the relocated blocks' remote reads and writes
+// over the normal channels show in its time and allocations.
+func BenchmarkSimulateDORAMSplit(b *testing.B) { benchmarkSimulateDORAM(b, 1) }
+
+func benchmarkSimulateDORAM(b *testing.B, splitK int) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultSimConfig(SchemeDORAM, "libq")
 		cfg.TraceLen = 1000
+		cfg.SplitK = splitK
 		if _, err := Simulate(cfg); err != nil {
 			b.Fatal(err)
 		}

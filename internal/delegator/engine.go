@@ -23,13 +23,21 @@ type Engine struct {
 	exec     *SD
 	queueCap int
 
-	pending []*engineOp
+	pending []engineOp
 
 	// sendAt is the cycle the next request becomes due; waiting marks
 	// whether a request, issued at sentAt, is awaiting its response.
 	sendAt  uint64
 	waiting bool
 	sentAt  uint64
+
+	// req is the engine's one request, reused for every issue attempt: a
+	// request awaits its response before the next issues, and the SD
+	// copies it when Submit accepts it. Its OnResponse is e.onResponse,
+	// bound once; onDone is the core's callback for the op in flight (nil
+	// for a dummy).
+	req    Access
+	onDone func(uint64)
 
 	// Request-stream counters, exported by AttachMetrics.
 	realSent, dummySent, queueFull stats.Counter
@@ -53,7 +61,9 @@ func NewEngine(exec *SD, pace uint64, queueCap int) *Engine {
 	if pace == 0 || queueCap < 1 {
 		panic("delegator: engine needs positive pace and queue capacity")
 	}
-	return &Engine{pace: pace, exec: exec, queueCap: queueCap}
+	e := &Engine{pace: pace, exec: exec, queueCap: queueCap}
+	e.req.OnResponse = e.onResponse
+	return e
 }
 
 // QueueLen returns the number of core requests awaiting ORAM service.
@@ -89,7 +99,7 @@ func (e *Engine) Access(write bool, addr uint64, now uint64, onDone func(uint64)
 		e.queueFull.Inc()
 		return false
 	}
-	e.pending = append(e.pending, &engineOp{write: write, addr: addr, onDone: onDone})
+	e.pending = append(e.pending, engineOp{write: write, addr: addr, onDone: onDone})
 	return true
 }
 
@@ -124,34 +134,39 @@ func (e *Engine) Tick(now uint64) {
 	if e.waiting || now < e.sendAt {
 		return
 	}
-	a := &Access{}
-	var op *engineOp
-	if len(e.pending) > 0 {
+	var op engineOp
+	hasOp := len(e.pending) > 0
+	if hasOp {
 		op = e.pending[0]
-		a.Real = true
-		a.Write = op.write
-		a.Addr = op.addr
 	}
+	e.req.Real, e.req.Write, e.req.Addr, e.req.TraceID = hasOp, op.write, op.addr, 0
 	if e.trace != nil {
-		a.TraceID = e.trace.AccessID()
+		e.req.TraceID = e.trace.AccessID()
 	}
-	a.OnResponse = func(resp uint64) {
-		e.waiting = false
-		e.sendAt = resp + e.pace
-		e.trace.Emit(e.track, "oram", "request", a.TraceID, e.sentAt, resp, 0)
-		if op != nil && op.onDone != nil {
-			op.onDone(resp)
-		}
-	}
-	if !e.exec.Submit(a, now) {
+	if !e.exec.Submit(&e.req, now) {
 		return // executor write phase backlog; retry next cycle
 	}
-	if op != nil {
-		e.pending = e.pending[1:]
+	if hasOp {
+		// Shift in place so the queue's array is reused, never regrown.
+		n := copy(e.pending, e.pending[1:])
+		e.pending[n] = engineOp{}
+		e.pending = e.pending[:n]
 		e.realSent.Inc()
 	} else {
 		e.dummySent.Inc()
 	}
+	e.onDone = op.onDone
 	e.waiting = true
 	e.sentAt = now
+}
+
+// onResponse is the request's OnResponse: it starts the t-cycle countdown
+// to the next issue and completes the core's op.
+func (e *Engine) onResponse(resp uint64) {
+	e.waiting = false
+	e.sendAt = resp + e.pace
+	e.trace.Emit(e.track, "oram", "request", e.req.TraceID, e.sentAt, resp, 0)
+	if e.onDone != nil {
+		e.onDone(resp)
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"doram/internal/mc"
 	"doram/internal/metrics"
 	"doram/internal/oram"
+	"doram/internal/oram/backend"
 	"doram/internal/oram/layout"
 )
 
@@ -38,9 +39,11 @@ const (
 	retryInterval = clock.CPUPerMem
 )
 
-// sdAccess is one in-flight ORAM access's bookkeeping.
+// sdAccess is one in-flight ORAM access's bookkeeping, pooled on the SD's
+// free list from Submit until its write-back drains. The trace's node
+// slices survive recycling, so the sampler refills them in place.
 type sdAccess struct {
-	a          *Access
+	a          Access // the engine's request, copied when Submit accepts it
 	trace      oram.Trace
 	readsLeft  int
 	writesLeft int
@@ -56,6 +59,8 @@ type sdAccess struct {
 	readEnd    uint64
 	respAt     uint64
 	writeStart uint64
+
+	next *sdAccess // free-list link
 }
 
 // SD is the Path ORAM executor. In D-ORAM it is the secure delegator
@@ -85,14 +90,14 @@ type SD struct {
 	subMap    []*addrmap.Mapper
 	normalMap []*addrmap.Mapper
 
-	// Phase pipeline: reading is the access in its read phase, writing
-	// the one draining its write-back, pendingWrite an access whose read
-	// phase finished while another write-back was still in flight (only
-	// under OverlapPhases).
+	// Phase pipeline: buffered is the submitted access waiting to start,
+	// reading the one in its read phase, writing the one draining its
+	// write-back, pendingWrite an access whose read phase finished while
+	// another write-back was still in flight (only under OverlapPhases).
+	buffered     *sdAccess
 	reading      *sdAccess
 	writing      *sdAccess
 	pendingWrite *sdAccess
-	buffered     *Access
 
 	// overlap lets the next access's read phase start while the previous
 	// write phase drains — the phase acceleration of Wang et al. [39].
@@ -115,32 +120,54 @@ type SD struct {
 	trace *evtrace.Tracer
 	track string
 
-	// bufferedSubmit/bufferedArrival stamp the buffered access's request
-	// packet (sdAccess is only built once the read phase starts).
-	bufferedSubmit  uint64
-	bufferedArrival uint64
-
-	// freeReq heads the sdReq free list. A path read issues Z*(L+1) block
-	// transactions per phase, so recycling them (and binding their callback
-	// method values once, at allocation) keeps the read/write phases off
-	// the allocator entirely in steady state.
+	// freeAcc and freeReq head the free lists of per-access bookkeeping
+	// and of block transactions. An access issues Z*(L+1) block
+	// transactions per phase, so recycling both (and binding every
+	// callback method value once, at allocation) keeps an ORAM access off
+	// the allocator entirely in steady state. At most four accesses are
+	// live (buffered, reading, writing, parked), so the lists stay short.
+	freeAcc *sdAccess
 	freeReq *sdReq
+
+	tryStartFn func(uint64) // sd.tryStart, bound once for Submit
 }
 
-// sdReq is one pooled local-channel block transaction: the controller
-// request plus the retry/completion state its callbacks need. The two
-// method values are bound at allocation and reused for the object's
-// lifetime — handing attemptFn to the scheduler or onCompleteFn to the
+func (sd *SD) getAccess() *sdAccess {
+	ctx := sd.freeAcc
+	if ctx == nil {
+		return &sdAccess{}
+	}
+	sd.freeAcc = ctx.next
+	*ctx = sdAccess{trace: ctx.trace}
+	return ctx
+}
+
+// putAccess recycles ctx once its write-back has drained: every block
+// transaction of its read phase has been recycled, and those of its write
+// phase have either been recycled or, as posted remote writes, no longer
+// read it.
+func (sd *SD) putAccess(ctx *sdAccess) {
+	ctx.next = sd.freeAcc
+	sd.freeAcc = ctx
+}
+
+// sdReq is one pooled block transaction: the controller request plus the
+// retry/completion state its callbacks need. A local one runs on a striped
+// channel; a remote one (nc set) moves a relocated (+k) block over the
+// normal channel nc. The method values are bound at allocation and reused
+// for the object's lifetime — handing them to the scheduler or the
 // controller allocates nothing.
 type sdReq struct {
 	req  mc.Request
 	sd   *SD
 	ctx  *sdAccess
 	sub  *mc.Controller
-	read bool // route completion to readDone (else writeDone)
+	nc   *bob.SimpleController // normal channel of a remote transaction, else nil
+	read bool                  // route completion to readDone (else writeDone)
 
 	onCompleteFn func(*mc.Request, uint64)
 	attemptFn    func(uint64)
+	arriveFn     func(uint64)
 	next         *sdReq
 }
 
@@ -150,6 +177,7 @@ func (sd *SD) getReq() *sdReq {
 		r = &sdReq{sd: sd}
 		r.onCompleteFn = r.onComplete
 		r.attemptFn = r.attempt
+		r.arriveFn = r.arrive
 		return r
 	}
 	sd.freeReq = r.next
@@ -161,27 +189,55 @@ func (sd *SD) getReq() *sdReq {
 // reference before firing OnComplete, and a successful Enqueue leaves no
 // pending retry event, so nothing else can still reach r.
 func (sd *SD) putReq(r *sdReq) {
-	r.ctx, r.sub = nil, nil
+	r.ctx, r.sub, r.nc = nil, nil, nil
 	r.next = sd.freeReq
 	sd.freeReq = r
 }
 
 // attempt enqueues the transaction, retrying while the DRAM queue is full.
+// A remote write is posted: the access counts it done once the normal
+// channel's controller accepts it.
 func (r *sdReq) attempt(now uint64) {
+	sd, ctx := r.sd, r.ctx
+	posted := r.nc != nil && !r.read
 	if !r.sub.Enqueue(&r.req, clock.ToMem(now)) {
-		r.sd.sched.Add(now+retryInterval, r.attemptFn)
+		sd.sched.Add(now+retryInterval, r.attemptFn)
+		return
+	}
+	// A forwarded or coalesced request completes inside Enqueue, which may
+	// already have recycled r: only the locals are safe from here on.
+	if posted {
+		sd.writeDone(ctx, now)
 	}
 }
 
 func (r *sdReq) onComplete(_ *mc.Request, memDone uint64) {
 	sd, ctx, read := r.sd, r.ctx, r.read
 	t := clock.ToCPU(memDone)
+	if r.nc != nil {
+		if !read {
+			sd.putReq(r) // posted write drained; its access is done with it
+			return
+		}
+		// The 72 B response retraces the request's path (§III-C).
+		id := r.req.TraceID
+		a3 := r.nc.Link().SendUpFor(id, bob.FullPacketBytes, t)
+		sd.sched.Add(sd.link.SendDownFor(id, bob.FullPacketBytes, a3+fwdDelay), r.arriveFn)
+		return
+	}
 	sd.putReq(r) // recycle first: readDone may start the write phase, which reuses r
 	if read {
 		sd.readDone(ctx, t)
 	} else {
 		sd.writeDone(ctx, t)
 	}
+}
+
+// arrive delivers a remote block read's response to the SD.
+func (r *sdReq) arrive(now uint64) {
+	sd, ctx := r.sd, r.ctx
+	sd.putReq(r)
+	sd.readDone(ctx, now)
 }
 
 // SetOverlapPhases toggles read/write phase overlap across consecutive
@@ -225,6 +281,7 @@ func newSD(cfg SDConfig, sampler *oram.Sampler, lay *layout.Layout, link *bob.Li
 			layout.NumNormalChannels, len(normals))
 	}
 	sd := &SD{cfg: cfg, sampler: sampler, lay: lay, link: link, mcs: mcs, normals: normals}
+	sd.tryStartFn = sd.tryStart
 	for i := range mcs {
 		sd.subMap = append(sd.subMap, addrmap.New(geo, []int{i}))
 	}
@@ -288,7 +345,7 @@ func (sd *SD) Busy() bool {
 // serial link (on-chip it is there at once). At most one access is
 // buffered while the previous write phase drains (§III-B timing control);
 // Submit returns false when that buffer is occupied and the engine must
-// retry.
+// retry. An accepted access is copied, so the caller may reuse *a.
 func (sd *SD) Submit(a *Access, now uint64) bool {
 	if sd.buffered != nil {
 		return false
@@ -297,9 +354,11 @@ func (sd *SD) Submit(a *Access, now uint64) bool {
 	if sd.link != nil {
 		arrival = sd.link.SendDownFor(a.TraceID, bob.FullPacketBytes, now)
 	}
-	sd.buffered = a
-	sd.bufferedSubmit, sd.bufferedArrival = now, arrival
-	sd.sched.Add(arrival+cryptoCycles, sd.tryStart)
+	ctx := sd.getAccess()
+	ctx.a = *a
+	ctx.submitAt, ctx.linkArrive = now, arrival
+	sd.buffered = ctx
+	sd.sched.Add(arrival+cryptoCycles, sd.tryStartFn)
 	return true
 }
 
@@ -316,79 +375,77 @@ func (sd *SD) tryStart(now uint64) {
 	if sd.pendingWrite != nil {
 		return // one parked write-back is the pipeline's depth limit
 	}
-	a := sd.buffered
+	ctx := sd.buffered
 	sd.buffered = nil
-	sd.startRead(a, sd.bufferedSubmit, sd.bufferedArrival, now)
+	sd.startRead(ctx, now)
 }
 
-func (sd *SD) startRead(a *Access, submitAt, linkArrive, now uint64) {
-	ctx := &sdAccess{a: a, phaseStart: now,
-		submitAt: submitAt, linkArrive: linkArrive, readStart: now}
-	if a.Real {
-		blockAddr := a.Addr / uint64(sd.lay.Params().BlockSize)
-		ctx.trace = sd.sampler.Access(blockAddr)
+func (sd *SD) startRead(ctx *sdAccess, now uint64) {
+	ctx.phaseStart, ctx.readStart = now, now
+	if ctx.a.Real {
+		blockAddr := ctx.a.Addr / uint64(sd.lay.Params().BlockSize)
+		sd.sampler.AccessInto(&ctx.trace, blockAddr)
 		sd.stats.RealAccesses.Inc()
 	} else {
-		ctx.trace = sd.sampler.Dummy()
+		sd.sampler.DummyInto(&ctx.trace)
 		sd.stats.DummyAccesses.Inc()
 	}
 	sd.stats.Accesses.Inc()
 	sd.reading = ctx
+	ctx.readsLeft = len(ctx.trace.ReadNodes) * sd.lay.Params().Z
+	sd.issuePath(ctx, ctx.trace.ReadNodes, true, now)
+}
 
+// issuePath issues one block transaction per slot of nodes: reads
+// (completing in readDone) or write-backs (in writeDone).
+func (sd *SD) issuePath(ctx *sdAccess, nodes []backend.NodeID, read bool, now uint64) {
 	z := sd.lay.Params().Z
-	ctx.readsLeft = len(ctx.trace.ReadNodes) * z
-	for _, node := range ctx.trace.ReadNodes {
+	for _, node := range nodes {
 		for slot := 0; slot < z; slot++ {
-			pl := sd.lay.Place(node, slot)
-			if pl.Remote {
-				sd.remoteRead(ctx, pl, now)
-			} else {
-				sd.localIssue(pl, mc.OpRead, ctx, true, now)
-			}
+			sd.issue(ctx, sd.lay.Place(node, slot), read, now)
 		}
 	}
 }
 
-// localIssue enqueues one block transaction on a striped channel via a
-// pooled request, retrying while the DRAM queue is full. read routes the
-// completion to readDone; otherwise writeDone.
-func (sd *SD) localIssue(pl layout.Placement, op mc.OpType, ctx *sdAccess, read bool, now uint64) {
-	coord := sd.subMap[pl.SubChannel].Map(sd.cfg.OramBase + pl.Addr)
-	r := sd.getReq()
-	r.ctx, r.read = ctx, read
-	r.sub = sd.mcs[pl.SubChannel]
-	r.req = mc.Request{Op: op, Coord: coord, Secure: true, AppID: -1,
-		TraceID: ctx.a.TraceID, OnComplete: r.onCompleteFn}
-	sd.sched.Add(now, r.attemptFn)
-}
-
-// remoteRead fetches one relocated block from a normal channel: a short
-// read packet up the secure link, forwarded by the CPU down the normal
-// channel's link, the DRAM read, then the 72 B response retracing the path
-// (§III-C).
-func (sd *SD) remoteRead(ctx *sdAccess, pl layout.Placement, now uint64) {
-	sd.stats.RemoteBlocks.Inc()
+// issue enqueues one block transaction through a pooled request, retrying
+// while the DRAM queue is full. A block on a striped channel is enqueued
+// at once. A relocated block travels to its normal channel (§III-C): a
+// read as a short read packet up the secure link, forwarded by the CPU
+// down the normal channel's link, whose 72 B response retraces the path;
+// a write as a full packet along the same route, then a posted DRAM write.
+func (sd *SD) issue(ctx *sdAccess, pl layout.Placement, read bool, now uint64) {
+	op := mc.OpWrite
+	if read {
+		op = mc.OpRead
+	}
 	id := ctx.a.TraceID
+	if !pl.Remote {
+		coord := sd.subMap[pl.SubChannel].Map(sd.cfg.OramBase + pl.Addr)
+		r := sd.getReq()
+		r.ctx, r.read = ctx, read
+		r.sub = sd.mcs[pl.SubChannel]
+		r.req = mc.Request{Op: op, Coord: coord, Secure: true, AppID: -1,
+			TraceID: id, OnComplete: r.onCompleteFn}
+		sd.sched.Add(now, r.attemptFn)
+		return
+	}
+	sd.stats.RemoteBlocks.Inc()
+	size := bob.FullPacketBytes
+	if read {
+		size = bob.ShortReadBytes
+	}
 	nc := sd.normals[pl.Channel-1]
-	a1 := sd.link.SendUpFor(id, bob.ShortReadBytes, now)
-	a2 := nc.Link().SendDownFor(id, bob.ShortReadBytes, a1+fwdDelay)
+	a1 := sd.link.SendUpFor(id, size, now)
+	a2 := nc.Link().SendDownFor(id, size, a1+fwdDelay)
 	coord := sd.normalMap[pl.Channel-1].Map(sd.cfg.OramBase + pl.Addr)
+	r := sd.getReq()
+	r.ctx, r.read, r.nc = ctx, read, nc
+	r.sub = nc.SubChannels()[0]
 	// Normal channels are not upgraded (§III-C): they cannot tell split
 	// traffic from ordinary requests, so no Secure scheduling class here.
-	req := &mc.Request{Op: mc.OpRead, Coord: coord, AppID: -1, TraceID: id,
-		OnComplete: func(_ *mc.Request, memDone uint64) {
-			a3 := nc.Link().SendUpFor(id, bob.FullPacketBytes, clock.ToCPU(memDone))
-			a4 := sd.link.SendDownFor(id, bob.FullPacketBytes, a3+fwdDelay)
-			sd.sched.Add(a4, func(t uint64) { sd.readDone(ctx, t) })
-		}}
-	sub := nc.SubChannels()[0]
-	var attempt func(uint64)
-	attempt = func(n uint64) {
-		if !sub.Enqueue(req, clock.ToMem(n)) {
-			sd.sched.Add(n+retryInterval, attempt)
-		}
-	}
-	sd.sched.Add(a2, attempt)
+	r.req = mc.Request{Op: op, Coord: coord, AppID: -1, TraceID: id,
+		OnComplete: r.onCompleteFn}
+	sd.sched.Add(a2, r.attemptFn)
 }
 
 // readDone accounts one finished block read; the last one sends the
@@ -424,42 +481,8 @@ func (sd *SD) startWrite(ctx *sdAccess, now uint64) {
 	sd.writing = ctx
 	ctx.phaseStart = now
 	ctx.writeStart = now
-	z := sd.lay.Params().Z
-	ctx.writesLeft = len(ctx.trace.WriteNodes) * z
-	for _, node := range ctx.trace.WriteNodes {
-		for slot := 0; slot < z; slot++ {
-			pl := sd.lay.Place(node, slot)
-			if pl.Remote {
-				sd.remoteWrite(ctx, pl, now)
-			} else {
-				sd.localIssue(pl, mc.OpWrite, ctx, false, now)
-			}
-		}
-	}
-}
-
-// remoteWrite forwards one relocated block's updated content to its normal
-// channel: a full write packet up the secure link, forwarded down the
-// normal channel's link, then a posted DRAM write (fire and forget).
-func (sd *SD) remoteWrite(ctx *sdAccess, pl layout.Placement, now uint64) {
-	sd.stats.RemoteBlocks.Inc()
-	id := ctx.a.TraceID
-	nc := sd.normals[pl.Channel-1]
-	a1 := sd.link.SendUpFor(id, bob.FullPacketBytes, now)
-	a2 := nc.Link().SendDownFor(id, bob.FullPacketBytes, a1+fwdDelay)
-	coord := sd.normalMap[pl.Channel-1].Map(sd.cfg.OramBase + pl.Addr)
-	// Plain write from the unupgraded normal channel's point of view.
-	req := &mc.Request{Op: mc.OpWrite, Coord: coord, AppID: -1, TraceID: id}
-	sub := nc.SubChannels()[0]
-	var attempt func(uint64)
-	attempt = func(n uint64) {
-		if !sub.Enqueue(req, clock.ToMem(n)) {
-			sd.sched.Add(n+retryInterval, attempt)
-			return
-		}
-		sd.writeDone(ctx, n)
-	}
-	sd.sched.Add(a2, attempt)
+	ctx.writesLeft = len(ctx.trace.WriteNodes) * sd.lay.Params().Z
+	sd.issuePath(ctx, ctx.trace.WriteNodes, false, now)
 }
 
 // writeDone accounts one finished block write; the last one closes the
@@ -472,6 +495,7 @@ func (sd *SD) writeDone(ctx *sdAccess, now uint64) {
 	}
 	sd.stats.WritePhase.Observe(now - ctx.phaseStart)
 	sd.finishAccess(ctx, now)
+	sd.putAccess(ctx)
 	sd.writing = nil
 	if sd.pendingWrite != nil {
 		next := sd.pendingWrite

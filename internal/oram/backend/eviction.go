@@ -26,7 +26,7 @@ type EvictionStrategy interface {
 	PlanLevel(s *Stash, leaf uint64, level, levels, z int) []*Block
 	// ExtraPaths returns additional eviction paths (leaves) to read and
 	// write back after the access path, in order. Most strategies return
-	// none.
+	// none. The slice is valid until the next call.
 	ExtraPaths(levels int) []uint64
 }
 
@@ -149,6 +149,7 @@ func sharedDepth(a, b uint64, levels int) int {
 // single-path policy.
 type DeterministicTwoPath struct {
 	counter uint64
+	extra   [1]uint64 // ExtraPaths' result, reused so the call allocates nothing
 }
 
 // Name implements EvictionStrategy.
@@ -163,5 +164,6 @@ func (*DeterministicTwoPath) PlanLevel(s *Stash, leaf uint64, level, levels, z i
 func (d *DeterministicTwoPath) ExtraPaths(levels int) []uint64 {
 	leaf := bits.Reverse64(d.counter) >> uint(64-levels)
 	d.counter++
-	return []uint64{leaf}
+	d.extra[0] = leaf
+	return d.extra[:]
 }

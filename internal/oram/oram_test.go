@@ -3,6 +3,7 @@ package oram
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -399,6 +400,54 @@ func TestSamplerAtPaperScale(t *testing.T) {
 	}
 	if tr.ReadNodes[20].Level() != 23 {
 		t.Fatalf("deepest node at level %d, want 23", tr.ReadNodes[20].Level())
+	}
+}
+
+// TestSamplerIntoMatchesFreshTraces checks the fill routines against fresh
+// traces: two samplers with one seed, one returning a new trace per access
+// and one refilling a single buffer, agree on every trace under every
+// eviction strategy, Fork Path on and off. The buffer first holds a
+// longer deterministic-two-path trace, so a fill that kept stale nodes
+// would show.
+func TestSamplerIntoMatchesFreshTraces(t *testing.T) {
+	p := smallParams()
+	for _, name := range backend.Evictions() {
+		for _, fork := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/forkpath=%v", name, fork), func(t *testing.T) {
+				long := NewSampler(p, 1)
+				if err := long.SetEviction(backend.EvictionDeterministicTwoPath); err != nil {
+					t.Fatal(err)
+				}
+				buf := long.Dummy()
+				fresh, into := NewSampler(p, 5), NewSampler(p, 5)
+				for _, s := range []*Sampler{fresh, into} {
+					if err := s.SetEviction(name); err != nil {
+						t.Fatal(err)
+					}
+					s.SetForkPath(fork)
+				}
+				rng := xrand.New(9)
+				for i := 0; i < 200; i++ {
+					var want Trace
+					if rng.Intn(2) == 0 {
+						addr := rng.Uint64n(32)
+						want = fresh.Access(addr)
+						into.AccessInto(&buf, addr)
+					} else {
+						want = fresh.Dummy()
+						into.DummyInto(&buf)
+					}
+					if buf.Leaf != want.Leaf || !slices.Equal(buf.ReadNodes, want.ReadNodes) ||
+						!slices.Equal(buf.WriteNodes, want.WriteNodes) {
+						t.Fatalf("access %d: filled trace %+v, fresh trace %+v", i, buf, want)
+					}
+				}
+				if fresh.SkippedNodes() != into.SkippedNodes() {
+					t.Fatalf("Fork Path skipped %d nodes filling, %d fresh",
+						into.SkippedNodes(), fresh.SkippedNodes())
+				}
+			})
+		}
 	}
 }
 

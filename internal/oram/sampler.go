@@ -1,6 +1,8 @@
 package oram
 
 import (
+	"slices"
+
 	"doram/internal/metrics"
 	"doram/internal/oram/backend"
 	"doram/internal/xrand"
@@ -60,30 +62,45 @@ func (s *Sampler) MappedBlocks() int { return s.pos.Len() }
 // Access returns the trace of an access to logical block addr and remaps
 // the block.
 func (s *Sampler) Access(addr uint64) Trace {
-	leaf := s.pos.Get(addr)
-	s.pos.Set(addr, s.rng.Uint64n(s.p.NumLeaves()))
-	return s.path(leaf)
+	var tr Trace
+	s.AccessInto(&tr, addr)
+	return tr
 }
 
 // Dummy returns the trace of a dummy access to a random path.
 func (s *Sampler) Dummy() Trace {
-	return s.path(s.rng.Uint64n(s.p.NumLeaves()))
+	var tr Trace
+	s.DummyInto(&tr)
+	return tr
 }
 
-// path returns the trace of the path to leaf with the strategy-scheduled
-// extra eviction paths merged in, exactly as the functional client merges
-// them. Real and dummy accesses both go through it, so the two have one
-// shape on the bus.
-func (s *Sampler) path(leaf uint64) Trace {
-	tr := s.trace(leaf)
+// AccessInto is Access writing the trace into tr, whose node slices it
+// reuses: a caller that keeps tr across accesses samples without
+// allocating once the slices have grown to a full trace.
+func (s *Sampler) AccessInto(tr *Trace, addr uint64) {
+	leaf := s.pos.Get(addr)
+	s.pos.Set(addr, s.rng.Uint64n(s.p.NumLeaves()))
+	s.path(tr, leaf)
+}
+
+// DummyInto is Dummy writing the trace into tr, as AccessInto does.
+func (s *Sampler) DummyInto(tr *Trace) {
+	s.path(tr, s.rng.Uint64n(s.p.NumLeaves()))
+}
+
+// path fills tr with the path to leaf and the strategy-scheduled extra
+// eviction paths after it, exactly as the functional client merges them.
+// Real and dummy accesses both go through it, so the two have one shape
+// on the bus.
+func (s *Sampler) path(tr *Trace, leaf uint64) {
+	tr.Leaf = leaf
+	tr.ReadNodes, tr.WriteNodes = tr.ReadNodes[:0], tr.WriteNodes[:0]
+	s.appendPath(tr, leaf)
 	if s.evict != nil {
 		for _, el := range s.evict.ExtraPaths(s.p.Levels) {
-			etr := s.trace(el)
-			tr.ReadNodes = append(tr.ReadNodes, etr.ReadNodes...)
-			tr.WriteNodes = append(tr.WriteNodes, etr.WriteNodes...)
+			s.appendPath(tr, el)
 		}
 	}
-	return tr
 }
 
 // SetEviction installs the named eviction strategy (see backend.Evictions;
@@ -117,8 +134,9 @@ func (s *Sampler) AttachMetrics(r *metrics.Registry, prefix string) {
 	r.CounterFunc(prefix+"forkpath_skipped", func() uint64 { return s.skipped })
 }
 
-func (s *Sampler) trace(leaf uint64) Trace {
-	tr := Trace{Leaf: leaf}
+// appendPath appends the path to leaf to tr: its reads root to leaf, its
+// write-backs leaf to root, less the levels Fork Path keeps buffered.
+func (s *Sampler) appendPath(tr *Trace, leaf uint64) {
 	first := s.p.TopCacheLevels
 	if s.forkPath && s.havePrev {
 		// Skip levels shared with the previous path: those buckets are
@@ -134,13 +152,12 @@ func (s *Sampler) trace(leaf uint64) Trace {
 	s.prevLeaf, s.havePrev = leaf, true
 
 	n := s.p.Levels + 1 - first
-	tr.ReadNodes = make([]backend.NodeID, 0, n)
-	tr.WriteNodes = make([]backend.NodeID, 0, n)
+	tr.ReadNodes = slices.Grow(tr.ReadNodes, n)
+	tr.WriteNodes = slices.Grow(tr.WriteNodes, n)
 	for level := first; level <= s.p.Levels; level++ {
 		tr.ReadNodes = append(tr.ReadNodes, backend.NodeAt(level, leaf, s.p.Levels))
 	}
 	for level := s.p.Levels; level >= first; level-- {
 		tr.WriteNodes = append(tr.WriteNodes, backend.NodeAt(level, leaf, s.p.Levels))
 	}
-	return tr
 }
