@@ -105,10 +105,11 @@ func trackTIDs(events []Event) map[string]int {
 }
 
 // ValidateChromeJSON checks an exported trace file: parseable, only X/M
-// phases, non-negative durations, a thread_name record for every tid used,
-// file-order non-decreasing timestamps, and proper nesting of same-ID spans
-// within a track (touching boundaries allowed). This is the CI gate run by
-// doramsim -trace-validate.
+// phases, non-negative durations with no span ending past 2^64, a
+// thread_name record for every tid used, file-order non-decreasing
+// timestamps, and proper nesting of same-ID spans within a track
+// (touching boundaries allowed). This is the CI gate run by doramsim
+// -trace-validate.
 func ValidateChromeJSON(data []byte) error {
 	var f chromeFile
 	if err := json.Unmarshal(data, &f); err != nil {
@@ -137,12 +138,15 @@ func ValidateChromeJSON(data []byte) error {
 			}
 			seenX = true
 			lastTS = ev.TS
+			end := ev.TS + *ev.Dur
+			if end < ev.TS {
+				return errorf("event %d: span at %d with duration %d ends past 2^64", i, ev.TS, *ev.Dur)
+			}
 			id := spanID(ev.Args)
 			if id == 0 {
 				continue // unkeyed spans (refresh) need no nesting check
 			}
 			key := fmt.Sprintf("%d/%d", ev.TID, id)
-			end := ev.TS + *ev.Dur
 			stack := stacks[key]
 			// Pop finished ancestors, then require containment in the
 			// innermost still-open span.

@@ -304,6 +304,8 @@ func TestValidateChromeJSONRejects(t *testing.T) {
 		{"unnamed tid", `{"traceEvents":[{"ph":"X","pid":0,"tid":1,"name":"x","ts":1,"dur":2}]}`},
 		{"time goes backward", `{"traceEvents":[{"ph":"M","pid":0,"tid":1,"name":"thread_name","args":{"name":"a"}},{"ph":"X","pid":0,"tid":1,"name":"x","ts":10,"dur":2},{"ph":"X","pid":0,"tid":1,"name":"y","ts":5,"dur":2}]}`},
 		{"same-id overlap", `{"traceEvents":[{"ph":"M","pid":0,"tid":1,"name":"thread_name","args":{"name":"a"}},{"ph":"X","pid":0,"tid":1,"name":"p","ts":0,"dur":10,"args":{"id":1}},{"ph":"X","pid":0,"tid":1,"name":"c","ts":5,"dur":10,"args":{"id":1}}]}`},
+		// 50 + (2^64-1) wraps to 49, which would pass as nested in [0,100).
+		{"wrapped end", `{"traceEvents":[{"ph":"M","pid":0,"tid":1,"name":"thread_name","args":{"name":"a"}},{"ph":"X","pid":0,"tid":1,"name":"p","ts":0,"dur":100,"args":{"id":1}},{"ph":"X","pid":0,"tid":1,"name":"c","ts":50,"dur":18446744073709551615,"args":{"id":1}}]}`},
 	}
 	for _, tc := range cases {
 		if err := ValidateChromeJSON([]byte(tc.data)); err == nil {

@@ -39,11 +39,29 @@ func EncodeBucketInto(buf []byte, blocks []*Block, z, blockSize int) {
 	}
 }
 
-// DecodeBucket parses a bucket image into its valid blocks. A truncated
-// image (possible only when integrity checking is disabled and storage is
-// hostile) yields the slots that fit rather than panicking.
-func DecodeBucket(buf []byte, z, blockSize int) []*Block {
-	var out []*Block
+// FreeBlocks is a free list of blocks, each with its data buffer, that
+// DecodeBucket refills in place instead of allocating.
+type FreeBlocks []*Block
+
+// take pops a block off f, or allocates one when f is nil or empty.
+func (f *FreeBlocks) take() *Block {
+	if f == nil || len(*f) == 0 {
+		return &Block{}
+	}
+	last := len(*f) - 1
+	b := (*f)[last]
+	(*f)[last] = nil
+	*f = (*f)[:last]
+	return b
+}
+
+// DecodeBucket appends a bucket image's valid blocks to dst and returns
+// the extended slice. Each block comes from free while it holds one, its
+// data copied into the block's own buffer, and is allocated otherwise; a
+// nil free always allocates. A truncated image (possible only when
+// integrity checking is disabled and storage is hostile) yields the slots
+// that fit rather than panicking.
+func DecodeBucket(dst []*Block, buf []byte, z, blockSize int, free *FreeBlocks) []*Block {
 	for i := 0; i < z; i++ {
 		off := i * (slotHeader + blockSize)
 		if off+slotHeader+blockSize > len(buf) {
@@ -52,17 +70,13 @@ func DecodeBucket(buf []byte, z, blockSize int) []*Block {
 		if buf[off] == 0 {
 			continue
 		}
-		if out == nil {
-			out = make([]*Block, 0, z)
-		}
-		b := &Block{
-			Addr: binary.LittleEndian.Uint64(buf[off+1:]),
-			Leaf: binary.LittleEndian.Uint64(buf[off+9:]),
-			Data: append([]byte(nil), buf[off+slotHeader:off+slotHeader+blockSize]...),
-		}
-		out = append(out, b)
+		b := free.take()
+		b.Addr = binary.LittleEndian.Uint64(buf[off+1:])
+		b.Leaf = binary.LittleEndian.Uint64(buf[off+9:])
+		b.Data = append(b.Data[:0], buf[off+slotHeader:off+slotHeader+blockSize]...)
+		dst = append(dst, b)
 	}
-	return out
+	return dst
 }
 
 // DecodeBucketCT is the read-every-slot variant of DecodeBucket for the

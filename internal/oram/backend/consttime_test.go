@@ -94,7 +94,7 @@ func TestDecodeBucketCT(t *testing.T) {
 			blocks = append(blocks, &Block{Addr: uint64(100 + i), Leaf: uint64(i), Data: d})
 		}
 		buf := EncodeBucket(blocks, z, blockSize)
-		want := DecodeBucket(buf, z, blockSize)
+		want := DecodeBucket(nil, buf, z, blockSize, nil)
 		got := DecodeBucketCT(buf, z, blockSize)
 		if len(got) != len(want) {
 			t.Fatalf("occupancy %d: %d blocks, want %d", occupancy, len(got), len(want))

@@ -38,7 +38,7 @@ func FuzzBucketOpen(f *testing.F) {
 		// copy, and every probe opens a copy of a still-sealed image.
 		for _, e := range all {
 			if plain, err := e.Open(n, version, bytes.Clone(data)); err == nil {
-				DecodeBucket(plain, z, blockSize)
+				DecodeBucket(nil, plain, z, blockSize, nil)
 			}
 		}
 		for _, e := range authenticating {

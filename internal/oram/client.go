@@ -39,13 +39,20 @@ type Client struct {
 	versions []uint64           // per-node write counters (encryption nonces)
 	top      [][]*backend.Block // plaintext buckets for the cached top levels
 
+	// free recycles the blocks sealed into uncached buckets, with their
+	// data buffers, for the branchy path's bucket decodes (empty in
+	// constant-time mode).
+	free backend.FreeBlocks
+
 	// Per-path scratch, reused by every path read and write-back. imgs
 	// holds one write-back image per uncached level (nil above), with the
 	// capacity to be sealed in place, so a sealed image stays valid until
-	// the path's Merkle update.
-	nodes  []backend.NodeID
-	plains [][]byte
-	imgs   [][]byte
+	// the path's Merkle update. decoded holds one bucket's decoded blocks
+	// on their way into the stash.
+	nodes   []backend.NodeID
+	plains  [][]byte
+	imgs    [][]byte
+	decoded []*backend.Block
 
 	// Merkle only: cts is the path's ciphertexts as read or as written,
 	// and ctBufs holds per-level copies of the read ones, taken before
@@ -447,7 +454,8 @@ func (c *Client) readPath(leaf uint64) (Trace, error) {
 			if c.ct {
 				blocks = backend.DecodeBucketCT(plain, c.p.Z, c.p.BlockSize)
 			} else {
-				blocks = backend.DecodeBucket(plain, c.p.Z, c.p.BlockSize)
+				c.decoded = backend.DecodeBucket(c.decoded[:0], plain, c.p.Z, c.p.BlockSize, &c.free)
+				blocks = c.decoded
 			}
 		}
 		for _, b := range blocks {
@@ -529,6 +537,9 @@ func (c *Client) writePath(leaf uint64, tr *Trace) error {
 			tr.WriteNodes = append(tr.WriteNodes, node)
 			c.versions[node]++
 			backend.EncodeBucketInto(c.imgs[level], blocks, c.p.Z, c.p.BlockSize)
+			if !c.ct {
+				c.free = append(c.free, blocks...)
+			}
 			sealed = c.enc.Seal(node, c.versions[node], c.imgs[level])
 			c.store.WriteBucket(node, sealed)
 		}

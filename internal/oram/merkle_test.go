@@ -1,6 +1,7 @@
 package oram
 
 import (
+	"bytes"
 	"testing"
 
 	"doram/internal/oram/backend"
@@ -134,13 +135,14 @@ func TestClientWithMerkleEndToEnd(t *testing.T) {
 	// the lazy detection inherent to path-granular Merkle checking.)
 	first := uint64(1)<<uint(p.TopCacheLevels) - 1
 	count := uint64(1) << uint(p.TopCacheLevels)
+	forged := bytes.Repeat([]byte{0xff}, c.enc.SealedBytes(backend.BucketBytes(p.Z, p.BlockSize)))
 	for off := uint64(0); off < count; off++ {
 		node := backend.NodeID(first + off)
 		if buf := store.ReadBucket(node); buf != nil {
 			buf[0] ^= 0xff
 			store.WriteBucket(node, buf)
 		} else {
-			store.WriteBucket(node, []byte{0xff}) // forged bucket from thin air
+			store.WriteBucket(node, forged) // forged bucket from thin air
 		}
 	}
 	if _, _, err := c.Access(OpRead, 0, nil); err == nil {

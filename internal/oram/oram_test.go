@@ -319,7 +319,7 @@ func TestInvariantBlockOnAssignedPathOrStash(t *testing.T) {
 		if err != nil {
 			t.Fatalf("node %d: %v", node, err)
 		}
-		for _, b := range backend.DecodeBucket(plain, p.Z, p.BlockSize) {
+		for _, b := range backend.DecodeBucket(nil, plain, p.Z, p.BlockSize, nil) {
 			locations[b.Addr] = append(locations[b.Addr], backend.NodeID(node))
 		}
 	}
@@ -494,7 +494,7 @@ func TestBucketEncodeDecodeRoundTrip(t *testing.T) {
 			blocks = append(blocks, &backend.Block{Addr: uint64(a), Leaf: uint64(a) * 3,
 				Data: bytes.Repeat([]byte{byte(a)}, bs)})
 		}
-		got := backend.DecodeBucket(backend.EncodeBucket(blocks, z, bs), z, bs)
+		got := backend.DecodeBucket(nil, backend.EncodeBucket(blocks, z, bs), z, bs, nil)
 		if len(got) != len(blocks) {
 			return false
 		}
