@@ -162,7 +162,8 @@ func (d *dispatch) offer(exclude string) (*doram.SimResult, time.Duration, error
 		att := &attempt{node: n, remoteID: st.ID, at: c.now()}
 		d.accept(att)
 		if st.State == simsvc.StateDone {
-			return d.fetch(att), 0, nil
+			res, err := d.fetch(att)
+			return res, 0, err
 		}
 		return nil, 0, nil
 	}
@@ -281,7 +282,7 @@ func (d *dispatch) poll(att *attempt) (*doram.SimResult, error) {
 	case code == http.StatusOK && json.Unmarshal(data, &st) == nil:
 		switch st.State {
 		case simsvc.StateDone:
-			return d.fetch(att), nil // nil if the worker died in between; the next poll sees it
+			return d.fetch(att) // nil, nil if the worker died in between; the next poll sees it
 		case simsvc.StateFailed:
 			return nil, errors.New(st.Error)
 		case simsvc.StateCancelled:
@@ -308,19 +309,38 @@ func (d *dispatch) drop(att *attempt, why string) {
 }
 
 // fetch pulls a finished attempt's result, nil if the worker could not
-// deliver it. The attempt leaves the live set: the rest lost.
-func (d *dispatch) fetch(att *attempt) *doram.SimResult {
+// deliver it. The attempt leaves the live set: the rest lost. A result
+// the worker delivered but that fails to decode or to pass
+// SimResult.Check ends the job with an error naming the worker: the
+// worker would serve the same bytes again.
+func (d *dispatch) fetch(att *attempt) (*doram.SimResult, error) {
 	code, data, _, err := d.c.doNode(att.node, http.MethodGet, "/v1/jobs/"+att.remoteID+"/result", nil)
-	res := new(doram.SimResult)
-	if err != nil || code != http.StatusOK || json.Unmarshal(data, res) != nil {
-		return nil
+	if err != nil || code != http.StatusOK {
+		return nil, nil
+	}
+	res, err := decodeResult(data)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: worker %s served a malformed result: %w", att.node.id, err)
 	}
 	if att != d.live[0] {
 		d.c.hedgeWins.Inc()
 	}
 	d.remove(att)
 	d.place(att)
-	return res
+	return res, nil
+}
+
+// decodeResult decodes a worker's result bytes and applies the checks a
+// client applies before it uses a remote result.
+func decodeResult(data []byte) (*doram.SimResult, error) {
+	res := new(doram.SimResult)
+	if err := json.Unmarshal(data, res); err != nil {
+		return nil, err
+	}
+	if err := res.Check(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // candidates returns the dispatch preference list for a spec hash: ring

@@ -1,9 +1,10 @@
 package backend
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // EvictionStrategy decides which stash blocks are written back into each
@@ -22,7 +23,8 @@ type EvictionStrategy interface {
 	Name() string
 	// PlanLevel selects up to z blocks for the bucket at level of the path
 	// to leaf, removing them from the stash. It is called with level
-	// descending from levels (the leaf) to 0 (the root).
+	// descending from levels (the leaf) to 0 (the root). The slice is
+	// valid until the next call.
 	PlanLevel(s *Stash, leaf uint64, level, levels, z int) []*Block
 	// ExtraPaths returns additional eviction paths (leaves) to read and
 	// write back after the access path, in order. Most strategies return
@@ -72,14 +74,17 @@ func NewEviction(name string) (EvictionStrategy, error) {
 // each level, leaf-first, take any eligible blocks (in address order) up
 // to the bucket capacity. Because deeper buckets are filled first, every
 // block still lands as deep as the already-made choices allow.
-type LevelByLevel struct{}
+type LevelByLevel struct {
+	out []*Block // PlanLevel's result, reused so the call allocates nothing
+}
 
 // Name implements EvictionStrategy.
 func (*LevelByLevel) Name() string { return EvictionLevelByLevel }
 
 // PlanLevel implements EvictionStrategy.
-func (*LevelByLevel) PlanLevel(s *Stash, leaf uint64, level, levels, z int) []*Block {
-	return s.EvictForPath(leaf, level, levels, z)
+func (l *LevelByLevel) PlanLevel(s *Stash, leaf uint64, level, levels, z int) []*Block {
+	l.out = s.EvictForPath(l.out, leaf, level, levels, z)
+	return l.out
 }
 
 // ExtraPaths implements EvictionStrategy.
@@ -91,39 +96,52 @@ func (*LevelByLevel) ExtraPaths(levels int) []uint64 { return nil }
 // here and nowhere else — breaking ties by address. The overflow left in
 // the stash then consists of blocks with shallow affinity, which remain
 // placeable on many future paths, at the cost of a sort per bucket.
-type GreedyByDepth struct{}
+type GreedyByDepth struct {
+	// Scratch reused by every PlanLevel: the eligible blocks, and the
+	// result.
+	cands []depthCand
+	out   []*Block
+}
+
+// depthCand is a block eligible for a bucket, with the depth to which its
+// path shares the eviction path.
+type depthCand struct {
+	b     *Block
+	depth int
+}
+
+// deeperFirst orders candidates by shared depth, deepest first, then by
+// address; addresses are unique in a stash, so the order is total.
+func deeperFirst(x, y depthCand) int {
+	if x.depth != y.depth {
+		return cmp.Compare(y.depth, x.depth)
+	}
+	return cmp.Compare(x.b.Addr, y.b.Addr)
+}
 
 // Name implements EvictionStrategy.
 func (*GreedyByDepth) Name() string { return EvictionGreedyByDepth }
 
 // PlanLevel implements EvictionStrategy.
-func (*GreedyByDepth) PlanLevel(s *Stash, leaf uint64, level, levels, z int) []*Block {
+func (g *GreedyByDepth) PlanLevel(s *Stash, leaf uint64, level, levels, z int) []*Block {
 	node := NodeAt(level, leaf, levels)
-	type cand struct {
-		b     *Block
-		depth int
-	}
-	var cands []cand
+	cands := g.cands[:0]
 	for _, b := range s.blocks {
 		if NodeAt(level, b.Leaf, levels) != node {
 			continue
 		}
-		cands = append(cands, cand{b: b, depth: sharedDepth(b.Leaf, leaf, levels)})
+		cands = append(cands, depthCand{b: b, depth: sharedDepth(b.Leaf, leaf, levels)})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].depth != cands[j].depth {
-			return cands[i].depth > cands[j].depth
-		}
-		return cands[i].b.Addr < cands[j].b.Addr
-	})
+	slices.SortFunc(cands, deeperFirst)
 	if len(cands) > z {
 		cands = cands[:z]
 	}
-	out := make([]*Block, 0, len(cands))
+	out := g.out[:0]
 	for _, c := range cands {
 		out = append(out, c.b)
 		s.Remove(c.b.Addr)
 	}
+	g.cands, g.out = cands, out
 	return out
 }
 
@@ -146,19 +164,15 @@ func sharedDepth(a, b uint64, levels int) int {
 // ORAM): consecutive extra paths diverge at the root, sweeping the tree
 // evenly. The extra path costs a full read+write (the access trace grows
 // accordingly) and in exchange drains the stash harder than any
-// single-path policy.
+// single-path policy. Its per-bucket plan is LevelByLevel's.
 type DeterministicTwoPath struct {
+	LevelByLevel
 	counter uint64
 	extra   [1]uint64 // ExtraPaths' result, reused so the call allocates nothing
 }
 
 // Name implements EvictionStrategy.
 func (*DeterministicTwoPath) Name() string { return EvictionDeterministicTwoPath }
-
-// PlanLevel implements EvictionStrategy.
-func (*DeterministicTwoPath) PlanLevel(s *Stash, leaf uint64, level, levels, z int) []*Block {
-	return s.EvictForPath(leaf, level, levels, z)
-}
 
 // ExtraPaths implements EvictionStrategy.
 func (d *DeterministicTwoPath) ExtraPaths(levels int) []uint64 {

@@ -89,20 +89,18 @@ func (s *Stash) Remove(addr uint64) {
 // EvictForPath selects up to max blocks from the stash that may legally be
 // placed in the bucket at the given level of the path to leaf (i.e. whose
 // assigned leaf shares the path prefix down to that level). Selected blocks
-// are removed from the stash and returned. Candidates are considered in
-// ascending address order, so the selection is deterministic.
-// Deeper-eligible blocks are not preferred over shallower ones here because
-// the caller evicts leaf-first, which already realizes the standard greedy
-// deepest-first strategy.
-func (s *Stash) EvictForPath(leaf uint64, level, levels, max int) []*Block {
+// are removed from the stash and appended to dst[:0], whose extended slice
+// is returned, so a caller can pass the same scratch slice every time.
+// Candidates are considered in ascending address order, so the selection
+// is deterministic. Deeper-eligible blocks are not preferred over
+// shallower ones here because the caller evicts leaf-first, which already
+// realizes the standard greedy deepest-first strategy.
+func (s *Stash) EvictForPath(dst []*Block, leaf uint64, level, levels, max int) []*Block {
 	node := NodeAt(level, leaf, levels)
-	var out []*Block
+	out := dst[:0]
 	kept := s.blocks[:0]
 	for _, b := range s.blocks {
 		if len(out) < max && NodeAt(level, b.Leaf, levels) == node {
-			if out == nil {
-				out = make([]*Block, 0, max)
-			}
 			out = append(out, b)
 		} else {
 			kept = append(kept, b)

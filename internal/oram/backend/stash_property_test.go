@@ -103,7 +103,8 @@ func propSeed(t *testing.T) int64 {
 // GreedyByDepth.PlanLevel calls against the sorted Stash and the
 // map-plus-sort reference, and after every step requires the same
 // Len, MaxSeen, lookups, overflow errors, and evicted blocks in the same
-// order.
+// order. Each case reuses one eviction scratch slice and one
+// GreedyByDepth, as the client does.
 func TestPropertyStashOrderMatchesReference(t *testing.T) {
 	seed := propSeed(t)
 	t.Logf("seed %d (replay with DORAM_PROP_SEED=%d)", seed, seed)
@@ -114,6 +115,8 @@ func TestPropertyStashOrderMatchesReference(t *testing.T) {
 		addrSpace := uint64(1 + r.Intn(3*capacity))
 		s := NewStash(capacity)
 		ref := &refStash{blocks: map[uint64]*Block{}, capacity: capacity}
+		var evicted []*Block
+		greedy := &GreedyByDepth{}
 		for step := 0; step < 300; step++ {
 			fail := func(format string, args ...any) {
 				t.Helper()
@@ -137,9 +140,10 @@ func TestPropertyStashOrderMatchesReference(t *testing.T) {
 				max := 1 + r.Intn(6)
 				var got, want []*Block
 				if op < 9 {
-					got, want = s.EvictForPath(leaf, level, levels, max), ref.evictForPath(leaf, level, levels, max)
+					evicted = s.EvictForPath(evicted, leaf, level, levels, max)
+					got, want = evicted, ref.evictForPath(leaf, level, levels, max)
 				} else {
-					got = (&GreedyByDepth{}).PlanLevel(s, leaf, level, levels, max)
+					got = greedy.PlanLevel(s, leaf, level, levels, max)
 					want = ref.greedyByDepth(leaf, level, levels, max)
 				}
 				if !sameBlocks(got, want) {

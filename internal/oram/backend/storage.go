@@ -8,9 +8,10 @@ import (
 // Storage is the untrusted memory holding encrypted buckets.
 type Storage interface {
 	// ReadBucket returns the stored image for node (nil if never written).
-	// The returned slice is the caller's to keep: implementations must not
-	// alias it to live internal state, so that a caller mutating the
-	// buffer cannot silently corrupt stored ciphertext.
+	// The returned slice is the caller's to modify, and it stays valid
+	// until the next ReadBucket on the same store, which may reuse it.
+	// Implementations must not alias it to a stored image, so that a
+	// caller mutating the buffer cannot corrupt stored ciphertext.
 	ReadBucket(node NodeID) []byte
 	// WriteBucket replaces the stored image for node. Implementations copy
 	// buf; the caller may reuse it afterwards.
@@ -32,6 +33,7 @@ type MemStorage struct {
 	slabs [][]byte // slabImages images each, in first-write order
 	used  int32    // images stored
 	size  int      // bytes per image, fixed by the first write
+	read  []byte   // ReadBucket's result, refilled by every read
 }
 
 // NewMemStorage allocates storage for n nodes.
@@ -49,14 +51,15 @@ func (m *MemStorage) image(i int32) []byte {
 	return m.slabs[i/slabImages][off : off+m.size : off+m.size]
 }
 
-// ReadBucket implements Storage. It returns a copy, never the live
-// internal image.
+// ReadBucket implements Storage. It copies the image into one read
+// buffer that the store owns and returns that, never the stored image.
 func (m *MemStorage) ReadBucket(node NodeID) []byte {
 	i := m.slot[node]
 	if i == 0 {
 		return nil
 	}
-	return append([]byte(nil), m.image(i)...)
+	m.read = append(m.read[:0], m.image(i)...)
+	return m.read
 }
 
 // WriteBucket implements Storage. It copies buf into the node's image,

@@ -93,3 +93,25 @@ func TestMemStorageHeapObjects(t *testing.T) {
 		t.Errorf("writing %d fresh buckets took %.0f allocations, want at most %d", n, got, slabs+8)
 	}
 }
+
+// TestMemStorageReadBucketAllocs checks that a read reuses the store's
+// read buffer: once the first read has sized it, ReadBucket allocates
+// nothing, and what it returns holds the image.
+func TestMemStorageReadBucketAllocs(t *testing.T) {
+	const n, size = 64, 352
+	m := NewMemStorage(n)
+	for node := NodeID(0); node < n; node++ {
+		m.WriteBucket(node, imageFor(node, size))
+	}
+	node := NodeID(0)
+	var got []byte
+	if allocs := testing.AllocsPerRun(100, func() {
+		node = (node + 1) % n
+		got = m.ReadBucket(node)
+	}); allocs != 0 {
+		t.Errorf("ReadBucket made %.1f allocations per call, want 0", allocs)
+	}
+	if !bytes.Equal(got, imageFor(node, size)) {
+		t.Fatalf("node %d reads back the wrong image", node)
+	}
+}

@@ -45,9 +45,10 @@ type Client struct {
 	free backend.FreeBlocks
 
 	// Per-path scratch, reused by every path read and write-back. imgs
-	// holds one write-back image per uncached level (nil above), with the
+	// holds one bucket image per uncached level (nil above), with the
 	// capacity to be sealed in place, so a sealed image stays valid until
-	// the path's Merkle update. decoded holds one bucket's decoded blocks
+	// the path's Merkle update; a path read leaves each level's plaintext
+	// there until it is decoded. decoded holds one bucket's decoded blocks
 	// on their way into the stash.
 	nodes   []backend.NodeID
 	plains  [][]byte
@@ -444,7 +445,7 @@ func (c *Client) readPath(leaf uint64) (Trace, error) {
 		var blocks []*backend.Block
 		if level < c.p.TopCacheLevels {
 			blocks = c.top[node]
-			c.top[node] = nil
+			c.top[node] = blocks[:0]
 		} else {
 			tr.ReadNodes = append(tr.ReadNodes, node)
 			plain := c.plains[level]
@@ -491,9 +492,13 @@ func (c *Client) fetchPath(nodes []backend.NodeID) error {
 // openWithRetry reads node from storage and authenticates it, re-reading
 // up to MaxRetries times on a MAC failure. Each retry charges
 // RetryCostCycles; exhausting the budget escalates to ErrSecurityAlarm.
-// A nil return (no error) means the bucket was never written. Under
-// Merkle, ct is a copy of the image in the level's ciphertext buffer,
-// taken before Open consumes the image, since the tree hashes ciphertext.
+// A nil return (no error) means the bucket was never written. The store's
+// read buffer lasts only until its next read, so the client is done with
+// it here: under Merkle, ct is a copy of the image in the level's
+// ciphertext buffer, taken before Open consumes the image, since the tree
+// hashes ciphertext; plain is a copy of the plaintext in the level's
+// bucket image, which the write-back overwrites only after the
+// path's blocks are decoded.
 func (c *Client) openWithRetry(node backend.NodeID, level int) (plain, ct []byte, err error) {
 	for attempt := 0; ; attempt++ {
 		sealed := c.store.ReadBucket(node)
@@ -506,7 +511,7 @@ func (c *Client) openWithRetry(node backend.NodeID, level int) (plain, ct []byte
 		}
 		plain, err = c.enc.Open(node, c.versions[node], sealed)
 		if err == nil {
-			return plain, ct, nil
+			return append(c.imgs[level][:0], plain...), ct, nil
 		}
 		if c.rec.MaxRetries == 0 {
 			return nil, nil, err
@@ -532,7 +537,9 @@ func (c *Client) writePath(leaf uint64, tr *Trace) error {
 		c.evictedBlocks += uint64(len(blocks))
 		var sealed []byte
 		if level < c.p.TopCacheLevels {
-			c.top[node] = blocks
+			// The plan lasts only until the next call; the bucket keeps
+			// its slice's capacity from one write-back to the next.
+			c.top[node] = append(c.top[node][:0], blocks...)
 		} else {
 			tr.WriteNodes = append(tr.WriteNodes, node)
 			c.versions[node]++

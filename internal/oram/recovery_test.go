@@ -188,8 +188,9 @@ func TestMemStorageCopySemantics(t *testing.T) {
 		t.Fatalf("stored image aliases the written buffer: %v", got)
 	}
 
-	// ReadBucket must copy: mutating the returned slice must not corrupt
-	// storage (this is what makes transient faults transient).
+	// ReadBucket hands out its own read buffer, never the stored image:
+	// mutating the returned slice must not corrupt storage (this is what
+	// makes transient faults transient).
 	out := m.ReadBucket(2)
 	out[1] = 99
 	if got := m.ReadBucket(2); got[1] != 2 {

@@ -376,33 +376,24 @@ func resultsFromRaw(cfg core.Config, r *SimResult) (*core.Results, error) {
 	if raw == nil {
 		return nil, fmt.Errorf("doram: result carries no raw aggregates (doramd too old?)")
 	}
-	if len(raw.ChannelRead) != core.NumChannels || len(raw.ChannelWrite) != core.NumChannels {
-		return nil, fmt.Errorf("doram: result has %d/%d channel aggregates, want %d",
-			len(raw.ChannelRead), len(raw.ChannelWrite), core.NumChannels)
-	}
-	var err error
-	latency := func(p LatencyParts) stats.Latency {
-		l, perr := p.latency()
-		if err == nil {
-			err = perr
-		}
-		return l
+	if err := r.Check(); err != nil {
+		return nil, err
 	}
 	res := &core.Results{
 		Config:     cfg,
 		Cycles:     raw.Cycles,
 		NSFinish:   r.NSFinish,
 		NSInstrs:   raw.NSInstrs,
-		NSReadLat:  latency(raw.NSRead),
-		NSWriteLat: latency(raw.NSWrite),
+		NSReadLat:  raw.NSRead.latency(),
+		NSWriteLat: raw.NSWrite.latency(),
 		Metrics:    r.Metrics,
 	}
 	if r.Metrics != nil {
 		res.Timeline = r.Metrics.Timeline
 	}
 	for ch := 0; ch < core.NumChannels; ch++ {
-		res.ReadLatPerChannel[ch] = latency(raw.ChannelRead[ch])
-		res.WriteLatPerChannel[ch] = latency(raw.ChannelWrite[ch])
+		res.ReadLatPerChannel[ch] = raw.ChannelRead[ch].latency()
+		res.WriteLatPerChannel[ch] = raw.ChannelWrite[ch].latency()
 		if ch < len(r.ChannelDataBusBusy) {
 			res.ChannelDataBusBusy[ch] = r.ChannelDataBusBusy[ch]
 		}
@@ -415,8 +406,8 @@ func resultsFromRaw(cfg core.Config, r *SimResult) (*core.Results, error) {
 	}
 	if o := raw.ORAM; o != nil {
 		es := &delegator.ExecStats{
-			ReadPhase:  latency(o.ReadPhase),
-			WritePhase: latency(o.WritePhase),
+			ReadPhase:  o.ReadPhase.latency(),
+			WritePhase: o.WritePhase.latency(),
 		}
 		es.Accesses.Add(o.Accesses)
 		es.RealAccesses.Add(o.Real)
@@ -426,20 +417,66 @@ func resultsFromRaw(cfg core.Config, r *SimResult) (*core.Results, error) {
 		res.SAppAll = []*delegator.ExecStats{es}
 		res.SAppFinish = o.SAppFinish
 	}
-	if err != nil {
-		return nil, err
-	}
 	return res, nil
 }
 
-// latency rebuilds the latency stream the aggregate was taken from. Parts
-// no stream can produce — any nonzero part beside a zero count, or a
-// minimum above the maximum — are an error, not an empty stream.
-func (p LatencyParts) latency() (stats.Latency, error) {
-	if p.Count == 0 && p.Sum|p.Min|p.Max != 0 || p.Min > p.Max {
-		return stats.Latency{}, fmt.Errorf("doram: inconsistent latency aggregate %+v", p)
+// Check reports whether r's aggregates are ones a run can produce: every
+// summary figure a non-negative number, no per-channel list longer than
+// the channel count and, when r carries its exact aggregates, one read
+// and one write latency aggregate per channel, each consistent. A result
+// decoded from untrusted bytes must pass it before it is used or relayed:
+// resultsFromRaw checks a doramd reply to a sweep, and the cluster
+// coordinator a worker's reply.
+func (r *SimResult) Check() error {
+	figures := []float64{r.AvgNSExecCycles, r.NSReadLatencyNs, r.NSWriteLatencyNs,
+		r.NSReadP50Ns, r.NSReadP95Ns, r.NSReadP99Ns, r.ORAMAccessNs, r.TotalEnergyUJ,
+		r.LinkFaults.RetryDelayNs}
+	channelLists := []int{len(r.ChannelDataBusBusy)}
+	if raw := r.Raw; raw != nil {
+		if len(raw.ChannelRead) != core.NumChannels || len(raw.ChannelWrite) != core.NumChannels {
+			return fmt.Errorf("doram: result has %d/%d channel aggregates, want %d",
+				len(raw.ChannelRead), len(raw.ChannelWrite), core.NumChannels)
+		}
+		parts := append([]LatencyParts{raw.NSRead, raw.NSWrite}, raw.ChannelRead...)
+		parts = append(parts, raw.ChannelWrite...)
+		if raw.ORAM != nil {
+			parts = append(parts, raw.ORAM.ReadPhase, raw.ORAM.WritePhase)
+		}
+		for _, p := range parts {
+			if err := p.check(); err != nil {
+				return err
+			}
+		}
+		figures = append(figures, raw.ChannelEnergyUJ...)
+		figures = append(figures, raw.ChannelRowHitRate...)
+		channelLists = append(channelLists, len(raw.ChannelEnergyUJ), len(raw.ChannelRowHitRate))
 	}
-	return stats.LatencyFromParts(p.Count, p.Sum, p.Min, p.Max), nil
+	for _, v := range figures {
+		if !(v >= 0) { // false for a NaN too
+			return fmt.Errorf("doram: result has an impossible figure %v", v)
+		}
+	}
+	for _, n := range channelLists {
+		if n > core.NumChannels {
+			return fmt.Errorf("doram: result lists %d channels, want at most %d", n, core.NumChannels)
+		}
+	}
+	return nil
+}
+
+// check rejects parts no latency stream can produce: any nonzero part
+// beside a zero count, or a minimum above the maximum.
+func (p LatencyParts) check() error {
+	if p.Count == 0 && p.Sum|p.Min|p.Max != 0 || p.Min > p.Max {
+		return fmt.Errorf("doram: inconsistent latency aggregate %+v", p)
+	}
+	return nil
+}
+
+// latency rebuilds the latency stream the aggregate was taken from, which
+// must have passed check.
+func (p LatencyParts) latency() stats.Latency {
+	return stats.LatencyFromParts(p.Count, p.Sum, p.Min, p.Max)
 }
 
 // Benchmarks returns the 15 Table III benchmark names.
