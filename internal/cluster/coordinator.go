@@ -213,7 +213,8 @@ func (c *Coordinator) Submit(raw []byte) (JobStatus, error) {
 func (c *Coordinator) Status(id string) (JobStatus, error) { return c.svc.Status(id) }
 
 // Result returns a finished job's result document, byte for byte what
-// GET /v1/jobs/{id}/result serves.
+// GET /v1/jobs/{id}/result serves. The slice is the service's published
+// document, shared with every reader of that result: it is read-only.
 func (c *Coordinator) Result(id string) ([]byte, error) { return c.svc.ResultJSON(id) }
 
 // Run expires workers whose heartbeats have stopped, every StepInterval,

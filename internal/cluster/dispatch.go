@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
@@ -363,7 +362,9 @@ const maxProxyBytes = 64 << 20
 
 // doNode performs one request against a worker, feeding the node's
 // circuit breaker: transport failures count against it, any HTTP
-// response (whatever the status) proves liveness and counts for it.
+// response (whatever the status) proves liveness and counts for it. A
+// body that declares its length is read into an exact buffer, and one
+// that ends short of that length is a transport failure.
 func (c *Coordinator) doNode(n *node, method, path string, body []byte) (int, []byte, http.Header, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.RequestTimeout)
 	defer cancel()
@@ -375,7 +376,7 @@ func (c *Coordinator) doNode(n *node, method, path string, body []byte) (int, []
 	resp, err := c.hc.Do(req)
 	var data []byte
 	if err == nil {
-		data, err = io.ReadAll(io.LimitReader(resp.Body, maxProxyBytes))
+		data, err = simsvc.ReadBody(resp.Body, resp.ContentLength, maxProxyBytes)
 		resp.Body.Close()
 	}
 	if err != nil {

@@ -10,12 +10,13 @@ import (
 	"doram"
 )
 
-// resultCache is an LRU map from canonical spec hash to completed result.
-// Soundness rests on the simulator's determinism: equal canonical specs
-// (same knobs, same seed) produce bit-identical results — the differential
-// suite enforces replay equality — so serving a cached result is
-// indistinguishable from re-simulating. Results are immutable once
-// published; hits hand out the shared pointer.
+// resultCache is an LRU map from canonical spec hash to completed result
+// and its API document. Soundness rests on the simulator's determinism:
+// equal canonical specs (same knobs, same seed) produce bit-identical
+// results — the differential suite enforces replay equality — so serving a
+// cached result is indistinguishable from re-simulating. Results and their
+// documents are immutable once published; hits hand out the shared
+// pointer and slice.
 //
 // Not safe for concurrent use: the owning Service calls it under its lock.
 type resultCache struct {
@@ -27,6 +28,7 @@ type resultCache struct {
 type cacheEntry struct {
 	hash string
 	res  *doram.SimResult
+	doc  []byte // res encoded as GET /v1/jobs/{id}/result serves it
 }
 
 // newResultCache builds a cache holding up to cap results; cap <= 0
@@ -35,25 +37,26 @@ func newResultCache(cap int) *resultCache {
 	return &resultCache{cap: cap, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-func (c *resultCache) get(hash string) (*doram.SimResult, bool) {
+func (c *resultCache) get(hash string) (*cacheEntry, bool) {
 	el, ok := c.items[hash]
 	if !ok {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return el.Value.(*cacheEntry), true
 }
 
-func (c *resultCache) put(hash string, res *doram.SimResult) {
+func (c *resultCache) put(hash string, res *doram.SimResult, doc []byte) {
 	if c.cap <= 0 {
 		return
 	}
 	if el, ok := c.items[hash]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).res = res
+		e := el.Value.(*cacheEntry)
+		e.res, e.doc = res, doc
 		return
 	}
-	c.items[hash] = c.ll.PushFront(&cacheEntry{hash: hash, res: res})
+	c.items[hash] = c.ll.PushFront(&cacheEntry{hash: hash, res: res, doc: doc})
 	if c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
@@ -79,22 +82,19 @@ type cacheSnapshot struct {
 
 // SaveCache writes the result cache to path as a JSON snapshot,
 // atomically (temp file + rename), so a crash mid-save never truncates a
-// previous good snapshot. doramd saves on drain with -cache-file.
+// previous good snapshot. Each result's document is written as it was
+// published, not re-encoded. doramd saves on drain with -cache-file.
 func (s *Service) SaveCache(path string) error {
 	s.mu.Lock()
-	entries := make([]*cacheEntry, 0, s.cache.len())
+	entries := make([]cacheEntry, 0, s.cache.len())
 	for el := s.cache.ll.Front(); el != nil; el = el.Next() {
-		entries = append(entries, el.Value.(*cacheEntry))
+		entries = append(entries, *el.Value.(*cacheEntry))
 	}
 	s.mu.Unlock()
 
 	snap := cacheSnapshot{Version: cacheSnapshotVersion, Results: make(map[string]string, len(entries))}
-	for _, e := range entries { // results are immutable: encode outside the lock
-		data, err := encodeJSON(e.res)
-		if err != nil {
-			return fmt.Errorf("simsvc: cache snapshot: %w", err)
-		}
-		snap.Results[e.hash] = string(data)
+	for _, e := range entries { // documents are immutable: copy outside the lock
+		snap.Results[e.hash] = string(e.doc)
 	}
 	data, err := json.Marshal(snap)
 	if err != nil {
@@ -123,6 +123,8 @@ func (s *Service) SaveCache(path string) error {
 // deployment simply starts cold. Entries whose key is not a spec hash (64
 // lower-case hex characters, as doram.Params.Hash writes it) or whose
 // document does not decode are skipped: no lookup could ever hit them.
+// Each loaded result is encoded afresh, so it is served in canonical form
+// whatever whitespace or unknown fields its snapshot document carried.
 func (s *Service) LoadCache(path string) (int, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -139,18 +141,24 @@ func (s *Service) LoadCache(path string) (int, error) {
 		return 0, fmt.Errorf("simsvc: cache load %s: snapshot version %d, want %d",
 			path, snap.Version, cacheSnapshotVersion)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
+	entries := make([]cacheEntry, 0, len(snap.Results))
 	for hash, doc := range snap.Results {
 		res := new(doram.SimResult)
 		if !isSpecHash(hash) || json.Unmarshal([]byte(doc), res) != nil {
 			continue
 		}
-		s.cache.put(hash, res)
-		n++
+		canon, err := encodeJSON(res)
+		if err != nil {
+			continue
+		}
+		entries = append(entries, cacheEntry{hash: hash, res: res, doc: canon})
 	}
-	return n, nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range entries {
+		s.cache.put(e.hash, e.res, e.doc)
+	}
+	return len(entries), nil
 }
 
 // isSpecHash reports whether key has the form of doram.Params.Hash: 64

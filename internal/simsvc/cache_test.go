@@ -3,6 +3,7 @@ package simsvc
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -17,7 +18,8 @@ import (
 // TestCacheSnapshotRoundTrip is the restart end to end: complete a job,
 // save the cache, build a fresh service from the snapshot, and resubmit
 // the identical spec — it must be a cache hit serving byte-identical
-// result JSON without simulating.
+// result JSON without simulating. A snapshot holds each document as it
+// was served, and a loaded document is served in canonical form.
 func TestCacheSnapshotRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.json")
 	traced := func(ctx context.Context, cfg doram.SimConfig) (*doram.SimResult, error) {
@@ -37,14 +39,42 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("save: %v", err)
 	}
 	closeService(t, a)
+	// The snapshot holds the published document itself, and a hand-edited
+	// entry beside it: non-canonical whitespace and a field SimResult does
+	// not have. Loading decodes it and serves it re-encoded.
+	snap := readSnapshot(t, path)
+	hash7, hash8 := specWithSeed(7).Canonical().Hash(), specWithSeed(8).Canonical().Hash()
+	if len(snap.Results) != 1 || snap.Results[hash7] != string(want) {
+		t.Fatalf("snapshot results %q, want only the served document under %s", snap.Results, hash7)
+	}
+	snap.Results[hash8] = "{ \"AvgNSExecCycles\":8,\n\t\"NoSuchField\": [1] }"
+	writeSnapshot(t, path, snap)
+	canon8, err := encodeJSON(&doram.SimResult{AvgNSExecCycles: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	b := New(Config{Workers: 1, RunSim: func(context.Context, doram.SimConfig) (*doram.SimResult, error) {
 		t.Error("a snapshot hit simulated")
 		return nil, context.Canceled
 	}})
 	defer closeService(t, b)
-	if n, err := b.LoadCache(path); n != 1 || err != nil {
-		t.Fatalf("load: n=%d err=%v, want 1, nil", n, err)
+	if n, err := b.LoadCache(path); n != 2 || err != nil {
+		t.Fatalf("load: n=%d err=%v, want 2, nil", n, err)
+	}
+	edited, err := b.Submit(specWithSeed(8))
+	if err != nil {
+		t.Fatalf("submit the edited entry's spec: %v", err)
+	}
+	if got, err := b.ResultJSON(edited.ID()); err != nil || !bytes.Equal(got, canon8) {
+		t.Errorf("edited snapshot entry served as %q (err %v), want the canonical %q", got, err, canon8)
+	}
+	resaved := filepath.Join(t.TempDir(), "resaved.json")
+	if err := b.SaveCache(resaved); err != nil {
+		t.Fatalf("save after load: %v", err)
+	}
+	if got := readSnapshot(t, resaved).Results; len(got) != 2 || got[hash7] != string(want) || got[hash8] != string(canon8) {
+		t.Errorf("re-saved snapshot %q, want the two documents as served", got)
 	}
 	again, err := b.Submit(specWithSeed(7))
 	if err != nil {
@@ -61,6 +91,30 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("result changed across the snapshot:\n%s\nvs\n%s", got, want)
+	}
+}
+
+func readSnapshot(t *testing.T, path string) cacheSnapshot {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap cacheSnapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatalf("snapshot %s: %v", path, err)
+	}
+	return snap
+}
+
+func writeSnapshot(t *testing.T, path string, snap cacheSnapshot) {
+	t.Helper()
+	data, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,12 +1,12 @@
 package simsvc
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 
 	"doram/internal/metrics"
 	"doram/internal/retry"
@@ -51,13 +51,14 @@ type apiError struct {
 }
 
 // encodeJSON renders v the way every API response is written: indented
-// two spaces, with a trailing newline.
+// two spaces, HTML-escaped, with a trailing newline — the bytes of a
+// json.Encoder with SetIndent("", "  "), built in one pass.
 func encodeJSON(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	err := enc.Encode(v)
-	return buf.Bytes(), err
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
 }
 
 // WriteJSON writes v as an API response with the given status code. The
@@ -65,9 +66,34 @@ func encodeJSON(v any) ([]byte, error) {
 // one encoding.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	data, _ := encodeJSON(v) // API types always encode
-	w.Header().Set("Content-Type", "application/json")
+	writeDoc(w, code, data)
+}
+
+// writeDoc writes an encoded JSON document under the given status code,
+// with its length declared so a client can read it into an exact buffer.
+func writeDoc(w http.ResponseWriter, code int, data []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(data)))
 	w.WriteHeader(code)
 	w.Write(data) // a write error means the client hung up; nothing to do
+}
+
+// ReadBody reads an HTTP body of at most limit bytes whose declared
+// length (Content-Length; -1 when unknown) is length. A body that declares
+// a length within the limit is read into a buffer of exactly that size,
+// and one that ends short of it is an error. Any other body — chunked, of
+// unknown length, or declared over the limit — is read as it comes, up to
+// limit bytes.
+func ReadBody(body io.Reader, length, limit int64) ([]byte, error) {
+	if length <= 0 || length > limit {
+		return io.ReadAll(io.LimitReader(body, limit))
+	}
+	buf := make([]byte, length)
+	if _, err := io.ReadFull(body, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // WriteError maps a service error to its transport representation: the
@@ -102,7 +128,7 @@ func WriteError(w http.ResponseWriter, err error) {
 const maxSpecBytes = 1 << 20
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes))
+	body, err := ReadBody(r.Body, r.ContentLength, maxSpecBytes)
 	if err != nil {
 		WriteError(w, &Error{Kind: ErrInvalid, Msg: fmt.Sprintf("simsvc: reading spec: %v", err)})
 		return
@@ -134,7 +160,7 @@ type SweepResponse struct {
 }
 
 func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes))
+	body, err := ReadBody(r.Body, r.ContentLength, maxSpecBytes)
 	if err != nil {
 		WriteError(w, &Error{Kind: ErrInvalid, Msg: fmt.Sprintf("simsvc: reading sweep: %v", err)})
 		return
@@ -200,8 +226,7 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
+	writeDoc(w, http.StatusOK, data)
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {

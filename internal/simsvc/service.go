@@ -172,6 +172,7 @@ type Job struct {
 	history   []Transition
 	errMsg    string
 	result    *doram.SimResult
+	doc       []byte // result's API document, encoded once at publish
 	cacheHit  bool
 	coalesced bool
 
@@ -413,10 +414,10 @@ func (s *Service) Submit(spec doram.Params) (*Job, error) {
 	}
 	s.submitted.Inc()
 
-	if res, ok := s.cache.get(hash); ok {
+	if hit, ok := s.cache.get(hash); ok {
 		job := s.newJobLocked(p, hash)
 		job.cacheHit = true
-		job.result = res
+		job.result, job.doc = hit.res, hit.doc
 		job.placement.Node = "cache"
 		s.cacheHits.Inc()
 		s.completed.Inc()
@@ -555,13 +556,15 @@ func (s *Service) retireLocked(job *Job) {
 }
 
 // finalizeLocked moves a job and its live followers to a terminal state.
-func (s *Service) finalizeLocked(job *Job, to State, res *doram.SimResult, errMsg string) {
+// A done job carries its result and the result's document; every other
+// state passes nil for both.
+func (s *Service) finalizeLocked(job *Job, to State, res *doram.SimResult, doc []byte, errMsg string) {
 	targets := append([]*Job{job}, job.followers...)
 	for _, t := range targets {
 		if t.state.Terminal() {
 			continue // e.g. a follower cancelled individually
 		}
-		t.result = res
+		t.result, t.doc = res, doc
 		t.errMsg = errMsg
 		// Counters first so the published transition event's Completed
 		// gauge already includes this job — a tailing client sees sweep
@@ -651,6 +654,15 @@ func (s *Service) runJob(job *Job) {
 	res, err := s.safeRun(ctx, job.spec.SimConfig())
 	cancel()
 	dur := s.now().Sub(start)
+	// The result's document is encoded once, here, and served from then
+	// on. A result that cannot be encoded could never be served, so its
+	// job fails rather than finishing "done" behind a 500 on every GET.
+	var doc []byte
+	if err == nil {
+		if doc, err = encodeJSON(res); err != nil {
+			err = fmt.Errorf("simsvc: encoding result: %w", err)
+		}
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -662,17 +674,17 @@ func (s *Service) runJob(job *Job) {
 	}
 	switch {
 	case err == nil:
-		s.cache.put(job.hash, res)
+		s.cache.put(job.hash, res, doc)
 		s.updateEWMALocked(dur)
 		s.foldStageHistsLocked(res, dur)
-		s.finalizeLocked(job, StateDone, res, "")
+		s.finalizeLocked(job, StateDone, res, doc, "")
 	case errors.Is(err, context.Canceled):
-		s.finalizeLocked(job, StateCancelled, nil, "simsvc: cancelled mid-run")
+		s.finalizeLocked(job, StateCancelled, nil, nil, "simsvc: cancelled mid-run")
 	case errors.Is(err, context.DeadlineExceeded):
-		s.finalizeLocked(job, StateFailed, nil,
+		s.finalizeLocked(job, StateFailed, nil, nil,
 			fmt.Sprintf("simsvc: timed out after %s", s.cfg.JobTimeout))
 	default:
-		s.finalizeLocked(job, StateFailed, nil, err.Error())
+		s.finalizeLocked(job, StateFailed, nil, nil, err.Error())
 	}
 }
 
@@ -780,14 +792,14 @@ func (s *Service) Cancel(id string) error {
 	job.cancelRequested = true
 	switch {
 	case job.leader != nil: // follower: detach quietly
-		s.finalizeLocked(job, StateCancelled, nil, "simsvc: cancelled by client")
+		s.finalizeLocked(job, StateCancelled, nil, nil, "simsvc: cancelled by client")
 	case job.cancelRun != nil: // running leader: worker finalizes
 		job.cancelRun()
 	default: // queued leader
 		if s.inflight[job.hash] == job {
 			delete(s.inflight, job.hash)
 		}
-		s.finalizeLocked(job, StateCancelled, nil, "simsvc: cancelled by client")
+		s.finalizeLocked(job, StateCancelled, nil, nil, "simsvc: cancelled by client")
 	}
 	return nil
 }
@@ -809,29 +821,42 @@ func (s *Service) Status(id string) (JobStatus, error) {
 func (s *Service) Result(id string) (*doram.SimResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	job, err := s.doneJobLocked(id)
+	if err != nil {
+		return nil, err
+	}
+	return job.result, nil
+}
+
+// ResultJSON returns a finished job's result document, the bytes
+// GET /v1/jobs/{id}/result serves, with Result's errors. The document was
+// encoded once when the result was published; the slice is shared by every
+// job holding that result and by the result cache, so it is read-only.
+func (s *Service) ResultJSON(id string) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	job, err := s.doneJobLocked(id)
+	if err != nil {
+		return nil, err
+	}
+	return job.doc, nil
+}
+
+// doneJobLocked returns a done job, or the error Result reports for it.
+func (s *Service) doneJobLocked(id string) (*Job, error) {
 	job, ok := s.jobs[id]
 	if !ok {
 		return nil, &Error{Kind: ErrNotFound, Msg: fmt.Sprintf("simsvc: unknown job %q", id)}
 	}
 	switch job.state {
 	case StateDone:
-		return job.result, nil
+		return job, nil
 	case StateFailed:
 		return nil, &Error{Kind: ErrFailed, Msg: job.errMsg}
 	default:
 		return nil, &Error{Kind: ErrConflict,
 			Msg: fmt.Sprintf("simsvc: job %s is %s, result not available", id, job.state)}
 	}
-}
-
-// ResultJSON returns a finished job's result encoded exactly as
-// GET /v1/jobs/{id}/result serves it, with Result's errors.
-func (s *Service) ResultJSON(id string) ([]byte, error) {
-	res, err := s.Result(id)
-	if err != nil {
-		return nil, err
-	}
-	return encodeJSON(res)
 }
 
 // Metrics returns a finished job's metric dump, if its spec enabled the
@@ -867,7 +892,7 @@ func (s *Service) Close(ctx context.Context) error {
 			if s.inflight[job.hash] == job {
 				delete(s.inflight, job.hash)
 			}
-			s.finalizeLocked(job, StateCancelled, nil, "simsvc: server draining")
+			s.finalizeLocked(job, StateCancelled, nil, nil, "simsvc: server draining")
 		}
 	}
 	close(s.queue)
