@@ -101,7 +101,7 @@ func TestRunExperimentUnknown(t *testing.T) {
 
 func TestExperimentsListed(t *testing.T) {
 	ids := Experiments()
-	if len(ids) != 18 {
+	if len(ids) != 17 {
 		t.Fatalf("experiments = %v", ids)
 	}
 	seen := map[string]bool{}

@@ -35,8 +35,7 @@ type ExperimentOptions struct {
 	// Endpoint, when set, offloads runs to a doramd simulation service at
 	// this base URL instead of simulating in-process; identical runs are
 	// served from the service's result cache. Not combinable with TraceDir
-	// (span traces stay on the server). Configurations a job spec cannot
-	// express still run locally.
+	// (span traces stay on the server).
 	Endpoint string
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"doram/internal/addrmap"
 	"doram/internal/dram"
-	"doram/internal/mc"
 	"doram/internal/oram"
 	"doram/internal/oram/backend"
 	"doram/internal/trace"
@@ -119,9 +118,6 @@ type Config struct {
 	// [44]: consecutive ORAM paths skip their shared tree-top prefix.
 	// The paper's configurations leave it off.
 	ForkPath bool
-	// MCPolicy selects the memory scheduling policy (default FR-FCFS,
-	// USIMM's reference scheduler).
-	MCPolicy mc.Policy
 	// LinkCorruptProb / LinkLossProb inject per-attempt serial-link faults
 	// on every BOB link (DORAM scheme): a corrupted frame fails the
 	// receiver's checksum, a lost one times out; both trigger retransmits

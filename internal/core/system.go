@@ -174,7 +174,6 @@ func NewSystem(cfg Config) (*System, error) {
 	geo := cfg.geometry()
 
 	mcCfg := mc.DefaultConfig()
-	mcCfg.Policy = cfg.MCPolicy
 	// Cooperative bandwidth preallocation [39] is part of the D-ORAM
 	// design for channels the S-App shares with NS-Apps (§IV). The Path
 	// ORAM baseline runs plain FR-FCFS, whose ready-row-hit preference

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"doram/internal/core"
-	"doram/internal/mc"
 )
 
 // AblationRow is one configuration point of a design-choice sweep.
@@ -58,11 +57,6 @@ var ablations = []ablation{
 	{"ablation-coop", "cooperative preallocation threshold",
 		[]string{"50% (paper)", "25%", "75%"},
 		func(c *core.Config, i int) { c.CoopThreshold = []float64{0.5, 0.25, 0.75}[i] }},
-	// Memory scheduling policies: FR-FCFS (USIMM's reference, the
-	// evaluation default), strict FCFS, and close-page.
-	{"ablation-scheduler", "memory scheduling policy",
-		[]string{"fr-fcfs (paper)", "fcfs", "close-page"},
-		func(c *core.Config, i int) { c.MCPolicy = []mc.Policy{mc.FRFCFS, mc.FCFS, mc.ClosePage}[i] }},
 	// The paper's DDR3-1600 memory against DDR4-2400 (bank groups, higher
 	// rate).
 	{"ablation-memgen", "memory generation",

@@ -62,41 +62,8 @@ type Request struct {
 	OnComplete func(r *Request, done uint64)
 }
 
-// Policy selects the scheduling algorithm.
-type Policy int
-
-// Scheduling policies (the axis the Memory Scheduling Championship that
-// produced the paper's workloads explores).
-const (
-	// FRFCFS is First-Ready FCFS: ready row hits first, then oldest-first
-	// bank progress under an open-page policy. USIMM's reference
-	// scheduler and the evaluation default.
-	FRFCFS Policy = iota
-	// FCFS serves strictly in arrival order: no row-hit reordering.
-	FCFS
-	// ClosePage is FR-FCFS with an auto-precharge after every column
-	// access: no open rows are left behind, trading row-hit locality for
-	// predictable conflict latency.
-	ClosePage
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case FRFCFS:
-		return "fr-fcfs"
-	case FCFS:
-		return "fcfs"
-	case ClosePage:
-		return "close-page"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
 // Config tunes a controller.
 type Config struct {
-	Policy         Policy
 	ReadQueueCap   int
 	WriteQueueCap  int
 	WriteDrainHi   int // start draining writes at this occupancy
@@ -216,10 +183,6 @@ type Controller struct {
 	// before the queues change. It is only deferred when it is its own
 	// fixed point, so applying it once late equals applying it every cycle.
 	coopDue uint64
-
-	// pendingClose holds banks awaiting the explicit precharge the
-	// close-page policy issues after every column access.
-	pendingClose []addrmap.Coord
 
 	inflight []pendingDone
 	// nextDone is the earliest in-flight completion cycle (clock.Never
@@ -475,7 +438,7 @@ func (c *Controller) NextEvent(now uint64) uint64 {
 	if done <= now {
 		done = now + 1
 	}
-	if len(c.readQ) > 0 || len(c.writeQ) > 0 || len(c.pendingClose) > 0 {
+	if len(c.readQ) > 0 || len(c.writeQ) > 0 {
 		if !c.dirty && c.quietUntil > now+1 {
 			return min(c.quietUntil, done)
 		}
@@ -519,15 +482,15 @@ func (c *Controller) Skip(n uint64) { c.ch.Skip(n) }
 // issues every DRAM constraint is a frozen absolute timestamp, so the
 // earliest future state change is the minimum over: each queued request's
 // next legal DRAM command (the one FR-FCFS would attempt given current
-// bank state), pending close-page precharges, starvation-age triggers
-// (which flip forced-oldest scheduling and the aged write drain), and
-// refresh deadlines. Preallocation turns only advance on issues, and
-// enqueues set the dirty flag, so neither can change inside the bound;
-// requests of a class the turn blocks are left out. In-flight completions
-// do not end the window: delivering them touches no scheduling state, so
-// NextEvent reports them separately and Tick delivers them without a
-// scan. The bound may be conservative, never late. Its timing reads land
-// in the readiness memo, so the scan that ends the window reuses them.
+// bank state), starvation-age triggers (which flip forced-oldest
+// scheduling and the aged write drain), and refresh deadlines.
+// Preallocation turns only advance on issues, and enqueues set the dirty
+// flag, so neither can change inside the bound; requests of a class the
+// turn blocks are left out. In-flight completions do not end the window:
+// delivering them touches no scheduling state, so NextEvent reports them
+// separately and Tick delivers them without a scan. The bound may be
+// conservative, never late. Its timing reads land in the readiness memo,
+// so the scan that ends the window reuses them.
 func (c *Controller) quietBound(now uint64) uint64 {
 	// Inside the window the queues and latches stay as they are, so a
 	// class the scan skips stays skipped. Drain mode unblocks normal
@@ -538,11 +501,6 @@ func (c *Controller) quietBound(now uint64) uint64 {
 	blockNormal = blockNormal && !c.draining
 	next := c.queueBound(c.readQ, dram.CmdRead, blockSecure, blockNormal, now, clock.Never)
 	next = c.queueBound(c.writeQ, dram.CmdWrite, blockSecure, blockNormal && len(c.readQ) == 0, now, next)
-	for _, at := range c.pendingClose {
-		if m := c.bankState(c.flatBank(at)); m.open != dram.RowNone && m.open == at.Row {
-			next = min(next, max(c.readyAt(m, dram.CmdPrecharge, now+1), now+1))
-		}
-	}
 	if c.cfg.RefreshEnabled {
 		for rank := 0; rank < c.ch.NumRanks(); rank++ {
 			if t := c.ch.NextRefreshDue(rank); t > now && t < next {
@@ -556,8 +514,8 @@ func (c *Controller) quietBound(now uint64) uint64 {
 // queueBound lowers next to the earliest cycle after now at which the
 // scan could act on q: the next legal command of each entry not in a
 // blocked class, and the cycle the starvation guard takes over. The head
-// counts regardless of class only once the guard serves it (under FCFS,
-// or already starved); before that, the guard's takeover cycle bounds it.
+// counts regardless of class only once it has starved and the guard
+// serves it; before that, the guard's takeover cycle bounds it.
 func (c *Controller) queueBound(q []queued, col dram.Command, blockSecure, blockNormal bool, now, next uint64) uint64 {
 	if len(q) == 0 || next == now+1 {
 		return next
@@ -566,7 +524,7 @@ func (c *Controller) queueBound(q []queued, col dram.Command, blockSecure, block
 	if t := deadline + 1; t > now && t < next {
 		next = t
 	}
-	guarded := c.cfg.Policy == FCFS || now > deadline
+	guarded := now > deadline
 	for i := range q {
 		e := &q[i]
 		if (i > 0 || !guarded) && (e.secure && blockSecure || !e.secure && blockNormal) {
@@ -738,13 +696,9 @@ func (c *Controller) secureWritePhase() bool {
 	return c.secReads == 0 && c.secWrites > 0
 }
 
-// scheduleTick picks and issues at most one command under the configured
-// policy.
+// scheduleTick picks and issues at most one command under FR-FCFS.
 func (c *Controller) scheduleTick(now uint64) {
 	blockSecure, blockNormal := c.coopUpdate()
-	if c.cfg.Policy == ClosePage && c.closeTick(now) {
-		return
-	}
 	// An ORAM write phase is critical path for the ORAM engine (the next
 	// access waits on it), not a lazy writeback: serve it ahead of reads
 	// unless cooperative preallocation says it is the normal traffic's
@@ -856,10 +810,8 @@ func (c *Controller) tryIssueQueue(q []queued, col dram.Command, now uint64, blo
 		return false
 	}
 	// Starvation guard: if the oldest request is too old, service it
-	// strictly first. FCFS behaves as if every request were starved:
-	// strict arrival order, no row-hit reordering (and no cooperative
-	// reordering either — FCFS is the undecorated comparison point).
-	if c.cfg.Policy == FCFS || now-q[0].req.Arrival > c.cfg.StarvationAge {
+	// strictly first.
+	if now-q[0].req.Arrival > c.cfg.StarvationAge {
 		e := &q[0]
 		m := c.bankState(e.bank)
 		switch {
@@ -956,31 +908,4 @@ func (c *Controller) issueColumn(col dram.Command, i int, now uint64) {
 	}
 	c.inflight = append(c.inflight, pendingDone{req: r, done: done})
 	c.nextDone = min(c.nextDone, done)
-	if c.cfg.Policy == ClosePage {
-		c.pendingClose = append(c.pendingClose, r.Coord)
-	}
-}
-
-// closeTick issues the close-page policy's explicit precharges as soon as
-// the device timing permits. It returns true when it used the cycle's
-// command slot.
-func (c *Controller) closeTick(now uint64) bool {
-	keep := c.pendingClose[:0]
-	issued := false
-	for i, coord := range c.pendingClose {
-		// Skip banks another pending close already targets or that a new
-		// activation has reopened for a different row.
-		open := c.ch.OpenRow(coord.Rank, coord.Bank)
-		if open == dram.RowNone || open != coord.Row {
-			continue
-		}
-		if !issued && c.ch.CanIssue(dram.CmdPrecharge, coord.Rank, coord.Bank, 0, now) {
-			c.issue(dram.CmdPrecharge, coord.Rank, coord.Bank, 0, now)
-			issued = true
-			continue
-		}
-		keep = append(keep, c.pendingClose[i])
-	}
-	c.pendingClose = append(c.pendingClose[:0], keep...)
-	return issued
 }

@@ -315,36 +315,6 @@ func TestIdleReflectsState(t *testing.T) {
 	}
 }
 
-func TestPolicyString(t *testing.T) {
-	if FRFCFS.String() != "fr-fcfs" || FCFS.String() != "fcfs" || ClosePage.String() != "close-page" {
-		t.Fatal("policy names wrong")
-	}
-}
-
-func TestFCFSPreservesArrivalOrder(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RefreshEnabled = false
-	cfg.Policy = FCFS
-	c := newTestController(cfg)
-	var order []int64
-	cb := func(r *Request, _ uint64) { order = append(order, r.Coord.Row) }
-	// Oldest request is a row conflict; younger ones are row hits that
-	// FR-FCFS would reorder ahead but FCFS must not.
-	c.Enqueue(&Request{Op: OpRead, Coord: coord(0, 5, 0), OnComplete: cb}, 0)
-	c.Tick(0) // opens row 5
-	c.Enqueue(&Request{Op: OpRead, Coord: coord(0, 9, 0), OnComplete: cb}, 1)
-	c.Enqueue(&Request{Op: OpRead, Coord: coord(0, 5, 1), OnComplete: cb}, 1)
-	for now := uint64(1); now < 500 && len(order) < 3; now++ {
-		c.Tick(now)
-	}
-	want := []int64{5, 9, 5}
-	for i := range want {
-		if i >= len(order) || order[i] != want[i] {
-			t.Fatalf("completion order %v, want %v", order, want)
-		}
-	}
-}
-
 func TestFRFCFSReordersRowHits(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RefreshEnabled = false
@@ -366,47 +336,25 @@ func TestFRFCFSReordersRowHits(t *testing.T) {
 	}
 }
 
-func TestClosePageClosesRows(t *testing.T) {
+func TestMixedLoadCompletes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RefreshEnabled = false
-	cfg.Policy = ClosePage
 	c := newTestController(cfg)
-	var done []uint64
-	c.Enqueue(&Request{Op: OpRead, Coord: coord(0, 5, 0),
-		OnComplete: func(_ *Request, d uint64) { done = append(done, d) }}, 0)
-	run(t, c, 0, 1, 300, &done)
-	// Give the policy time to issue its precharge.
-	last := done[0]
-	for now := last; now < last+100; now++ {
+	remaining := 60
+	cb := func(_ *Request, _ uint64) { remaining-- }
+	for i := 0; i < 60; i++ {
+		op := OpRead
+		if i%3 == 0 {
+			op = OpWrite
+		}
+		if !c.Enqueue(&Request{Op: op, Coord: coord(i%8, int64(i%5), i%16), OnComplete: cb}, 0) {
+			t.Fatalf("enqueue %d rejected", i)
+		}
+	}
+	for now := uint64(0); now < 20000 && remaining > 0; now++ {
 		c.Tick(now)
 	}
-	if got := c.Channel().OpenRow(0, 0); got != dram.RowNone {
-		t.Fatalf("row %d left open under close-page policy", got)
-	}
-}
-
-func TestAllPoliciesCompleteMixedLoad(t *testing.T) {
-	for _, pol := range []Policy{FRFCFS, FCFS, ClosePage} {
-		cfg := DefaultConfig()
-		cfg.RefreshEnabled = false
-		cfg.Policy = pol
-		c := newTestController(cfg)
-		remaining := 60
-		cb := func(_ *Request, _ uint64) { remaining-- }
-		for i := 0; i < 60; i++ {
-			op := OpRead
-			if i%3 == 0 {
-				op = OpWrite
-			}
-			if !c.Enqueue(&Request{Op: op, Coord: coord(i%8, int64(i%5), i%16), OnComplete: cb}, 0) {
-				t.Fatalf("%v: enqueue %d rejected", pol, i)
-			}
-		}
-		for now := uint64(0); now < 20000 && remaining > 0; now++ {
-			c.Tick(now)
-		}
-		if remaining != 0 {
-			t.Fatalf("%v: %d requests never completed", pol, remaining)
-		}
+	if remaining != 0 {
+		t.Fatalf("%d requests never completed", remaining)
 	}
 }

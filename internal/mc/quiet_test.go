@@ -162,9 +162,8 @@ func (p *quietPair) check(t *testing.T) {
 // in both of its loops, so it cannot see a quietBound that is late; here
 // the reference never short-circuits. Seeded bursty streams of secure and
 // normal reads and writes, with idle gaps, refresh and queue pressure,
-// must produce identical issue and completion cycles for every request
-// under every scheduling policy, with cooperative preallocation on and
-// off, on DDR3 and DDR4 timing.
+// must produce identical issue and completion cycles for every request,
+// with cooperative preallocation on and off, on DDR3 and DDR4 timing.
 func TestQuietWindowMatchesFullScan(t *testing.T) {
 	configs := schedulerConfigs()
 	// Short secure batches make every deferred preallocation update count
@@ -275,7 +274,7 @@ func TestRefreshTickMakesNoPreallocationUpdate(t *testing.T) {
 // command on the next cycle but belongs to a class the next tick's
 // cooperative turn blocks, with the starvation guard not yet serving it.
 func headWaits(c *Controller, now uint64) bool {
-	if len(c.readQ) == 0 || c.cfg.Policy == FCFS || now > c.readQ[0].req.Arrival+c.cfg.StarvationAge {
+	if len(c.readQ) == 0 || now > c.readQ[0].req.Arrival+c.cfg.StarvationAge {
 		return false
 	}
 	turn, _ := c.coopStep(c.coopSecTurn, c.coopCount)

@@ -17,9 +17,10 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
 // schedulerConfigs are the scheduler oracles' configurations: both memory
-// generations × every policy × cooperative preallocation off and on, with
+// generations × cooperative preallocation off and on under FR-FCFS, with
 // small queues and a short starvation age so back-pressure, watermark
-// drain and aged requests all occur.
+// drain and aged requests all occur. Names keep the "fr-fcfs" segment
+// because scheduler_stream.golden records them.
 func schedulerConfigs() []struct {
 	name   string
 	timing dram.Timing
@@ -41,16 +42,13 @@ func schedulerConfigs() []struct {
 		{"ddr3", dram.DDR31600(), 8},
 		{"ddr4", dram.DDR42400(), 16},
 	} {
-		for _, policy := range []Policy{FRFCFS, FCFS, ClosePage} {
-			for _, coop := range []bool{false, true} {
-				cfg := DefaultConfig()
-				cfg.Policy = policy
-				cfg.CoopEnabled = coop
-				cfg.ReadQueueCap, cfg.WriteQueueCap = 16, 16
-				cfg.WriteDrainHi, cfg.WriteDrainLo = 12, 6
-				cfg.StarvationAge = 200
-				out = append(out, entry{fmt.Sprintf("%s/%s/coop=%v", tm.name, policy, coop), tm.timing, tm.banks, cfg})
-			}
+		for _, coop := range []bool{false, true} {
+			cfg := DefaultConfig()
+			cfg.CoopEnabled = coop
+			cfg.ReadQueueCap, cfg.WriteQueueCap = 16, 16
+			cfg.WriteDrainHi, cfg.WriteDrainLo = 12, 6
+			cfg.StarvationAge = 200
+			out = append(out, entry{fmt.Sprintf("%s/fr-fcfs/coop=%v", tm.name, coop), tm.timing, tm.banks, cfg})
 		}
 	}
 	return out

@@ -79,34 +79,35 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// MSC returns the 15 benchmark specs of Table III. MPKI values are the
+// msc holds the 15 benchmark specs of Table III. MPKI values are the
 // paper's; locality knobs encode each program's published character
 // (streamcluster/libquantum/leslie3d are streaming and bandwidth-bound;
 // mummer/swaptions/blackscholes are pointer-chasing or random;
 // the commercial traces are transaction-like mixes).
-func MSC() []Spec {
-	return []Spec{
-		{Name: "black", Suite: "PARSEC", MPKI: 4.2, ReadFrac: 0.70, StreamFrac: 0.25, Streams: 2, WorkingSetMB: 64, BurstProb: 0.30},
-		{Name: "face", Suite: "PARSEC", MPKI: 26.8, ReadFrac: 0.65, StreamFrac: 0.55, Streams: 4, WorkingSetMB: 96, BurstProb: 0.45},
-		{Name: "ferret", Suite: "PARSEC", MPKI: 8.0, ReadFrac: 0.72, StreamFrac: 0.40, Streams: 3, WorkingSetMB: 64, BurstProb: 0.35},
-		{Name: "fluid", Suite: "PARSEC", MPKI: 17.5, ReadFrac: 0.68, StreamFrac: 0.60, Streams: 4, WorkingSetMB: 128, BurstProb: 0.40},
-		{Name: "stream", Suite: "PARSEC", MPKI: 12.9, ReadFrac: 0.60, StreamFrac: 0.90, Streams: 6, WorkingSetMB: 256, BurstProb: 0.50},
-		{Name: "swapt", Suite: "PARSEC", MPKI: 10.9, ReadFrac: 0.70, StreamFrac: 0.30, Streams: 2, WorkingSetMB: 64, BurstProb: 0.30},
-		{Name: "comm1", Suite: "COMM", MPKI: 7.3, ReadFrac: 0.62, StreamFrac: 0.35, Streams: 3, WorkingSetMB: 128, BurstProb: 0.55},
-		{Name: "comm2", Suite: "COMM", MPKI: 12.6, ReadFrac: 0.60, StreamFrac: 0.50, Streams: 3, WorkingSetMB: 128, BurstProb: 0.55},
-		{Name: "comm3", Suite: "COMM", MPKI: 4.2, ReadFrac: 0.64, StreamFrac: 0.20, Streams: 2, WorkingSetMB: 96, BurstProb: 0.50},
-		{Name: "comm4", Suite: "COMM", MPKI: 3.7, ReadFrac: 0.62, StreamFrac: 0.30, Streams: 2, WorkingSetMB: 96, BurstProb: 0.45},
-		{Name: "comm5", Suite: "COMM", MPKI: 4.5, ReadFrac: 0.63, StreamFrac: 0.35, Streams: 2, WorkingSetMB: 96, BurstProb: 0.45},
-		{Name: "leslie", Suite: "SPEC", MPKI: 23.1, ReadFrac: 0.65, StreamFrac: 0.85, Streams: 6, WorkingSetMB: 256, BurstProb: 0.45},
-		{Name: "libq", Suite: "SPEC", MPKI: 12.0, ReadFrac: 0.75, StreamFrac: 0.95, Streams: 2, WorkingSetMB: 64, BurstProb: 0.40},
-		{Name: "mummer", Suite: "BIOBENCH", MPKI: 24.0, ReadFrac: 0.80, StreamFrac: 0.15, Streams: 2, WorkingSetMB: 256, BurstProb: 0.35},
-		{Name: "tigr", Suite: "BIOBENCH", MPKI: 6.7, ReadFrac: 0.78, StreamFrac: 0.80, Streams: 4, WorkingSetMB: 128, BurstProb: 0.40},
-	}
+var msc = [...]Spec{
+	{Name: "black", Suite: "PARSEC", MPKI: 4.2, ReadFrac: 0.70, StreamFrac: 0.25, Streams: 2, WorkingSetMB: 64, BurstProb: 0.30},
+	{Name: "face", Suite: "PARSEC", MPKI: 26.8, ReadFrac: 0.65, StreamFrac: 0.55, Streams: 4, WorkingSetMB: 96, BurstProb: 0.45},
+	{Name: "ferret", Suite: "PARSEC", MPKI: 8.0, ReadFrac: 0.72, StreamFrac: 0.40, Streams: 3, WorkingSetMB: 64, BurstProb: 0.35},
+	{Name: "fluid", Suite: "PARSEC", MPKI: 17.5, ReadFrac: 0.68, StreamFrac: 0.60, Streams: 4, WorkingSetMB: 128, BurstProb: 0.40},
+	{Name: "stream", Suite: "PARSEC", MPKI: 12.9, ReadFrac: 0.60, StreamFrac: 0.90, Streams: 6, WorkingSetMB: 256, BurstProb: 0.50},
+	{Name: "swapt", Suite: "PARSEC", MPKI: 10.9, ReadFrac: 0.70, StreamFrac: 0.30, Streams: 2, WorkingSetMB: 64, BurstProb: 0.30},
+	{Name: "comm1", Suite: "COMM", MPKI: 7.3, ReadFrac: 0.62, StreamFrac: 0.35, Streams: 3, WorkingSetMB: 128, BurstProb: 0.55},
+	{Name: "comm2", Suite: "COMM", MPKI: 12.6, ReadFrac: 0.60, StreamFrac: 0.50, Streams: 3, WorkingSetMB: 128, BurstProb: 0.55},
+	{Name: "comm3", Suite: "COMM", MPKI: 4.2, ReadFrac: 0.64, StreamFrac: 0.20, Streams: 2, WorkingSetMB: 96, BurstProb: 0.50},
+	{Name: "comm4", Suite: "COMM", MPKI: 3.7, ReadFrac: 0.62, StreamFrac: 0.30, Streams: 2, WorkingSetMB: 96, BurstProb: 0.45},
+	{Name: "comm5", Suite: "COMM", MPKI: 4.5, ReadFrac: 0.63, StreamFrac: 0.35, Streams: 2, WorkingSetMB: 96, BurstProb: 0.45},
+	{Name: "leslie", Suite: "SPEC", MPKI: 23.1, ReadFrac: 0.65, StreamFrac: 0.85, Streams: 6, WorkingSetMB: 256, BurstProb: 0.45},
+	{Name: "libq", Suite: "SPEC", MPKI: 12.0, ReadFrac: 0.75, StreamFrac: 0.95, Streams: 2, WorkingSetMB: 64, BurstProb: 0.40},
+	{Name: "mummer", Suite: "BIOBENCH", MPKI: 24.0, ReadFrac: 0.80, StreamFrac: 0.15, Streams: 2, WorkingSetMB: 256, BurstProb: 0.35},
+	{Name: "tigr", Suite: "BIOBENCH", MPKI: 6.7, ReadFrac: 0.78, StreamFrac: 0.80, Streams: 4, WorkingSetMB: 128, BurstProb: 0.40},
 }
+
+// MSC returns a copy of the 15 benchmark specs of Table III.
+func MSC() []Spec { return append([]Spec(nil), msc[:]...) }
 
 // ByName returns the MSC spec with the given name.
 func ByName(name string) (Spec, bool) {
-	for _, s := range MSC() {
+	for _, s := range msc {
 		if s.Name == name {
 			return s, true
 		}
@@ -116,9 +117,8 @@ func ByName(name string) (Spec, bool) {
 
 // Names returns the benchmark names in Table III order.
 func Names() []string {
-	specs := MSC()
-	names := make([]string, len(specs))
-	for i, s := range specs {
+	names := make([]string, len(msc))
+	for i, s := range msc {
 		names[i] = s.Name
 	}
 	return names

@@ -38,6 +38,10 @@ func TestByName(t *testing.T) {
 	if len(Names()) != 15 {
 		t.Fatal("Names() length mismatch")
 	}
+	// Config validation looks a benchmark up on every job submit.
+	if n := testing.AllocsPerRun(100, func() { ByName("face") }); n != 0 {
+		t.Errorf("ByName allocates %v times per call", n)
+	}
 }
 
 func TestGeneratorDeterminism(t *testing.T) {

@@ -286,12 +286,11 @@ func ParamsFromSimConfig(c SimConfig) (Params, error) {
 
 // paramsFromCore lifts an internal configuration into the canonical spec —
 // the inverse of SimConfig.coreConfig, which the remote sweep executor
-// needs because sweeps build core.Configs. ok is false for configurations
-// a spec cannot express: a non-default memory-scheduler policy (MCPolicy)
-// and an event ring (TraceLimit), which only a local exporter can read.
-func paramsFromCore(c core.Config) (Params, bool) {
-	if c.MCPolicy != 0 || c.TraceLimit != 0 {
-		return Params{}, false
+// needs because sweeps build core.Configs. It fails for a configuration
+// with an event ring (TraceLimit), which only a local exporter can read.
+func paramsFromCore(c core.Config) (Params, error) {
+	if c.TraceLimit != 0 {
+		return Params{}, fmt.Errorf("doram: params: an event ring (TraceLimit) is not expressible in a job spec")
 	}
 	numNS, hasS, sharers := c.NumNS, c.HasSApp, c.SecureSharers
 	p := Params{
@@ -323,5 +322,5 @@ func paramsFromCore(c core.Config) (Params, bool) {
 		TraceOramOnly:      c.TraceOramOnly,
 		TraceTopN:          c.TraceTopK,
 	}
-	return p.Canonical(), true
+	return p.Canonical(), nil
 }

@@ -11,7 +11,6 @@ import (
 	"doram/internal/bob"
 	"doram/internal/core"
 	"doram/internal/experiments"
-	"doram/internal/mc"
 	"doram/internal/oram/backend"
 	"doram/internal/oram/layout"
 )
@@ -237,22 +236,19 @@ func sweepConfigs(t *testing.T, o ExperimentOptions) []core.Config {
 // solo, 3-channel co-run, D-ORAM with split and sharers, baseline,
 // metrics, DDR4, phase overlap, eviction strategies — lifts to a spec that
 // validates and lowers back to the identical simulation, so remote sweeps
-// run exactly what a local sweep would. Only the scheduler ablation's
-// MCPolicy is inexpressible, and it must say so.
+// run exactly what a local sweep would. Every one must lift: no sweep
+// config is left to run in-process. An event ring alone is inexpressible,
+// and it must say so.
 func TestParamsFromCoreSweepConfigs(t *testing.T) {
 	base := ExperimentOptions{TraceLen: 1200, Seed: 42, Benchmarks: []string{"face"}}
 	withMetrics := base
 	withMetrics.MetricsDir = t.TempDir()
 	cfgs := append(sweepConfigs(t, base), sweepConfigs(t, withMetrics)...)
 
-	inexpressible := 0
 	for i, cfg := range cfgs {
-		p, ok := paramsFromCore(cfg)
-		if !ok {
-			if cfg.MCPolicy == 0 {
-				t.Errorf("config %d (%s): not expressible: %+v", i, cfg.Scheme, cfg)
-			}
-			inexpressible++
+		p, err := paramsFromCore(cfg)
+		if err != nil {
+			t.Errorf("config %d (%s): not expressible: %v: %+v", i, cfg.Scheme, err, cfg)
 			continue
 		}
 		if err := p.Validate(); err != nil {
@@ -284,17 +280,9 @@ func TestParamsFromCoreSweepConfigs(t *testing.T) {
 			t.Errorf("config %d (%s): spec lowers to a different simulation:\n  cfg:  %+v\n  back: %+v", i, cfg.Scheme, cfg, back)
 		}
 	}
-	if inexpressible == 0 || inexpressible == len(cfgs) {
-		t.Errorf("%d of %d sweep configs inexpressible; want only the scheduler ablation's", inexpressible, len(cfgs))
-	}
 
-	for name, cfg := range map[string]core.Config{
-		"mc policy":      {MCPolicy: mc.FCFS},
-		"event ring cap": {TraceEvents: true, TraceLimit: 1000},
-	} {
-		if _, ok := paramsFromCore(cfg); ok {
-			t.Errorf("%s: lifted to a spec that cannot express it", name)
-		}
+	if _, err := paramsFromCore(core.Config{TraceEvents: true, TraceLimit: 1000}); err == nil || !strings.Contains(err.Error(), "event ring") {
+		t.Errorf("event ring cap: got %v, want an error naming the event ring", err)
 	}
 }
 
@@ -312,9 +300,9 @@ func TestParamsFromCoreMatchesHandWrittenSpec(t *testing.T) {
 	if baseline == nil {
 		t.Fatal("no sweep builds a Path ORAM baseline config")
 	}
-	p, ok := paramsFromCore(*baseline)
-	if !ok {
-		t.Fatal("baseline config not expressible")
+	p, err := paramsFromCore(*baseline)
+	if err != nil {
+		t.Fatalf("baseline config not expressible: %v", err)
 	}
 	want, err := ParamsFromJSON([]byte(`{"scheme":"path-oram","benchmark":"face","trace_len":1200,"seed":42,"latency_warmup":60}`))
 	if err != nil {
@@ -474,8 +462,8 @@ func TestSimConfigFieldCoverage(t *testing.T) {
 		if reflect.DeepEqual(ic, baseCore) {
 			t.Errorf("%s does not reach core.Config", f.Name)
 		}
-		if back, ok := paramsFromCore(ic); !ok || back.Hash() != p.Hash() {
-			t.Errorf("%s does not survive the lift (ok=%v):\n  spec: %+v\n  back: %+v", f.Name, ok, p.Canonical(), back)
+		if back, err := paramsFromCore(ic); err != nil || back.Hash() != p.Hash() {
+			t.Errorf("%s does not survive the lift (%v):\n  spec: %+v\n  back: %+v", f.Name, err, p.Canonical(), back)
 		}
 	}
 }

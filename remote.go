@@ -16,21 +16,17 @@ import (
 // shared job client (internal/retry), and rebuilt from the SimResult's
 // exact integer aggregates (SimResult.Raw) — so a remote sweep produces
 // bit-identical tables to a local one; remote_test.go enforces it.
-// Configurations a spec cannot express run in-process instead.
+// Every sweep knob is a spec field; the one configuration a spec cannot
+// express, an event ring, fails the run rather than simulating in-process.
 
 // remoteExec returns the sweep runner's executor for one doramd endpoint:
-// cfg runs on the endpoint when a job spec can express it, in-process
-// otherwise.
+// every cfg runs on the endpoint.
 func remoteExec(endpoint string) func(core.Config) (*core.Results, error) {
 	c := retry.NewClient(strings.TrimRight(endpoint, "/"), &http.Client{Timeout: 30 * time.Second}, nil, nil)
 	return func(cfg core.Config) (*core.Results, error) {
-		p, ok := paramsFromCore(cfg)
-		if !ok {
-			sys, err := core.NewSystem(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return sys.Run()
+		p, err := paramsFromCore(cfg)
+		if err != nil {
+			return nil, err
 		}
 		spec, err := json.Marshal(p)
 		if err != nil {

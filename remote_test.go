@@ -61,24 +61,25 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestRemoteFallsBackForScheduler: the scheduler ablation sets MCPolicy,
-// which a job spec cannot carry — those runs execute locally and the
-// study still reproduces exactly.
-func TestRemoteFallsBackForScheduler(t *testing.T) {
+// TestRemoteRejectsEventRing: a sweep run with an event ring (TraceDir)
+// is the one configuration a job spec cannot carry. A remote executor
+// must fail it with an error naming the ring, not simulate it
+// in-process: no run completes, so no trace dump is written.
+func TestRemoteRejectsEventRing(t *testing.T) {
 	url := startService(t)
 
-	localSum, _, err := experiments.Ablation(quick(), "ablation-scheduler", "face")
-	if err != nil {
-		t.Fatalf("local ablation-scheduler: %v", err)
+	o := quick()
+	o.Exec = doram.RemoteExec(url)
+	o.TraceDir = t.TempDir()
+	if _, _, err := experiments.Figure10(o); err == nil || !strings.Contains(err.Error(), "event ring") {
+		t.Fatalf("remote Figure10 with TraceDir: got %v, want an error naming the event ring", err)
 	}
-	remote := quick()
-	remote.Exec = doram.RemoteExec(url)
-	remoteSum, _, err := experiments.Ablation(remote, "ablation-scheduler", "face")
+	entries, err := os.ReadDir(o.TraceDir)
 	if err != nil {
-		t.Fatalf("remote ablation-scheduler: %v", err)
+		t.Fatalf("reading trace dir: %v", err)
 	}
-	if !reflect.DeepEqual(localSum, remoteSum) {
-		t.Errorf("scheduler ablation differs under endpoint fallback:\n  local:  %+v\n  remote: %+v", localSum, remoteSum)
+	if len(entries) != 0 {
+		t.Errorf("remote sweep ran in-process: %d trace dumps written", len(entries))
 	}
 }
 
