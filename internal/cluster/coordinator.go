@@ -147,12 +147,12 @@ type Coordinator struct {
 	stopTails context.CancelFunc
 	tails     sync.WaitGroup
 
-	// Completion wake-ups (fan-in only): the wake channel of the dispatch
-	// holding each live attempt. Keyed by node as well as worker job id:
-	// ids such as j-00000001 repeat across workers, and across a worker's
-	// restarts, which re-join as a new node.
+	// Completion wake-ups (fan-in only): each live attempt and the wake
+	// channel of the dispatch holding it. Keyed by node as well as worker
+	// job id: ids such as j-00000001 repeat across workers, and across a
+	// worker's restarts, which re-join as a new node.
 	waitMu  sync.Mutex
-	waiters map[waitKey]chan<- struct{}
+	waiters map[waitKey]waiter
 
 	// Counters, in the registry shared with the service.
 	dispatched, redispatched, hedgesSent, hedgeWins  *metrics.SyncCounter
@@ -170,7 +170,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		now:     time.Now,
 		nodes:   make(map[string]*node),
 		ring:    newRing(ringReplicas),
-		waiters: make(map[waitKey]chan<- struct{}),
+		waiters: make(map[waitKey]waiter),
 	}
 	c.tailCtx, c.stopTails = context.WithCancel(context.Background())
 	c.dispatched = reg.SyncCounter("cluster.jobs.dispatched")
@@ -381,7 +381,7 @@ func (c *Coordinator) tailWorker(ctx context.Context, n *node) {
 			// Wake before republishing, so a subscriber that has seen a
 			// terminal event knows its dispatch was signalled.
 			if ev.Kind == simsvc.EventJob && ev.State.Terminal() {
-				c.wake(n, ev.JobID)
+				c.wake(n, ev.JobID, ev.State == simsvc.StateDone)
 			}
 			// Republish under this bus's sequence space. The gauges stay
 			// worker-local — they describe the originating node's load.

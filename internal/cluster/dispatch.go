@@ -26,6 +26,9 @@ type attempt struct {
 	node     *node
 	remoteID string
 	at       time.Time // when the worker accepted
+	// doneEvent records that the worker's done event for the job fanned
+	// in (EventFanIn only). Guarded by Coordinator.waitMu.
+	doneEvent bool
 }
 
 // dispatch carries one job through the fleet. It runs on the service's
@@ -40,15 +43,16 @@ type dispatch struct {
 	attempts int        // worker acceptances consumed
 	hedged   bool       // a hedge was ever sent
 	// wake receives a live attempt's terminal worker event (EventFanIn
-	// only; nil otherwise). One slot: the poll it triggers reads every
-	// live attempt.
+	// only; nil otherwise). One slot: the wake-up settles every live
+	// attempt.
 	wake chan struct{}
 }
 
 // runSim is the service's RunSim: it runs one simulation on the fleet.
 // The spec goes to its ring owner (waiting out 429s there, to keep the
-// owner's result cache warm), is polled when its worker's fanned-in
-// terminal event wakes the dispatch and otherwise every StepInterval,
+// owner's result cache warm), has its result fetched when its worker's
+// done event fans in, is polled on the worker's other terminal events
+// and otherwise every StepInterval,
 // hedged on the next ring node after HedgeAfter, and re-dispatched when
 // its worker dies, drains or forgets it. Simulations are deterministic in
 // the canonical spec, so the first attempt to finish is the answer. Its
@@ -107,11 +111,23 @@ func (d *dispatch) run() (*doram.SimResult, error) {
 			return nil, d.ctx.Err()
 		}
 		for _, att := range slices.Clone(d.live) {
-			if res, err := d.poll(att); res != nil || err != nil {
+			if res, err := d.settle(att); res != nil || err != nil {
 				return res, err
 			}
 		}
 	}
+}
+
+// settle checks one live attempt after a wake-up. An attempt whose
+// worker's done event fanned in has its result fetched straight away;
+// any other, or one whose fetch came back empty, is polled.
+func (d *dispatch) settle(att *attempt) (*doram.SimResult, error) {
+	if d.takeDoneEvent(att) {
+		if res, err := d.fetch(att); res != nil || err != nil {
+			return res, err
+		}
+	}
+	return d.poll(att)
 }
 
 // sleep waits for d or until ctx ends, reporting whether the wait ran out.
@@ -153,7 +169,11 @@ func (d *dispatch) offer(exclude string) (*doram.SimResult, time.Duration, error
 			// trace cap). Deterministic, so no retry.
 			return nil, 0, fmt.Errorf("cluster: worker %s rejected the job: %s", n.id, retry.ErrorMessage(code, data))
 		}
-		var st simsvc.JobStatus
+		// The acceptance is a full JobStatus; dispatch reads two fields.
+		var st struct {
+			ID    string       `json:"id"`
+			State simsvc.State `json:"state"`
+		}
 		if err := json.Unmarshal(data, &st); err != nil || st.ID == "" {
 			c.cfg.Logger.Info("undecodable acceptance", slog.String("node", n.id))
 			continue
@@ -203,9 +223,22 @@ func (d *dispatch) watch(att *attempt) {
 		return
 	}
 	d.c.waitMu.Lock()
-	d.c.waiters[waitKey{att.node, att.remoteID}] = d.wake
+	d.c.waiters[waitKey{att.node, att.remoteID}] = waiter{att: att, wake: d.wake}
 	d.c.waitMu.Unlock()
 	signal(d.wake)
+}
+
+// takeDoneEvent reports whether the worker's done event for a live
+// attempt has fanned in since the last call.
+func (d *dispatch) takeDoneEvent(att *attempt) bool {
+	if d.wake == nil {
+		return false
+	}
+	d.c.waitMu.Lock()
+	defer d.c.waitMu.Unlock()
+	done := att.doneEvent
+	att.doneEvent = false
+	return done
 }
 
 // unwatch ends an attempt's registration.
@@ -224,13 +257,23 @@ type waitKey struct {
 	jobID string
 }
 
+// waiter is one registered attempt and the wake channel of its dispatch.
+type waiter struct {
+	att  *attempt
+	wake chan<- struct{}
+}
+
 // wake signals the dispatch waiting on a worker job, if any, without
-// blocking: a wake already pending covers this one.
-func (c *Coordinator) wake(n *node, jobID string) {
+// blocking: a wake already pending covers this one. done records that
+// the job finished, so the dispatch fetches its result without a poll.
+func (c *Coordinator) wake(n *node, jobID string, done bool) {
 	c.waitMu.Lock()
-	ch := c.waiters[waitKey{n, jobID}]
+	w, ok := c.waiters[waitKey{n, jobID}]
+	if ok && done {
+		w.att.doneEvent = true
+	}
 	c.waitMu.Unlock()
-	signal(ch)
+	signal(w.wake)
 }
 
 // signal makes a non-blocking send on a one-slot wake channel; on a nil
@@ -270,7 +313,11 @@ func (d *dispatch) poll(att *attempt) (*doram.SimResult, error) {
 		return nil, nil
 	}
 	code, data, _, err := d.c.doNode(att.node, http.MethodGet, "/v1/jobs/"+att.remoteID, nil)
-	var st simsvc.JobStatus
+	// The status is a full JobStatus; poll reads two fields.
+	var st struct {
+		State simsvc.State `json:"state"`
+		Error string       `json:"error"`
+	}
 	switch {
 	case err != nil:
 		if att.node.breaker.currentState() == breakerOpen {

@@ -70,10 +70,10 @@ func TestCoordinatorJobEventStream(t *testing.T) {
 	defer sub.Close()
 
 	st := waitState(t, c, submit(t, c, specJSON(1)).ID, simsvc.StateDone)
-	for ev := range sub.C { // wait for the worker's done event to fan in
-		if ev.Node != "" && ev.JobID == st.ID && ev.State == simsvc.StateDone {
-			break
-		}
+	if !awaitEvent(sub, 5*time.Second, func(ev simsvc.Event) bool {
+		return ev.Node != "" && ev.JobID == st.ID && ev.State == simsvc.StateDone
+	}) {
+		t.Fatal("the worker's done event never fanned in")
 	}
 
 	srv := httptest.NewServer(c.Handler())
@@ -132,26 +132,19 @@ func TestEventFanIn(t *testing.T) {
 	st := waitState(t, c, submit(t, c, specJSON(1)).ID, simsvc.StateDone)
 
 	var clusterDone, workerDone bool
-	deadline := time.After(10 * time.Second)
-	for !(clusterDone && workerDone) {
-		select {
-		case ev, ok := <-sub.C:
-			if !ok {
-				t.Fatal("bus closed before both event halves arrived")
-			}
-			if ev.Kind != simsvc.EventJob || ev.State != simsvc.StateDone {
-				continue
-			}
+	if !awaitEvent(sub, 10*time.Second, func(ev simsvc.Event) bool {
+		if ev.Kind == simsvc.EventJob && ev.State == simsvc.StateDone {
 			switch {
 			case ev.Node == "" && ev.JobID == st.ID:
 				clusterDone = true
 			case ev.Node == w.url() && strings.HasPrefix(ev.JobID, "j-"):
 				workerDone = true
 			}
-		case <-deadline:
-			t.Fatalf("merged stream incomplete: cluster done %v, worker done %v",
-				clusterDone, workerDone)
 		}
+		return clusterDone && workerDone
+	}) {
+		t.Fatalf("merged stream incomplete: cluster done %v, worker done %v",
+			clusterDone, workerDone)
 	}
 }
 
@@ -189,17 +182,31 @@ func checkWaiters(t *testing.T, c *Coordinator, want int) {
 }
 
 // awaitWorkerEvent reads sub until the worker's event for a job in the
-// given state arrives, reporting false after 5s or if the bus closes.
+// given state arrives, reporting false after 5s or if the feed ends.
 func awaitWorkerEvent(sub *simsvc.Subscription, node, jobID string, state simsvc.State) bool {
-	deadline := time.After(5 * time.Second)
+	return awaitEvent(sub, 5*time.Second, func(ev simsvc.Event) bool {
+		return ev.Node == node && ev.JobID == jobID && ev.State == state
+	})
+}
+
+// awaitEvent takes events from sub until match reports true, reporting
+// false after d or if the feed ends first. Events taken after the match
+// are discarded.
+func awaitEvent(sub *simsvc.Subscription, d time.Duration, match func(simsvc.Event) bool) bool {
+	deadline := time.After(d)
+	var batch []simsvc.Event
 	for {
 		select {
-		case ev, ok := <-sub.C:
-			if !ok {
-				return false
+		case <-sub.Ready():
+			var open bool
+			batch, open = sub.Take(batch)
+			for _, ev := range batch {
+				if match(ev) {
+					return true
+				}
 			}
-			if ev.Node == node && ev.JobID == jobID && ev.State == state {
-				return true
+			if !open {
+				return false
 			}
 		case <-deadline:
 			return false
@@ -222,7 +229,8 @@ func TestFanInWake(t *testing.T) {
 // TestFanInWakeIDCollision: two workers each hold a job with id
 // j-00000001. One worker's done event must wake only the dispatch on that
 // worker: the other worker's attempt sees no extra status poll or fetch,
-// and still wakes on its own done event.
+// and still wakes on its own done event, which fetches its result
+// without a poll.
 func TestFanInWakeIDCollision(t *testing.T) {
 	gate := newGateTransport()
 	release := make(chan struct{})
@@ -255,15 +263,48 @@ func TestFanInWakeIDCollision(t *testing.T) {
 
 	close(release)
 	doneWithin(t, c, stB.ID, 5*time.Second)
-	// B: the post-registration poll and the poll its own event woke.
-	if n := gate.countRoute(http.MethodGet, wb.url(), statusPath); n != 2 {
-		t.Errorf("worker B saw %d status polls, want 2: another worker's event woke its attempt", n)
+	// B: only the post-registration poll; its own done event fetched
+	// directly. A wake by A's event would have added a poll.
+	if n := gate.countRoute(http.MethodGet, wb.url(), statusPath); n != 1 {
+		t.Errorf("worker B saw %d status polls, want 1: another worker's event woke its attempt", n)
 	}
 	if n := gate.countRoute(http.MethodGet, wb.url(), resultPath); n != 1 {
 		t.Errorf("worker B saw %d result fetches, want 1", n)
 	}
 	if n := gate.countRoute(http.MethodGet, wa.url(), resultPath); n != 1 {
 		t.Errorf("worker A saw %d result fetches, want 1", n)
+	}
+	checkWaiters(t, c, 0)
+}
+
+// TestDoneEventFetchesDirectly: a job that finishes through its worker's
+// fanned-in done event costs that worker one POST, the one status GET
+// that follows registration and one result GET: the done event stands in
+// for the status poll.
+func TestDoneEventFetchesDirectly(t *testing.T) {
+	gate := newGateTransport()
+	release := make(chan struct{})
+	w := newFakeWorker(t, simsvc.Config{Workers: 1, RunSim: blockingSim(make(chan string, 1), release)})
+	c := testCoordinator(t, nil, gate, wakeConfig(), w)
+	const remoteID = "j-00000001"
+	statusPath, resultPath := "/v1/jobs/"+remoteID, "/v1/jobs/"+remoteID+"/result"
+
+	st := submit(t, c, specJSON(1))
+	waitFor(t, "the post-registration poll", func() bool {
+		return gate.countRoute(http.MethodGet, w.url(), statusPath) == 1
+	})
+	close(release)
+	if got := doneWithin(t, c, st.ID, 5*time.Second); got.RemoteID != remoteID {
+		t.Fatalf("job ran as %s, want %s", got.RemoteID, remoteID)
+	}
+	for _, r := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/jobs"},
+		{http.MethodGet, statusPath},
+		{http.MethodGet, resultPath},
+	} {
+		if n := gate.countRoute(r.method, w.url(), r.path); n != 1 {
+			t.Errorf("worker saw %d %s %s, want 1", n, r.method, r.path)
+		}
 	}
 	checkWaiters(t, c, 0)
 }

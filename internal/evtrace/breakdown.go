@@ -81,22 +81,36 @@ type TopAccess struct {
 }
 
 // recordTop keeps the cfg.TopK slowest accesses, ascending by Total so the
-// cheapest survivor is always at index 0.
+// cheapest survivor is always at index 0; among equal totals the earlier
+// access comes first, and is evicted first. Once the report is full, a
+// newcomer takes over the evicted entry's stage array, so a warm tracer
+// records without allocating. (Finish's Trace shares those arrays: the
+// tracer must record nothing after Finish.)
 func (t *Tracer) recordTop(id, start, total uint64, stages []Stage) {
-	if len(t.top) >= t.cfg.TopK {
-		if total <= t.top[0].Total {
-			return
+	if len(t.top) < t.cfg.TopK {
+		if t.top == nil {
+			t.top = make([]TopAccess, 0, t.cfg.TopK)
 		}
-		t.top = t.top[1:]
+		entry := TopAccess{ID: id, Start: start, Total: total, Stages: make([]Stage, len(stages))}
+		copy(entry.Stages, stages)
+		i := len(t.top)
+		t.top = append(t.top, entry)
+		for i > 0 && t.top[i-1].Total > total {
+			t.top[i] = t.top[i-1]
+			i--
+		}
+		t.top[i] = entry
+		return
 	}
-	cp := make([]Stage, len(stages))
-	copy(cp, stages)
-	entry := TopAccess{ID: id, Start: start, Total: total, Stages: cp}
-	i := len(t.top)
-	t.top = append(t.top, entry)
-	for i > 0 && t.top[i-1].Total > total {
-		t.top[i] = t.top[i-1]
-		i--
+	if total <= t.top[0].Total {
+		return
+	}
+	entry := TopAccess{ID: id, Start: start, Total: total, Stages: append(t.top[0].Stages[:0], stages...)}
+	// Evict index 0: entries no slower than the newcomer shift down.
+	i := 0
+	for i+1 < len(t.top) && t.top[i+1].Total <= total {
+		t.top[i] = t.top[i+1]
+		i++
 	}
 	t.top[i] = entry
 }

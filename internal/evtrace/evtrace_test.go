@@ -2,7 +2,9 @@ package evtrace
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -249,6 +251,60 @@ func TestTopKSlowest(t *testing.T) {
 		if trace.Top[i].Total != w {
 			t.Fatalf("top[%d] = %d, want %d", i, trace.Top[i].Total, w)
 		}
+	}
+}
+
+// TestTopKMatchesReference: the top-K report equals that of a plain
+// reference (evict the first of the cheapest, insert after every entry no
+// slower), ties included, with stage lists copied rather than aliased.
+func TestTopKMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 9))
+	for _, k := range []int{1, 3, 16} {
+		tr := New(Config{TopK: k})
+		var ref []TopAccess
+		for i := 0; i < 2000; i++ {
+			total := uint64(rng.IntN(40)) // many equal totals
+			stages := make([]Stage, 1+rng.IntN(3))
+			rest := total
+			for j := len(stages) - 1; j >= 0; j-- {
+				stages[j] = Stage{Name: string(rune('a' + j)), Dur: rest / uint64(j+1)}
+				rest -= stages[j].Dur
+			}
+			if len(ref) < k || total > ref[0].Total {
+				if len(ref) == k {
+					ref = ref[1:]
+				}
+				at := len(ref)
+				for at > 0 && ref[at-1].Total > total {
+					at--
+				}
+				ref = slices.Insert(ref, at, TopAccess{ID: uint64(i + 1), Start: uint64(i), Total: total,
+					Stages: slices.Clone(stages)})
+			}
+			tr.RecordStages(KindOram, uint64(i+1), uint64(i), total, stages...)
+			stages[0].Name = "clobbered" // the tracer must have copied
+		}
+		slices.Reverse(ref)
+		if got := tr.Finish().Top; !reflect.DeepEqual(got, ref) {
+			t.Errorf("TopK %d: report differs from the reference\ngot  %v\nwant %v", k, got, ref)
+		}
+	}
+}
+
+// TestTopKReplaceAllocs: a warm tracer that replaces a top-K entry
+// allocates nothing; the newcomer reuses the evicted entry's stages.
+func TestTopKReplaceAllocs(t *testing.T) {
+	tr := New(Config{TopK: 4})
+	total := uint64(100)
+	record := func() {
+		total++
+		tr.RecordStages(KindOram, total, 0, total, Stage{"read_phase", total - 40}, Stage{"write_phase", 40})
+	}
+	for i := 0; i < 8; i++ {
+		record()
+	}
+	if n := testing.AllocsPerRun(100, record); n != 0 {
+		t.Errorf("RecordStages replacing a top-K entry allocates %.1f times, want 0", n)
 	}
 }
 

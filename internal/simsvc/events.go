@@ -44,13 +44,15 @@ const (
 const DefaultEventHistory = 1024
 
 // EventBus fans events out to subscribers and keeps a bounded replay ring
-// for resume. Publishing never blocks: a subscriber that stops draining its
-// channel is dropped (channel closed), and recovers by resubscribing from
-// its last seen sequence number — exactly the SSE reconnect path.
+// for resume. Publishing never blocks: a subscriber more than its backlog
+// bound behind is dropped (its subscription ends), and recovers by
+// resubscribing from its last seen sequence number — exactly the SSE
+// reconnect path.
 type EventBus struct {
 	mu      sync.Mutex
 	seq     uint64
-	ring    []Event // bounded history, oldest first
+	ring    []Event // bounded history; circular once len == ringCap
+	head    int     // oldest event's index once the ring is full
 	ringCap int
 	subs    map[*Subscription]struct{}
 	closed  bool
@@ -65,13 +67,32 @@ func NewEventBus(history int) *EventBus {
 	return &EventBus{ringCap: history, subs: make(map[*Subscription]struct{})}
 }
 
-// Subscription is one subscriber's live feed. Events (replayed then live)
-// arrive on C; the channel closes when the bus closes, the subscriber is
-// dropped for not draining, or Close is called.
+// Subscription is one subscriber's feed: its replay, then live events,
+// queued until the subscriber takes them. The queue grows only with the
+// subscriber's real backlog; one more than its bound (the replay it
+// started with plus the ring size) ends the subscription.
 type Subscription struct {
-	C   <-chan Event
-	ch  chan Event
-	bus *EventBus
+	bus    *EventBus
+	ready  chan struct{} // one slot: events pending, or the feed ended
+	queue  []Event       // pending events, oldest first; guarded by bus.mu
+	limit  int           // backlog bound, fixed at Subscribe
+	closed bool          // no more events will queue; guarded by bus.mu
+}
+
+// Ready returns a channel that receives when events are pending or the
+// subscription has ended. A receive may find nothing new to Take.
+func (s *Subscription) Ready() <-chan struct{} { return s.ready }
+
+// Take returns every pending event, oldest first, and whether more may
+// follow: false once the bus closed, the subscriber was dropped or Close
+// was called. The returned slice is the caller's until it passes it back
+// as buf, which becomes the next pending queue.
+func (s *Subscription) Take(buf []Event) ([]Event, bool) {
+	s.bus.mu.Lock()
+	defer s.bus.mu.Unlock()
+	evs := s.queue
+	s.queue = buf[:0]
+	return evs, !s.closed
 }
 
 // Close detaches the subscription. Idempotent, safe concurrently with
@@ -85,31 +106,45 @@ func (s *Subscription) Close() {
 func (b *EventBus) dropLocked(s *Subscription) {
 	if _, ok := b.subs[s]; ok {
 		delete(b.subs, s)
-		close(s.ch)
+		s.closed = true
+		signal(s.ready)
+	}
+}
+
+// signal makes a non-blocking send on a one-slot channel: a token already
+// pending covers this one.
+func signal(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
 	}
 }
 
 // Subscribe returns a feed of every event with Seq > after, replaying from
 // the ring first. An `after` older than the ring simply starts at the
 // oldest retained event (the gap is unrecoverable; SSE clients notice via
-// the sequence jump). The channel is buffered to hold the full replay plus
-// a live margin; consumers must drain promptly or be dropped.
+// the sequence jump). The feed holds the replay plus up to a ring's worth
+// of live backlog; consumers must take promptly or be dropped.
 func (b *EventBus) Subscribe(after uint64) *Subscription {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	replay := make([]Event, 0, len(b.ring))
-	for _, ev := range b.ring {
-		if ev.Seq > after {
-			replay = append(replay, ev)
-		}
+	// The ring holds the last len(ring) sequence numbers, contiguous.
+	n := 0
+	if after < b.seq {
+		n = int(min(b.seq-after, uint64(len(b.ring))))
 	}
-	ch := make(chan Event, len(replay)+b.ringCap)
-	for _, ev := range replay {
-		ch <- ev
+	s := &Subscription{bus: b, ready: make(chan struct{}, 1), limit: n + b.ringCap}
+	if n > 0 {
+		s.queue = make([]Event, n)
+		// The newest n events, oldest first; the ring starts at head.
+		from := (b.head + len(b.ring) - n) % len(b.ring)
+		k := copy(s.queue, b.ring[from:])
+		copy(s.queue[k:], b.ring[:b.head])
+		signal(s.ready)
 	}
-	s := &Subscription{C: ch, ch: ch, bus: b}
 	if b.closed {
-		close(ch)
+		s.closed = true
+		signal(s.ready)
 		return s
 	}
 	b.subs[s] = struct{}{}
@@ -127,19 +162,22 @@ func (b *EventBus) Publish(ev Event) Event {
 	}
 	b.seq++
 	ev.Seq = b.seq
-	if len(b.ring) == b.ringCap {
-		b.ring = b.ring[1:]
+	if len(b.ring) < b.ringCap {
+		b.ring = append(b.ring, ev)
+	} else {
+		b.ring[b.head] = ev
+		b.head = (b.head + 1) % len(b.ring)
 	}
-	b.ring = append(b.ring, ev)
 	for s := range b.subs {
-		select {
-		case s.ch <- ev:
-		default:
-			// Not draining; drop it. The closed channel tells the SSE
-			// handler to end the response, and the client reconnects with
-			// Last-Event-ID to resume from the ring.
+		if len(s.queue) >= s.limit {
+			// Too far behind; drop it. The ended feed tells the SSE
+			// handler to end the response, and the client reconnects
+			// with Last-Event-ID to resume from the ring.
 			b.dropLocked(s)
+			continue
 		}
+		s.queue = append(s.queue, ev)
+		signal(s.ready)
 	}
 	return ev
 }
@@ -151,8 +189,8 @@ func (b *EventBus) LastSeq() uint64 {
 	return b.seq
 }
 
-// Close ends the bus: every subscriber's channel closes after the events
-// already delivered, and later publishes are dropped.
+// Close ends the bus: every subscription ends after the events already
+// queued, and later publishes are dropped.
 func (b *EventBus) Close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()

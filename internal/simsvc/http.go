@@ -1,12 +1,14 @@
 package simsvc
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"doram/internal/metrics"
 	"doram/internal/retry"
@@ -50,23 +52,70 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-// encodeJSON renders v the way every API response is written: indented
-// two spaces, HTML-escaped, with a trailing newline — the bytes of a
-// json.Encoder with SetIndent("", "  "), built in one pass.
-func encodeJSON(v any) ([]byte, error) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return nil, err
+// docEncoder is one pooled document encoder: two json.Encoders over one
+// buffer, one indenting two spaces for API documents and one compact for
+// SSE data lines. An encoder keeps its indent scratch between documents,
+// so a warm one encodes a typical document without growing either.
+type docEncoder struct {
+	buf     bytes.Buffer
+	indent  *json.Encoder
+	compact *json.Encoder
+}
+
+// maxPooledDoc caps the documents whose encoder goes back to the pool:
+// results with metric timelines run to megabytes, and a pooled encoder
+// would hold that much twice (buffer and indent scratch) for good.
+const maxPooledDoc = 64 << 10
+
+var docEncoders = sync.Pool{New: func() any {
+	e := new(docEncoder)
+	e.indent = json.NewEncoder(&e.buf)
+	e.indent.SetIndent("", "  ")
+	e.compact = json.NewEncoder(&e.buf)
+	return e
+}}
+
+// getEncoder takes an encoder with an empty buffer from the pool.
+func getEncoder() *docEncoder {
+	e := docEncoders.Get().(*docEncoder)
+	e.buf.Reset()
+	return e
+}
+
+// release returns the encoder to the pool unless its last document was
+// over the cap. Nothing may use its bytes afterwards.
+func (e *docEncoder) release() {
+	if e.buf.Cap() <= maxPooledDoc {
+		docEncoders.Put(e)
 	}
-	return append(data, '\n'), nil
+}
+
+// withEncoded renders v the way every API response is written: indented
+// two spaces, HTML-escaped, with a trailing newline (json.MarshalIndent
+// plus "\n"). It hands the bytes to use, which must not keep them.
+func withEncoded(v any, use func([]byte)) error {
+	e := getEncoder()
+	defer e.release()
+	if err := e.indent.Encode(v); err != nil {
+		return err
+	}
+	use(e.buf.Bytes())
+	return nil
+}
+
+// encodeJSON returns v's API document in an exact copy of its own, for
+// documents that outlive the request (job results, the result cache).
+func encodeJSON(v any) ([]byte, error) {
+	var doc []byte
+	err := withEncoded(v, func(data []byte) { doc = bytes.Clone(data) })
+	return doc, err
 }
 
 // WriteJSON writes v as an API response with the given status code. The
 // cluster coordinator's own endpoints use it too, so the whole API speaks
 // one encoding.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
-	data, _ := encodeJSON(v) // API types always encode
-	writeDoc(w, code, data)
+	_ = withEncoded(v, func(data []byte) { writeDoc(w, code, data) }) // API types always encode
 }
 
 // writeDoc writes an encoded JSON document under the given status code,

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -32,8 +34,79 @@ func TestRetryAfterHeaderClamped(t *testing.T) {
 	}
 }
 
-// TestEncodeJSONMatchesEncoder pins the one-pass encoder to the bytes of
-// the json.Encoder it replaced: every document the API has ever served
+// TestPooledEncoderMatchesMarshalIndent: every document the pooled
+// encoder serves, through encodeJSON or WriteJSON, is json.MarshalIndent's
+// plus a newline, including documents too large to go back to the pool,
+// while eight goroutines share the pool (run it under -race).
+func TestPooledEncoderMatchesMarshalIndent(t *testing.T) {
+	res, err := doram.Simulate(doram.Params{Scheme: doram.SchemeDORAM, Benchmark: "face", TraceLen: 600,
+		Seed: 5, Trace: true, Metrics: true}.SimConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := specWithSeed(5).Canonical()
+	cases := []any{
+		JobStatus{ID: "j-00000007", State: StateDone, SpecHash: spec.Hash(), Spec: spec,
+			History: []Transition{{State: StateQueued, At: time.Unix(1, 5)}, {State: StateRunning, At: time.Unix(2, 0)},
+				{State: StateDone, At: time.Unix(3, 9)}},
+			Placement: Placement{Node: "http://10.0.0.2:8080", RemoteID: "j-00000003", Attempts: 2, Hedged: true}},
+		apiError{Error: `simsvc: unknown job "<j>&"`},
+		res,
+		res.Metrics,
+	}
+	// A sweep response big enough to bypass the pool on its way out.
+	sweep := SweepResponse{Jobs: make([]*JobStatus, 200)}
+	for i := range sweep.Jobs {
+		st := cases[0].(JobStatus)
+		sweep.Jobs[i] = &st
+	}
+	cases = append(cases, sweep)
+	want := make([][]byte, len(cases))
+	big := false
+	for i, v := range cases {
+		data, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			t.Fatalf("case %d: MarshalIndent: %v", i, err)
+		}
+		want[i] = append(data, '\n')
+		big = big || len(data) > maxPooledDoc
+	}
+	if !big {
+		t.Fatalf("no case exceeds the %d-byte pool cap", maxPooledDoc)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8*len(cases))
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for j := range cases {
+					i := (g + j) % len(cases)
+					if got, err := encodeJSON(cases[i]); err != nil || !bytes.Equal(got, want[i]) {
+						errs <- fmt.Sprintf("case %d: encodeJSON differs from MarshalIndent (err %v)", i, err)
+						return
+					}
+					rec := httptest.NewRecorder()
+					WriteJSON(rec, 200, cases[i])
+					if !bytes.Equal(rec.Body.Bytes(), want[i]) ||
+						rec.Header().Get("Content-Length") != strconv.Itoa(len(want[i])) {
+						errs <- fmt.Sprintf("case %d: WriteJSON differs from MarshalIndent", i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+// TestEncodeJSONMatchesEncoder pins the pooled encoder to the bytes of a
+// fresh json.Encoder: every document the API has ever served
 // came from an Encoder with SetIndent("", "  "), and clients (and the
 // cluster's byte-equality checks) compare against them. The cases cover
 // a traced, metrics-enabled D-ORAM result, each envelope WriteJSON writes,

@@ -55,13 +55,20 @@ func lastEventID(r *http.Request) uint64 {
 }
 
 // writeSSE renders one event in the wire format: id, event name, one JSON
-// data line, blank terminator.
+// data line (json.Marshal's bytes), blank terminator.
 func writeSSE(w io.Writer, ev Event) error {
-	data, err := json.Marshal(ev)
-	if err != nil {
+	e := getEncoder()
+	defer e.release()
+	e.buf.WriteString("id: ")
+	e.buf.Write(strconv.AppendUint(e.buf.AvailableBuffer(), ev.Seq, 10))
+	e.buf.WriteString("\nevent: ")
+	e.buf.WriteString(ev.Kind)
+	e.buf.WriteString("\ndata: ")
+	if err := e.compact.Encode(ev); err != nil { // ends the line
 		return err
 	}
-	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Kind, data)
+	e.buf.WriteByte('\n')
+	_, err := w.Write(e.buf.Bytes())
 	return err
 }
 
@@ -121,21 +128,16 @@ func ServeEventStream(w http.ResponseWriter, r *http.Request, bus *EventBus, opt
 		return opt.JobID != "" && ev.State.Terminal(), nil
 	}
 
-	// Drain the buffered replay first so the synthesized terminal check
-	// below sees everything the ring could offer.
-	for {
-		select {
-		case ev, ok := <-sub.C:
-			if !ok {
-				return
-			}
-			if done, err := emit(ev); done || err != nil {
-				return
-			}
-			continue
-		default:
+	// Write out the replay first so the synthesized terminal check below
+	// sees everything the ring could offer.
+	batch, open := sub.Take(nil)
+	for _, ev := range batch {
+		if done, err := emit(ev); done || err != nil {
+			return
 		}
-		break
+	}
+	if !open {
+		return
 	}
 	if synth != nil {
 		// Nothing in the replay closed the job (else emit returned), so
@@ -157,12 +159,15 @@ func ServeEventStream(w http.ResponseWriter, r *http.Request, bus *EventBus, opt
 			}
 			flusher.Flush()
 			hb = after(opt.Heartbeat)
-		case ev, ok := <-sub.C:
-			if !ok {
-				return // bus closed (drain) or subscriber dropped
+		case <-sub.Ready():
+			batch, open = sub.Take(batch)
+			for _, ev := range batch {
+				if done, err := emit(ev); done || err != nil {
+					return
+				}
 			}
-			if done, err := emit(ev); done || err != nil {
-				return
+			if !open {
+				return // bus closed (drain) or subscriber dropped
 			}
 		}
 	}
@@ -233,7 +238,9 @@ type SSEScanner struct {
 // NewSSEScanner wraps a response body (or any reader) for event parsing.
 func NewSSEScanner(r io.Reader) *SSEScanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	// Start small (4 KB) and grow with the longest line, up to 1 MB:
+	// events are a few hundred bytes, and each stream has its own buffer.
+	sc.Buffer(nil, 1<<20)
 	return &SSEScanner{sc: sc}
 }
 

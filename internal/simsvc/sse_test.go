@@ -1,11 +1,15 @@
 package simsvc
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -383,43 +387,40 @@ func TestSSEUnknownJob404s(t *testing.T) {
 	}
 }
 
-// TestEventBusDropsSlowSubscriber: a subscriber that stops draining is
-// dropped (channel closed) rather than blocking publishers, and recovers
+// TestEventBusDropsSlowSubscriber: a subscriber that stops taking events
+// is dropped (its feed ends) rather than blocking publishers, and recovers
 // by resubscribing from its last seen cursor.
 func TestEventBusDropsSlowSubscriber(t *testing.T) {
 	bus := NewEventBus(4)
 	sub := bus.Subscribe(0)
-	// The subscription buffer is replay(0)+ringCap; overflow it without
-	// ever reading.
+	// The subscription's backlog bound is replay(0)+ringCap; overflow it
+	// without ever taking.
 	for i := 0; i < 10; i++ {
 		bus.Publish(Event{Kind: EventService, Message: fmt.Sprintf("m%d", i)})
 	}
+	select {
+	case <-sub.Ready():
+	default:
+		t.Fatal("subscriber neither ended nor readable after overflow")
+	}
+	evs, open := sub.Take(nil)
+	if open {
+		t.Fatal("subscriber still open after overflow")
+	}
 	var last uint64
-	open := true
-	for open {
-		select {
-		case ev, ok := <-sub.C:
-			if !ok {
-				open = false
-				break
-			}
-			last = ev.Seq
-		default:
-			t.Fatal("subscriber channel neither closed nor readable after overflow")
-		}
+	for _, ev := range evs {
+		last = ev.Seq
+	}
+	if last != 4 {
+		t.Errorf("dropped subscriber kept events through seq %d, want its bound of 4", last)
 	}
 	// Resubscribe from the cursor: the ring retains the last 4 events.
 	sub2 := bus.Subscribe(last)
 	defer sub2.Close()
 	var got []uint64
-	for {
-		select {
-		case ev := <-sub2.C:
-			got = append(got, ev.Seq)
-			continue
-		default:
-		}
-		break
+	evs, _ = sub2.Take(nil)
+	for _, ev := range evs {
+		got = append(got, ev.Seq)
 	}
 	if len(got) == 0 {
 		t.Fatal("resubscribe replayed nothing")
@@ -434,5 +435,97 @@ func TestEventBusDropsSlowSubscriber(t *testing.T) {
 	}
 	if got[len(got)-1] != bus.LastSeq() {
 		t.Errorf("replay ends at %d, want last seq %d", got[len(got)-1], bus.LastSeq())
+	}
+}
+
+// TestEventBusReplayAcrossWrap: the replay ring is circular; a subscriber
+// resuming from any cursor gets exactly the retained events after it, in
+// order, wherever the ring's head stands.
+func TestEventBusReplayAcrossWrap(t *testing.T) {
+	const ringCap = 5
+	bus := NewEventBus(ringCap)
+	for n := uint64(1); n <= 13; n++ {
+		bus.Publish(Event{Kind: EventService})
+		for after := uint64(0); after <= n+1; after++ {
+			sub := bus.Subscribe(after)
+			evs, _ := sub.Take(nil)
+			sub.Close()
+			first := max(after+1, n-min(n, ringCap)+1)
+			var want []uint64
+			for seq := first; seq <= n; seq++ {
+				want = append(want, seq)
+			}
+			var got []uint64
+			for _, ev := range evs {
+				got = append(got, ev.Seq)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("after %d published, Subscribe(%d) replayed %v, want %v", n, after, got, want)
+			}
+		}
+	}
+}
+
+// TestEventBusSubscribeSizedByBacklog: a subscriber whose cursor is
+// current costs the same bytes whatever the ring size; its queue grows
+// only with the events it has yet to take.
+func TestEventBusSubscribeSizedByBacklog(t *testing.T) {
+	perSubscribe := func(ringCap int) float64 {
+		bus := NewEventBus(ringCap)
+		for i := 0; i < ringCap; i++ {
+			bus.Publish(Event{Kind: EventService})
+		}
+		last := bus.LastSeq()
+		return bytesPerRun(200, func() { bus.Subscribe(last).Close() })
+	}
+	// The slack absorbs stray allocations by other goroutines; a
+	// ring-sized buffer would be 1,024 events of well over 100 B each.
+	small, full := perSubscribe(16), perSubscribe(DefaultEventHistory)
+	if full > small+64 {
+		t.Errorf("Subscribe on a current cursor allocates %.0f B with a %d-event ring, %.0f B with a 16-event one",
+			full, DefaultEventHistory, small)
+	}
+}
+
+// bytesPerRun returns the heap bytes one call of f allocates, averaged
+// over runs after a warm-up call, in the manner of testing.AllocsPerRun.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestWriteSSEMatchesMarshal: an event's wire form is its id, kind and
+// json.Marshal bytes on one data line, whichever pooled encoder wrote it
+// and whatever it wrote before.
+func TestWriteSSEMatchesMarshal(t *testing.T) {
+	evs := []Event{
+		{Seq: 1, Time: time.Unix(5, 7).UTC(), Kind: EventService, Message: "draining <now> & later"},
+		{Seq: 1 << 40, Time: time.Unix(9, 0), Kind: EventJob, Node: "http://w1", JobID: "j-00000002",
+			State: StateFailed, Error: `bad "spec"`, QueueDepth: 3, Running: 1, Completed: 12},
+	}
+	// Leave a large document's bytes behind in the pool first.
+	if _, err := encodeJSON(SweepResponse{Errors: make([]string, 5000)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range evs {
+		data, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Kind, data)
+		var got bytes.Buffer
+		if err := writeSSE(&got, ev); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want {
+			t.Errorf("writeSSE wrote\n%q\nwant\n%q", got.String(), want)
+		}
 	}
 }
